@@ -1,13 +1,15 @@
 """Command line front end: run scenarios, list them, verify invariants.
 
 Exit codes: 0 all good, 1 an expectation or property failed, 2 bad input
-(unknown scenario, malformed file, measurement that cannot fire), 3 numerical
-trouble (a matrix that should be a state is not).
+(unknown scenario, malformed file, non-finite number, plan that does not fit
+the state, measurement that cannot fire), 3 numerical trouble (a matrix that
+should be a state is not).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -69,8 +71,8 @@ def _cmd_run(args) -> int:
     if (args.name is None) == (args.file is None):
         print("error: give exactly one of a scenario name or --file", file=sys.stderr)
         return EXIT_INPUT
-    if args.tolerance is not None and args.tolerance <= 0:
-        print("error: --tolerance must be positive", file=sys.stderr)
+    if args.tolerance is not None and not 0 < args.tolerance < math.inf:
+        print("error: --tolerance must be a positive finite number", file=sys.stderr)
         return EXIT_INPUT
     if args.file is not None:
         report = run_file(args.file, args.tolerance)

@@ -9,38 +9,26 @@ entangled when every planned bipartition leaves a mixed remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import NotPSDError
-from .reduction import DensityMatrix, MeasurementBasis, partial_trace_iterate
+from . import comparator
+from .comparator import LabeledState, SlotTrace
+from .reduction import (
+    DensityMatrix,
+    MeasurementBasis,
+    eigenvalues_hermitian,  # noqa: F401 - re-exported
+    partial_trace_iterate,
+)
 from .states import ParticleState
 
-EIGEN_CLAMP = 1e-10
-RECONSTRUCTION_TOL = 1e-9
 MIXED_THRESHOLD_BITS = 1e-6
 
 
-def eigenvalues_hermitian(mat: np.ndarray) -> np.ndarray:
-    """Descending real eigenvalues of a Hermitian matrix.
-
-    Tiny negative values (>= -1e-10) are clamped to zero; anything lower
-    raises NotPSDError. The eigendecomposition is checked by reconstruction.
-    """
-    m = np.asarray(mat, dtype=complex)
-    evals, evecs = np.linalg.eigh(m)
-    resid = np.linalg.norm(m - (evecs * evals) @ evecs.conj().T)
-    if resid > RECONSTRUCTION_TOL * max(1.0, np.linalg.norm(m)):
-        raise ArithmeticError(f"eigendecomposition residual {resid:.3g}")
-    lo = evals.min()
-    if lo < -EIGEN_CLAMP:
-        raise NotPSDError(f"eigenvalue {lo:.3g} below -{EIGEN_CLAMP}")
-    return np.clip(evals, 0.0, None)[::-1]
-
-
 def spectrum(rho: DensityMatrix) -> np.ndarray:
-    return eigenvalues_hermitian(rho.mat)
+    """Descending eigenvalues of ``rho`` (cached on the matrix, read-only)."""
+    return rho.spectrum
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -55,20 +43,24 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.vdot(rho.mat, rho.mat).real)
 
 
+Stage = Union[MeasurementBasis, SlotTrace]
+
+
 @dataclass(frozen=True)
 class TracePlan:
-    """One bipartition to probe: which bases to trace toward each remainder.
+    """One bipartition to probe: which stages to trace toward each remainder.
 
     ``one_stages`` leaves a one-particle remainder, ``two_stages`` a
-    two-particle one; either may be None to skip that side. Plans that do not
-    split the state into complementary parts (e.g. a conditional two-step
-    measurement) should set ``bipartition=False`` so they do not vote on the
-    genuine-multipartite flag.
+    two-particle one; either may be None to skip that side. Stages are
+    MeasurementBasis entries for identical particles and SlotTrace entries
+    for labeled ones. Plans that do not split the state into complementary
+    parts (e.g. a conditional two-step measurement) should set
+    ``bipartition=False`` so they do not vote on the genuine-multipartite flag.
     """
 
     label: str
-    one_stages: Optional[tuple[MeasurementBasis, ...]] = None
-    two_stages: Optional[tuple[MeasurementBasis, ...]] = None
+    one_stages: Optional[tuple[Stage, ...]] = None
+    two_stages: Optional[tuple[Stage, ...]] = None
     bipartition: bool = True
 
     def __post_init__(self):
@@ -77,6 +69,14 @@ class TracePlan:
         for name, stages in (("one", self.one_stages), ("two", self.two_stages)):
             if stages is not None:
                 object.__setattr__(self, f"{name}_stages", tuple(stages))
+
+    def sides(self) -> tuple[tuple[str, tuple[Stage, ...]], ...]:
+        """(side, stages) for each traced side, "one" first."""
+        return tuple(
+            (side, stages)
+            for side, stages in (("one", self.one_stages), ("two", self.two_stages))
+            if stages is not None
+        )
 
 
 @dataclass(frozen=True)
@@ -105,33 +105,36 @@ class EntanglementReport:
 
 
 def analyze(
-    phi: ParticleState,
-    plans: Sequence[TracePlan],
-    mixed_threshold: float = MIXED_THRESHOLD_BITS,
+    state: Union[ParticleState, LabeledState], plans: Sequence[TracePlan]
 ) -> EntanglementReport:
     """Run every trace plan and aggregate the mixedness verdicts.
 
-    A bipartition counts as mixed when every entropy it produced exceeds
-    ``mixed_threshold`` bits. The genuine-multipartite flag is the AND over
+    Identical-particle states are traced with ``partial_trace_iterate``,
+    labeled states with ``comparator.distinguishable_trace_iterate``. A
+    bipartition counts as mixed when every entropy it produced exceeds
+    MIXED_THRESHOLD_BITS. The genuine-multipartite flag is the AND over
     bipartition plans, or None when no plan is a bipartition.
     """
     labels = [p.label for p in plans]
     if len(set(labels)) != len(labels):
         raise ValueError("trace plan labels must be distinct")
+    # both names are looked up per call, so a wrapper installed on either is used
+    if isinstance(state, LabeledState):
+        trace = comparator.distinguishable_trace_iterate
+    else:
+        trace = partial_trace_iterate
     reports = []
     for plan in plans:
         entries: dict[str, object] = {}
         entropies = []
-        for side, stages in (("one", plan.one_stages), ("two", plan.two_stages)):
-            if stages is None:
-                continue
-            rho = partial_trace_iterate(phi, stages)
+        for side, stages in plan.sides():
+            rho = trace(state, stages)
             s = von_neumann_entropy(rho)
             entropies.append(s)
             entries[f"rho_{side}"] = rho
             entries[f"entropy_{side}"] = s
             entries[f"purity_{side}"] = purity(rho)
-        mixed = bool(entropies) and all(s > mixed_threshold for s in entropies)
+        mixed = bool(entropies) and all(s > MIXED_THRESHOLD_BITS for s in entropies)
         reports.append(
             BipartitionReport(
                 label=plan.label,

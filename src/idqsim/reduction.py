@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 from typing import Optional, Sequence
 
@@ -41,6 +42,8 @@ HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 ZERO_PROB_TOL = 1e-12
+EIGEN_CLAMP = 1e-10
+RECONSTRUCTION_TOL = 1e-9
 # weight below which an ensemble branch is numerical noise and is dropped
 _BRANCH_WEIGHT_FLOOR = 1e-30
 
@@ -226,6 +229,34 @@ class DensityMatrix:
     @property
     def sector(self) -> int:
         return self.basis.sector
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Descending eigenvalues, computed on first use and kept (read-only).
+
+        Lazy on purpose: diagonalizing at construction would hold the
+        reconstruction temporaries while a trace's working matrices are alive.
+        """
+        ev = eigenvalues_hermitian(self.mat)
+        ev.flags.writeable = False
+        return ev
+
+
+def eigenvalues_hermitian(mat: np.ndarray) -> np.ndarray:
+    """Descending real eigenvalues of a Hermitian matrix.
+
+    Tiny negative values (>= -1e-10) are clamped to zero; anything lower
+    raises NotPSDError. The eigendecomposition is checked by reconstruction.
+    """
+    m = np.asarray(mat, dtype=complex)
+    evals, evecs = np.linalg.eigh(m)
+    resid = np.linalg.norm(m - (evecs * evals) @ evecs.conj().T)
+    if resid > RECONSTRUCTION_TOL * max(1.0, np.linalg.norm(m)):
+        raise ArithmeticError(f"eigendecomposition residual {resid:.3g}")
+    lo = evals.min()
+    if lo < -EIGEN_CLAMP:
+        raise NotPSDError(f"eigenvalue {lo:.3g} below -{EIGEN_CLAMP}")
+    return np.clip(evals, 0.0, None)[::-1]
 
 
 def probability_of(phi: ParticleState, basis: MeasurementBasis) -> float:

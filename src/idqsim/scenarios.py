@@ -19,26 +19,17 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .comparator import (
     LabeledState,
     SlotTrace,
-    distinguishable_trace_iterate,
+    distinguishable_trace_iterate,  # noqa: F401 - perfbench/tracer.py wraps this name
     product_state,
 )
-from .entanglement import (
-    BipartitionReport,
-    EntanglementReport,
-    MIXED_THRESHOLD_BITS,
-    TracePlan,
-    analyze,
-    purity,
-    spectrum,
-    von_neumann_entropy,
-)
+from .entanglement import EntanglementReport, TracePlan, analyze, spectrum
 from .errors import (
     NullStateError,
     ScenarioError,
@@ -114,35 +105,25 @@ class Expectation:
 
 
 @dataclass(frozen=True)
-class SlotPlan:
-    """Distinguishable-particle counterpart of a trace plan: ordered
-    post-selected slot measurements toward each remainder."""
-
-    label: str
-    one_steps: Optional[tuple[SlotTrace, ...]] = None
-    two_steps: Optional[tuple[SlotTrace, ...]] = None
-    bipartition: bool = True
-
-    def __post_init__(self):
-        if self.one_steps is None and self.two_steps is None:
-            raise ValueError(f"plan {self.label!r} measures nothing")
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     name: str
     title: str
     state: Union[ParticleState, LabeledState]
-    plans: tuple
+    plans: tuple[TracePlan, ...]
     expectations: tuple[Expectation, ...] = ()
 
     def __post_init__(self):
         labeled = isinstance(self.state, LabeledState)
+        stage_type = SlotTrace if labeled else MeasurementBasis
         for p in self.plans:
-            if labeled and not isinstance(p, SlotPlan):
-                raise ScenarioError("labeled states take SlotPlan entries")
-            if not labeled and not isinstance(p, TracePlan):
-                raise ScenarioError("identical-particle states take TracePlan entries")
+            if not isinstance(p, TracePlan) or not all(
+                isinstance(st, stage_type) for _, stages in p.sides() for st in stages
+            ):
+                kind = "labeled" if labeled else "identical-particle"
+                raise ScenarioError(
+                    f"{kind} states take TracePlan entries with "
+                    f"{stage_type.__name__} stages"
+                )
 
 
 @dataclass(frozen=True)
@@ -309,40 +290,9 @@ def run_spec(spec: ScenarioSpec, tolerance: Optional[float] = None) -> ScenarioR
     ``tolerance`` can only tighten: the effective tolerance of each check is
     the minimum of its own and the override.
     """
-    if isinstance(spec.state, LabeledState):
-        report = _analyze_labeled(spec.state, spec.plans)
-    else:
-        report = analyze(spec.state, spec.plans)
+    report = analyze(spec.state, spec.plans)
     checks = tuple(_evaluate(e, report, tolerance) for e in spec.expectations)
     return ScenarioReport(spec.name, spec.title, report, checks)
-
-
-def _analyze_labeled(state: LabeledState, plans: Sequence[SlotPlan]) -> EntanglementReport:
-    labels = [p.label for p in plans]
-    if len(set(labels)) != len(labels):
-        raise ValueError("plan labels must be distinct")
-    reports = []
-    for plan in plans:
-        entries: dict = {}
-        entropies = []
-        for side, steps in (("one", plan.one_steps), ("two", plan.two_steps)):
-            if steps is None:
-                continue
-            rho = distinguishable_trace_iterate(state, steps)
-            s = von_neumann_entropy(rho)
-            entropies.append(s)
-            entries[f"rho_{side}"] = rho
-            entries[f"entropy_{side}"] = s
-            entries[f"purity_{side}"] = purity(rho)
-        mixed = bool(entropies) and all(s > MIXED_THRESHOLD_BITS for s in entropies)
-        reports.append(
-            BipartitionReport(
-                label=plan.label, mixed=mixed, bipartition=plan.bipartition, **entries
-            )
-        )
-    votes = [r.mixed for r in reports if r.bipartition]
-    genuine = all(votes) if votes else None
-    return EntanglementReport(tuple(reports), genuine)
 
 
 def _evaluate(
@@ -547,16 +497,16 @@ def _distinguishable_spec() -> ScenarioSpec:
     loc = {m: _loc(space, m) for m in "ABC"}
     nonlocal_ab = delocalized_pair(space, "A", "B")
     plans = (
-        SlotPlan("(12)-3", one_steps=(SlotTrace(0, loc["A"]), SlotTrace(1, loc["B"])),
-                 two_steps=(SlotTrace(2, loc["C"]),)),
-        SlotPlan("(31)-2", one_steps=(SlotTrace(2, loc["C"]), SlotTrace(0, loc["A"])),
-                 two_steps=(SlotTrace(1, loc["B"]),)),
-        SlotPlan("(23)-1", one_steps=(SlotTrace(1, loc["B"]), SlotTrace(2, loc["C"])),
-                 two_steps=(SlotTrace(0, loc["A"]),)),
-        SlotPlan("(23)-1 nonlocal", two_steps=(SlotTrace(0, nonlocal_ab),),
-                 bipartition=False),
-        SlotPlan("(31)-2 nonlocal", two_steps=(SlotTrace(1, nonlocal_ab),),
-                 bipartition=False),
+        TracePlan("(12)-3", one_stages=(SlotTrace(0, loc["A"]), SlotTrace(1, loc["B"])),
+                  two_stages=(SlotTrace(2, loc["C"]),)),
+        TracePlan("(31)-2", one_stages=(SlotTrace(2, loc["C"]), SlotTrace(0, loc["A"])),
+                  two_stages=(SlotTrace(1, loc["B"]),)),
+        TracePlan("(23)-1", one_stages=(SlotTrace(1, loc["B"]), SlotTrace(2, loc["C"])),
+                  two_stages=(SlotTrace(0, loc["A"]),)),
+        TracePlan("(23)-1 nonlocal", two_stages=(SlotTrace(0, nonlocal_ab),),
+                  bipartition=False),
+        TracePlan("(31)-2 nonlocal", two_stages=(SlotTrace(1, nonlocal_ab),),
+                  bipartition=False),
     )
     expectations = []
     for label in ("(12)-3", "(31)-2", "(23)-1"):
@@ -594,12 +544,12 @@ def _distinguishable_overlapped_spec() -> ScenarioSpec:
     )
     loc_a = _loc(space, "A")
     plans = (
-        SlotPlan("(12)-3", one_steps=(SlotTrace(0, loc_a), SlotTrace(1, loc_a)),
-                 two_steps=(SlotTrace(2, loc_a),)),
-        SlotPlan("(31)-2", one_steps=(SlotTrace(2, loc_a), SlotTrace(0, loc_a)),
-                 two_steps=(SlotTrace(1, loc_a),)),
-        SlotPlan("(23)-1", one_steps=(SlotTrace(1, loc_a), SlotTrace(2, loc_a)),
-                 two_steps=(SlotTrace(0, loc_a),)),
+        TracePlan("(12)-3", one_stages=(SlotTrace(0, loc_a), SlotTrace(1, loc_a)),
+                  two_stages=(SlotTrace(2, loc_a),)),
+        TracePlan("(31)-2", one_stages=(SlotTrace(2, loc_a), SlotTrace(0, loc_a)),
+                  two_stages=(SlotTrace(1, loc_a),)),
+        TracePlan("(23)-1", one_stages=(SlotTrace(1, loc_a), SlotTrace(2, loc_a)),
+                  two_stages=(SlotTrace(0, loc_a),)),
     )
     expectations = []
     for label in ("(12)-3", "(31)-2", "(23)-1"):
@@ -695,11 +645,17 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
                 f"scenario.statistics: {stats_name!r} is not 'boson' or 'fermion'"
             ) from None
         state = _parse_identical_state(raw, space, statistics, name)
-        plans = _parse_trace_plans(raw, space)
+
+        def parse_stage(v, where: str, earlier) -> MeasurementBasis:
+            return _parse_basis(v, space, where)
+
     else:
         state = _parse_labeled_state(raw, space, name)
-        plans = _parse_slot_plans(raw, space, state.n)
 
+        def parse_stage(v, where: str, earlier) -> SlotTrace:
+            return _parse_slot_trace(v, space, state.n, where, earlier)
+
+    plans = _parse_plans(raw, state.n, parse_stage)
     expectations = _parse_expectations(raw, [p.label for p in plans])
     return ScenarioSpec(name, title, state, plans, expectations)
 
@@ -711,12 +667,16 @@ def _need_str(obj: dict, key: str, where: str) -> str:
     return v
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_finite_number(x) -> bool:
+    return _is_number(x) and math.isfinite(x)
+
+
 def _parse_complex(v, where: str) -> complex:
-    if (
-        not isinstance(v, list)
-        or len(v) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
-    ):
+    if not isinstance(v, list) or len(v) != 2 or not all(_is_number(x) for x in v):
         raise ScenarioError(f"{where}: expected [re, im]")
     if not all(math.isfinite(x) for x in v):
         raise ScenarioError(f"{where}: numbers must be finite")
@@ -736,9 +696,7 @@ def _parse_ket(v, space: CanonicalBasis, where: str) -> Ket:
             raise ScenarioError(f"{here}: mode must be a string")
         if spin_name not in ("up", "down"):
             raise ScenarioError(f"{here}: spin must be 'up' or 'down'")
-        if not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)
-        ):
+        if not (_is_number(re) and _is_number(im)):
             raise ScenarioError(f"{here}: amplitude must be two numbers")
         if mode not in space.mode_names:
             raise ScenarioError(f"{here}: unknown mode {mode!r}")
@@ -811,7 +769,29 @@ def _parse_basis(v, space: CanonicalBasis, where: str) -> MeasurementBasis:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
-def _parse_trace_plans(raw: dict, space: CanonicalBasis) -> tuple[TracePlan, ...]:
+def _parse_slot_trace(
+    v, space: CanonicalBasis, n: int, where: str, earlier: Sequence[SlotTrace]
+) -> SlotTrace:
+    if not isinstance(v, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    slot = v.get("slot")
+    if not isinstance(slot, int) or isinstance(slot, bool):
+        raise ScenarioError(f"{where}.slot: expected an integer")
+    if not 0 <= slot < n:
+        raise ScenarioError(f"{where}.slot: {slot} outside 0..{n - 1}")
+    if any(st.slot == slot for st in earlier):
+        raise ScenarioError(f"{where}.slot: slot {slot} already measured on this side")
+    return SlotTrace(slot, _parse_basis(v.get("kets"), space, f"{where}.kets"))
+
+
+def _parse_plans(
+    raw: dict, n: int, parse_stage: Callable[[object, str, list], object]
+) -> tuple[TracePlan, ...]:
+    """Parse ``scenario.plans`` for a state of ``n`` particles.
+
+    ``parse_stage(value, where, earlier)`` turns one stage entry into a stage;
+    ``earlier`` holds the stages already parsed on the same side.
+    """
     plans_raw = raw.get("plans")
     if not isinstance(plans_raw, list) or not plans_raw:
         raise ScenarioError("scenario.plans: expected a nonempty list")
@@ -828,60 +808,21 @@ def _parse_trace_plans(raw: dict, space: CanonicalBasis) -> tuple[TracePlan, ...
             stages_raw = p[side]
             if not isinstance(stages_raw, list) or not stages_raw:
                 raise ScenarioError(f"{where}.{side}: expected a nonempty list")
-            sides[f"{side}_stages"] = tuple(
-                _parse_basis(s, space, f"{where}.{side}[{j}]")
-                for j, s in enumerate(stages_raw)
-            )
+            if len(stages_raw) > n:
+                raise ScenarioError(
+                    f"{where}.{side}: {len(stages_raw)} stages, but the state has "
+                    f"only {n} particles"
+                )
+            stages: list = []
+            for j, s in enumerate(stages_raw):
+                stages.append(parse_stage(s, f"{where}.{side}[{j}]", stages))
+            sides[f"{side}_stages"] = tuple(stages)
         if not sides:
             raise ScenarioError(f"{where}: needs a 'one' or 'two' side")
         bip = p.get("bipartition", True)
         if not isinstance(bip, bool):
             raise ScenarioError(f"{where}.bipartition: expected true/false")
         plans.append(TracePlan(label, bipartition=bip, **sides))
-    labels = [p.label for p in plans]
-    if len(set(labels)) != len(labels):
-        raise ScenarioError("scenario.plans: labels must be distinct")
-    return tuple(plans)
-
-
-def _parse_slot_plans(
-    raw: dict, space: CanonicalBasis, n: int
-) -> tuple[SlotPlan, ...]:
-    plans_raw = raw.get("plans")
-    if not isinstance(plans_raw, list) or not plans_raw:
-        raise ScenarioError("scenario.plans: expected a nonempty list")
-    plans = []
-    for i, p in enumerate(plans_raw):
-        where = f"scenario.plans[{i}]"
-        if not isinstance(p, dict):
-            raise ScenarioError(f"{where}: expected an object")
-        label = _need_str(p, "label", where)
-        sides: dict = {}
-        for side in ("one", "two"):
-            if side not in p:
-                continue
-            steps_raw = p[side]
-            if not isinstance(steps_raw, list) or not steps_raw:
-                raise ScenarioError(f"{where}.{side}: expected a nonempty list")
-            steps = []
-            for j, s in enumerate(steps_raw):
-                here = f"{where}.{side}[{j}]"
-                if not isinstance(s, dict):
-                    raise ScenarioError(f"{here}: expected an object")
-                slot = s.get("slot")
-                if not isinstance(slot, int) or isinstance(slot, bool):
-                    raise ScenarioError(f"{here}.slot: expected an integer")
-                if not 0 <= slot < n:
-                    raise ScenarioError(f"{here}.slot: {slot} outside 0..{n - 1}")
-                steps.append(SlotTrace(slot, _parse_basis(s.get("kets"), space,
-                                                          f"{here}.kets")))
-            sides[f"{side}_steps"] = tuple(steps)
-        if not sides:
-            raise ScenarioError(f"{where}: needs a 'one' or 'two' side")
-        bip = p.get("bipartition", True)
-        if not isinstance(bip, bool):
-            raise ScenarioError(f"{where}.bipartition: expected true/false")
-        plans.append(SlotPlan(label, bipartition=bip, **sides))
     labels = [p.label for p in plans]
     if len(set(labels)) != len(labels):
         raise ScenarioError("scenario.plans: labels must be distinct")
@@ -904,13 +845,13 @@ def _parse_expectations(raw: dict, labels: Sequence[str]) -> tuple[Expectation, 
                 raise ScenarioError(f"{where}.value: expected true/false")
         elif quantity == "eigenvalues":
             if not isinstance(value, list) or not value or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+                _is_finite_number(x) for x in value
             ):
-                raise ScenarioError(f"{where}.value: expected a list of numbers")
+                raise ScenarioError(f"{where}.value: expected a list of finite numbers")
             value = tuple(float(x) for x in value)
         else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ScenarioError(f"{where}.value: expected a number")
+            if not _is_finite_number(value):
+                raise ScenarioError(f"{where}.value: expected a finite number")
             value = float(value)
         label = e.get("label")
         if label is not None and label not in labels:
@@ -919,8 +860,10 @@ def _parse_expectations(raw: dict, labels: Sequence[str]) -> tuple[Expectation, 
         if stage is not None and stage not in ("one", "two"):
             raise ScenarioError(f"{where}.stage: expected 'one' or 'two'")
         tol = e.get("tolerance", 1e-10)
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol < 0:
-            raise ScenarioError(f"{where}.tolerance: expected a nonnegative number")
+        if not _is_finite_number(tol) or tol < 0:
+            raise ScenarioError(
+                f"{where}.tolerance: expected a finite nonnegative number"
+            )
         try:
             out.append(Expectation(quantity, value, label, stage, float(tol)))
         except ScenarioError as exc:

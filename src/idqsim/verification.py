@@ -39,6 +39,7 @@ from .reduction import (
     partial_trace_one,
     probability_of,
 )
+from .scenarios import get_builtin, standard_space
 from .states import (
     ElementaryState,
     ParticleState,
@@ -62,10 +63,6 @@ class PropertyResult:
 def _ensure(cond: bool, msg: str) -> None:
     if not cond:
         raise AssertionError(msg)
-
-
-def _space() -> CanonicalBasis:
-    return CanonicalBasis(("A", "B", "C"))
 
 
 # --- random builders (public; reused by the test suite) -------------------
@@ -119,36 +116,11 @@ def random_product_labeled(
     return product_state([random_ket(rng, space) for _ in range(n)])
 
 
-# --- named benchmark states ------------------------------------------------
-
-
-def _overlap_state(space: CanonicalBasis) -> ParticleState:
-    a_dn = space.ket("A", Spin.DOWN)
-    a_up = space.ket("A", Spin.UP)
-    return elementary(Statistics.BOSON, (a_dn, a_dn, a_up), 1 / math.sqrt(2))
-
-
-def _ghz_state(space: CanonicalBasis) -> ParticleState:
-    dn = [space.ket(m, Spin.DOWN) for m in "ABC"]
-    up = [space.ket(m, Spin.UP) for m in "ABC"]
-    s = elementary(Statistics.BOSON, dn) + elementary(Statistics.BOSON, up)
-    return normalize(s)
-
-
-def _separated_state(space: CanonicalBasis) -> ParticleState:
-    kets = (
-        space.ket("A", Spin.DOWN),
-        space.ket("B", Spin.DOWN),
-        space.ket("C", Spin.UP),
-    )
-    return elementary(Statistics.BOSON, kets)
-
-
 # --- properties -------------------------------------------------------------
 
 
 def _prop_single_particle_inner(rng) -> str:
-    space = _space()
+    space = standard_space()
     worst = 0.0
     for _ in range(20):
         a, b, c = (random_ket(rng, space) for _ in range(3))
@@ -162,7 +134,7 @@ def _prop_single_particle_inner(rng) -> str:
 
 
 def _prop_canonical_orthonormality(rng) -> str:
-    space = _space()
+    space = standard_space()
     defect, pair = orthonormality_defect(space.kets())
     _ensure(defect == 0.0, f"canonical defect {defect:.3g} at {pair}")
     worst = 0.0
@@ -175,7 +147,7 @@ def _prop_canonical_orthonormality(rng) -> str:
 
 
 def _prop_exchange_symmetry(rng) -> str:
-    space = _space()
+    space = standard_space()
     worst = 0.0
     for stats in BOTH:
         for _ in range(15):
@@ -195,7 +167,7 @@ def _prop_exchange_symmetry(rng) -> str:
 
 
 def _prop_pauli_exclusion(rng) -> str:
-    space = _space()
+    space = standard_space()
     for _ in range(10):
         k = random_ket(rng, space)
         other = random_ket(rng, space)
@@ -229,7 +201,7 @@ def _prop_permanent_consistency(rng) -> str:
 
 
 def _prop_oracle_inner_factorial(rng) -> str:
-    space = _space()
+    space = standard_space()
     checked, worst = 0, 0.0
     for stats in BOTH:
         for _ in range(30):
@@ -255,7 +227,7 @@ def _prop_oracle_inner_factorial(rng) -> str:
 
 
 def _prop_oracle_trace_agreement(rng) -> str:
-    space = _space()
+    space = standard_space()
     checked, worst = 0, 0.0
     for stats in BOTH:
         for _ in range(12):
@@ -293,7 +265,7 @@ def _prop_oracle_trace_agreement(rng) -> str:
 
 
 def _prop_projection_completeness(rng) -> str:
-    space = _space()
+    space = standard_space()
     worst = 0.0
     for stats in BOTH:
         for _ in range(8):
@@ -310,7 +282,7 @@ def _prop_projection_completeness(rng) -> str:
 
 
 def _prop_probability_complete(rng) -> str:
-    space = _space()
+    space = standard_space()
     worst = 0.0
     for stats in BOTH:
         for _ in range(8):
@@ -323,7 +295,7 @@ def _prop_probability_complete(rng) -> str:
 
 
 def _prop_probability_additivity(rng) -> str:
-    space = _space()
+    space = standard_space()
     worst = 0.0
     for stats in BOTH:
         for _ in range(8):
@@ -339,7 +311,7 @@ def _prop_probability_additivity(rng) -> str:
 
 
 def _prop_trace_unitary_invariance(rng) -> str:
-    space = _space()
+    space = standard_space()
     worst = 0.0
     for stats in BOTH:
         for _ in range(6):
@@ -360,7 +332,7 @@ def _prop_trace_unitary_invariance(rng) -> str:
 
 
 def _prop_density_matrix_contracts(rng) -> str:
-    space = _space()
+    space = standard_space()
     worst_h, worst_t, lowest = 0.0, 0.0, 0.0
     for stats in BOTH:
         for _ in range(6):
@@ -382,7 +354,7 @@ def _prop_density_matrix_contracts(rng) -> str:
 
 
 def _prop_localized_product_purity(rng) -> str:
-    space = _space()
+    space = standard_space()
     worst = 0.0
     for stats in BOTH:
         for _ in range(8):
@@ -398,7 +370,7 @@ def _prop_localized_product_purity(rng) -> str:
 
 
 def _prop_distinguishable_purity(rng) -> str:
-    space = _space()
+    space = standard_space()
     worst = 0.0
     for _ in range(10):
         n = int(rng.integers(2, 4))
@@ -435,7 +407,7 @@ def _prop_entropy_unitary_invariance(rng) -> str:
 
 
 def _prop_entropy_purity_consistency(rng) -> str:
-    space = _space()
+    space = standard_space()
     for stats in BOTH:
         for _ in range(6):
             phi = random_state(rng, space, 3, stats)
@@ -477,7 +449,7 @@ def _prop_entropy_concavity(rng) -> str:
 
 
 def _prop_coords_isometry(rng) -> str:
-    space = _space()
+    space = standard_space()
     worst = 0.0
     for stats in BOTH:
         for _ in range(10):
@@ -499,27 +471,25 @@ def _prop_coords_isometry(rng) -> str:
 
 
 def _prop_benchmark_reductions(rng) -> str:
-    space = _space()
     target = math.log2(3) - 2.0 / 3.0
     checks = []
 
-    phi = _overlap_state(space)
-    loc = MeasurementBasis.localized(space, "A")
-    rho2 = partial_trace_one(phi, loc)
-    rho1 = partial_trace_iterate(phi, (loc, loc))
-    for rho in (rho2, rho1):
+    overlap = get_builtin("overlap")
+    (plan,) = overlap.plans  # (AA)-A: one localized-A stage, then two
+    for stages in (plan.two_stages, plan.one_stages):
+        rho = partial_trace_iterate(overlap.state, stages)
         checks.append(abs(von_neumann_entropy(rho) - target))
         ev = spectrum(rho)
         checks.append(float(np.abs(ev[:2] - np.array([2 / 3, 1 / 3])).max()))
         checks.append(float(np.abs(ev[2:]).max()) if ev.size > 2 else 0.0)
 
-    ghz = _ghz_state(space)
-    for mode in "ABC":
-        rho = partial_trace_one(ghz, MeasurementBasis.localized(space, mode))
+    ghz = get_builtin("ghz")
+    for plan in ghz.plans:  # one localized stage per site
+        rho = partial_trace_iterate(ghz.state, plan.two_stages)
         checks.append(abs(von_neumann_entropy(rho) - 1.0))
 
-    sep = _separated_state(space)
-    rho = partial_trace_one(sep, MeasurementBasis.localized(space, "C"))
+    sep = get_builtin("separated")
+    rho = partial_trace_iterate(sep.state, sep.plans[0].two_stages)
     checks.append(abs(purity(rho) - 1.0))
 
     worst = max(checks)

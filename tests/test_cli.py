@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -38,6 +39,8 @@ def test_run_needs_exactly_one_source(capsys):
 def test_nonpositive_tolerance_is_input_error(capsys):
     assert main(["run", "overlap", "--tolerance", "0"]) == EXIT_INPUT
     assert main(["run", "overlap", "--tolerance=-1e-6"]) == EXIT_INPUT
+    assert main(["run", "overlap", "--tolerance", "nan"]) == EXIT_INPUT
+    assert main(["run", "overlap", "--tolerance", "inf"]) == EXIT_INPUT
 
 
 def test_missing_file_is_input_error(tmp_path, capsys):
@@ -99,6 +102,28 @@ def test_numerical_trouble_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_spec", boom)
     assert main(["run", "overlap"]) == EXIT_NUMERICAL
     assert "numerical error" in capsys.readouterr().err
+
+
+# SHA-256 of `idqsim run <name> --format machine`, recorded at commit c31c31a
+# (the same digests as perfbench/refs/paper.json).
+MACHINE_OUTPUT_SHA256 = {
+    "separated": "b04606447ca90ec2ac328e0aa509236dc957ef9aac90c411efae39ef9161e0b7",
+    "induced": "0aa389f361e123ae0371a6075513dc357e4c7380241de59e77554cefea8ecaab",
+    "ghz": "3646f6a485fca8e7f157eda0a20976af0a803b2cf2278952b2daf9b945de466a",
+    "overlap": "fc06a3b57742ada9b0150c3c6ec3fcdd1411573574b480d65f9ca0f64c4368a7",
+    "distinguishable":
+        "6855b00b9fd7f800476d108608215325b6e492a41a4a5b048d76c71005b7307c",
+    "distinguishable-overlapped":
+        "d9cfa76ffba19b81aebd9c8f67341ae165896a38659d91ba952d88ff5b11918a",
+}
+
+
+def test_machine_output_is_byte_identical_to_the_recorded_digests(capsys):
+    assert set(MACHINE_OUTPUT_SHA256) == set(builtin_names())
+    for name, digest in MACHINE_OUTPUT_SHA256.items():
+        assert main(["run", name, "--format", "machine"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
 
 
 def test_verify_reports_every_property(capsys):

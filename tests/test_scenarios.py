@@ -185,8 +185,8 @@ def test_file_scenario_reproduces_the_induced_builtin(tmp_path):
     assert d_file["genuine_multipartite"] == d_builtin["genuine_multipartite"]
 
 
-def test_distinguishable_file_round_trip(tmp_path):
-    payload = {
+def labeled_file_payload():
+    return {
         "name": "labeled-pair-check",
         "kind": "distinguishable",
         "modes": ["A", "B", "C"],
@@ -213,8 +213,11 @@ def test_distinguishable_file_round_trip(tmp_path):
              "value": 1.0, "tolerance": 1e-10},
         ],
     }
+
+
+def test_distinguishable_file_round_trip(tmp_path):
     path = tmp_path / "labeled.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(labeled_file_payload()))
     report = run_file(path)
     assert report.passed
 
@@ -263,6 +266,28 @@ def test_bad_files_fail_with_field_paths(tmp_path):
     bad_label = json.loads(json.dumps(base))
     bad_label["expectations"][0]["label"] = "missing-plan"
     cases.append((bad_label, "no plan named"))
+
+    nan_value = json.loads(json.dumps(base))
+    nan_value["expectations"][0]["value"] = math.nan
+    cases.append((nan_value, "expectations[0].value"))
+
+    nan_eigenvalue = json.loads(json.dumps(base))
+    nan_eigenvalue["expectations"][2]["value"] = [0.5, math.nan]
+    cases.append((nan_eigenvalue, "expectations[2].value"))
+
+    for tol in (math.nan, math.inf):
+        bad_tol = json.loads(json.dumps(base))
+        bad_tol["expectations"][0]["tolerance"] = tol
+        cases.append((bad_tol, "expectations[0].tolerance"))
+
+    too_many_stages = json.loads(json.dumps(base))
+    too_many_stages["plans"][0]["two"] *= 4
+    cases.append((too_many_stages, "plans[0].two: 4 stages"))
+
+    slot_twice = labeled_file_payload()
+    loc_a = [[["A", "down", 1.0, 0.0]], [["A", "up", 1.0, 0.0]]]
+    slot_twice["plans"][0]["one"] = [{"slot": 0, "kets": loc_a}] * 2
+    cases.append((slot_twice, "plans[0].one[1].slot"))
 
     for payload, fragment in cases:
         path = tmp_path / "bad.json"
@@ -314,6 +339,30 @@ def test_missing_file_and_broken_json_are_scenario_errors(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(ScenarioError, match="JSON"):
         load_scenario(path)
+
+
+def test_each_density_matrix_is_diagonalized_at_most_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for name in builtin_names():
+        calls.clear()
+        report = run_spec(get_builtin(name))
+        report.to_json()
+        report.to_table()
+        matrices = [
+            rho
+            for b in report.report.bipartitions
+            for rho in (b.rho_one, b.rho_two)
+            if rho is not None
+        ]
+        assert matrices
+        assert len(calls) <= len(matrices), name
 
 
 def test_machine_dict_is_rounded_and_ascii_safe():
