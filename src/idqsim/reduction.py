@@ -1,7 +1,7 @@
 """Partial traces onto single-particle measurement bases.
 
 Tracing one particle out of an N-particle state ``phi`` against an orthonormal
-measurement set ``{psi_k}`` accumulates the projected states
+measurement set ``{psi_k}`` collects the projected states
 ``project_single(psi_k, phi)`` into a density matrix over the occupation-number
 basis of the (N-1)-particle sector, renormalized to unit trace.
 
@@ -12,18 +12,38 @@ and consume the total probability ``prob``; a basis that never fires is an
 error, not a zero matrix.
 
 Occupation coordinates: the sector basis is indexed by multisets of canonical
-single-particle entries (ascending canonical index). A canonical elementary
-state with occupations ``n_j`` has squared norm ``prod_j n_j!``, so the
-isometric coordinate map scales each accumulated multiset amplitude by
-``sqrt(prod_j n_j!)``. No ad-hoc degeneracy factors appear anywhere else.
+single-particle entries (ascending canonical index), and entry ``u`` stands for
+the normalized Fock state ``prod_j (a_j^dagger)^{n_j} / sqrt(n_j!) |vac>``
+with the creators in ascending ``j``. An elementary state is
+``|chi_1, ..., chi_N> = a^dagger(chi_1) ... a^dagger(chi_N) |vac>`` with
+``a^dagger(chi) = sum_j chi_j a_j^dagger``; its squared norm is the permanent
+or determinant of its Gram matrix, so the coordinate map is an isometry.
+
+Ladder tables: for each sector ``n``, ``U[r, j]`` is the index of occupation
+``r`` of sector ``n-1`` with entry ``j`` added, and
+``g[r, j] = <U[r, j]| a_j^dagger |r>``. For bosons ``g = sqrt(n_j + 1)`` with
+``n_j`` the occupation of ``j`` in ``r``; for fermions ``g`` is
+``(-1)^{#entries of r below j}`` (moving ``a_j^dagger`` past the creators of
+smaller entries), or 0 when ``j`` is already occupied. Creation scatters
+through ``U`` and annihilation ``a(psi) = sum_j conj(psi_j) a_j`` gathers
+through it, so ``coords(project_single(psi, phi)) == a(psi) coords(phi)``:
+the projection algebra of ``idqsim.states`` in second-quantized form.
+
+Traces keep ``rho = V V^dagger`` as a factor ``V`` whose columns are
+unnormalized branches. One stage replaces ``V`` by ``[a(psi_1) V, ...,
+a(psi_K) V]``, which is exact for mixtures because the trace is linear, and
+costs one gather per stage instead of a dense square of the larger sector.
+Once ``V`` has more columns than rows, a QR factor of the same ``V V^dagger``
+replaces it, so its width never exceeds the sector size.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, combinations_with_replacement, product
+from functools import cached_property, lru_cache
+from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +55,6 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .hilbert import CanonicalBasis, Ket, Spin, orthonormality_defect, ORTHONORMALITY_TOL
-from .permanents import permutation_parity
 from .states import ParticleState, Statistics, inner, project_single
 
 HERMITICITY_TOL = 1e-10
@@ -44,8 +63,6 @@ TRACE_TOL = 1e-10
 ZERO_PROB_TOL = 1e-12
 EIGEN_CLAMP = 1e-10
 RECONSTRUCTION_TOL = 1e-9
-# weight below which an ensemble branch is numerical noise and is dropped
-_BRANCH_WEIGHT_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -93,6 +110,42 @@ class MeasurementBasis:
         return cls(space.kets())
 
 
+@lru_cache(maxsize=None)
+def _occupations(
+    dim: int, sector: int, statistics: Statistics
+) -> tuple[tuple[int, ...], ...]:
+    """Ascending index tuples of one sector in lexicographic order; the one
+    place sectors are enumerated."""
+    gen = combinations_with_replacement if statistics is Statistics.BOSON else combinations
+    return tuple(gen(range(dim), sector))
+
+
+@lru_cache(maxsize=None)
+def _ladder(
+    dim: int, sector: int, statistics: Statistics
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ladder table ``(U, g)`` from sector ``sector - 1`` to
+    ``sector`` (see the module docstring); where ``g = 0``, ``U`` is 0."""
+    lower = _occupations(dim, sector - 1, statistics)
+    index = {occ: i for i, occ in enumerate(_occupations(dim, sector, statistics))}
+    up = np.zeros((len(lower), dim), dtype=np.intp)
+    g = np.zeros((len(lower), dim))
+    boson = statistics is Statistics.BOSON
+    for r, occ in enumerate(lower):
+        for j in range(dim):
+            below, upto = bisect_left(occ, j), bisect_right(occ, j)
+            if boson:
+                g[r, j] = math.sqrt(upto - below + 1)
+            elif upto > below:
+                continue  # Pauli exclusion
+            else:
+                g[r, j] = -1.0 if below % 2 else 1.0
+            up[r, j] = index[occ[:below] + (j,) + occ[below:]]
+    up.flags.writeable = False
+    g.flags.writeable = False
+    return up, g
+
+
 class OccupationBasis:
     """Occupation-number basis of the M-particle sector over a canonical frame.
 
@@ -106,20 +159,22 @@ class OccupationBasis:
         self.space = space
         self.sector = sector
         self.statistics = statistics
-        gen = (
-            combinations_with_replacement
-            if statistics is Statistics.BOSON
-            else combinations
-        )
-        self.occupations: tuple[tuple[int, ...], ...] = tuple(
-            gen(range(space.dim), sector)
+        self.occupations: tuple[tuple[int, ...], ...] = _occupations(
+            space.dim, sector, statistics
         )
         if not self.occupations:
             raise ValueError(
                 f"empty {statistics.value} sector {sector} over dim {space.dim}"
             )
-        self._index = {occ: i for i, occ in enumerate(self.occupations)}
-        # sqrt(prod_j n_j!) per entry; the isometry factor for repeated kets
+
+    @property
+    def size(self) -> int:
+        return len(self.occupations)
+
+    @cached_property
+    def norm_factors(self) -> np.ndarray:
+        """sqrt(prod_j n_j!) per entry: the squared norm of the canonical
+        elementary state with these entries is its square."""
         factors = []
         for occ in self.occupations:
             f = 1
@@ -128,11 +183,7 @@ class OccupationBasis:
                 run = run + 1 if a == b else 1
                 f *= run
             factors.append(math.sqrt(f))
-        self.norm_factors = np.array(factors)
-
-    @property
-    def size(self) -> int:
-        return len(self.occupations)
+        return np.array(factors)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -146,8 +197,8 @@ class OccupationBasis:
         """Index of the occupation holding the given (mode, spin) pairs."""
         occ = tuple(sorted(self.space.index_of(m, s) for m, s in entries))
         try:
-            return self._index[occ]
-        except KeyError:
+            return self.occupations.index(occ)
+        except ValueError:
             raise KeyError(f"no occupation {occ} in sector {self.sector}") from None
 
     def unit_vector(self, entries: Sequence[tuple[str, "object"]]) -> np.ndarray:
@@ -162,11 +213,27 @@ class OccupationBasis:
         )
 
 
+def annihilate(
+    amps: np.ndarray, factor: np.ndarray, basis: OccupationBasis
+) -> np.ndarray:
+    """``[a(psi_1) V, ..., a(psi_K) V]`` for the rows ``psi_k`` of ``amps``.
+
+    The columns of ``V = factor`` are coordinates over ``basis``, and
+    ``a(psi) = sum_j conj(psi_j) a_j``; the result has one row per occupation
+    of the sector below and ``K`` times as many columns as ``V``.
+    """
+    up, g = _ladder(basis.space.dim, basis.sector, basis.statistics)
+    lowered = np.conj(amps) @ (factor[up] * g[:, :, None])  # (rows, K, columns)
+    return lowered.reshape(len(up), -1)
+
+
 def coords(phi: ParticleState, basis: Optional[OccupationBasis] = None) -> np.ndarray:
     """Isometric coordinates of ``phi`` in the occupation-number basis.
 
     The standard inner product of coordinate vectors equals ``inner`` on
-    states; repeated-ket amplitudes carry the sqrt(prod n_j!) factor.
+    states. Every term is built at once as
+    ``c a^dagger(chi_1) ... a^dagger(chi_N) |vac>``: one creation, a scatter
+    through the ladder table, per particle.
     """
     if basis is None:
         space = phi.basis if phi.n > 0 else None
@@ -179,23 +246,20 @@ def coords(phi: ParticleState, basis: Optional[OccupationBasis] = None) -> np.nd
         )
     if basis.statistics is not phi.statistics:
         raise IncompatibleStatesError("statistics of state and basis differ")
-    fermionic = phi.statistics is Statistics.FERMION
-    vec = np.zeros(basis.size, dtype=complex)
-    for term in phi.terms:
-        if term.coeff == 0:
-            continue
-        supports = [np.flatnonzero(k.amps) for k in term.kets]
-        for combo in product(*supports):
-            if fermionic and len(set(combo)) < len(combo):
-                continue
-            amp = term.coeff
-            for k, j in zip(term.kets, combo):
-                amp *= k.amps[j]
-            order = sorted(range(len(combo)), key=combo.__getitem__)
-            if fermionic:
-                amp *= permutation_parity(order)
-            vec[basis._index[tuple(combo[i] for i in order)]] += amp
-    return vec * basis.norm_factors
+    dim = basis.space.dim
+    # one column per term, from coeff |vac> up
+    terms = np.array([[t.coeff for t in phi.terms]], dtype=complex)
+    cols = np.arange(terms.shape[1])
+    for k in range(phi.n - 1, -1, -1):  # a^dagger(chi_N) acts on |vac> first
+        sector = phi.n - k
+        up, g = _ladder(dim, sector, phi.statistics)
+        chis = np.array([t.kets[k].amps for t in phi.terms]).T  # (dim, terms)
+        size = len(_occupations(dim, sector, phi.statistics))
+        raised = np.zeros((size, cols.size), dtype=complex)
+        hops = g[:, :, None] * chis * terms[:, None, :]  # (lower rows, dim, terms)
+        np.add.at(raised, (up[:, :, None], cols), hops)
+        terms = raised
+    return terms.sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +329,7 @@ def probability_of(phi: ParticleState, basis: MeasurementBasis) -> float:
     Equals 1 for complete bases on normalized states; additive over any
     partition of a basis into subsets.
     """
-    _check_normalized(phi)
+    _require_unit_norm(inner(phi, phi).real)
     total = 0.0
     for psi in basis.kets:
         proj = project_single(psi, phi)
@@ -285,51 +349,40 @@ def partial_trace_iterate(
 ) -> DensityMatrix:
     """Successive one-particle traces; stage probabilities multiply.
 
-    Intermediate mixed states are traced term-by-term: the trace of a mixture
-    is the probability-weighted mixture of the traces.
+    Works on a factor ``V`` with ``rho = V V^dagger`` (see the module
+    docstring): each stage lowers every column through every measurement ket.
     """
-    _check_normalized(phi)
+    space = phi.basis
+    v = coords(phi, OccupationBasis(space, phi.n, phi.statistics))
+    norm2 = np.vdot(v, v).real  # equals inner(phi, phi): coordinates are isometric
+    _require_unit_norm(norm2)
     if len(bases) > phi.n:
         raise ValueError(f"cannot trace {len(bases)} particles out of {phi.n}")
-    ensemble: list[tuple[float, ParticleState]] = [(1.0, phi)]
+    factor = v[:, None]
     prob = 1.0
-    for mb in bases:
-        ensemble, stage_prob = _trace_stage(ensemble, mb)
+    for m, mb in zip(range(phi.n, 0, -1), bases):
+        if mb.space != space:
+            raise IncompatibleStatesError("measurement ket and state bases differ")
+        amps = np.array([k.amps for k in mb.kets])
+        lowered = annihilate(amps, factor, OccupationBasis(space, m, phi.statistics))
+        lowered2 = np.vdot(lowered, lowered).real
+        stage_prob = lowered2 / (m * norm2)
+        if stage_prob <= ZERO_PROB_TOL:
+            raise ZeroProbabilityError(
+                "measurement basis never fires on this state (total probability "
+                f"{stage_prob:.3g})"
+            )
         prob *= stage_prob
-    sector = phi.n - len(bases)
-    space = phi.basis if phi.n > 0 else ensemble[0][1].basis
-    occ = OccupationBasis(space, sector, phi.statistics)
-    mat = np.zeros((occ.size, occ.size), dtype=complex)
-    for w, state in ensemble:
-        v = coords(state, occ)
-        mat += w * np.outer(v, v.conj())
-    mat /= mat.trace().real
+        if lowered.shape[1] > lowered.shape[0]:
+            # same V V^dagger from the triangular factor of V^dagger = QR
+            lowered = np.linalg.qr(lowered.conj().T, mode="r").conj().T
+        factor, norm2 = lowered, lowered2
+    mat = factor @ factor.conj().T
+    mat /= norm2
+    occ = OccupationBasis(space, phi.n - len(bases), phi.statistics)
     return DensityMatrix(occ, mat, prob)
 
 
-def _trace_stage(
-    ensemble: Sequence[tuple[float, ParticleState]], basis: MeasurementBasis
-) -> tuple[list[tuple[float, ParticleState]], float]:
-    out: list[tuple[float, ParticleState]] = []
-    stage_prob = 0.0
-    for w, state in ensemble:
-        for psi in basis.kets:
-            proj = project_single(psi, state)
-            nn = max(inner(proj, proj).real, 0.0)
-            branch = w * nn / state.n
-            if branch <= _BRANCH_WEIGHT_FLOOR:
-                continue
-            out.append((branch, proj * (1.0 / np.sqrt(nn))))
-            stage_prob += branch
-    if stage_prob <= ZERO_PROB_TOL:
-        raise ZeroProbabilityError(
-            "measurement basis never fires on this state (total probability "
-            f"{stage_prob:.3g})"
-        )
-    return [(w / stage_prob, s) for w, s in out], stage_prob
-
-
-def _check_normalized(phi: ParticleState) -> None:
-    nrm = inner(phi, phi).real
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"state must be normalized (squared norm {nrm:.6g})")
+def _require_unit_norm(norm2: float) -> None:
+    if abs(norm2 - 1.0) > 1e-8:
+        raise ValueError(f"state must be normalized (squared norm {norm2:.6g})")

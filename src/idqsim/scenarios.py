@@ -37,7 +37,7 @@ from .errors import (
 )
 from .hilbert import CanonicalBasis, Ket, Spin
 from .reduction import MeasurementBasis
-from .states import ElementaryState, ParticleState, Statistics, normalize
+from .states import ElementaryState, ParticleState, Statistics, inner, normalize
 
 # Frozen reference values for the builtin scenarios.
 ENTROPY_OVERLAP_BITS = math.log2(3.0) - 2.0 / 3.0  # 0.9182958340544896
@@ -672,13 +672,18 @@ def _is_number(x) -> bool:
 
 
 def _is_finite_number(x) -> bool:
-    return _is_number(x) and math.isfinite(x)
+    """A JSON number with a finite float value; integers too large for a
+    float (JSON sets no size limit) are not."""
+    try:
+        return _is_number(x) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _parse_complex(v, where: str) -> complex:
     if not isinstance(v, list) or len(v) != 2 or not all(_is_number(x) for x in v):
         raise ScenarioError(f"{where}: expected [re, im]")
-    if not all(math.isfinite(x) for x in v):
+    if not all(_is_finite_number(x) for x in v):
         raise ScenarioError(f"{where}: numbers must be finite")
     return complex(v[0], v[1])
 
@@ -696,14 +701,15 @@ def _parse_ket(v, space: CanonicalBasis, where: str) -> Ket:
             raise ScenarioError(f"{here}: mode must be a string")
         if spin_name not in ("up", "down"):
             raise ScenarioError(f"{here}: spin must be 'up' or 'down'")
-        if not (_is_number(re) and _is_number(im)):
-            raise ScenarioError(f"{here}: amplitude must be two numbers")
+        if not (_is_finite_number(re) and _is_finite_number(im)):
+            raise ScenarioError(f"{here}: amplitude must be two finite numbers")
         if mode not in space.mode_names:
             raise ScenarioError(f"{here}: unknown mode {mode!r}")
         comps.append((mode, Spin(spin_name), complex(re, im)))
     try:
-        return space.superposition(comps)
-    except ValueError as exc:  # non-finite amplitudes sneak through JSON
+        with np.errstate(over="ignore", invalid="ignore"):
+            return space.superposition(comps)
+    except ValueError as exc:  # components of one entry can add up to infinity
         raise ScenarioError(f"{where}: {exc}") from None
 
 
@@ -737,6 +743,10 @@ def _parse_identical_state(
         state = ParticleState(
             statistics, tuple(ElementaryState(c, kets) for c, kets in terms)
         )
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm2 = inner(state, state).real
+        if not math.isfinite(norm2):
+            raise ValueError("the squared norm overflows (amplitudes too large)")
         return normalize(state)
     except NullStateError:
         raise ScenarioError(

@@ -10,7 +10,9 @@ label-symmetrized tensors (see ``idqsim.comparator`` for that cross-check).
 
 Removing one particle against a measurement ket ``psi`` maps
 ``|chi_1,...,chi_N>`` to ``sum_i eta^(i-1) <psi|chi_i> |...without chi_i...>``,
-which is the projection underlying all partial traces in ``idqsim.reduction``.
+the projection behind all partial traces; ``idqsim.reduction`` applies it in
+its second-quantized form, as an annihilation operator on occupation
+coordinates.
 """
 
 from __future__ import annotations

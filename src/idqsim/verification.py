@@ -34,6 +34,7 @@ from .permanents import permanent, permanent_naive, permanent_ryser
 from .reduction import (
     MeasurementBasis,
     OccupationBasis,
+    annihilate,
     coords,
     partial_trace_iterate,
     partial_trace_one,
@@ -242,6 +243,18 @@ def _prop_oracle_trace_agreement(rng) -> str:
             ref = oracle_trace(phi, mb)
             worst = max(worst, float(np.abs(ours.mat - ref.mat).max()))
             worst = max(worst, abs(ours.prob - ref.prob))
+            # the paper's algebra, from the projected states themselves ...
+            upper = OccupationBasis(space, n, stats)
+            lower = OccupationBasis(space, n - 1, stats)
+            projected = np.column_stack(
+                [coords(project_single(psi, phi), lower) for psi in mb.kets]
+            )
+            paper = projected @ projected.conj().T
+            worst = max(worst, float(np.abs(paper / paper.trace().real - ref.mat).max()))
+            # ... and tied to the ladder route: coords(P_psi phi) = a(psi) coords(phi)
+            amps = np.array([psi.amps for psi in mb.kets])
+            ladder = annihilate(amps, coords(phi, upper)[:, None], upper)
+            worst = max(worst, float(np.abs(projected - ladder).max()))
             checked += 1
     # iterated traces
     for stats in BOTH:

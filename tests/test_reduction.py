@@ -1,14 +1,17 @@
 """Partial traces, occupation coordinates, and the probability gauge."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from idqsim import (
     CanonicalBasis,
+    ElementaryState,
     MeasurementBasis,
     OccupationBasis,
+    ParticleState,
     Spin,
     Statistics,
     ZeroProbabilityError,
@@ -20,9 +23,11 @@ from idqsim import (
     partial_trace_iterate,
     partial_trace_one,
     probability_of,
+    project_single,
     spectrum,
 )
-from idqsim.verification import random_measurement_basis, random_state
+from idqsim.permanents import permutation_parity
+from idqsim.verification import random_ket, random_measurement_basis, random_state
 
 SPACE = CanonicalBasis(("A", "B", "C"))
 
@@ -96,6 +101,126 @@ def test_fermionic_coords_respect_the_listing_sign():
     forward = coords(elementary(Statistics.FERMION, (a, b)), occ)
     backward = coords(elementary(Statistics.FERMION, (b, a)), occ)
     assert np.allclose(forward, -backward)
+
+
+def coords_by_products(phi, occ):
+    """Coordinates by the definition: expand every term over the supports of
+    its kets, sort each product into an occupation (with the reordering sign
+    for fermions), then scale by sqrt(prod n_j!)."""
+    index = {o: i for i, o in enumerate(occ.occupations)}
+    fermionic = phi.statistics is Statistics.FERMION
+    vec = np.zeros(occ.size, dtype=complex)
+    for term in phi.terms:
+        supports = [np.flatnonzero(k.amps) for k in term.kets]
+        for combo in product(*supports):
+            if fermionic and len(set(combo)) < len(combo):
+                continue
+            amp = term.coeff
+            for k, j in zip(term.kets, combo):
+                amp *= k.amps[j]
+            order = sorted(range(len(combo)), key=combo.__getitem__)
+            if fermionic:
+                amp *= permutation_parity(order)
+            vec[index[tuple(combo[i] for i in order)]] += amp
+    return vec * occ.norm_factors
+
+
+def algebra_trace(phi, bases):
+    """The paper's route: project every ensemble member onto every ket,
+    normalize the branches, collect their coordinates."""
+    ensemble, prob = [(1.0, phi)], 1.0
+    for mb in bases:
+        branches = []
+        for w, state in ensemble:
+            for psi in mb.kets:
+                proj = project_single(psi, state)
+                nn = inner(proj, proj).real
+                if nn > 1e-20:
+                    branches.append((w * nn / state.n, normalize(proj)))
+        stage = sum(w for w, _ in branches)
+        prob *= stage
+        ensemble = [(w / stage, s) for w, s in branches]
+    occ = OccupationBasis(phi.basis, phi.n - len(bases), phi.statistics)
+    mat = np.zeros((occ.size, occ.size), dtype=complex)
+    for w, state in ensemble:
+        v = coords(state, occ)
+        mat += w * np.outer(v, v.conj())
+    return mat, prob
+
+
+@pytest.mark.parametrize("stats", [Statistics.BOSON, Statistics.FERMION])
+def test_coords_match_the_product_expansion(stats):
+    rng = np.random.default_rng(21)
+    for n in range(5):
+        occ = OccupationBasis(SPACE, n, stats)
+        for n_terms in (1, 3):
+            terms = tuple(
+                ElementaryState(
+                    complex(rng.normal(), rng.normal()),
+                    tuple(random_ket(rng, SPACE) for _ in range(n)),
+                )
+                for _ in range(n_terms)
+            )
+            phi = ParticleState(stats, terms)
+            want = coords_by_products(phi, occ)
+            assert np.allclose(coords(phi, occ), want, rtol=0, atol=1e-12 * occ.size)
+        if n >= 2:  # a ket repeated, and sparse canonical kets
+            a, b = random_ket(rng, SPACE), SPACE.ket("B", Spin.UP)
+            kets = (a, b, a, SPACE.ket("A", Spin.DOWN))[:n]
+            phi = elementary(stats, kets, 0.3 - 1.1j)
+            want = coords_by_products(phi, occ)
+            assert np.allclose(coords(phi, occ), want, rtol=0, atol=1e-12 * occ.size)
+
+
+def test_coords_of_proportional_fermion_kets_vanish():
+    rng = np.random.default_rng(22)
+    a, b = random_ket(rng, SPACE), random_ket(rng, SPACE)
+    phi = elementary(Statistics.FERMION, (a, b, a * (0.5 - 2j)))
+    v = coords(phi, OccupationBasis(SPACE, 3, Statistics.FERMION))
+    assert np.abs(v).max() < 1e-12 * v.size
+
+
+@pytest.mark.parametrize("stats", [Statistics.BOSON, Statistics.FERMION])
+def test_trace_matches_the_projection_algebra_beyond_the_oracle(stats):
+    # five particles over three sites: 6**5 labeled slots, past the oracle
+    rng = np.random.default_rng(23)
+    phi = random_state(rng, SPACE, 5, stats, n_terms=2)
+    stage_sets = (
+        (random_measurement_basis(rng, SPACE),),
+        (random_measurement_basis(rng, SPACE, 3), MeasurementBasis.localized(SPACE, "B")),
+    )
+    for bases in stage_sets:
+        rho = partial_trace_iterate(phi, bases)
+        mat, prob = algebra_trace(phi, bases)
+        tol = 1e-12 * rho.basis.size
+        assert np.abs(rho.mat - mat).max() < tol
+        assert abs(rho.prob - prob) < tol
+
+
+def test_wide_factor_is_compressed_without_changing_the_trace(monkeypatch):
+    # three bosons on one site: after two complete stages the factor has
+    # four columns over a two-row sector, so it is compressed by QR
+    space = CanonicalBasis(("A",))
+    rng = np.random.default_rng(24)
+    phi = random_state(rng, space, 3, Statistics.BOSON, n_terms=3)
+    full = random_measurement_basis(rng, space)
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: calls.append(a.shape) or qr(a, mode))
+    rho = partial_trace_iterate(phi, (full, full))
+    assert calls == [(4, 2)]
+    mat, prob = algebra_trace(phi, (full, full))
+    assert np.abs(rho.mat - mat).max() < 1e-12 * rho.basis.size
+    assert abs(rho.prob - prob) < 1e-12
+    assert np.isclose(rho.prob, 1.0)
+
+
+def test_second_stage_that_never_fires_is_an_error():
+    # the C detector fires once on the separated state, then finds nothing
+    loc_c = MeasurementBasis.localized(SPACE, "C")
+    assert np.isclose(partial_trace_one(separated_state(), loc_c).prob, 1.0 / 3.0)
+    with pytest.raises(ZeroProbabilityError):
+        partial_trace_iterate(separated_state(), (loc_c, loc_c))
 
 
 # --- single traces -----------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from idqsim.scenarios import (
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_builtin_names_are_stable():
@@ -284,6 +289,24 @@ def test_bad_files_fail_with_field_paths(tmp_path):
     too_many_stages["plans"][0]["two"] *= 4
     cases.append((too_many_stages, "plans[0].two: 4 stages"))
 
+    # JSON integers have no size limit; one too large for a float is bad input
+    huge = 10**400
+    huge_coeff = json.loads(json.dumps(base))
+    huge_coeff["state"][0]["coeff"] = [huge, 0]
+    cases.append((huge_coeff, "state[0].coeff"))
+
+    huge_amplitude = json.loads(json.dumps(base))
+    huge_amplitude["state"][0]["kets"][0] = [["A", "down", huge, 0]]
+    cases.append((huge_amplitude, "state[0].kets[0][0]: amplitude must be two finite"))
+
+    huge_value = json.loads(json.dumps(base))
+    huge_value["expectations"][0]["value"] = huge
+    cases.append((huge_value, "expectations[0].value"))
+
+    huge_tol = json.loads(json.dumps(base))
+    huge_tol["expectations"][0]["tolerance"] = huge
+    cases.append((huge_tol, "expectations[0].tolerance"))
+
     slot_twice = labeled_file_payload()
     loc_a = [[["A", "down", 1.0, 0.0]], [["A", "up", 1.0, 0.0]]]
     slot_twice["plans"][0]["one"] = [{"slot": 0, "kets": loc_a}] * 2
@@ -294,6 +317,34 @@ def test_bad_files_fail_with_field_paths(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(ScenarioError, match="(?i)" + fragment.replace("[", r"\[")):
             run_file(path)
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        (("state", 0, "coeff"), [1e300, 1e300]),  # the squared norm overflows
+        (("state", 0, "kets", 0), [["A", "down", 1e308, 0], ["A", "down", 1e308, 0]]),
+    ],
+)
+def test_huge_amplitudes_print_only_the_error_line(tmp_path, where, value):
+    # in a fresh process: pytest would swallow numpy's RuntimeWarnings
+    payload = induced_file_payload()
+    target = payload
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "idqsim.cli", "run", "--file", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: scenario.state")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 def test_non_orthonormal_basis_names_the_offending_pair(tmp_path):
