@@ -283,8 +283,7 @@ def distinguishable_trace_iterate(
         prob *= stage
         remaining.remove(step.slot)
     basis = LabeledProductBasis(space, tuple(remaining))
-    mat = np.zeros((basis.size, basis.size), dtype=complex)
-    for w, tensor in ensemble:
-        v = tensor.reshape(basis.size)
-        mat += w * np.outer(v, v.conj())
-    return DensityMatrix(basis, mat / mat.trace().real, prob)
+    # one column sqrt(w) v per branch; there may be more branches than rows
+    factor = np.stack([math.sqrt(w) * t.reshape(basis.size) for w, t in ensemble], axis=1)
+    factor /= math.sqrt(np.vdot(factor, factor).real)
+    return DensityMatrix(basis, factor @ factor.conj().T, prob, factor)

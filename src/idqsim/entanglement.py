@@ -15,6 +15,7 @@ import numpy as np
 
 from . import comparator
 from .comparator import LabeledState, SlotTrace
+from .errors import SimulationError
 from .reduction import (
     DensityMatrix,
     MeasurementBasis,
@@ -27,7 +28,7 @@ MIXED_THRESHOLD_BITS = 1e-6
 
 
 def spectrum(rho: DensityMatrix) -> np.ndarray:
-    """Descending eigenvalues of ``rho`` (cached on the matrix, read-only)."""
+    """Descending eigenvalues of ``rho`` (computed at its construction, read-only)."""
     return rho.spectrum
 
 
@@ -113,7 +114,8 @@ def analyze(
     labeled states with ``comparator.distinguishable_trace_iterate``. A
     bipartition counts as mixed when every entropy it produced exceeds
     MIXED_THRESHOLD_BITS. The genuine-multipartite flag is the AND over
-    bipartition plans, or None when no plan is a bipartition.
+    bipartition plans, or None when no plan is a bipartition. An error of a
+    trace is re-raised with the plan label and side at the head of its message.
     """
     labels = [p.label for p in plans]
     if len(set(labels)) != len(labels):
@@ -128,7 +130,12 @@ def analyze(
         entries: dict[str, object] = {}
         entropies = []
         for side, stages in plan.sides():
-            rho = trace(state, stages)
+            try:
+                rho = trace(state, stages)
+            except (SimulationError, ArithmeticError, ValueError) as exc:
+                # reworded in place: the same exception keeps its exit code
+                exc.args = (f"plan {plan.label!r}, side {side}: {exc}",)
+                raise
             s = von_neumann_entropy(rho)
             entropies.append(s)
             entries[f"rho_{side}"] = rho

@@ -34,14 +34,18 @@ unnormalized branches. One stage replaces ``V`` by ``[a(psi_1) V, ...,
 a(psi_K) V]``, which is exact for mixtures because the trace is linear, and
 costs one gather per stage instead of a dense square of the larger sector.
 Once ``V`` has more columns than rows, a QR factor of the same ``V V^dagger``
-replaces it, so its width never exceeds the sector size.
+replaces it, so its width never exceeds the sector size. The result is
+handed to ``DensityMatrix`` with its factor: the nonzero eigenvalues of
+``V V^dagger`` are those of the Gram matrix ``V^dagger V``, which is only as
+wide as ``V`` (2-4 columns on a localized stage, against a sector of
+hundreds), so the spectrum comes from ``V^dagger V``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
@@ -58,7 +62,6 @@ from .hilbert import CanonicalBasis, Ket, Spin, orthonormality_defect, ORTHONORM
 from .states import ParticleState, Statistics, inner, project_single
 
 HERMITICITY_TOL = 1e-10
-PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 ZERO_PROB_TOL = 1e-12
 EIGEN_CLAMP = 1e-10
@@ -265,45 +268,50 @@ def coords(phi: ParticleState, basis: Optional[OccupationBasis] = None) -> np.nd
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, PSD, trace-one matrix over a sector basis, plus the
-    total measurement probability ``prob`` consumed to normalize it."""
+    total measurement probability ``prob`` consumed to normalize it.
+
+    ``spectrum`` holds the descending eigenvalues (read-only), computed once
+    at construction; the PSD check reads it. A caller holding a factor ``V``
+    with ``mat = V V^dagger`` passes it as ``factor``: the spectrum then comes
+    from the smaller of ``V^dagger V`` and ``mat``, padded with zeros to the
+    basis size. The factor is not kept.
+    """
 
     basis: object  # OccupationBasis or a labeled product basis (.size/.labels/.sector)
     mat: np.ndarray
     prob: float
+    factor: InitVar[Optional[np.ndarray]] = None
+    spectrum: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, factor):
         m = np.asarray(self.mat, dtype=complex).copy()
         size = self.basis.size
         if m.shape != (size, size):
             raise ValueError(f"matrix shape {m.shape} does not match basis size {size}")
         if np.linalg.norm(m - m.conj().T) > HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -PSD_TOL:
-            raise NotPSDError(f"negative eigenvalue {evals.min():.3g}")
+        if factor is not None:
+            if factor.ndim != 2 or factor.shape[0] != size:
+                raise ValueError(f"factor shape {factor.shape} does not fit basis size {size}")
+            if abs(np.vdot(factor, factor).real - m.trace().real) > TRACE_TOL:
+                raise ValueError("factor and matrix differ in trace")
+        small = m if factor is None or factor.shape[1] >= size else factor.conj().T @ factor
+        spectrum = np.zeros(size)
+        spectrum[: len(small)] = eigenvalues_hermitian(small)  # the PSD check
         if abs(m.trace().real - 1.0) > TRACE_TOL or abs(m.trace().imag) > TRACE_TOL:
             raise ValueError(f"trace is {m.trace():.12g}, expected 1")
         p = float(self.prob)
         if p < -1e-9 or p > 1.0 + 1e-9:
             raise ValueError(f"probability {p} outside [0, 1]")
         m.flags.writeable = False
+        spectrum.flags.writeable = False
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "prob", min(max(p, 0.0), 1.0))
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def sector(self) -> int:
         return self.basis.sector
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """Descending eigenvalues, computed on first use and kept (read-only).
-
-        Lazy on purpose: diagonalizing at construction would hold the
-        reconstruction temporaries while a trace's working matrices are alive.
-        """
-        ev = eigenvalues_hermitian(self.mat)
-        ev.flags.writeable = False
-        return ev
 
 
 def eigenvalues_hermitian(mat: np.ndarray) -> np.ndarray:
@@ -377,10 +385,9 @@ def partial_trace_iterate(
             # same V V^dagger from the triangular factor of V^dagger = QR
             lowered = np.linalg.qr(lowered.conj().T, mode="r").conj().T
         factor, norm2 = lowered, lowered2
-    mat = factor @ factor.conj().T
-    mat /= norm2
+    factor = factor / math.sqrt(norm2)
     occ = OccupationBasis(space, phi.n - len(bases), phi.statistics)
-    return DensityMatrix(occ, mat, prob)
+    return DensityMatrix(occ, factor @ factor.conj().T, prob, factor)
 
 
 def _require_unit_norm(norm2: float) -> None:

@@ -259,7 +259,7 @@ def _merge_terms(
     """Combine terms whose ket lists are equal up to permutation (and sign)."""
     acc: dict[tuple[bytes, ...], list] = {}
     for t in terms:
-        raw = [k.amps.tobytes() for k in t.kets]
+        raw = [(k.amps + 0.0).tobytes() for k in t.kets]  # + 0.0 turns -0.0 into 0.0
         order = sorted(range(len(raw)), key=raw.__getitem__)
         if statistics is Statistics.FERMION:
             if len(set(raw)) < len(raw):

@@ -95,6 +95,27 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_stage_that_never_fires_names_its_plan_and_side(tmp_path, capsys):
+    # no particle sits at C, so the C-down detector of plan "at-c" never fires
+    payload = {
+        "name": "empty-detector",
+        "kind": "identical",
+        "statistics": "boson",
+        "modes": ["A", "B", "C"],
+        "state": [{"kets": [[["A", "down", 1.0, 0.0]], [["B", "up", 1.0, 0.0]]]}],
+        "plans": [
+            {"label": "at-a", "one": [[[["A", "down", 1.0, 0.0]]]]},
+            {"label": "at-c", "one": [[[["C", "down", 1.0, 0.0]]]]},
+        ],
+    }
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(payload))
+    assert main(["run", "--file", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: plan 'at-c', side one: ")
+    assert "never fires" in err
+
+
 def test_numerical_trouble_exits_three(monkeypatch, capsys):
     def boom(spec, tolerance=None):
         raise NotPSDError("eigenvalue -0.2 below tolerance")

@@ -8,15 +8,20 @@ import pytest
 
 from idqsim import (
     CanonicalBasis,
+    DensityMatrix,
     ElementaryState,
+    LabeledState,
     MeasurementBasis,
+    NotPSDError,
     OccupationBasis,
     ParticleState,
+    SlotTrace,
     Spin,
     Statistics,
     ZeroProbabilityError,
     coords,
     delocalized_pair,
+    distinguishable_trace_iterate,
     elementary,
     inner,
     normalize,
@@ -370,6 +375,60 @@ def test_reduced_matrices_are_hermitian_psd_unit_trace():
         assert np.linalg.eigvalsh(m).min() > -1e-12
         assert np.isclose(m.trace(), 1.0)
         assert 0.0 <= rho.prob <= 1.0
+
+
+def rank_two_trace():
+    phi = random_state(np.random.default_rng(41), SPACE, 3, Statistics.FERMION, n_terms=1)
+    return partial_trace_one(phi, MeasurementBasis.localized(SPACE, "B"))
+
+
+def compressed_two_stage_trace():
+    # as in test_wide_factor_is_compressed_without_changing_the_trace
+    space = CanonicalBasis(("A",))
+    rng = np.random.default_rng(24)
+    phi = random_state(rng, space, 3, Statistics.BOSON, n_terms=3)
+    full = random_measurement_basis(rng, space)
+    return partial_trace_iterate(phi, (full, full))
+
+
+def labeled_trace_with_more_branches_than_rows():
+    # two full slot measurements of three slots: 36 branches over 6 rows
+    rng = np.random.default_rng(42)
+    terms = [
+        (complex(rng.normal(), rng.normal()), tuple(random_ket(rng, SPACE) for _ in range(3)))
+        for _ in range(2)
+    ]
+    scale = np.linalg.norm(LabeledState(tuple(terms)).vector())
+    state = LabeledState(tuple((c / scale, kets) for c, kets in terms))
+    full = MeasurementBasis.full(SPACE)
+    return distinguishable_trace_iterate(state, (SlotTrace(0, full), SlotTrace(2, full)))
+
+
+def pure_state_trace():
+    return partial_trace_iterate(ghz_state(), ())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [rank_two_trace, compressed_two_stage_trace, labeled_trace_with_more_branches_than_rows,
+     pure_state_trace],
+    ids=lambda f: f.__name__,
+)
+def test_spectrum_matches_the_dense_eigenvalues(build):
+    rho = build()
+    dense = np.sort(np.linalg.eigvalsh(rho.mat))[::-1]
+    assert rho.spectrum.shape == (rho.basis.size,)
+    assert np.abs(rho.spectrum - dense).max() < 1e-12 * rho.basis.size
+    assert not rho.spectrum.flags.writeable
+
+
+def test_dense_matrix_that_is_not_psd_is_rejected():
+    occ = OccupationBasis(CanonicalBasis(("A",)), 1, Statistics.BOSON)
+    with pytest.raises(NotPSDError):
+        DensityMatrix(occ, np.diag([1.2, -0.2]), 1.0)
+    factor = np.array([[1.0], [0.0]])
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix(occ, np.diag([0.5, 0.5]), 1.0, 2.0 * factor)
 
 
 def test_measurement_basis_rejects_non_orthonormal_kets():

@@ -11,15 +11,20 @@ import numpy as np
 import pytest
 
 from idqsim import (
+    CanonicalBasis,
     Expectation,
+    MeasurementBasis,
     ScenarioError,
+    Statistics,
     builtin_names,
     get_builtin,
     load_scenario,
+    partial_trace_one,
     run_builtin,
     run_file,
     run_spec,
 )
+from idqsim.reduction import DensityMatrix
 from idqsim.scenarios import (
     EIGS_OVERLAP,
     ENTROPY_OVERLAP_BITS,
@@ -30,6 +35,7 @@ from idqsim.scenarios import (
     TOL_PROB,
     TOL_PURITY,
 )
+from idqsim.verification import random_state
 
 RT2 = 1.0 / math.sqrt(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -392,15 +398,38 @@ def test_missing_file_and_broken_json_are_scenario_errors(tmp_path):
         load_scenario(path)
 
 
+def record_diagonalizations(monkeypatch) -> list:
+    """Patch ``eigh`` and ``eigvalsh`` to record ``(size, limit)`` per call:
+    the order of the matrix diagonalized and, when the call comes from a
+    ``DensityMatrix`` under construction, the smaller of its basis size and
+    its factor's width (None outside any construction)."""
+    calls, limits = [], []
+
+    def counting(fn):
+        def wrapper(a, *args, **kwargs):
+            calls.append((np.shape(a)[-1], limits[-1] if limits else None))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    post_init = DensityMatrix.__post_init__
+
+    def bounded_post_init(self, factor=None):
+        size = self.basis.size
+        limits.append(size if factor is None else min(size, factor.shape[1]))
+        try:
+            post_init(self, factor)
+        finally:
+            limits.pop()
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    monkeypatch.setattr(DensityMatrix, "__post_init__", bounded_post_init)
+    return calls
+
+
 def test_each_density_matrix_is_diagonalized_at_most_once(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    calls = record_diagonalizations(monkeypatch)
     for name in builtin_names():
         calls.clear()
         report = run_spec(get_builtin(name))
@@ -414,6 +443,20 @@ def test_each_density_matrix_is_diagonalized_at_most_once(monkeypatch):
         ]
         assert matrices
         assert len(calls) <= len(matrices), name
+        for size, limit in calls:
+            assert limit is not None and size <= limit, (name, size, limit)
+
+
+def test_sweep_shaped_trace_diagonalizes_only_the_gram_matrix(monkeypatch):
+    # four bosons over five sites, one localized stage: a rank-2 matrix over
+    # a 220-entry sector, whose spectrum comes from a 2 x 2 Gram matrix
+    space = CanonicalBasis(tuple("ABCDE"))
+    phi = random_state(np.random.default_rng(31), space, 4, Statistics.BOSON, n_terms=1)
+    calls = record_diagonalizations(monkeypatch)
+    rho = partial_trace_one(phi, MeasurementBasis.localized(space, "C"))
+    assert rho.basis.size == 220
+    assert calls == [(2, 2)]
+    assert np.count_nonzero(rho.spectrum) <= 2
 
 
 def test_machine_dict_is_rounded_and_ascii_safe():

@@ -9,6 +9,7 @@ from idqsim import (
     CanonicalBasis,
     ElementaryState,
     IncompatibleStatesError,
+    Ket,
     NullStateError,
     ParticleState,
     Spin,
@@ -169,6 +170,35 @@ def test_merge_collapses_permuted_duplicate_terms():
     s = elementary(Statistics.BOSON, (a, b)) + elementary(Statistics.BOSON, (b, a))
     doubled = project_single(c, elementary(Statistics.BOSON, (a, b, c))) * 2.0
     assert states_close(s, doubled)
+
+
+def negative_zeros(ket):
+    """The same ket with every zero amplitude stored as -0.0."""
+    amps = ket.amps.copy()
+    amps[amps == 0] = complex(-0.0, -0.0)
+    return Ket(ket.basis, amps)
+
+
+def test_merge_joins_kets_that_differ_only_in_negative_zeros():
+    space = three_modes()
+    a, b = space.ket("A", Spin.DOWN), space.ket("B", Spin.UP)
+    b_neg = negative_zeros(b)
+    assert b_neg.amps.tobytes() != b.amps.tobytes()
+    s = ParticleState(
+        Statistics.BOSON,
+        (ElementaryState(0.6, (a, b)), ElementaryState(0.8, (a, b_neg))),
+    )
+    out = project_single(a, s)  # the remainders |b> and |b'> are one ket
+    assert len(out.terms) == 1
+    assert np.isclose(out.terms[0].coeff, 1.4)
+
+
+def test_fermion_remainder_holding_a_ket_twice_up_to_negative_zeros_is_null():
+    space = three_modes()
+    a, b = space.ket("A", Spin.DOWN), space.ket("B", Spin.UP)
+    f = ParticleState(Statistics.FERMION, (ElementaryState(1.0, (a, b, negative_zeros(b))),))
+    out = project_single(a, f)
+    assert all(t.coeff == 0 for t in out.terms)
 
 
 def test_mixing_statistics_or_sizes_is_rejected():
