@@ -56,9 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the seeded property checks")
-    p_verify.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    p_verify.add_argument("--seed", type=_seed, default=0, help="base seed (default 0)")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
+
+
+def _seed(text: str) -> int:
+    """``--seed`` value: numpy seeds must be non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _cmd_list(args) -> int:

@@ -12,6 +12,14 @@ The load-bearing identities, verified in the property suite:
   occupation-basis density matrices from the main algebra, and the slot used
   for the projection does not matter.
 
+The labeled trace keeps ``rho = V V^dagger`` as a factor ``V`` whose columns
+are labeled vectors, starting from the symmetrized state as one column. A
+stage contracts ``conj(psi_k)`` on the leading slot of every column and
+stacks the results for all kets ``psi_k``, the same linear map as the
+partial trace of the dense ``rho``; the end result is compressed to the
+occupation basis as ``T^dagger V`` (see ``occupation_isometry``). Memory is
+``dim^n`` entries per column instead of the ``dim^(2n)`` of a dense ``rho``.
+
 The module also hosts the distinguishable-particle comparator: plain labeled
 product states with per-slot post-selected traces, no symmetrization.
 """
@@ -120,33 +128,30 @@ def oracle_trace_iterate(
     _check_scale(n, dim)
     if len(bases) > n:
         raise ValueError(f"cannot trace {len(bases)} particles out of {n}")
-    vec = _labeled_normalized(phi)
-    rho = np.outer(vec, vec.conj())
+    factor = _labeled_normalized(phi)[:, None]
     prob = 1.0
     m = n
     for mb in bases:
         if mb.space != phi.basis:
             raise ValueError("measurement basis lives in a different space")
-        size = dim ** (m - 1)
-        r = rho.reshape(dim, size, dim, size)
-        nxt = np.zeros((size, size), dtype=complex)
-        for psi in mb.kets:
-            nxt += np.einsum("a,abcd,c->bd", psi.amps.conj(), r, psi.amps)
-        stage = nxt.trace().real
+        cols = factor.reshape(dim, dim ** (m - 1), factor.shape[1])
+        nxt = np.concatenate(
+            [np.tensordot(psi.amps.conj(), cols, axes=(0, 0)) for psi in mb.kets], axis=1
+        )
+        stage = np.vdot(nxt, nxt).real
         if stage <= ZERO_PROB_TOL:
             raise ZeroProbabilityError("basis never fires (labeled route)")
-        rho = nxt / stage
+        factor = nxt / math.sqrt(stage)
         prob *= stage
         m -= 1
     occ = OccupationBasis(phi.basis, m, phi.statistics)
-    t = occupation_isometry(occ)
-    mat = t.conj().T @ rho @ t
-    compressed = mat.trace().real
+    sym = occupation_isometry(occ).conj().T @ factor
+    compressed = np.vdot(sym, sym).real
     if abs(compressed - 1.0) > 1e-9:
         raise ArithmeticError(
             f"labeled trace leaks outside the symmetric sector ({compressed:.12g})"
         )
-    return DensityMatrix(occ, mat / compressed, prob)
+    return DensityMatrix(occ, sym / math.sqrt(compressed), prob)
 
 
 # --- distinguishable-particle comparator ---------------------------------
@@ -285,5 +290,4 @@ def distinguishable_trace_iterate(
     basis = LabeledProductBasis(space, tuple(remaining))
     # one column sqrt(w) v per branch; there may be more branches than rows
     factor = np.stack([math.sqrt(w) * t.reshape(basis.size) for w, t in ensemble], axis=1)
-    factor /= math.sqrt(np.vdot(factor, factor).real)
-    return DensityMatrix(basis, factor @ factor.conj().T, prob, factor)
+    return DensityMatrix(basis, factor / math.sqrt(np.vdot(factor, factor).real), prob)

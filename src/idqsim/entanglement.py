@@ -40,8 +40,12 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr rho^2; equals 1 exactly for pure states, 1/d for maximal mixing."""
-    return float(np.vdot(rho.mat, rho.mat).real)
+    """Tr rho^2; equals 1 exactly for pure states, 1/d for maximal mixing.
+
+    Computed as ``||V^dagger V||_F^2`` on the factor ``V`` of ``rho``.
+    """
+    gram = rho.factor.conj().T @ rho.factor
+    return float(np.vdot(gram, gram).real)
 
 
 Stage = Union[MeasurementBasis, SlotTrace]

@@ -34,18 +34,19 @@ unnormalized branches. One stage replaces ``V`` by ``[a(psi_1) V, ...,
 a(psi_K) V]``, which is exact for mixtures because the trace is linear, and
 costs one gather per stage instead of a dense square of the larger sector.
 Once ``V`` has more columns than rows, a QR factor of the same ``V V^dagger``
-replaces it, so its width never exceeds the sector size. The result is
-handed to ``DensityMatrix`` with its factor: the nonzero eigenvalues of
-``V V^dagger`` are those of the Gram matrix ``V^dagger V``, which is only as
-wide as ``V`` (2-4 columns on a localized stage, against a sector of
-hundreds), so the spectrum comes from ``V^dagger V``.
+replaces it, so its width never exceeds the sector size. The normalized
+factor is the reduced state: ``DensityMatrix`` keeps ``V`` itself, and the
+nonzero eigenvalues of ``V V^dagger`` are those of the Gram matrix
+``V^dagger V``, which is only as wide as ``V`` (2-4 columns on a localized
+stage, against a sector of hundreds). The dense square over the whole
+sector is formed only when something reads ``DensityMatrix.mat``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
@@ -61,7 +62,6 @@ from .errors import (
 from .hilbert import CanonicalBasis, Ket, Spin, orthonormality_defect, ORTHONORMALITY_TOL
 from .states import ParticleState, Statistics, inner, project_single
 
-HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 ZERO_PROB_TOL = 1e-12
 EIGEN_CLAMP = 1e-10
@@ -267,47 +267,48 @@ def coords(phi: ParticleState, basis: Optional[OccupationBasis] = None) -> np.nd
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, PSD, trace-one matrix over a sector basis, plus the
-    total measurement probability ``prob`` consumed to normalize it.
+    """Trace-one state ``V V^dagger`` over a sector basis, kept as its factor
+    ``V`` (read-only, ``basis.size`` rows), plus the total measurement
+    probability ``prob`` consumed to normalize it.
 
-    ``spectrum`` holds the descending eigenvalues (read-only), computed once
-    at construction; the PSD check reads it. A caller holding a factor ``V``
-    with ``mat = V V^dagger`` passes it as ``factor``: the spectrum then comes
-    from the smaller of ``V^dagger V`` and ``mat``, padded with zeros to the
-    basis size. The factor is not kept.
+    The factor is the representation: ``V V^dagger`` is Hermitian and PSD by
+    construction, and ``tr(V V^dagger) = ||V||_F^2``. ``spectrum`` holds the
+    descending eigenvalues (read-only), computed once at construction from
+    the smaller of ``V^dagger V`` and ``V V^dagger`` and padded with zeros to
+    the basis size. The dense ``mat`` is formed on its first read.
     """
 
     basis: object  # OccupationBasis or a labeled product basis (.size/.labels/.sector)
-    mat: np.ndarray
+    factor: np.ndarray
     prob: float
-    factor: InitVar[Optional[np.ndarray]] = None
     spectrum: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, factor):
-        m = np.asarray(self.mat, dtype=complex).copy()
+    def __post_init__(self):
+        v = np.array(self.factor, dtype=complex)
         size = self.basis.size
-        if m.shape != (size, size):
-            raise ValueError(f"matrix shape {m.shape} does not match basis size {size}")
-        if np.linalg.norm(m - m.conj().T) > HERMITICITY_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        if factor is not None:
-            if factor.ndim != 2 or factor.shape[0] != size:
-                raise ValueError(f"factor shape {factor.shape} does not fit basis size {size}")
-            if abs(np.vdot(factor, factor).real - m.trace().real) > TRACE_TOL:
-                raise ValueError("factor and matrix differ in trace")
-        small = m if factor is None or factor.shape[1] >= size else factor.conj().T @ factor
+        if v.ndim != 2 or v.shape[0] != size:
+            raise ValueError(f"factor shape {v.shape} does not fit basis size {size}")
+        trace = np.vdot(v, v).real
+        if not abs(trace - 1.0) <= TRACE_TOL:
+            raise ValueError(f"trace is {trace:.12g}, expected 1")
+        small = v.conj().T @ v if v.shape[1] < size else v @ v.conj().T
         spectrum = np.zeros(size)
         spectrum[: len(small)] = eigenvalues_hermitian(small)  # the PSD check
-        if abs(m.trace().real - 1.0) > TRACE_TOL or abs(m.trace().imag) > TRACE_TOL:
-            raise ValueError(f"trace is {m.trace():.12g}, expected 1")
         p = float(self.prob)
         if p < -1e-9 or p > 1.0 + 1e-9:
             raise ValueError(f"probability {p} outside [0, 1]")
-        m.flags.writeable = False
+        v.flags.writeable = False
         spectrum.flags.writeable = False
-        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "factor", v)
         object.__setattr__(self, "prob", min(max(p, 0.0), 1.0))
         object.__setattr__(self, "spectrum", spectrum)
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        """The dense ``V V^dagger`` (read-only), formed on first read."""
+        m = self.factor @ self.factor.conj().T
+        m.flags.writeable = False
+        return m
 
     @property
     def sector(self) -> int:
@@ -385,9 +386,8 @@ def partial_trace_iterate(
             # same V V^dagger from the triangular factor of V^dagger = QR
             lowered = np.linalg.qr(lowered.conj().T, mode="r").conj().T
         factor, norm2 = lowered, lowered2
-    factor = factor / math.sqrt(norm2)
     occ = OccupationBasis(space, phi.n - len(bases), phi.statistics)
-    return DensityMatrix(occ, factor @ factor.conj().T, prob, factor)
+    return DensityMatrix(occ, factor / math.sqrt(norm2), prob)
 
 
 def _require_unit_norm(norm2: float) -> None:

@@ -346,7 +346,7 @@ def _prop_trace_unitary_invariance(rng) -> str:
 
 def _prop_density_matrix_contracts(rng) -> str:
     space = standard_space()
-    worst_h, worst_t, lowest, worst_s = 0.0, 0.0, 0.0, 0.0
+    worst_h, worst_t, lowest, worst_s, worst_p = 0.0, 0.0, 0.0, 0.0, 0.0
     for stats in BOTH:
         for _ in range(6):
             phi = random_state(rng, space, 3, stats)
@@ -357,21 +357,21 @@ def _prop_density_matrix_contracts(rng) -> str:
                 continue
             worst_h = max(worst_h, float(np.abs(rho.mat - rho.mat.conj().T).max()))
             worst_t = max(worst_t, abs(complex(rho.mat.trace()) - 1.0))
-            # the dense route against the spectrum taken from the factor's Gram matrix
+            # dense routes against the spectrum and purity from the factor's Gram matrix
             dense = np.linalg.eigvalsh(rho.mat)[::-1]
             lowest = min(lowest, float(dense[-1]))
-            dev = float(np.abs(dense - rho.spectrum).max())
-            _ensure(
-                dev < 1e-12 * rho.basis.size,
-                f"spectrum differs from the dense eigenvalues by {dev:.3g}",
-            )
-            worst_s = max(worst_s, dev)
+            dev_s = float(np.abs(dense - rho.spectrum).max())
+            dev_p = abs(purity(rho) - float(np.vdot(rho.mat, rho.mat).real))
+            bound = 1e-12 * rho.basis.size
+            _ensure(dev_s < bound, f"spectrum differs from dense eigvalsh by {dev_s:.3g}")
+            _ensure(dev_p < bound, f"purity differs from dense Tr rho^2 by {dev_p:.3g}")
+            worst_s, worst_p = max(worst_s, dev_s), max(worst_p, dev_p)
     _ensure(worst_h < 1e-10, f"Hermiticity violated by {worst_h:.3g}")
     _ensure(worst_t < 1e-10, f"trace off by {worst_t:.3g}")
     _ensure(lowest > -1e-10, f"negative eigenvalue {lowest:.3g}")
     return (
         f"hermiticity {worst_h:.3g}, trace {worst_t:.3g}, lowest eigenvalue {lowest:.3g}, "
-        f"spectrum vs dense {worst_s:.3g}"
+        f"spectrum vs dense {worst_s:.3g}, purity vs dense {worst_p:.3g}"
     )
 
 

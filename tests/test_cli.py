@@ -162,6 +162,22 @@ def test_verify_same_seed_is_byte_identical(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("seed", ["-1", "seven"])
+def test_bad_verify_seed_is_input_error(seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", seed])
+    assert exc.value.code == EXIT_INPUT
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_verify_accepts_seeds_beyond_32_bits(monkeypatch, capsys):
+    seeds = []
+    monkeypatch.setattr(cli, "run_all", lambda seed: seeds.append(seed) or [])
+    assert main(["verify", "--seed", str(2**32 + 5)]) == EXIT_OK
+    assert seeds == [2**32 + 5]
+    capsys.readouterr()
+
+
 def test_every_builtin_passes_through_the_cli(capsys):
     for name in builtin_names():
         assert main(["run", name]) == EXIT_OK, name

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idqsim import (
     CanonicalBasis,
@@ -123,6 +124,71 @@ def test_iterated_traces_agree_between_routes():
         ref = oracle_trace_iterate(phi, stages)
         assert np.allclose(ours.mat, ref.mat, atol=1e-10)
         assert np.isclose(ours.prob, ref.prob, atol=1e-12)
+
+
+def dense_oracle_trace(phi, bases):
+    """The dense labeled route the factor oracle replaced: ``einsum`` partial
+    traces of the full ``dim^n x dim^n`` density matrix. Returns
+    ``(mat, prob)``."""
+    dim = phi.basis.dim
+    vec = symmetrize_state(phi)
+    vec = vec / np.linalg.norm(vec)
+    rho = np.outer(vec, vec.conj())
+    prob, m = 1.0, phi.n
+    for mb in bases:
+        size = dim ** (m - 1)
+        r = rho.reshape(dim, size, dim, size)
+        nxt = np.zeros((size, size), dtype=complex)
+        for psi in mb.kets:
+            nxt += np.einsum("a,abcd,c->bd", psi.amps.conj(), r, psi.amps)
+        stage = nxt.trace().real
+        rho = nxt / stage
+        prob *= stage
+        m -= 1
+    t = occupation_isometry(OccupationBasis(phi.basis, m, phi.statistics))
+    mat = t.conj().T @ rho @ t
+    return mat / mat.trace().real, prob
+
+
+@pytest.mark.parametrize("stats", [Statistics.BOSON, Statistics.FERMION])
+def test_factor_oracle_matches_the_dense_einsum_oracle(stats):
+    rng = np.random.default_rng(35)
+    for n in (2, 3):
+        for n_stages in (1, 2):
+            for size in (None, 4):  # complete, then post-selective
+                phi = random_state(rng, SPACE, n, stats)
+                stages = tuple(
+                    random_measurement_basis(rng, SPACE, size) for _ in range(n_stages)
+                )
+                rho = oracle_trace_iterate(phi, stages)
+                mat, prob = dense_oracle_trace(phi, stages)
+                tol = 1e-12 * rho.basis.size
+                assert np.abs(rho.mat - mat).max() < tol
+                assert abs(rho.prob - prob) < tol
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stats=st.sampled_from((Statistics.BOSON, Statistics.FERMION)),
+    n=st.integers(2, 3),
+    n_terms=st.integers(1, 3),
+    sizes=st.lists(st.one_of(st.none(), st.integers(1, SPACE.dim)), min_size=1, max_size=2),
+)
+def test_generated_reductions_agree_with_their_dense_square_and_the_oracle(
+    seed, stats, n, n_terms, sizes
+):
+    # a size of None draws a complete basis, an integer a post-selective one
+    rng = np.random.default_rng(seed)
+    phi = random_state(rng, SPACE, n, stats, n_terms=n_terms)
+    stages = tuple(random_measurement_basis(rng, SPACE, k) for k in sizes)
+    rho = partial_trace_iterate(phi, stages)
+    tol = 1e-12 * rho.basis.size
+    assert np.abs(rho.spectrum - np.linalg.eigvalsh(rho.mat)[::-1]).max() < tol
+    assert abs(purity(rho) - np.vdot(rho.mat, rho.mat).real) < tol
+    ref = oracle_trace_iterate(phi, stages)
+    assert np.abs(rho.mat - ref.mat).max() < 1e-10
+    assert abs(rho.prob - ref.prob) < 1e-12
 
 
 def test_oracle_respects_its_scale_cap():

@@ -22,6 +22,7 @@ from idqsim import (
     coords,
     delocalized_pair,
     distinguishable_trace_iterate,
+    eigenvalues_hermitian,
     elementary,
     inner,
     normalize,
@@ -29,7 +30,9 @@ from idqsim import (
     partial_trace_one,
     probability_of,
     project_single,
+    purity,
     spectrum,
+    von_neumann_entropy,
 )
 from idqsim.permanents import permutation_parity
 from idqsim.verification import random_ket, random_measurement_basis, random_state
@@ -423,12 +426,38 @@ def test_spectrum_matches_the_dense_eigenvalues(build):
 
 
 def test_dense_matrix_that_is_not_psd_is_rejected():
-    occ = OccupationBasis(CanonicalBasis(("A",)), 1, Statistics.BOSON)
     with pytest.raises(NotPSDError):
-        DensityMatrix(occ, np.diag([1.2, -0.2]), 1.0)
+        eigenvalues_hermitian(np.diag([1.2, -0.2]))
+    occ = OccupationBasis(CanonicalBasis(("A",)), 1, Statistics.BOSON)
     factor = np.array([[1.0], [0.0]])
     with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(occ, np.diag([0.5, 0.5]), 1.0, 2.0 * factor)
+        DensityMatrix(occ, 2.0 * factor, 1.0)
+
+
+def test_factor_with_the_wrong_number_of_rows_is_rejected():
+    occ = OccupationBasis(CanonicalBasis(("A",)), 1, Statistics.BOSON)
+    with pytest.raises(ValueError, match="shape"):
+        DensityMatrix(occ, np.array([[1.0], [0.0], [0.0]]), 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        DensityMatrix(occ, np.array([1.0, 0.0]), 1.0)
+
+
+def test_factor_is_kept_read_only_and_the_square_is_formed_on_request():
+    # four bosons over five sites, one localized stage: a 220-dim sector
+    space = CanonicalBasis(tuple("ABCDE"))
+    phi = random_state(np.random.default_rng(43), space, 4, Statistics.BOSON, n_terms=1)
+    rho = partial_trace_iterate(phi, (MeasurementBasis.localized(space, "B"),))
+    von_neumann_entropy(rho)
+    purity(rho)
+    assert rho.basis.size == 220 and rho.factor.shape[1] < rho.basis.size
+    assert "mat" not in vars(rho)
+    assert not rho.factor.flags.writeable
+    with pytest.raises(ValueError):
+        rho.factor[0, 0] = 1.0
+    mat = rho.mat
+    assert np.array_equal(mat, rho.factor @ rho.factor.conj().T)
+    assert not mat.flags.writeable
+    assert rho.mat is mat
 
 
 def test_measurement_basis_rejects_non_orthonormal_kets():

@@ -414,11 +414,10 @@ def record_diagonalizations(monkeypatch) -> list:
 
     post_init = DensityMatrix.__post_init__
 
-    def bounded_post_init(self, factor=None):
-        size = self.basis.size
-        limits.append(size if factor is None else min(size, factor.shape[1]))
+    def bounded_post_init(self):
+        limits.append(min(self.basis.size, np.shape(self.factor)[1]))
         try:
-            post_init(self, factor)
+            post_init(self)
         finally:
             limits.pop()
 
