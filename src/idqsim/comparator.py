@@ -12,24 +12,31 @@ The load-bearing identities, verified in the property suite:
   occupation-basis density matrices from the main algebra, and the slot used
   for the projection does not matter.
 
-The labeled trace keeps ``rho = V V^dagger`` as a factor ``V`` whose columns
-are labeled vectors, starting from the symmetrized state as one column. A
-stage contracts ``conj(psi_k)`` on the leading slot of every column and
-stacks the results for all kets ``psi_k``, the same linear map as the
-partial trace of the dense ``rho``; the end result is compressed to the
-occupation basis as ``T^dagger V`` (see ``occupation_isometry``). Memory is
-``dim^n`` entries per column instead of the ``dim^(2n)`` of a dense ``rho``.
+Labeled traces keep ``rho = V V^dagger`` as a factor ``V`` whose columns
+are labeled vectors, starting from the normalized state as one column. A
+stage contracts ``conj(psi_k)`` on one slot of every column and stacks the
+results for all kets ``psi_k`` (``_contract_slot``), the same linear map as
+the partial trace of the dense ``rho``. Memory is ``dim^n`` entries per
+column instead of the ``dim^(2n)`` of a dense ``rho``.
+
+The oracle traces the symmetrized vector on its leading slot and maps the
+end result to the occupation basis as ``T^dagger V`` (see
+``occupation_isometry``). It never compresses its factor: it is the
+reference that the ladder route's compression is checked against.
 
 The module also hosts the distinguishable-particle comparator: plain labeled
-product states with per-slot post-selected traces, no symmetrization.
+product states with per-slot post-selected traces, no symmetrization. It
+traces the same way on the measured slot, and after each stage compresses
+its factor with the ladder route's ``reduction._compress``, so the factor
+is never wider than the product basis of the remaining slots.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import permutations
+from functools import cached_property, reduce
+from itertools import permutations, product
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +49,7 @@ from .reduction import (
     MeasurementBasis,
     OccupationBasis,
     ZERO_PROB_TOL,
+    _compress,
 )
 from .states import ElementaryState, ParticleState, Statistics
 
@@ -52,7 +60,7 @@ MAX_DIM = 8
 def _check_scale(n: int, dim: int) -> None:
     if n > MAX_PARTICLES or dim > MAX_DIM:
         raise OracleScaleError(
-            f"labeled oracle is capped at {MAX_PARTICLES} particles over "
+            f"labeled vectors are capped at {MAX_PARTICLES} particles over "
             f"dimension {MAX_DIM} (asked for {n} over {dim})"
         )
 
@@ -115,6 +123,20 @@ def _labeled_normalized(phi: ParticleState) -> np.ndarray:
     return vec / nrm
 
 
+def _contract_slot(factor: np.ndarray, basis: MeasurementBasis, slot: int) -> np.ndarray:
+    """``[<psi_1|_slot V, ..., <psi_K|_slot V]`` for the kets of ``basis``.
+
+    The columns of ``V = factor`` are labeled vectors over the remaining
+    slots; ``conj(psi_k)`` is contracted on the one at position ``slot``.
+    The result has ``dim`` times fewer rows and ``K`` times as many columns.
+    """
+    dim = basis.space.dim
+    amps = np.array([psi.amps for psi in basis.kets])
+    cols = factor.reshape(dim**slot, dim, -1, factor.shape[1])
+    lowered = np.einsum("kb,abcw->ackw", amps.conj(), cols)
+    return lowered.reshape(-1, len(amps) * factor.shape[1])
+
+
 def oracle_trace(phi: ParticleState, basis: MeasurementBasis) -> DensityMatrix:
     return oracle_trace_iterate(phi, (basis,))
 
@@ -134,10 +156,7 @@ def oracle_trace_iterate(
     for mb in bases:
         if mb.space != phi.basis:
             raise ValueError("measurement basis lives in a different space")
-        cols = factor.reshape(dim, dim ** (m - 1), factor.shape[1])
-        nxt = np.concatenate(
-            [np.tensordot(psi.amps.conj(), cols, axes=(0, 0)) for psi in mb.kets], axis=1
-        )
+        nxt = _contract_slot(factor, mb, 0)
         stage = np.vdot(nxt, nxt).real
         if stage <= ZERO_PROB_TOL:
             raise ZeroProbabilityError("basis never fires (labeled route)")
@@ -204,18 +223,15 @@ class LabeledProductBasis:
         self.slots = slots
         self.sector = len(slots)
         self.size = space.dim ** len(slots)
-        sp = space.labels
-        labels = []
-        for flat in range(self.size):
-            # decode mixed-radix, most significant slot first
-            digits = []
-            rem = flat
-            for _ in slots:
-                digits.append(rem % space.dim)
-                rem //= space.dim
-            digits.reverse()
-            labels.append("⊗".join(sp[d] for d in digits) or "vac")
-        self.labels = tuple(labels)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """``a⊗b⊗...`` per entry, most significant slot first; ``vac`` when
+        no slot remains."""
+        return tuple(
+            "⊗".join(entry) or "vac"
+            for entry in product(self.space.labels, repeat=self.sector)
+        )
 
     def index_of(self, entries: Sequence[tuple[str, object]]) -> int:
         if len(entries) != self.sector:
@@ -224,11 +240,6 @@ class LabeledProductBasis:
         for mode, spin in entries:
             flat = flat * self.space.dim + self.space.index_of(mode, spin)
         return flat
-
-    def unit_vector(self, entries: Sequence[tuple[str, object]]) -> np.ndarray:
-        v = np.zeros(self.size, dtype=complex)
-        v[self.index_of(entries)] = 1.0
-        return v
 
 
 @dataclass(frozen=True)
@@ -254,40 +265,26 @@ def distinguishable_trace_iterate(
     remaining slots, with ``prob`` the product of stage probabilities.
     """
     space = state.space
-    dim = space.dim
     vec = state.vector()
     nrm = np.linalg.norm(vec)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"state must be normalized (norm {nrm:.6g})")
     remaining = list(range(state.n))
-    ensemble = [(1.0, (vec / nrm).reshape((dim,) * state.n))]
+    factor = (vec / nrm)[:, None]
     prob = 1.0
     for step in steps:
         if step.slot not in remaining:
             raise ValueError(f"slot {step.slot} already consumed or out of range")
         if step.basis.space != space:
             raise ValueError("measurement basis lives in a different space")
-        axis = remaining.index(step.slot)
-        nxt = []
-        stage = 0.0
-        for w, tensor in ensemble:
-            for psi in step.basis.kets:
-                branch = np.tensordot(psi.amps.conj(), tensor, axes=([0], [axis]))
-                bn = float(np.vdot(branch, branch).real)
-                weight = w * bn
-                if weight <= 1e-30:
-                    continue
-                nxt.append((weight, branch / math.sqrt(bn)))
-                stage += weight
+        lowered = _contract_slot(factor, step.basis, remaining.index(step.slot))
+        stage = np.vdot(lowered, lowered).real
         if stage <= ZERO_PROB_TOL:
             raise ZeroProbabilityError(
                 f"slot {step.slot} measurement never fires "
                 f"(total probability {stage:.3g})"
             )
-        ensemble = [(w / stage, t) for w, t in nxt]
+        factor = _compress(lowered) / math.sqrt(stage)
         prob *= stage
         remaining.remove(step.slot)
-    basis = LabeledProductBasis(space, tuple(remaining))
-    # one column sqrt(w) v per branch; there may be more branches than rows
-    factor = np.stack([math.sqrt(w) * t.reshape(basis.size) for w, t in ensemble], axis=1)
-    return DensityMatrix(basis, factor / math.sqrt(np.vdot(factor, factor).real), prob)
+    return DensityMatrix(LabeledProductBasis(space, tuple(remaining)), factor, prob)

@@ -33,9 +33,10 @@ Traces keep ``rho = V V^dagger`` as a factor ``V`` whose columns are
 unnormalized branches. One stage replaces ``V`` by ``[a(psi_1) V, ...,
 a(psi_K) V]``, which is exact for mixtures because the trace is linear, and
 costs one gather per stage instead of a dense square of the larger sector.
-Once ``V`` has more columns than rows, a QR factor of the same ``V V^dagger``
-replaces it, so its width never exceeds the sector size. The normalized
-factor is the reduced state: ``DensityMatrix`` keeps ``V`` itself, and the
+Once ``V`` has more columns than rows, ``_compress`` replaces it by a QR
+factor of the same ``V V^dagger``, so its width never exceeds the sector
+size (the labeled comparator compresses with the same function). The
+normalized factor is the reduced state: ``DensityMatrix`` keeps ``V``, and the
 nonzero eigenvalues of ``V V^dagger`` are those of the Gram matrix
 ``V^dagger V``, which is only as wide as ``V`` (2-4 columns on a localized
 stage, against a sector of hundreds). The dense square over the whole
@@ -382,12 +383,20 @@ def partial_trace_iterate(
                 f"{stage_prob:.3g})"
             )
         prob *= stage_prob
-        if lowered.shape[1] > lowered.shape[0]:
-            # same V V^dagger from the triangular factor of V^dagger = QR
-            lowered = np.linalg.qr(lowered.conj().T, mode="r").conj().T
-        factor, norm2 = lowered, lowered2
+        factor, norm2 = _compress(lowered), lowered2
     occ = OccupationBasis(space, phi.n - len(bases), phi.statistics)
     return DensityMatrix(occ, factor / math.sqrt(norm2), prob)
+
+
+def _compress(factor: np.ndarray) -> np.ndarray:
+    """A factor of the same ``V V^dagger`` with no more columns than rows.
+
+    A wider ``V`` is replaced by the conjugate transpose of the triangular
+    factor of ``V^dagger = QR``: ``V V^dagger = R^dagger R``.
+    """
+    if factor.shape[1] <= factor.shape[0]:
+        return factor
+    return np.linalg.qr(factor.conj().T, mode="r").conj().T
 
 
 def _require_unit_norm(norm2: float) -> None:

@@ -32,6 +32,7 @@ from .comparator import (
 from .entanglement import EntanglementReport, TracePlan, analyze, spectrum
 from .errors import (
     NullStateError,
+    OracleScaleError,
     ScenarioError,
     SimulationError,
 )
@@ -93,8 +94,8 @@ class Expectation:
         if self.quantity == "eigenvalues":
             vals = tuple(float(v) for v in np.atleast_1d(np.asarray(self.value, float)))
             object.__setattr__(self, "value", tuple(sorted(vals, reverse=True)))
-        if self.tolerance < 0:
-            raise ScenarioError("tolerance must be nonnegative")
+        if not 0 <= self.tolerance < math.inf:
+            raise ScenarioError("tolerance must be finite and nonnegative")
 
     def describe(self) -> str:
         where = ""
@@ -347,32 +348,43 @@ def _loc(space: CanonicalBasis, mode: str) -> MeasurementBasis:
     return MeasurementBasis.localized(space, mode)
 
 
+def _one_per_site(space: CanonicalBasis) -> tuple[Ket, Ket, Ket]:
+    """A-down, B-down, C-up: one qubit in each site."""
+    return (space.ket("A", Spin.DOWN), space.ket("B", Spin.DOWN), space.ket("C", Spin.UP))
+
+
+def _three_cuts(names: str, stage: Callable[[int], object]) -> tuple[TracePlan, ...]:
+    """The cuts (01)-2, (20)-1 and (12)-0 of three sites or slots, spelled
+    with ``names``: the one-particle side measures the two in brackets, in
+    that order, and the two-particle side the third; ``stage(i)`` measures
+    the i-th."""
+    return tuple(
+        TracePlan(
+            f"({names[a]}{names[b]})-{names[c]}",
+            one_stages=(stage(a), stage(b)),
+            two_stages=(stage(c),),
+        )
+        for a, b, c in ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+    )
+
+
+def _pure_cut(label: str, prob: float) -> list[Expectation]:
+    """Both remainders of plan ``label`` are pure; the two-particle one is
+    reached with probability ``prob``."""
+    return [
+        Expectation("entropy_two", 0.0, label, tolerance=TOL_ENTROPY),
+        Expectation("entropy_one", 0.0, label, tolerance=TOL_ENTROPY),
+        Expectation("purity_two", 1.0, label, tolerance=TOL_PURITY),
+        Expectation("purity_one", 1.0, label, tolerance=TOL_PURITY),
+        Expectation("probability", prob, label, "two", tolerance=TOL_PROB),
+    ]
+
+
 def _separated_spec() -> ScenarioSpec:
     space = standard_space()
-    kets = (
-        space.ket("A", Spin.DOWN),
-        space.ket("B", Spin.DOWN),
-        space.ket("C", Spin.UP),
-    )
-    state = ParticleState(Statistics.BOSON, (ElementaryState(1.0, kets),))
-    plans = (
-        TracePlan("(AB)-C", one_stages=(_loc(space, "A"), _loc(space, "B")),
-                  two_stages=(_loc(space, "C"),)),
-        TracePlan("(CA)-B", one_stages=(_loc(space, "C"), _loc(space, "A")),
-                  two_stages=(_loc(space, "B"),)),
-        TracePlan("(BC)-A", one_stages=(_loc(space, "B"), _loc(space, "C")),
-                  two_stages=(_loc(space, "A"),)),
-    )
-    expectations = []
-    for label in ("(AB)-C", "(CA)-B", "(BC)-A"):
-        expectations += [
-            Expectation("entropy_two", 0.0, label, tolerance=TOL_ENTROPY),
-            Expectation("entropy_one", 0.0, label, tolerance=TOL_ENTROPY),
-            Expectation("purity_two", 1.0, label, tolerance=TOL_PURITY),
-            Expectation("purity_one", 1.0, label, tolerance=TOL_PURITY),
-            Expectation("probability", PROB_ONE_IN_THREE, label, "two",
-                        tolerance=TOL_PROB),
-        ]
+    state = ParticleState(Statistics.BOSON, (ElementaryState(1.0, _one_per_site(space)),))
+    plans = _three_cuts("ABC", lambda i: _loc(space, "ABC"[i]))
+    expectations = [e for p in plans for e in _pure_cut(p.label, PROB_ONE_IN_THREE)]
     expectations.append(Expectation("genuine_multipartite", False))
     return ScenarioSpec(
         "separated",
@@ -385,12 +397,7 @@ def _separated_spec() -> ScenarioSpec:
 
 def _induced_spec() -> ScenarioSpec:
     space = standard_space()
-    kets = (
-        space.ket("A", Spin.DOWN),
-        space.ket("B", Spin.DOWN),
-        space.ket("C", Spin.UP),
-    )
-    state = ParticleState(Statistics.BOSON, (ElementaryState(1.0, kets),))
+    state = ParticleState(Statistics.BOSON, (ElementaryState(1.0, _one_per_site(space)),))
     plan = TracePlan(
         "(BC)-delocalized",
         two_stages=(delocalized_pair(space, "B", "C"),),
@@ -423,16 +430,9 @@ def _ghz_spec() -> ScenarioSpec:
             (ElementaryState(1.0, dn), ElementaryState(1.0, up)),
         )
     )
-    plans = (
-        TracePlan("(AB)-C", one_stages=(_loc(space, "A"), _loc(space, "B")),
-                  two_stages=(_loc(space, "C"),)),
-        TracePlan("(CA)-B", one_stages=(_loc(space, "C"), _loc(space, "A")),
-                  two_stages=(_loc(space, "B"),)),
-        TracePlan("(BC)-A", one_stages=(_loc(space, "B"), _loc(space, "C")),
-                  two_stages=(_loc(space, "A"),)),
-    )
+    plans = _three_cuts("ABC", lambda i: _loc(space, "ABC"[i]))
     expectations = []
-    for label in ("(AB)-C", "(CA)-B", "(BC)-A"):
+    for label in (p.label for p in plans):
         expectations += [
             Expectation("entropy_two", 1.0, label, tolerance=TOL_ENTROPY),
             Expectation("entropy_one", 1.0, label, tolerance=TOL_ENTROPY),
@@ -487,36 +487,16 @@ def _overlap_spec() -> ScenarioSpec:
 
 def _distinguishable_spec() -> ScenarioSpec:
     space = standard_space()
-    state = product_state(
-        (
-            space.ket("A", Spin.DOWN),
-            space.ket("B", Spin.DOWN),
-            space.ket("C", Spin.UP),
-        )
-    )
-    loc = {m: _loc(space, m) for m in "ABC"}
+    state = product_state(_one_per_site(space))
+    plans = _three_cuts("123", lambda i: SlotTrace(i, _loc(space, "ABC"[i])))
     nonlocal_ab = delocalized_pair(space, "A", "B")
-    plans = (
-        TracePlan("(12)-3", one_stages=(SlotTrace(0, loc["A"]), SlotTrace(1, loc["B"])),
-                  two_stages=(SlotTrace(2, loc["C"]),)),
-        TracePlan("(31)-2", one_stages=(SlotTrace(2, loc["C"]), SlotTrace(0, loc["A"])),
-                  two_stages=(SlotTrace(1, loc["B"]),)),
-        TracePlan("(23)-1", one_stages=(SlotTrace(1, loc["B"]), SlotTrace(2, loc["C"])),
-                  two_stages=(SlotTrace(0, loc["A"]),)),
+    plans += (
         TracePlan("(23)-1 nonlocal", two_stages=(SlotTrace(0, nonlocal_ab),),
                   bipartition=False),
         TracePlan("(31)-2 nonlocal", two_stages=(SlotTrace(1, nonlocal_ab),),
                   bipartition=False),
     )
-    expectations = []
-    for label in ("(12)-3", "(31)-2", "(23)-1"):
-        expectations += [
-            Expectation("entropy_two", 0.0, label, tolerance=TOL_ENTROPY),
-            Expectation("entropy_one", 0.0, label, tolerance=TOL_ENTROPY),
-            Expectation("purity_two", 1.0, label, tolerance=TOL_PURITY),
-            Expectation("purity_one", 1.0, label, tolerance=TOL_PURITY),
-            Expectation("probability", 1.0, label, "two", tolerance=TOL_PROB),
-        ]
+    expectations = [e for p in plans[:3] for e in _pure_cut(p.label, 1.0)]
     for label in ("(23)-1 nonlocal", "(31)-2 nonlocal"):
         expectations += [
             Expectation("entropy_two", 0.0, label, tolerance=TOL_ENTROPY),
@@ -536,30 +516,11 @@ def _distinguishable_spec() -> ScenarioSpec:
 def _distinguishable_overlapped_spec() -> ScenarioSpec:
     space = standard_space()
     state = product_state(
-        (
-            space.ket("A", Spin.DOWN),
-            space.ket("A", Spin.DOWN),
-            space.ket("A", Spin.UP),
-        )
+        (space.ket("A", Spin.DOWN), space.ket("A", Spin.DOWN), space.ket("A", Spin.UP))
     )
     loc_a = _loc(space, "A")
-    plans = (
-        TracePlan("(12)-3", one_stages=(SlotTrace(0, loc_a), SlotTrace(1, loc_a)),
-                  two_stages=(SlotTrace(2, loc_a),)),
-        TracePlan("(31)-2", one_stages=(SlotTrace(2, loc_a), SlotTrace(0, loc_a)),
-                  two_stages=(SlotTrace(1, loc_a),)),
-        TracePlan("(23)-1", one_stages=(SlotTrace(1, loc_a), SlotTrace(2, loc_a)),
-                  two_stages=(SlotTrace(0, loc_a),)),
-    )
-    expectations = []
-    for label in ("(12)-3", "(31)-2", "(23)-1"):
-        expectations += [
-            Expectation("entropy_two", 0.0, label, tolerance=TOL_ENTROPY),
-            Expectation("entropy_one", 0.0, label, tolerance=TOL_ENTROPY),
-            Expectation("purity_two", 1.0, label, tolerance=TOL_PURITY),
-            Expectation("purity_one", 1.0, label, tolerance=TOL_PURITY),
-            Expectation("probability", 1.0, label, "two", tolerance=TOL_PROB),
-        ]
+    plans = _three_cuts("123", lambda i: SlotTrace(i, loc_a))
+    expectations = [e for p in plans for e in _pure_cut(p.label, 1.0)]
     expectations.append(Expectation("genuine_multipartite", False))
     return ScenarioSpec(
         "distinguishable-overlapped",
@@ -761,7 +722,7 @@ def _parse_labeled_state(raw: dict, space: CanonicalBasis, name: str) -> Labeled
     terms = _parse_terms(raw, space)
     try:
         state = LabeledState(tuple((c, kets) for c, kets in terms))
-    except ValueError as exc:
+    except (ValueError, OracleScaleError) as exc:
         raise ScenarioError(f"scenario.state: {exc}") from None
     nrm = float(np.linalg.norm(state.vector()))
     if nrm < 1e-12:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from idqsim import (
     CanonicalBasis,
+    LabeledState,
     MeasurementBasis,
     OccupationBasis,
     OracleScaleError,
@@ -32,6 +33,7 @@ from idqsim import (
     symmetrize_state,
 )
 from idqsim.verification import (
+    random_ket,
     random_measurement_basis,
     random_product_labeled,
     random_state,
@@ -272,3 +274,92 @@ def test_consumed_slots_cannot_be_measured_twice():
     loc_a = MeasurementBasis.localized(SPACE, "A")
     with pytest.raises(ValueError):
         distinguishable_trace_iterate(state, (SlotTrace(0, loc_a), SlotTrace(0, loc_a)))
+
+
+def ensemble_trace(state, steps):
+    """The ensemble route the labeled factor trace replaced: a list of
+    normalized (weight, tensor) branches, one per ket outcome, dropping
+    branches of weight up to 1e-30. Returns ``(mat, prob, labels)``, with
+    the labels decoded mixed-radix, most significant remaining slot first."""
+    space = state.space
+    dim = space.dim
+    vec = state.vector()
+    remaining = list(range(state.n))
+    ensemble = [(1.0, (vec / np.linalg.norm(vec)).reshape((dim,) * state.n))]
+    prob = 1.0
+    for step in steps:
+        axis = remaining.index(step.slot)
+        nxt = []
+        for w, tensor in ensemble:
+            for psi in step.basis.kets:
+                branch = np.tensordot(psi.amps.conj(), tensor, axes=([0], [axis]))
+                bn = float(np.vdot(branch, branch).real)
+                if w * bn > 1e-30:
+                    nxt.append((w * bn, branch / math.sqrt(bn)))
+        stage = sum(w for w, _ in nxt)
+        ensemble = [(w / stage, t) for w, t in nxt]
+        prob *= stage
+        remaining.remove(step.slot)
+    size = dim ** len(remaining)
+    mat = sum(w * np.outer(t.reshape(size), t.reshape(size).conj()) for w, t in ensemble)
+    labels = []
+    for flat in range(size):
+        digits = []
+        for _ in remaining:
+            digits.append(flat % dim)
+            flat //= dim
+        labels.append("⊗".join(space.labels[d] for d in reversed(digits)) or "vac")
+    return mat, prob, tuple(labels)
+
+
+def random_labeled_state(rng, n, n_terms):
+    terms = [
+        (complex(rng.normal(), rng.normal()), tuple(random_ket(rng, SPACE) for _ in range(n)))
+        for _ in range(n_terms)
+    ]
+    scale = np.linalg.norm(LabeledState(tuple(terms)).vector())
+    return LabeledState(tuple((c / scale, kets) for c, kets in terms))
+
+
+def assert_matches_the_ensemble_route(state, steps):
+    rho = distinguishable_trace_iterate(state, steps)
+    mat, prob, labels = ensemble_trace(state, steps)
+    tol = 1e-12 * rho.basis.size
+    assert np.abs(rho.mat - mat).max() < tol
+    assert abs(rho.prob - prob) < tol
+    assert rho.basis.labels == labels
+    assert rho.factor.shape[1] <= rho.basis.size
+    return rho
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factor_trace_matches_the_ensemble_route_on_random_states(n):
+    rng = np.random.default_rng(36 + n)
+    for n_terms in (1, 2, 3):
+        for size in (None, 1, 4):  # complete, then post-selective
+            state = random_labeled_state(rng, n, n_terms)
+            # at most three slots remain, so the dense squares stay small
+            k = int(rng.integers(max(n - 3, 0), n + 1))
+            steps = tuple(
+                SlotTrace(int(s), random_measurement_basis(rng, SPACE, size))
+                for s in rng.permutation(n)[:k]
+            )
+            assert_matches_the_ensemble_route(state, steps)
+
+
+def test_factor_trace_matches_the_ensemble_route_when_every_slot_is_measured():
+    rng = np.random.default_rng(41)
+    state = random_labeled_state(rng, 3, 2)
+    steps = tuple(SlotTrace(s, random_measurement_basis(rng, SPACE)) for s in (2, 0, 1))
+    rho = assert_matches_the_ensemble_route(state, steps)
+    assert rho.basis.labels == ("vac",)
+    assert rho.factor.shape == (1, 1)
+
+
+def test_factor_trace_matches_the_ensemble_route_when_a_ket_misses_the_state():
+    # the A-up ket of the localized A basis never fires on slot 0 (A-down)
+    steps = (
+        SlotTrace(0, MeasurementBasis.localized(SPACE, "A")),
+        SlotTrace(2, delocalized_pair(SPACE, "B", "C")),
+    )
+    assert_matches_the_ensemble_route(separated_product(), steps)

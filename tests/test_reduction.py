@@ -425,6 +425,11 @@ def test_spectrum_matches_the_dense_eigenvalues(build):
     assert not rho.spectrum.flags.writeable
 
 
+def test_labeled_factor_is_never_wider_than_its_basis():
+    rho = labeled_trace_with_more_branches_than_rows()
+    assert rho.factor.shape[1] <= rho.basis.size
+
+
 def test_dense_matrix_that_is_not_psd_is_rejected():
     with pytest.raises(NotPSDError):
         eigenvalues_hermitian(np.diag([1.2, -0.2]))

@@ -318,6 +318,16 @@ def test_bad_files_fail_with_field_paths(tmp_path):
     slot_twice["plans"][0]["one"] = [{"slot": 0, "kets": loc_a}] * 2
     cases.append((slot_twice, "plans[0].one[1].slot"))
 
+    # beyond the labeled size cap: six slots, and two slots over dimension 10
+    six_slots = labeled_file_payload()
+    six_slots["state"][0]["kets"] *= 2
+    cases.append((six_slots, "scenario.state: labeled vectors are capped"))
+
+    five_modes = labeled_file_payload()
+    five_modes["modes"] = ["A", "B", "C", "D", "E"]
+    five_modes["state"][0]["kets"] = five_modes["state"][0]["kets"][:2]
+    cases.append((five_modes, "scenario.state: labeled vectors are capped"))
+
     for payload, fragment in cases:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
@@ -484,3 +494,6 @@ def test_expectation_validation():
         Expectation("eigenvalues", (0.5, 0.5), "x")  # no stage
     with pytest.raises(ScenarioError):
         Expectation("genuine_multipartite", 1.0)  # not a bool
+    for tol in (math.inf, math.nan):  # either would let every check pass
+        with pytest.raises(ScenarioError, match="tolerance"):
+            Expectation("entropy_two", 42.0, "(AA)-A", tolerance=tol)
