@@ -2,10 +2,11 @@
 
 The oracle gives each particle an explicit tensor-product slot, builds the
 fully (anti)symmetrized vector in the 6^3-dimensional labeled space, and
-computes everything by dense linear algebra. Label-free inner products
-must match the oracle up to the 3! normalization of the symmetrizer, and
-label-free partial traces must match the oracle's density matrices entry
-by entry, for random states of either statistics.
+traces a labeled factor of its density matrix one slot at a time, mapping
+the remainder to occupation numbers only at the end. Label-free inner
+products must match the oracle up to the 3! normalization of the
+symmetrizer, and label-free partial traces must match the oracle's density
+matrices entry by entry, for random states of either statistics.
 """
 
 import math

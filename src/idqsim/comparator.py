@@ -1,9 +1,11 @@
 """Brute-force labeled-particle oracle for cross-checking the state algebra.
 
-Everything here works in the explicit tensor-product space of labeled slots,
-with (anti)symmetrized vectors built by summing over all slot permutations.
-It is exponentially sized on purpose: results are trusted because the
-construction is obvious, not because it is fast. Scale is capped accordingly.
+Everything here works in the explicit tensor-product space of labeled slots.
+A state's terms become product tensors, one array axis per slot (the outer
+product of the kets, summed with the coefficients), and the (anti)symmetrized
+vector is the signed sum of the ``N!`` axis transposes of that one tensor. It is
+exponentially sized on purpose: results are trusted because the construction
+is obvious, not because it is fast. Scale is capped accordingly.
 
 The load-bearing identities, verified in the property suite:
 
@@ -20,9 +22,12 @@ the partial trace of the dense ``rho``. Memory is ``dim^n`` entries per
 column instead of the ``dim^(2n)`` of a dense ``rho``.
 
 The oracle traces the symmetrized vector on its leading slot and maps the
-end result to the occupation basis as ``T^dagger V`` (see
-``occupation_isometry``). It never compresses its factor: it is the
-reference that the ladder route's compression is checked against.
+end result to the occupation basis as ``T^dagger V``. The isometry ``T``
+(``occupation_isometry``) symmetrizes the canonical product tensors of every
+occupation entry as one stack; it is built on first use, once per
+``(dim, sector, statistics)``, and returned read-only. The oracle never
+compresses its factor: it is the reference that the ladder route's
+compression is checked against. It uses none of the ladder tables.
 
 The module also hosts the distinguishable-particle comparator: plain labeled
 product states with per-slot post-selected traces, no symmetrization. It
@@ -35,21 +40,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import permutations, product
+from functools import cached_property, lru_cache
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from .errors import OracleScaleError, ZeroProbabilityError
 from .hilbert import CanonicalBasis, Ket
-from .permanents import permutation_parity
+from .permanents import signed_permutations
 from .reduction import (
     DensityMatrix,
     MeasurementBasis,
     OccupationBasis,
     ZERO_PROB_TOL,
     _compress,
+    _occupations,
 )
 from .states import ElementaryState, ParticleState, Statistics
 
@@ -65,30 +71,53 @@ def _check_scale(n: int, dim: int) -> None:
         )
 
 
-def _kron_chain(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    if not vectors:
-        return np.ones(1, dtype=complex)
-    return reduce(np.kron, [np.asarray(v, dtype=complex) for v in vectors])
+def _products(amps: np.ndarray) -> np.ndarray:
+    """Product tensors ``amps[t, 0] (x) ... (x) amps[t, n-1]`` of a
+    ``(terms, n, dim)`` stack, shaped ``(terms, dim, ..., dim)``: axis ``1 + k``
+    is slot ``k``, so a flattened tensor is the Kronecker product."""
+    terms, n, dim = amps.shape
+    out = np.ones(terms, dtype=complex)
+    for k in range(n):
+        out = out[..., None] * amps[:, k].reshape((terms,) + (1,) * k + (dim,))
+    return out
+
+
+def _symmetrized(tensors: np.ndarray, n: int, statistics: Statistics) -> np.ndarray:
+    """Signed sum of the ``n!`` transposes of the last ``n`` axes."""
+    lead = tuple(range(tensors.ndim - n))
+    perms, signs = signed_permutations(n)
+    out = np.zeros_like(tensors)
+    for perm, sign in zip(perms, signs):
+        moved = tensors.transpose(lead + tuple(len(lead) + perm))
+        if statistics is Statistics.BOSON or sign > 0:
+            out += moved
+        else:
+            out -= moved
+    return out
+
+
+def _symmetrized_vector(
+    terms: Sequence[ElementaryState], statistics: Statistics
+) -> np.ndarray:
+    """The terms' product tensors, summed with their coefficients and then
+    symmetrized once, as a flat labeled vector."""
+    coeffs = np.array([t.coeff for t in terms])
+    n = terms[0].n
+    if n == 0:
+        return np.array([coeffs.sum()])
+    _check_scale(n, terms[0].kets[0].basis.dim)
+    amps = np.array([[k.amps for k in t.kets] for t in terms])
+    summed = np.tensordot(coeffs, _products(amps), axes=1)
+    return _symmetrized(summed, n, statistics).reshape(-1)
 
 
 def symmetrize(term: ElementaryState, statistics: Statistics) -> np.ndarray:
     """Sum of signed slot permutations of the term's product vector."""
-    n = term.n
-    if n == 0:
-        return term.coeff * np.ones(1, dtype=complex)
-    dim = term.kets[0].basis.dim
-    _check_scale(n, dim)
-    amps = [k.amps for k in term.kets]
-    out = np.zeros(dim**n, dtype=complex)
-    for perm in permutations(range(n)):
-        sign = 1 if statistics is Statistics.BOSON else permutation_parity(perm)
-        out += sign * _kron_chain([amps[p] for p in perm])
-    return term.coeff * out
+    return _symmetrized_vector((term,), statistics)
 
 
 def symmetrize_state(phi: ParticleState) -> np.ndarray:
-    vecs = [symmetrize(t, phi.statistics) for t in phi.terms]
-    return np.sum(vecs, axis=0)
+    return _symmetrized_vector(phi.terms, phi.statistics)
 
 
 def oracle_inner(bra: ParticleState, ket: ParticleState) -> complex:
@@ -99,19 +128,26 @@ def oracle_inner(bra: ParticleState, ket: ParticleState) -> complex:
 
 
 def occupation_isometry(occ: OccupationBasis) -> np.ndarray:
-    """Columns: normalized symmetrized vectors of each occupation entry.
+    """Read-only; columns: normalized symmetrized vectors of each occupation
+    entry.
 
     Satisfies T^dagger T = identity; maps labeled symmetric-sector vectors to
     occupation coordinates.
     """
-    space = occ.space
-    _check_scale(occ.sector, space.dim)
-    cols = np.zeros((space.dim**occ.sector, occ.size), dtype=complex)
-    kets = space.kets()
-    for i, entry in enumerate(occ.occupations):
-        term = ElementaryState(1.0, tuple(kets[j] for j in entry))
-        v = symmetrize(term, occ.statistics)
-        cols[:, i] = v / (math.sqrt(math.factorial(occ.sector)) * occ.norm_factors[i])
+    _check_scale(occ.sector, occ.space.dim)
+    return _isometry(occ.space.dim, occ.sector, occ.statistics)
+
+
+@lru_cache(maxsize=None)
+def _isometry(dim: int, sector: int, statistics: Statistics) -> np.ndarray:
+    """``occupation_isometry`` per ``(dim, sector, statistics)``: the product
+    tensors of every entry's canonical kets, symmetrized as one stack."""
+    occupations = _occupations(dim, sector, statistics)
+    entries = np.array(occupations, dtype=np.intp).reshape(len(occupations), sector)
+    kets = np.eye(dim, dtype=complex)[entries]  # (size, sector, dim)
+    cols = _symmetrized(_products(kets), sector, statistics).reshape(len(entries), -1).T
+    cols = cols / np.linalg.norm(cols, axis=0)
+    cols.flags.writeable = False
     return cols
 
 
@@ -204,10 +240,9 @@ class LabeledState:
         return self.terms[0][1][0].basis
 
     def vector(self) -> np.ndarray:
-        return np.sum(
-            [c * _kron_chain([k.amps for k in kets]) for c, kets in self.terms],
-            axis=0,
-        )
+        coeffs = np.array([c for c, _ in self.terms])
+        amps = np.array([[k.amps for k in kets] for _, kets in self.terms])
+        return np.tensordot(coeffs, _products(amps), axes=1).reshape(-1)
 
 
 def product_state(kets: Sequence[Ket], coeff: complex = 1.0) -> LabeledState:

@@ -46,16 +46,13 @@ class CanonicalBasis:
             raise ValueError("need at least one mode")
         if len(set(names)) != len(names):
             raise ValueError(f"mode names must be unique, got {names!r}")
+        self.mode_names: tuple[str, ...] = names
         self.modes: tuple[Mode, ...] = tuple(Mode(nm, i) for i, nm in enumerate(names))
         self.entries: tuple[tuple[Mode, Spin], ...] = tuple(
             (m, s) for m in self.modes for s in (Spin.UP, Spin.DOWN)
         )
         self.dim: int = len(self.entries)
         self._index = {(m.name, s): j for j, (m, s) in enumerate(self.entries)}
-
-    @property
-    def mode_names(self) -> tuple[str, ...]:
-        return tuple(m.name for m in self.modes)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -85,6 +82,8 @@ class CanonicalBasis:
         return Ket(self, amps)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return isinstance(other, CanonicalBasis) and self.mode_names == other.mode_names
 
     def __hash__(self) -> int:

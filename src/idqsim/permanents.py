@@ -1,7 +1,13 @@
-"""Permanents, determinants and permutation parity for small complex matrices."""
+"""Permanents, determinants and permutation parity for small complex matrices.
+
+Every evaluator takes one square matrix or a stack ``(..., n, n)`` of them and
+returns a complex number for one matrix, an array over the stack otherwise, so
+the Gram matrices of all term pairs of two states are evaluated in one call.
+"""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
@@ -9,6 +15,9 @@ import numpy as np
 
 # Above this size the permutation sum loses to Ryser's O(2^n n) formula.
 _NAIVE_LIMIT = 4
+# Column subsets per Ryser block; bounds the row sums held at once to
+# n * 4096 entries per matrix, whatever n is.
+_RYSER_BLOCK = 1 << 12
 
 
 def permutation_parity(perm: Sequence[int]) -> int:
@@ -30,57 +39,63 @@ def permutation_parity(perm: Sequence[int]) -> int:
     return parity
 
 
-def permanent_naive(matrix: np.ndarray) -> complex:
+@lru_cache(maxsize=None)
+def signed_permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(perms, signs)``: the ``n!`` permutations of ``0..n-1`` as
+    the rows of ``perms`` in lexicographic order, and the parity of each."""
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    signs = np.array([permutation_parity(p) for p in perms])
+    perms.flags.writeable = False
+    signs.flags.writeable = False
+    return perms, signs
+
+
+def _square_stack(matrix: np.ndarray) -> np.ndarray:
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    return a
+
+
+def _result(a: np.ndarray, values: np.ndarray):
+    return complex(values) if a.ndim == 2 else values
+
+
+def permanent_naive(matrix: np.ndarray):
     """Permanent by the explicit sum over all n! permutations."""
-    a = np.asarray(matrix, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if n == 0:
-        return complex(1.0)
-    rows = np.arange(n)
-    total = 0.0 + 0.0j
-    for perm in permutations(range(n)):
-        total += np.prod(a[rows, perm])
-    return complex(total)
+    a = _square_stack(matrix)
+    n = a.shape[-1]
+    perms, _ = signed_permutations(n)
+    picked = a[..., np.arange(n), perms]  # (..., n!, n): a[i, perm[i]] per row
+    return _result(a, picked.prod(axis=-1).sum(axis=-1))
 
 
-def permanent_ryser(matrix: np.ndarray) -> complex:
-    """Permanent by Ryser's inclusion-exclusion formula with Gray-code updates."""
-    a = np.asarray(matrix, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if n == 0:
-        return complex(1.0)
-    rowsums = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
-    prev = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        bit = gray ^ prev
-        j = bit.bit_length() - 1
-        if gray & bit:
-            rowsums += a[:, j]
-        else:
-            rowsums -= a[:, j]
-        sign = -1 if (gray.bit_count() % 2) else 1
-        total += sign * np.prod(rowsums)
-        prev = gray
-    return complex((-1) ** n * total)
+def permanent_ryser(matrix: np.ndarray):
+    """Permanent by Ryser's inclusion-exclusion formula,
+    ``(-1)^n sum_S (-1)^|S| prod_i sum_{j in S} a_ij`` over the column
+    subsets ``S`` (bit masks), a block of subsets at a time."""
+    a = _square_stack(matrix)
+    n = a.shape[-1]
+    total = np.zeros(a.shape[:-2], dtype=complex)
+    for start in range(0, 1 << n, _RYSER_BLOCK):
+        masks = np.arange(start, min(start + _RYSER_BLOCK, 1 << n))
+        members = ((masks[:, None] >> np.arange(n)) & 1).astype(float)  # (block, n)
+        signs = 1.0 - 2.0 * (members.sum(axis=1) % 2)
+        total += (a @ members.T).prod(axis=-2) @ signs
+    return _result(a, (-1) ** n * total)
 
 
-def permanent(matrix: np.ndarray) -> complex:
-    """Permanent of a square complex matrix (naive for n <= 4, Ryser above)."""
-    a = np.asarray(matrix, dtype=complex)
-    if a.shape[0] <= _NAIVE_LIMIT:
+def permanent(matrix: np.ndarray):
+    """Permanent of a square complex matrix or a stack of them (naive for
+    n <= 4, Ryser above)."""
+    a = _square_stack(matrix)
+    if a.shape[-1] <= _NAIVE_LIMIT:
         return permanent_naive(a)
     return permanent_ryser(a)
 
 
-def determinant(matrix: np.ndarray) -> complex:
-    """Determinant of a square complex matrix; the empty matrix gives 1."""
-    a = np.asarray(matrix, dtype=complex)
-    if a.shape[0] == 0:
-        return complex(1.0)
-    return complex(np.linalg.det(a))
+def determinant(matrix: np.ndarray):
+    """Determinant of a square complex matrix or a stack of them; the empty
+    matrix gives 1."""
+    a = _square_stack(matrix)
+    return _result(a, np.linalg.det(a))

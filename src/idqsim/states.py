@@ -7,6 +7,8 @@ only. Overlaps between elementary states are computed from the single-particle
 Gram matrix ``M_ij = <bra_i|ket_j>`` as ``per(M)`` for bosons and ``det(M)``
 for fermions, which equals 1/N! times the inner product of the corresponding
 label-symmetrized tensors (see ``idqsim.comparator`` for that cross-check).
+``inner`` forms the Gram matrices of all term pairs in one ``einsum`` and
+evaluates per/det on the whole stack.
 
 Removing one particle against a measurement ket ``psi`` maps
 ``|chi_1,...,chi_N>`` to ``sum_i eta^(i-1) <psi|chi_i> |...without chi_i...>``,
@@ -161,16 +163,43 @@ def _require_compatible(a: ParticleState, b: ParticleState) -> None:
         raise IncompatibleStatesError("states live in different bases")
 
 
-def _has_proportional_pair(kets: Sequence[Ket]) -> bool:
-    # Cauchy-Schwarz saturation <=> proportionality.
-    for i in range(len(kets)):
-        ni = float(np.vdot(kets[i].amps, kets[i].amps).real)
-        for j in range(i + 1, len(kets)):
-            nj = float(np.vdot(kets[j].amps, kets[j].amps).real)
-            ov = abs(np.vdot(kets[i].amps, kets[j].amps)) ** 2
-            if abs(ov - ni * nj) <= _PROPORTIONAL_RTOL * max(ni * nj, 1e-300):
-                return True
-    return False
+def _has_proportional_pair(gram: np.ndarray) -> np.ndarray:
+    """Per self-Gram matrix of a ``(terms, n, n)`` stack: are two of the
+    term's kets proportional? Cauchy-Schwarz saturation <=> proportionality."""
+    sq_norms = gram.diagonal(axis1=-2, axis2=-1).real
+    bound = sq_norms[:, :, None] * sq_norms[:, None, :]
+    gap = np.abs(np.abs(gram) ** 2 - bound)
+    saturated = gap <= _PROPORTIONAL_RTOL * np.maximum(bound, 1e-300)
+    return (saturated & ~np.eye(gram.shape[-1], dtype=bool)).any(axis=(-2, -1))
+
+
+def _term_overlaps(
+    bras: Sequence[ElementaryState],
+    kets: Sequence[ElementaryState],
+    statistics: Statistics,
+) -> np.ndarray:
+    """``<bra|ket>`` for every pair of terms, as a ``(bras, kets)`` array.
+
+    One ``einsum`` gives the Gram matrix of every pair of terms in the stack
+    of both sides, and per/det runs on the whole bra-ket block. For fermions,
+    a term whose own Gram matrix (a diagonal block of the stack) shows a
+    proportional pair of kets is exactly null, and its overlaps are set to
+    exactly 0 instead of keeping determinant round-off.
+    """
+    weights = np.conj([t.coeff for t in bras])[:, None] * np.array([t.coeff for t in kets])
+    if bras[0].n == 0:
+        return weights
+    stack = bras if bras is kets else tuple(bras) + tuple(kets)
+    amps = np.array([[k.amps for k in t.kets] for t in stack])  # (terms, n, dim)
+    gram = np.einsum("sid,tjd->stij", amps.conj(), amps)
+    pairs = gram[: len(bras), len(stack) - len(kets) :]
+    if statistics is Statistics.BOSON:
+        return weights * permanent(pairs)
+    overlaps = weights * determinant(pairs)
+    own = np.arange(len(stack))
+    null = _has_proportional_pair(gram[own, own])  # Pauli exclusion, kept exact
+    overlaps[null[: len(bras), None] | null[None, len(stack) - len(kets) :]] = 0.0
+    return overlaps
 
 
 def overlap_elementary(
@@ -179,29 +208,13 @@ def overlap_elementary(
     """Overlap of two elementary states: conj(c_bra) c_ket per/det of the Gram matrix."""
     if bra.n != ket.n:
         raise IncompatibleStatesError(f"particle numbers differ: {bra.n} vs {ket.n}")
-    n = bra.n
-    if n == 0:
-        return np.conj(bra.coeff) * ket.coeff
-    if statistics is Statistics.FERMION and (
-        _has_proportional_pair(bra.kets) or _has_proportional_pair(ket.kets)
-    ):
-        return 0.0 + 0.0j  # Pauli exclusion, kept exact
-    gram = np.empty((n, n), dtype=complex)
-    for i, b in enumerate(bra.kets):
-        for j, k in enumerate(ket.kets):
-            gram[i, j] = sp_inner(b, k)
-    kernel = permanent(gram) if statistics is Statistics.BOSON else determinant(gram)
-    return complex(np.conj(bra.coeff) * ket.coeff * kernel)
+    return complex(_term_overlaps((bra,), (ket,), statistics)[0, 0])
 
 
 def inner(psi: ParticleState, phi: ParticleState) -> complex:
-    """Sesquilinear inner product, extended term-by-term."""
+    """Sesquilinear inner product: the sum of every term pair's overlap."""
     _require_compatible(psi, phi)
-    total = 0.0 + 0.0j
-    for tb in psi.terms:
-        for tk in phi.terms:
-            total += overlap_elementary(tb, tk, psi.statistics)
-    return complex(total)
+    return complex(_term_overlaps(psi.terms, phi.terms, psi.statistics).sum())
 
 
 def norm(psi: ParticleState) -> float:

@@ -29,6 +29,7 @@ from .comparator import (
     product_state,
 )
 from .entanglement import eigenvalues_hermitian, purity, spectrum, von_neumann_entropy
+from .errors import ZeroProbabilityError
 from .hilbert import CanonicalBasis, Ket, Spin, orthonormality_defect, sp_inner
 from .permanents import permanent, permanent_naive, permanent_ryser
 from .reduction import (
@@ -238,8 +239,8 @@ def _prop_oracle_trace_agreement(rng) -> str:
             mb = random_measurement_basis(rng, space, size)
             try:
                 ours = partial_trace_one(phi, mb)
-            except Exception:
-                continue  # zero-probability draws are legitimate skips
+            except ZeroProbabilityError:
+                continue  # a basis that never fires is a legitimate skip
             ref = oracle_trace(phi, mb)
             worst = max(worst, float(np.abs(ours.mat - ref.mat).max()))
             worst = max(worst, abs(ours.prob - ref.prob))
@@ -266,7 +267,7 @@ def _prop_oracle_trace_agreement(rng) -> str:
             )
             try:
                 ours = partial_trace_iterate(phi, stages)
-            except Exception:
+            except ZeroProbabilityError:
                 continue
             ref = oracle_trace_iterate(phi, stages)
             worst = max(worst, float(np.abs(ours.mat - ref.mat).max()))
@@ -347,14 +348,16 @@ def _prop_trace_unitary_invariance(rng) -> str:
 def _prop_density_matrix_contracts(rng) -> str:
     space = standard_space()
     worst_h, worst_t, lowest, worst_s, worst_p = 0.0, 0.0, 0.0, 0.0, 0.0
+    checked = 0
     for stats in BOTH:
         for _ in range(6):
             phi = random_state(rng, space, 3, stats)
             mb = random_measurement_basis(rng, space, int(rng.integers(2, space.dim + 1)))
             try:
                 rho = partial_trace_one(phi, mb)
-            except Exception:
+            except ZeroProbabilityError:
                 continue
+            checked += 1
             worst_h = max(worst_h, float(np.abs(rho.mat - rho.mat.conj().T).max()))
             worst_t = max(worst_t, abs(complex(rho.mat.trace()) - 1.0))
             # dense routes against the spectrum and purity from the factor's Gram matrix
@@ -366,12 +369,13 @@ def _prop_density_matrix_contracts(rng) -> str:
             _ensure(dev_s < bound, f"spectrum differs from dense eigvalsh by {dev_s:.3g}")
             _ensure(dev_p < bound, f"purity differs from dense Tr rho^2 by {dev_p:.3g}")
             worst_s, worst_p = max(worst_s, dev_s), max(worst_p, dev_p)
+    _ensure(checked >= 8, f"only {checked} comparable draws")
     _ensure(worst_h < 1e-10, f"Hermiticity violated by {worst_h:.3g}")
     _ensure(worst_t < 1e-10, f"trace off by {worst_t:.3g}")
     _ensure(lowest > -1e-10, f"negative eigenvalue {lowest:.3g}")
     return (
-        f"hermiticity {worst_h:.3g}, trace {worst_t:.3g}, lowest eigenvalue {lowest:.3g}, "
-        f"spectrum vs dense {worst_s:.3g}, purity vs dense {worst_p:.3g}"
+        f"{checked} reductions, hermiticity {worst_h:.3g}, trace {worst_t:.3g}, "
+        f"lowest eigenvalue {lowest:.3g}, spectrum vs dense {worst_s:.3g}, purity vs dense {worst_p:.3g}"
     )
 
 
@@ -393,7 +397,7 @@ def _prop_localized_product_purity(rng) -> str:
 
 def _prop_distinguishable_purity(rng) -> str:
     space = standard_space()
-    worst = 0.0
+    checked, worst = 0, 0.0
     for _ in range(10):
         n = int(rng.integers(2, 4))
         state = random_product_labeled(rng, space, n)
@@ -404,11 +408,13 @@ def _prop_distinguishable_purity(rng) -> str:
             steps.append(SlotTrace(int(s), random_measurement_basis(rng, space, size)))
         try:
             rho = distinguishable_trace_iterate(state, steps)
-        except Exception:
+        except ZeroProbabilityError:
             continue
         worst = max(worst, abs(purity(rho) - 1.0))
+        checked += 1
+    _ensure(checked >= 6, f"only {checked} comparable draws")
     _ensure(worst < 1e-9, f"labeled product left mixed by {worst:.3g}")
-    return f"product states stay pure under slot traces, worst deviation {worst:.3g}"
+    return f"{checked} product states stay pure under slot traces, worst deviation {worst:.3g}"
 
 
 def _prop_entropy_unitary_invariance(rng) -> str:

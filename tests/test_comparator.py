@@ -1,6 +1,8 @@
 """Labeled oracle against the label-free algebra, and the distinguishable runs."""
 
 import math
+from functools import reduce
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -32,6 +34,9 @@ from idqsim import (
     spectrum,
     symmetrize_state,
 )
+from idqsim.comparator import symmetrize
+from idqsim.permanents import permutation_parity
+from idqsim.states import ElementaryState, ParticleState
 from idqsim.verification import (
     random_ket,
     random_measurement_basis,
@@ -76,6 +81,61 @@ def test_occupation_isometry_columns_are_orthonormal():
             occ = OccupationBasis(SPACE, sector, stats)
             t = occupation_isometry(occ)
             assert np.allclose(t.conj().T @ t, np.eye(occ.size), atol=1e-12)
+
+
+def kron_symmetrize(term, statistics):
+    """The slot-permutation sum the product-tensor symmetrizer replaced: one
+    chain of ``np.kron`` per permutation of the term's kets, signed by its
+    parity for fermions."""
+    out = np.zeros(SPACE.dim**term.n, dtype=complex)
+    for perm in permutations(range(term.n)):
+        sign = 1 if statistics is Statistics.BOSON else permutation_parity(perm)
+        out += sign * reduce(np.kron, [term.kets[p].amps for p in perm], np.ones(1))
+    return term.coeff * out
+
+
+def kron_isometry(occ):
+    kets = SPACE.kets()
+    cols = [
+        kron_symmetrize(ElementaryState(1.0, tuple(kets[j] for j in entry)), occ.statistics)
+        / (math.sqrt(math.factorial(occ.sector)) * occ.norm_factors[i])
+        for i, entry in enumerate(occ.occupations)
+    ]
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("stats", [Statistics.BOSON, Statistics.FERMION])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_tensor_symmetrizer_matches_the_kron_permutation_sum(stats, n):
+    rng = np.random.default_rng([34, n, stats is Statistics.FERMION])
+    for n_terms in (1, 2, 3):
+        terms = tuple(
+            ElementaryState(
+                complex(rng.normal(), rng.normal()),
+                tuple(random_ket(rng, SPACE) for _ in range(n)),
+            )
+            for _ in range(n_terms)
+        )
+        tol = 1e-12 * SPACE.dim**n
+        want = [kron_symmetrize(t, stats) for t in terms]
+        for t, w in zip(terms, want):
+            assert np.abs(symmetrize(t, stats) - w).max() < tol
+        state = symmetrize_state(ParticleState(stats, terms))
+        assert np.abs(state - np.sum(want, axis=0)).max() < tol
+    occ = OccupationBasis(SPACE, n, stats)
+    t = occupation_isometry(occ)
+    assert np.abs(t - kron_isometry(occ)).max() < 1e-12 * t.size
+
+
+def test_occupation_isometry_is_cached_and_read_only():
+    occ = OccupationBasis(SPACE, 2, Statistics.FERMION)
+    t = occupation_isometry(occ)
+    assert occupation_isometry(OccupationBasis(SPACE, 2, Statistics.FERMION)) is t
+    with pytest.raises(ValueError):
+        t[0, 0] = 1.0
+    # another frame of the same dimension shares the table
+    other = CanonicalBasis(("X", "Y", "Z"))
+    assert occupation_isometry(OccupationBasis(other, 2, Statistics.FERMION)) is t
 
 
 def test_labeled_and_label_free_traces_agree_on_the_benchmarks():

@@ -4,7 +4,9 @@ import math
 from itertools import permutations
 
 import numpy as np
+import pytest
 
+import idqsim.permanents
 from idqsim.permanents import (
     determinant,
     permanent,
@@ -71,3 +73,34 @@ def test_determinant_matches_numpy_and_handles_empty():
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert np.isclose(determinant(m), np.linalg.det(m))
     assert determinant(np.zeros((0, 0))) == 1.0
+
+
+def test_evaluators_take_stacks_of_matrices():
+    rng = np.random.default_rng(8)
+    for n in range(0, 7):
+        stack = rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
+        for fn in (permanent, permanent_naive, permanent_ryser, determinant):
+            values = fn(stack)
+            assert values.shape == (2, 3)
+            for idx in np.ndindex(2, 3):
+                assert abs(values[idx] - fn(stack[idx])) < 1e-12 * max(1.0, abs(values[idx]))
+        values = permanent(stack)
+        for idx in np.ndindex(2, 3):
+            want = permanent_by_definition(stack[idx])
+            assert np.isclose(values[idx], want, rtol=1e-10, atol=1e-12)
+
+
+def test_ryser_blocks_cover_every_column_subset(monkeypatch):
+    # blocks of 3 subsets split 2^n into uneven pieces
+    monkeypatch.setattr(idqsim.permanents, "_RYSER_BLOCK", 3)
+    rng = np.random.default_rng(9)
+    for n in (1, 4, 5):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert np.isclose(permanent_ryser(m), permanent_by_definition(m), rtol=1e-10, atol=1e-12)
+
+
+def test_non_square_input_is_rejected():
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((4, 2, 3))):
+        for fn in (permanent, permanent_naive, permanent_ryser, determinant):
+            with pytest.raises(ValueError):
+                fn(bad)

@@ -21,6 +21,7 @@ from idqsim import (
     project_single,
     states_close,
 )
+from idqsim.permanents import permanent_naive
 from idqsim.states import overlap_elementary
 
 
@@ -229,3 +230,68 @@ def test_states_close_tolerates_only_small_differences():
     s = elementary(Statistics.BOSON, (a, b))
     assert states_close(s, s * (1.0 + 1e-13))
     assert not states_close(s, s * (1.0 + 1e-6))
+
+
+def random_terms(rng, space, n, n_terms):
+    return tuple(
+        ElementaryState(
+            complex(rng.normal(), rng.normal()),
+            tuple(
+                Ket(space, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim))
+                for _ in range(n)
+            ),
+        )
+        for _ in range(n_terms)
+    )
+
+
+def overlap_by_definition(bra, ket, statistics):
+    # independent reference: a Gram matrix of single vdots, then the literal
+    # permutation sum or numpy's determinant
+    gram = np.array([[np.vdot(b.amps, k.amps) for k in ket.kets] for b in bra.kets])
+    if statistics is Statistics.BOSON:
+        kernel = permanent_naive(gram.reshape(bra.n, ket.n))
+    else:
+        kernel = np.linalg.det(gram.reshape(bra.n, ket.n)) if bra.n else 1.0
+    return np.conj(bra.coeff) * ket.coeff * kernel
+
+
+@pytest.mark.parametrize("stats", [Statistics.BOSON, Statistics.FERMION])
+@pytest.mark.parametrize("n", range(7))  # n = 5 and 6 take the Ryser branch
+def test_batched_inner_is_the_sum_of_pairwise_overlaps(stats, n):
+    space = CanonicalBasis(("A", "B", "C", "D"))
+    rng = np.random.default_rng([51, n, stats is Statistics.FERMION])
+    for bra_terms in (1, 2, 3):
+        for ket_terms in (1, 2, 3):
+            psi = ParticleState(stats, random_terms(rng, space, n, bra_terms))
+            phi = ParticleState(stats, random_terms(rng, space, n, ket_terms))
+            pairs = [(b, k) for b in psi.terms for k in phi.terms]
+            scale = max(1.0, sum(abs(overlap_elementary(b, k, stats)) for b, k in pairs))
+            tol = 1e-12 * scale
+            for b, k in pairs:
+                assert abs(
+                    overlap_elementary(b, k, stats) - overlap_by_definition(b, k, stats)
+                ) < tol
+            pairwise = sum(overlap_elementary(b, k, stats) for b, k in pairs)
+            assert abs(inner(psi, phi) - pairwise) < tol
+            # the norm shares one stack between bra and ket
+            own = sum(overlap_elementary(b, k, stats) for b in psi.terms for k in psi.terms)
+            assert abs(inner(psi, psi) - own) < 1e-12 * max(1.0, abs(own))
+
+
+def test_a_fermion_term_with_a_proportional_pair_has_exactly_zero_overlaps():
+    space = three_modes()
+    rng = np.random.default_rng(52)
+    k, other = random_terms(rng, space, 2, 1)[0].kets
+    doubled = ElementaryState(0.7 - 0.2j, (k, other, np.exp(1.1j) * 2.0 * k))
+    for n_terms in (1, 2, 3):
+        clean = ParticleState(Statistics.FERMION, random_terms(rng, space, 3, n_terms))
+        null = ParticleState(Statistics.FERMION, (doubled,) * n_terms)
+        assert inner(null, clean) == 0j
+        assert inner(clean, null) == 0j
+        assert inner(null, null) == 0j
+        assert overlap_elementary(doubled, clean.terms[0], Statistics.FERMION) == 0j
+        # next to clean terms, the null term adds nothing
+        mixed = ParticleState(Statistics.FERMION, clean.terms + (doubled,))
+        want = inner(clean, clean)
+        assert abs(inner(mixed, clean) - want) < 1e-12 * abs(want)

@@ -3,6 +3,8 @@
 import pytest
 
 import idqsim.states
+import idqsim.verification
+from idqsim.errors import ZeroProbabilityError
 from idqsim.verification import PROPERTY_NAMES, run_all
 
 
@@ -39,3 +41,37 @@ def test_sign_bug_in_fermionic_removal_is_caught(monkeypatch):
     assert "oracle-trace-agreement" in failed
     # the battery must report, never raise
     assert len(results) == 19
+
+
+def _raise_value_error(*args, **kwargs):
+    raise ValueError("planted failure")
+
+
+@pytest.mark.parametrize(
+    "route, properties",
+    [
+        ("distinguishable_trace_iterate", {"distinguishable-product-purity"}),
+        ("partial_trace_one", {"oracle-trace-agreement", "density-matrix-contracts"}),
+        ("partial_trace_iterate", {"oracle-trace-agreement"}),
+    ],
+)
+def test_a_route_that_raises_fails_its_property_instead_of_skipping(
+    monkeypatch, route, properties
+):
+    # only a measurement that never fires is a legitimate skip
+    monkeypatch.setattr(idqsim.verification, route, _raise_value_error)
+    results = {r.name: r for r in run_all(0)}
+    for name in properties:
+        assert not results[name].passed, name
+        assert "ValueError: planted failure" in results[name].detail
+
+
+def test_too_many_skipped_draws_fail_the_property(monkeypatch):
+    def never_fires(*args, **kwargs):
+        raise ZeroProbabilityError("planted zero probability")
+
+    monkeypatch.setattr(idqsim.verification, "distinguishable_trace_iterate", never_fires)
+    results = {r.name: r for r in run_all(0)}
+    failed = results["distinguishable-product-purity"]
+    assert not failed.passed
+    assert "only 0 comparable draws" in failed.detail
