@@ -33,7 +33,11 @@ The module also hosts the distinguishable-particle comparator: plain labeled
 product states with per-slot post-selected traces, no symmetrization. It
 traces the same way on the measured slot, and after each stage compresses
 its factor with the ladder route's ``reduction._compress``, so the factor
-is never wider than the product basis of the remaining slots.
+is never wider than the product basis of the remaining slots. Like the
+ladder route it traces in three steps on an immutable walk,
+``trace_start``, ``trace_stage`` and ``trace_finish``:
+``distinguishable_trace_iterate`` runs them in sequence and
+``entanglement.analyze`` as a prefix tree shared by all plans.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ from .reduction import (
     OccupationBasis,
     ZERO_PROB_TOL,
     _compress,
-    _occupations,
+    _entries,
+    require_depth,
 )
 from .states import ElementaryState, ParticleState, Statistics
 
@@ -142,8 +147,7 @@ def occupation_isometry(occ: OccupationBasis) -> np.ndarray:
 def _isometry(dim: int, sector: int, statistics: Statistics) -> np.ndarray:
     """``occupation_isometry`` per ``(dim, sector, statistics)``: the product
     tensors of every entry's canonical kets, symmetrized as one stack."""
-    occupations = _occupations(dim, sector, statistics)
-    entries = np.array(occupations, dtype=np.intp).reshape(len(occupations), sector)
+    entries = _entries(dim, sector, statistics)
     kets = np.eye(dim, dtype=complex)[entries]  # (size, sector, dim)
     cols = _symmetrized(_products(kets), sector, statistics).reshape(len(entries), -1).T
     cols = cols / np.linalg.norm(cols, axis=0)
@@ -184,8 +188,7 @@ def oracle_trace_iterate(
     n = phi.n
     dim = phi.basis.dim
     _check_scale(n, dim)
-    if len(bases) > n:
-        raise ValueError(f"cannot trace {len(bases)} particles out of {n}")
+    require_depth(len(bases), n)
     factor = _labeled_normalized(phi)[:, None]
     prob = 1.0
     m = n
@@ -297,29 +300,44 @@ def distinguishable_trace_iterate(
 
     Slot indices always refer to the original state; each measured slot is
     consumed. The result is a density matrix over the product basis of the
-    remaining slots, with ``prob`` the product of stage probabilities.
+    remaining slots, with ``prob`` the product of stage probabilities:
+    ``trace_start``, then ``trace_stage`` per step, then ``trace_finish``.
     """
-    space = state.space
+    walk = trace_start(state)
+    for step in steps:
+        walk = trace_stage(walk, step)
+    return trace_finish(walk)
+
+
+def trace_start(state: LabeledState) -> tuple:
+    """The untraced state as a walk ``(frame, remaining slots, V, prob)``,
+    with ``V`` its normalized vector as one column."""
     vec = state.vector()
     nrm = np.linalg.norm(vec)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"state must be normalized (norm {nrm:.6g})")
-    remaining = list(range(state.n))
-    factor = (vec / nrm)[:, None]
-    prob = 1.0
-    for step in steps:
-        if step.slot not in remaining:
-            raise ValueError(f"slot {step.slot} already consumed or out of range")
-        if step.basis.space != space:
-            raise ValueError("measurement basis lives in a different space")
-        lowered = _contract_slot(factor, step.basis, remaining.index(step.slot))
-        stage = np.vdot(lowered, lowered).real
-        if stage <= ZERO_PROB_TOL:
-            raise ZeroProbabilityError(
-                f"slot {step.slot} measurement never fires "
-                f"(total probability {stage:.3g})"
-            )
-        factor = _compress(lowered) / math.sqrt(stage)
-        prob *= stage
-        remaining.remove(step.slot)
-    return DensityMatrix(LabeledProductBasis(space, tuple(remaining)), factor, prob)
+    return state.space, tuple(range(state.n)), (vec / nrm)[:, None], 1.0
+
+
+def trace_stage(walk: tuple, step: SlotTrace) -> tuple:
+    """The walk after measuring one more slot, compressed and renormalized.
+    Walks are never modified, so one can be shared."""
+    space, remaining, factor, prob = walk
+    if step.slot not in remaining:
+        raise ValueError(f"slot {step.slot} already consumed or out of range")
+    if step.basis.space != space:
+        raise ValueError("measurement basis lives in a different space")
+    lowered = _contract_slot(factor, step.basis, remaining.index(step.slot))
+    stage = np.vdot(lowered, lowered).real
+    if stage <= ZERO_PROB_TOL:
+        raise ZeroProbabilityError(
+            f"slot {step.slot} measurement never fires (total probability {stage:.3g})"
+        )
+    rest = tuple(s for s in remaining if s != step.slot)
+    return space, rest, _compress(lowered) / math.sqrt(stage), prob * stage
+
+
+def trace_finish(walk: tuple) -> DensityMatrix:
+    """The walk's remainder as a density matrix over the remaining slots."""
+    space, remaining, factor, prob = walk
+    return DensityMatrix(LabeledProductBasis(space, remaining), factor, prob)

@@ -8,19 +8,21 @@ entangled when every planned bipartition leaves a mixed remainder.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import comparator
+from . import comparator, reduction
 from .comparator import LabeledState, SlotTrace
 from .errors import SimulationError
 from .reduction import (
     DensityMatrix,
     MeasurementBasis,
     eigenvalues_hermitian,  # noqa: F401 - re-exported
-    partial_trace_iterate,
+    partial_trace_iterate,  # noqa: F401 - perfbench/tracer.py wraps this name
 )
 from .states import ParticleState
 
@@ -114,9 +116,16 @@ def analyze(
 ) -> EntanglementReport:
     """Run every trace plan and aggregate the mixedness verdicts.
 
-    Identical-particle states are traced with ``partial_trace_iterate``,
-    labeled states with ``comparator.distinguishable_trace_iterate``. A
-    bipartition counts as mixed when every entropy it produced exceeds
+    All sides of all plans run as one prefix tree over the trace steps of
+    ``reduction`` (identical particles) or ``comparator`` (labeled ones):
+    the state is started once, and each distinct stage prefix is lowered
+    once. A stage is keyed by its value (its kets' amplitude bytes, and the
+    slot of a SlotTrace), and its frame is checked against the state's
+    before a stored walk is reused; a stored walk is dropped after the last
+    side that extends it. Sides run in plan order, so results and the first
+    error are those of tracing each side on its own.
+
+    A bipartition counts as mixed when every entropy it produced exceeds
     MIXED_THRESHOLD_BITS. The genuine-multipartite flag is the AND over
     bipartition plans, or None when no plan is a bipartition. An error of a
     trace is re-raised with the plan label and side at the head of its message.
@@ -124,27 +133,40 @@ def analyze(
     labels = [p.label for p in plans]
     if len(set(labels)) != len(labels):
         raise ValueError("trace plan labels must be distinct")
-    # both names are looked up per call, so a wrapper installed on either is used
-    if isinstance(state, LabeledState):
-        trace = comparator.distinguishable_trace_iterate
-    else:
-        trace = partial_trace_iterate
+    labeled = isinstance(state, LabeledState)
+    steps = comparator if labeled else reduction
+    paths = [[_prefixes(stages) for _, stages in plan.sides()] for plan in plans]
+    users = Counter(prefix for sides in paths for path in sides for prefix in path)
+    memo: dict[tuple, tuple] = {}
+    root = None
     reports = []
-    for plan in plans:
+    for plan, sides in zip(plans, paths):
         entries: dict[str, object] = {}
         entropies = []
-        for side, stages in plan.sides():
+        for (side, stages), path in zip(plan.sides(), sides):
             try:
-                rho = trace(state, stages)
+                root = steps.trace_start(state) if root is None else root
+                if not labeled:
+                    reduction.require_depth(len(stages), state.n)
+                walk = root
+                for stage, prefix in zip(stages, path):
+                    users[prefix] -= 1
+                    # a walk starts with its frame; trace_stage raises on a foreign one
+                    same = (stage.basis if labeled else stage).space == walk[0]
+                    hit = memo.get(prefix) if same else None
+                    walk = steps.trace_stage(walk, stage) if hit is None else hit
+                    if users[prefix]:
+                        memo[prefix] = walk
+                    else:
+                        memo.pop(prefix, None)
+                rho = steps.trace_finish(walk)
             except (SimulationError, ArithmeticError, ValueError) as exc:
                 # reworded in place: the same exception keeps its exit code
                 exc.args = (f"plan {plan.label!r}, side {side}: {exc}",)
                 raise
             s = von_neumann_entropy(rho)
             entropies.append(s)
-            entries[f"rho_{side}"] = rho
-            entries[f"entropy_{side}"] = s
-            entries[f"purity_{side}"] = purity(rho)
+            entries |= {f"rho_{side}": rho, f"entropy_{side}": s, f"purity_{side}": purity(rho)}
         mixed = bool(entropies) and all(s > MIXED_THRESHOLD_BITS for s in entropies)
         reports.append(
             BipartitionReport(
@@ -157,3 +179,16 @@ def analyze(
     votes = [r.mixed for r in reports if r.bipartition]
     genuine = all(votes) if votes else None
     return EntanglementReport(tuple(reports), genuine)
+
+
+def _prefixes(stages: Sequence[Stage]) -> tuple[tuple, ...]:
+    """The memo key of each leading run of ``stages``, shortest first."""
+    return tuple(accumulate((_stage_key(stage),) for stage in stages))
+
+
+def _stage_key(stage: Stage) -> tuple:
+    """A stage by value: its slot (None for a MeasurementBasis) and the bytes
+    of its kets' amplitudes."""
+    if isinstance(stage, SlotTrace):
+        return stage.slot, _stage_key(stage.basis)[1]
+    return None, b"".join(k.amps.tobytes() for k in stage.kets)

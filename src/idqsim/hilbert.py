@@ -165,16 +165,22 @@ def sp_inner(bra: Ket, ket: Ket) -> complex:
 
 
 def orthonormality_defect(kets: Sequence[Ket]) -> tuple[float, tuple[int, int]]:
-    """Worst deviation |<i|j> - delta_ij| over all pairs, with the offending pair."""
+    """Worst deviation |<i|j> - delta_ij| over all pairs, with the offending pair.
+
+    Read off the Gram matrix of the stacked amplitudes. The pair is the first
+    worst one in row-major order, ``(i, j)`` with ``i <= j``, as
+    ``|<i|j>| = |<j|i>|``.
+    """
     if not kets:
         raise ValueError("need at least one ket")
-    worst, pair = 0.0, (0, 0)
-    for i, ki in enumerate(kets):
-        for j, kj in enumerate(kets):
-            dev = abs(sp_inner(ki, kj) - (1.0 if i == j else 0.0))
-            if dev > worst:
-                worst, pair = dev, (i, j)
-    return worst, pair
+    for k in kets:
+        _require_same_basis(kets[0], k)
+    amps = np.array([k.amps for k in kets])
+    gram = amps.conj() @ amps.T
+    gram.flat[:: len(kets) + 1] -= 1.0
+    dev = np.abs(gram)
+    worst = int(dev.argmax())
+    return float(dev.flat[worst]), tuple(sorted(divmod(worst, len(kets))))
 
 
 def is_orthonormal_set(kets: Sequence[Ket], tol: float = ORTHONORMALITY_TOL) -> bool:

@@ -27,7 +27,8 @@ Ladder tables: for each sector ``n``, ``U[r, j]`` is the index of occupation
 smaller entries), or 0 when ``j`` is already occupied. Creation scatters
 through ``U`` and annihilation ``a(psi) = sum_j conj(psi_j) a_j`` gathers
 through it, so ``coords(project_single(psi, phi)) == a(psi) coords(phi)``:
-the projection algebra of ``idqsim.states`` in second-quantized form.
+the projection algebra of ``idqsim.states`` in second-quantized form. The
+tables are built a whole sector at a time with numpy (``_ladder``).
 
 Traces keep ``rho = V V^dagger`` as a factor ``V`` whose columns are
 unnormalized branches. One stage replaces ``V`` by ``[a(psi_1) V, ...,
@@ -41,12 +42,17 @@ nonzero eigenvalues of ``V V^dagger`` are those of the Gram matrix
 ``V^dagger V``, which is only as wide as ``V`` (2-4 columns on a localized
 stage, against a sector of hundreds). The dense square over the whole
 sector is formed only when something reads ``DensityMatrix.mat``.
+
+A trace is three steps on an immutable walk: ``trace_start`` (coordinates
+and norm check), ``trace_stage`` (one lowering) and ``trace_finish`` (the
+normalized ``DensityMatrix``). ``partial_trace_iterate`` runs them in
+sequence; ``entanglement.analyze`` runs the same steps as a prefix tree, so
+sides that begin with equal stages share the walk up to where they part.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -124,27 +130,43 @@ def _occupations(
     return tuple(gen(range(dim), sector))
 
 
+def _entries(dim: int, sector: int, statistics: Statistics) -> np.ndarray:
+    """``_occupations`` as an integer array, one row per occupation."""
+    occupations = _occupations(dim, sector, statistics)
+    return np.array(occupations, dtype=np.intp).reshape(len(occupations), sector)
+
+
 @lru_cache(maxsize=None)
 def _ladder(
     dim: int, sector: int, statistics: Statistics
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ladder table ``(U, g)`` from sector ``sector - 1`` to
-    ``sector`` (see the module docstring); where ``g = 0``, ``U`` is 0."""
-    lower = _occupations(dim, sector - 1, statistics)
-    index = {occ: i for i, occ in enumerate(_occupations(dim, sector, statistics))}
-    up = np.zeros((len(lower), dim), dtype=np.intp)
-    g = np.zeros((len(lower), dim))
-    boson = statistics is Statistics.BOSON
-    for r, occ in enumerate(lower):
-        for j in range(dim):
-            below, upto = bisect_left(occ, j), bisect_right(occ, j)
-            if boson:
-                g[r, j] = math.sqrt(upto - below + 1)
-            elif upto > below:
-                continue  # Pauli exclusion
-            else:
-                g[r, j] = -1.0 if below % 2 else 1.0
-            up[r, j] = index[occ[:below] + (j,) + occ[below:]]
+    ``sector`` (see the module docstring); where ``g = 0``, ``U`` is 0.
+
+    Built a whole table at a time. An occupation read as the base-``dim``
+    number of its entries keeps the lexicographic order, so ``U`` is a
+    ``searchsorted`` of the codes with ``j`` added among those of ``sector``.
+    """
+    lower = _entries(dim, sector - 1, statistics)
+    rows = len(lower)
+    # counts[r, j]: entries of r equal to j; below[r, j]: entries less than j
+    flat = (np.arange(rows)[:, None] * dim + lower).ravel()
+    counts = np.bincount(flat, minlength=rows * dim).reshape(rows, dim)
+    below = np.cumsum(counts, axis=1) - counts
+    # digit k weighs dim^(sector-1-k); Python ints where int64 would overflow
+    wide = np.int64 if dim**sector < 2**63 else object
+    weights = np.array([dim**k for k in range(sector - 1, -1, -1)], dtype=wide)
+    # head[r, b]: the code of the first b entries of r at the weights of r;
+    # j added before entry b moves those entries up one digit
+    head = np.cumsum(np.hstack([np.zeros((rows, 1), wide), lower * weights[1:]]), axis=1)
+    before = np.take_along_axis(head, below, axis=1)
+    codes = (dim - 1) * before + head[:, -1:] + np.arange(dim) * weights[below]
+    up = np.searchsorted((_entries(dim, sector, statistics) * weights).sum(axis=1), codes)
+    if statistics is Statistics.BOSON:
+        g = np.sqrt(counts + 1.0)
+    else:
+        g = np.where(counts > 0, 0.0, np.where(below % 2, -1.0, 1.0))  # Pauli exclusion
+        up[counts > 0] = 0
     up.flags.writeable = False
     g.flags.writeable = False
     return up, g
@@ -360,31 +382,52 @@ def partial_trace_iterate(
     """Successive one-particle traces; stage probabilities multiply.
 
     Works on a factor ``V`` with ``rho = V V^dagger`` (see the module
-    docstring): each stage lowers every column through every measurement ket.
+    docstring): ``trace_start``, then ``trace_stage`` per basis, then
+    ``trace_finish``.
     """
-    space = phi.basis
-    v = coords(phi, OccupationBasis(space, phi.n, phi.statistics))
+    walk = trace_start(phi)
+    require_depth(len(bases), phi.n)
+    for mb in bases:
+        walk = trace_stage(walk, mb)
+    return trace_finish(walk)
+
+
+def require_depth(stages: int, n: int) -> None:
+    """Refuse, before any stage runs, to trace more particles than there are."""
+    if stages > n:
+        raise ValueError(f"cannot trace {stages} particles out of {n}")
+
+
+def trace_start(phi: ParticleState) -> tuple:
+    """The untraced state as a walk ``(frame, statistics, V, ||V||^2, prob,
+    particles left)``, with ``V`` its coordinates as one column."""
+    v = coords(phi, OccupationBasis(phi.basis, phi.n, phi.statistics))
     norm2 = np.vdot(v, v).real  # equals inner(phi, phi): coordinates are isometric
     _require_unit_norm(norm2)
-    if len(bases) > phi.n:
-        raise ValueError(f"cannot trace {len(bases)} particles out of {phi.n}")
-    factor = v[:, None]
-    prob = 1.0
-    for m, mb in zip(range(phi.n, 0, -1), bases):
-        if mb.space != space:
-            raise IncompatibleStatesError("measurement ket and state bases differ")
-        amps = np.array([k.amps for k in mb.kets])
-        lowered = annihilate(amps, factor, OccupationBasis(space, m, phi.statistics))
-        lowered2 = np.vdot(lowered, lowered).real
-        stage_prob = lowered2 / (m * norm2)
-        if stage_prob <= ZERO_PROB_TOL:
-            raise ZeroProbabilityError(
-                "measurement basis never fires on this state (total probability "
-                f"{stage_prob:.3g})"
-            )
-        prob *= stage_prob
-        factor, norm2 = _compress(lowered), lowered2
-    occ = OccupationBasis(space, phi.n - len(bases), phi.statistics)
+    return phi.basis, phi.statistics, v[:, None], norm2, 1.0, phi.n
+
+
+def trace_stage(walk: tuple, mb: MeasurementBasis) -> tuple:
+    """The walk after one more stage: every column lowered through every ket
+    of ``mb``, then compressed. Walks are never modified, so one can be shared."""
+    space, statistics, factor, norm2, prob, m = walk
+    if mb.space != space:
+        raise IncompatibleStatesError("measurement ket and state bases differ")
+    amps = np.array([k.amps for k in mb.kets])
+    lowered = annihilate(amps, factor, OccupationBasis(space, m, statistics))
+    lowered2 = np.vdot(lowered, lowered).real
+    stage_prob = lowered2 / (m * norm2)
+    if stage_prob <= ZERO_PROB_TOL:
+        raise ZeroProbabilityError(
+            f"measurement basis never fires on this state (total probability {stage_prob:.3g})"
+        )
+    return space, statistics, _compress(lowered), lowered2, prob * stage_prob, m - 1
+
+
+def trace_finish(walk: tuple) -> DensityMatrix:
+    """The walk's remainder, normalized, as a density matrix."""
+    space, statistics, factor, norm2, prob, m = walk
+    occ = OccupationBasis(space, m, statistics)
     return DensityMatrix(occ, factor / math.sqrt(norm2), prob)
 
 

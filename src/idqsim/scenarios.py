@@ -357,12 +357,13 @@ def _three_cuts(names: str, stage: Callable[[int], object]) -> tuple[TracePlan, 
     """The cuts (01)-2, (20)-1 and (12)-0 of three sites or slots, spelled
     with ``names``: the one-particle side measures the two in brackets, in
     that order, and the two-particle side the third; ``stage(i)`` measures
-    the i-th."""
+    the i-th and is called once per index."""
+    stages = [stage(i) for i in range(3)]
     return tuple(
         TracePlan(
             f"({names[a]}{names[b]})-{names[c]}",
-            one_stages=(stage(a), stage(b)),
-            two_stages=(stage(c),),
+            one_stages=(stages[a], stages[b]),
+            two_stages=(stages[c],),
         )
         for a, b, c in ((0, 1, 2), (2, 0, 1), (1, 2, 0))
     )

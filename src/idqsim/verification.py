@@ -90,8 +90,15 @@ def random_state(
     statistics: Statistics,
     n_terms: int = 2,
 ) -> ParticleState:
-    """Normalized random combination of elementary states."""
-    while True:
+    """Normalized random combination of elementary states.
+
+    Raises ValueError on an empty sector (more fermions than single-particle
+    states) and ArithmeticError if 100 draws in a row have a squared norm of
+    at most 1e-6.
+    """
+    if statistics is Statistics.FERMION and n > space.dim:
+        raise ValueError(f"no state of {n} fermions over {space.dim} single-particle states")
+    for _ in range(100):
         terms = []
         for _ in range(n_terms):
             kets = tuple(random_ket(rng, space) for _ in range(n))
@@ -100,6 +107,7 @@ def random_state(
         psi = ParticleState(statistics, tuple(terms))
         if inner(psi, psi).real > 1e-6:
             return normalize(psi)
+    raise ArithmeticError(f"100 draws of {n} {statistics.value}s all had squared norm <= 1e-6")
 
 
 def random_measurement_basis(

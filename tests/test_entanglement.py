@@ -5,22 +5,38 @@ import math
 import numpy as np
 import pytest
 
+import idqsim.comparator
+import idqsim.reduction
 from idqsim import (
     CanonicalBasis,
+    Ket,
+    LabeledState,
     MeasurementBasis,
     NotPSDError,
+    SlotTrace,
     Spin,
     Statistics,
     TracePlan,
     analyze,
+    builtin_names,
+    distinguishable_trace_iterate,
     eigenvalues_hermitian,
     elementary,
+    get_builtin,
     normalize,
+    partial_trace_iterate,
     partial_trace_one,
+    product_state,
     purity,
     von_neumann_entropy,
 )
-from idqsim.verification import random_unitary
+from idqsim.errors import SimulationError
+from idqsim.verification import (
+    random_ket,
+    random_measurement_basis,
+    random_state,
+    random_unitary,
+)
 
 SPACE = CanonicalBasis(("A", "B", "C"))
 OVERLAP_ENTROPY = math.log2(3.0) - 2.0 / 3.0
@@ -124,3 +140,216 @@ def test_plan_labels_must_be_distinct():
 def test_empty_plans_are_rejected():
     with pytest.raises(ValueError):
         TracePlan("nothing")
+
+
+# --- the prefix-tree runner ---------------------------------------------------
+
+
+def trace_of(state):
+    if isinstance(state, LabeledState):
+        return distinguishable_trace_iterate
+    return partial_trace_iterate
+
+
+def assert_matches_per_side_traces(state, plans):
+    """``analyze`` gives, bit for bit, what tracing every side on its own gives."""
+    report = analyze(state, plans)
+    for plan in plans:
+        for side, stages in plan.sides():
+            got = getattr(report[plan.label], f"rho_{side}")
+            want = trace_of(state)(state, stages)
+            assert np.array_equal(got.factor, want.factor), (plan.label, side)
+            assert got.prob == want.prob
+            assert np.array_equal(got.spectrum, want.spectrum)
+            assert got.basis.size == want.basis.size
+
+
+def first_side_error(state, plans):
+    """Type and message of the first failing side, traced one side at a time."""
+    for plan in plans:
+        for side, stages in plan.sides():
+            try:
+                trace_of(state)(state, stages)
+            except (SimulationError, ArithmeticError, ValueError) as exc:
+                return type(exc), f"plan {plan.label!r}, side {side}: {exc}"
+    return None
+
+
+def copied(basis):
+    """A basis equal in value to ``basis`` that shares no object with it."""
+    return MeasurementBasis(tuple(Ket(k.basis, k.amps.copy()) for k in basis.kets))
+
+
+def counted(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def separated_state():
+    kets = (SPACE.ket("A", Spin.DOWN), SPACE.ket("B", Spin.DOWN), SPACE.ket("C", Spin.UP))
+    return elementary(Statistics.BOSON, kets)
+
+
+def random_labeled_state(rng, slots, terms):
+    raw = tuple(
+        (complex(rng.normal(), rng.normal()), tuple(random_ket(rng, SPACE) for _ in range(slots)))
+        for _ in range(terms)
+    )
+    norm = np.linalg.norm(LabeledState(raw).vector())
+    return LabeledState(tuple((c / norm, kets) for c, kets in raw))
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_analyze_matches_per_side_traces_on_the_builtins(name):
+    spec = get_builtin(name)
+    assert_matches_per_side_traces(spec.state, spec.plans)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics), ids=lambda s: s.name)
+def test_analyze_matches_per_side_traces_on_random_plans(statistics):
+    rng = np.random.default_rng(83)
+    for _ in range(8):
+        n = int(rng.integers(2, 5))
+        phi = random_state(rng, SPACE, n, statistics, n_terms=int(rng.integers(1, 4)))
+        pool = (
+            random_measurement_basis(rng, SPACE),
+            random_measurement_basis(rng, SPACE, size=3),
+            random_measurement_basis(rng, SPACE, size=4),
+        )
+
+        def side():
+            picks = rng.integers(0, len(pool), size=int(rng.integers(1, n)))
+            return tuple(copied(pool[i]) if rng.random() < 0.5 else pool[i] for i in picks)
+
+        plans = [TracePlan(f"p{k}", one_stages=side(), two_stages=side()) for k in range(4)]
+        assert_matches_per_side_traces(phi, plans)
+
+
+def test_analyze_matches_per_side_traces_on_random_labeled_plans():
+    rng = np.random.default_rng(84)
+    for _ in range(8):
+        state = random_labeled_state(rng, 3, int(rng.integers(1, 4)))
+        pool = (random_measurement_basis(rng, SPACE), MeasurementBasis.localized(SPACE, "B"))
+
+        def side():
+            slots = rng.permutation(3)[: int(rng.integers(1, 3))]
+            return tuple(SlotTrace(int(s), pool[int(rng.integers(0, 2))]) for s in slots)
+
+        plans = [TracePlan(f"p{k}", one_stages=side(), two_stages=side()) for k in range(4)]
+        assert_matches_per_side_traces(state, plans)
+
+
+def test_one_start_and_one_lowering_per_distinct_prefix(monkeypatch):
+    starts = counted(monkeypatch, idqsim.reduction, "coords")
+    lowerings = counted(monkeypatch, idqsim.reduction, "annihilate")
+    spec = get_builtin("separated")
+    analyze(spec.state, spec.plans)
+    # 3 cuts, 9 stages; the one-particle sides begin with the stages of the
+    # two-particle sides, so 6 distinct prefixes
+    assert len(starts) == 1
+    assert len(lowerings) == 6
+
+
+def test_labeled_states_start_once_and_share_prefixes(monkeypatch):
+    starts = counted(monkeypatch, LabeledState, "vector")
+    lowerings = counted(monkeypatch, idqsim.comparator, "_contract_slot")
+    spec = get_builtin("distinguishable")
+    analyze(spec.state, spec.plans)
+    assert len(starts) == 1
+    assert len(lowerings) == 8  # 11 stages, 8 distinct (slot, basis) prefixes
+
+
+def test_bases_equal_in_value_share_one_lowering(monkeypatch):
+    lowerings = counted(monkeypatch, idqsim.reduction, "annihilate")
+    loc = MeasurementBasis.localized
+    plans = [
+        TracePlan(f"p{k}", one_stages=(loc(SPACE, "A"), loc(SPACE, "B")),
+                  two_stages=(loc(SPACE, "A"),))
+        for k in range(3)
+    ]
+    report = analyze(separated_state(), plans)
+    assert len(lowerings) == 2  # (A) and (A, B)
+    assert report["p2"].rho_one.prob == report["p0"].rho_one.prob
+
+
+def test_labeled_slots_key_the_prefix(monkeypatch):
+    lowerings = counted(monkeypatch, idqsim.comparator, "_contract_slot")
+    state = product_state((SPACE.ket("A", Spin.DOWN), SPACE.ket("A", Spin.UP)))
+    loc_a = MeasurementBasis.localized(SPACE, "A")
+    plans = [
+        TracePlan("slot 0", two_stages=(SlotTrace(0, loc_a),), bipartition=False),
+        TracePlan("slot 1", two_stages=(SlotTrace(1, copied(loc_a)),), bipartition=False),
+        TracePlan("slot 0 again", two_stages=(SlotTrace(0, copied(loc_a)),), bipartition=False),
+    ]
+    assert_matches_per_side_traces(state, plans)
+    lowerings.clear()
+    analyze(state, plans)
+    assert len(lowerings) == 2
+
+
+OTHER = CanonicalBasis(("X", "Y", "Z"))
+
+
+@pytest.mark.parametrize(
+    "plans",
+    [
+        # a stored stage with the same amplitude bytes over another frame
+        (
+            TracePlan("home", one_stages=(MeasurementBasis.localized(SPACE, "A"),)),
+            TracePlan("away", one_stages=(MeasurementBasis.localized(OTHER, "X"),)),
+        ),
+        # too deep a side fails before its first stage, even a foreign one
+        (
+            TracePlan("ok", two_stages=(MeasurementBasis.localized(SPACE, "A"),)),
+            TracePlan("deep", one_stages=(MeasurementBasis.localized(OTHER, "X"),) * 4),
+        ),
+        # the first failing side wins, even when a later one fails sooner
+        (
+            TracePlan("c twice", one_stages=(MeasurementBasis.localized(SPACE, "C"),) * 2),
+            TracePlan("too deep", one_stages=(MeasurementBasis.localized(SPACE, "A"),) * 4),
+        ),
+    ],
+    ids=["foreign frame", "depth first", "plan order"],
+)
+def test_errors_are_those_of_the_first_failing_side(plans):
+    want_type, want_message = first_side_error(separated_state(), plans)
+    with pytest.raises(want_type) as caught:
+        analyze(separated_state(), plans)
+    assert type(caught.value) is want_type
+    assert str(caught.value) == want_message
+
+
+def test_unnormalized_state_fails_on_the_first_side():
+    phi = 2.0 * separated_state()
+    plans = (
+        TracePlan("first", two_stages=(MeasurementBasis.localized(SPACE, "A"),)),
+        TracePlan("second", two_stages=(MeasurementBasis.localized(SPACE, "B"),)),
+    )
+    with pytest.raises(ValueError, match=r"^plan 'first', side two: state must be normalized"):
+        analyze(phi, plans)
+
+
+def test_labeled_errors_are_those_of_the_first_failing_side():
+    state = product_state((SPACE.ket("A", Spin.DOWN), SPACE.ket("B", Spin.UP)))
+    loc_a = MeasurementBasis.localized(SPACE, "A")
+    for plans in (
+        (
+            TracePlan("home", two_stages=(SlotTrace(0, loc_a),)),
+            TracePlan("away", two_stages=(SlotTrace(0, MeasurementBasis.localized(OTHER, "X")),)),
+        ),
+        (
+            TracePlan("fine", two_stages=(SlotTrace(0, loc_a),)),
+            TracePlan("twice", one_stages=(SlotTrace(0, loc_a), SlotTrace(0, loc_a))),
+        ),
+    ):
+        want_type, want_message = first_side_error(state, plans)
+        with pytest.raises(want_type) as caught:
+            analyze(state, plans)
+        assert str(caught.value) == want_message

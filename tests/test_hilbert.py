@@ -13,6 +13,7 @@ from idqsim import (
     orthonormality_defect,
     sp_inner,
 )
+from idqsim.verification import random_ket, random_measurement_basis
 
 
 def test_canonical_ordering_is_mode_major_up_before_down():
@@ -89,3 +90,42 @@ def test_orthonormality_defect_points_at_the_offending_pair():
     defect, pair = orthonormality_defect([a, b, almost])
     assert pair in ((0, 2), (2, 0))
     assert defect > 0.05
+
+
+def loop_orthonormality_defect(kets):
+    """The pairwise double loop that ``orthonormality_defect`` replaced."""
+    worst, pair = 0.0, (0, 0)
+    for i, ki in enumerate(kets):
+        for j, kj in enumerate(kets):
+            dev = abs(sp_inner(ki, kj) - (1.0 if i == j else 0.0))
+            if dev > worst:
+                worst, pair = dev, (i, j)
+    return worst, pair
+
+
+def test_orthonormality_defect_matches_the_pairwise_loop():
+    rng = np.random.default_rng(5)
+    space = CanonicalBasis(("A", "B", "C", "D"))
+    for k in range(1, space.dim + 1):
+        for _ in range(5):
+            kets = [random_ket(rng, space) for _ in range(k)]
+            defect, pair = orthonormality_defect(kets)
+            want, want_pair = loop_orthonormality_defect(kets)
+            assert defect == pytest.approx(want, rel=1e-12, abs=1e-15)
+            assert pair == want_pair
+    # an orthonormal set with one planted bad pair
+    kets = list(random_measurement_basis(rng, space).kets)
+    kets[5] = (kets[5] + 0.03 * kets[2]).normalized()
+    defect, pair = orthonormality_defect(kets)
+    want, want_pair = loop_orthonormality_defect(kets)
+    assert pair == want_pair == (2, 5)
+    assert defect == pytest.approx(want, rel=1e-12)
+    exact = orthonormality_defect(space.kets())
+    assert exact == loop_orthonormality_defect(space.kets()) == (0.0, (0, 0))
+
+
+def test_orthonormality_defect_refuses_mixed_bases():
+    a = CanonicalBasis(("A", "B")).ket("A", Spin.UP)
+    b = CanonicalBasis(("A", "C")).ket("A", Spin.DOWN)
+    with pytest.raises(BasisMismatchError, match="different bases"):
+        orthonormality_defect([a, b])

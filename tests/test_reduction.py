@@ -1,6 +1,7 @@
 """Partial traces, occupation coordinates, and the probability gauge."""
 
 import math
+from bisect import bisect_left, bisect_right
 from itertools import product
 
 import numpy as np
@@ -35,6 +36,7 @@ from idqsim import (
     von_neumann_entropy,
 )
 from idqsim.permanents import permutation_parity
+from idqsim.reduction import _ladder, _occupations
 from idqsim.verification import random_ket, random_measurement_basis, random_state
 
 SPACE = CanonicalBasis(("A", "B", "C"))
@@ -475,3 +477,38 @@ def test_measurement_basis_rejects_non_orthonormal_kets():
 def test_measurement_basis_completeness_flag():
     assert MeasurementBasis.full(SPACE).complete
     assert not MeasurementBasis.localized(SPACE, "A").complete
+
+
+def loop_ladder(dim, sector, statistics):
+    """The (row, entry) loop that built the ladder tables before they were
+    built a whole table at a time."""
+    lower = _occupations(dim, sector - 1, statistics)
+    index = {occ: i for i, occ in enumerate(_occupations(dim, sector, statistics))}
+    up = np.zeros((len(lower), dim), dtype=np.intp)
+    g = np.zeros((len(lower), dim))
+    for r, occ in enumerate(lower):
+        for j in range(dim):
+            below, upto = bisect_left(occ, j), bisect_right(occ, j)
+            if statistics is Statistics.BOSON:
+                g[r, j] = math.sqrt(upto - below + 1)
+            elif upto > below:
+                continue
+            else:
+                g[r, j] = -1.0 if below % 2 else 1.0
+            up[r, j] = index[occ[:below] + (j,) + occ[below:]]
+    return up, g
+
+
+@pytest.mark.parametrize("statistics", list(Statistics), ids=lambda s: s.name)
+def test_ladder_tables_match_the_entry_loop(statistics):
+    cases = [(dim, sector) for dim in range(1, 9) for sector in range(1, 6)]
+    if statistics is Statistics.FERMION:
+        # 18^16 overflows int64, so this sector's codes are Python integers
+        cases.append((18, 16))
+    for dim, sector in cases:
+        up, g = _ladder(dim, sector, statistics)
+        want_up, want_g = loop_ladder(dim, sector, statistics)
+        assert up.dtype == want_up.dtype and g.dtype == want_g.dtype
+        assert np.array_equal(up, want_up), (dim, sector)
+        assert np.array_equal(g, want_g), (dim, sector)
+        assert not up.flags.writeable and not g.flags.writeable

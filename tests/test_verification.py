@@ -1,11 +1,21 @@
 """The seeded property-check battery and its sensitivity to planted bugs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 import idqsim.states
 import idqsim.verification
 from idqsim.errors import ZeroProbabilityError
-from idqsim.verification import PROPERTY_NAMES, run_all
+from idqsim.hilbert import CanonicalBasis
+from idqsim.states import Statistics
+from idqsim.verification import PROPERTY_NAMES, random_state, run_all
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_properties_pass_on_default_seed():
@@ -75,3 +85,34 @@ def test_too_many_skipped_draws_fail_the_property(monkeypatch):
     failed = results["distinguishable-product-purity"]
     assert not failed.passed
     assert "only 0 comparable draws" in failed.detail
+
+
+def test_random_state_refuses_an_empty_sector_at_once():
+    # 12 fermions over 10 single-particle states: every draw is null. Run in a
+    # child process with a time limit, so a retry loop that never ends fails
+    # the test instead of hanging the suite.
+    code = (
+        "import numpy as np\n"
+        "from idqsim.hilbert import CanonicalBasis\n"
+        "from idqsim.states import Statistics\n"
+        "from idqsim.verification import random_state\n"
+        "random_state(np.random.default_rng(0), CanonicalBasis(tuple('ABCDE')), 12,"
+        " Statistics.FERMION)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "ValueError: no state of 12 fermions over 10 single-particle states" in proc.stderr
+
+
+def test_random_state_gives_up_after_a_bounded_number_of_null_draws(monkeypatch):
+    monkeypatch.setattr(idqsim.verification, "inner", lambda a, b: 0j)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ArithmeticError, match="100 draws of 2 bosons"):
+        random_state(rng, CanonicalBasis(("A", "B")), 2, Statistics.BOSON)
