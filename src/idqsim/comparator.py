@@ -2,10 +2,12 @@
 
 Everything here works in the explicit tensor-product space of labeled slots.
 A state's terms become product tensors, one array axis per slot (the outer
-product of the kets, summed with the coefficients), and the (anti)symmetrized
-vector is the signed sum of the ``N!`` axis transposes of that one tensor. It is
-exponentially sized on purpose: results are trusted because the construction
-is obvious, not because it is fast. Scale is capped accordingly.
+product of the kets), summed with the coefficients by one ``np.dot`` on the
+flattened tensors (the product ``np.tensordot`` forms; ``@`` rounds
+differently), and the (anti)symmetrized vector is the signed sum of the
+``N!`` axis transposes of that one tensor. It is exponentially sized on
+purpose: results are trusted because the construction is obvious, not
+because it is fast. Scale is capped accordingly.
 
 The load-bearing identities, verified in the property suite:
 
@@ -112,8 +114,9 @@ def _symmetrized_vector(
         return np.array([coeffs.sum()])
     _check_scale(n, terms[0].kets[0].basis.dim)
     amps = np.array([[k.amps for k in t.kets] for t in terms])
-    summed = np.tensordot(coeffs, _products(amps), axes=1)
-    return _symmetrized(summed, n, statistics).reshape(-1)
+    products = _products(amps)
+    summed = np.dot(coeffs[None], products.reshape(len(terms), -1))
+    return _symmetrized(summed.reshape(products.shape[1:]), n, statistics).reshape(-1)
 
 
 def symmetrize(term: ElementaryState, statistics: Statistics) -> np.ndarray:
@@ -217,7 +220,8 @@ def oracle_trace_iterate(
 
 @dataclass(frozen=True)
 class LabeledState:
-    """Superposition of labeled product terms; no exchange symmetry."""
+    """Superposition of labeled product terms; no exchange symmetry.
+    Coefficients must be finite."""
 
     terms: tuple[tuple[complex, tuple[Ket, ...]], ...]
 
@@ -226,7 +230,9 @@ class LabeledState:
             raise ValueError("labeled state needs at least one term")
         n = len(self.terms[0][1])
         space = self.terms[0][1][0].basis
-        for _, kets in self.terms:
+        for coeff, kets in self.terms:
+            if not np.isfinite(coeff):
+                raise ValueError("coefficient must be finite")
             if len(kets) != n:
                 raise ValueError("terms differ in slot count")
             for k in kets:
@@ -245,7 +251,7 @@ class LabeledState:
     def vector(self) -> np.ndarray:
         coeffs = np.array([c for c, _ in self.terms])
         amps = np.array([[k.amps for k in kets] for _, kets in self.terms])
-        return np.tensordot(coeffs, _products(amps), axes=1).reshape(-1)
+        return np.dot(coeffs[None], _products(amps).reshape(len(coeffs), -1)).reshape(-1)
 
 
 def product_state(kets: Sequence[Ket], coeff: complex = 1.0) -> LabeledState:
@@ -314,7 +320,7 @@ def trace_start(state: LabeledState) -> tuple:
     with ``V`` its normalized vector as one column."""
     vec = state.vector()
     nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > 1e-8:
+    if not abs(nrm - 1.0) <= 1e-8:  # NaN fails too
         raise ValueError(f"state must be normalized (norm {nrm:.6g})")
     return state.space, tuple(range(state.n)), (vec / nrm)[:, None], 1.0
 

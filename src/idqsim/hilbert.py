@@ -101,12 +101,12 @@ class Ket:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex).copy()
+        amps = np.array(self.amps, dtype=complex)
         if amps.shape != (self.basis.dim,):
             raise BasisMismatchError(
                 f"amplitude vector has shape {amps.shape}, basis dim is {self.basis.dim}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)

@@ -318,7 +318,7 @@ class DensityMatrix:
         spectrum = np.zeros(size)
         spectrum[: len(small)] = eigenvalues_hermitian(small)  # the PSD check
         p = float(self.prob)
-        if p < -1e-9 or p > 1.0 + 1e-9:
+        if not -1e-9 <= p <= 1.0 + 1e-9:  # NaN fails too
             raise ValueError(f"probability {p} outside [0, 1]")
         v.flags.writeable = False
         spectrum.flags.writeable = False
@@ -342,13 +342,16 @@ def eigenvalues_hermitian(mat: np.ndarray) -> np.ndarray:
     """Descending real eigenvalues of a Hermitian matrix.
 
     Tiny negative values (>= -1e-10) are clamped to zero; anything lower
-    raises NotPSDError. The eigendecomposition is checked by reconstruction.
+    raises NotPSDError. The eigendecomposition is checked by reconstruction:
+    the Frobenius residual must stay within ``RECONSTRUCTION_TOL`` times
+    ``max(1, ||mat||_F)``, compared squared; a NaN residual fails it.
     """
     m = np.asarray(mat, dtype=complex)
     evals, evecs = np.linalg.eigh(m)
-    resid = np.linalg.norm(m - (evecs * evals) @ evecs.conj().T)
-    if resid > RECONSTRUCTION_TOL * max(1.0, np.linalg.norm(m)):
-        raise ArithmeticError(f"eigendecomposition residual {resid:.3g}")
+    diff = m - (evecs * evals) @ evecs.conj().T
+    resid2 = np.vdot(diff, diff).real
+    if not resid2 <= RECONSTRUCTION_TOL**2 * max(1.0, np.vdot(m, m).real):
+        raise ArithmeticError(f"eigendecomposition residual {math.sqrt(resid2):.3g}")
     lo = evals.min()
     if lo < -EIGEN_CLAMP:
         raise NotPSDError(f"eigenvalue {lo:.3g} below -{EIGEN_CLAMP}")
@@ -443,5 +446,5 @@ def _compress(factor: np.ndarray) -> np.ndarray:
 
 
 def _require_unit_norm(norm2: float) -> None:
-    if abs(norm2 - 1.0) > 1e-8:
+    if not abs(norm2 - 1.0) <= 1e-8:  # NaN fails too
         raise ValueError(f"state must be normalized (squared norm {norm2:.6g})")

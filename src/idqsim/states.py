@@ -7,8 +7,10 @@ only. Overlaps between elementary states are computed from the single-particle
 Gram matrix ``M_ij = <bra_i|ket_j>`` as ``per(M)`` for bosons and ``det(M)``
 for fermions, which equals 1/N! times the inner product of the corresponding
 label-symmetrized tensors (see ``idqsim.comparator`` for that cross-check).
-``inner`` forms the Gram matrices of all term pairs in one ``einsum`` and
-evaluates per/det on the whole stack.
+The array kernel ``overlaps`` forms the Gram matrices of all term pairs of a
+``(terms, n, dim)`` amplitude stack in one ``einsum`` and evaluates per/det on
+the whole block; ``inner`` and ``overlap_elementary`` are its object front
+end, and ``verification.random_state`` calls it on freshly drawn arrays.
 
 Removing one particle against a measurement ket ``psi`` maps
 ``|chi_1,...,chi_N>`` to ``sum_i eta^(i-1) <psi|chi_i> |...without chi_i...>``,
@@ -173,33 +175,49 @@ def _has_proportional_pair(gram: np.ndarray) -> np.ndarray:
     return (saturated & ~np.eye(gram.shape[-1], dtype=bool)).any(axis=(-2, -1))
 
 
+def overlaps(
+    bra_coeffs: np.ndarray,
+    ket_coeffs: np.ndarray,
+    amps: np.ndarray,
+    statistics: Statistics,
+) -> np.ndarray:
+    """``<bra|ket>`` for every pair of terms, as a ``(bras, kets)`` array.
+
+    The array kernel behind ``inner``. ``amps`` stacks the kets of every term
+    as ``(terms, n, dim)``: the bra terms, then the ket terms, or the terms
+    once when both sides are the same state. One ``einsum`` gives the Gram
+    matrix of every pair of terms in the stack, and per/det runs on the whole
+    bra-ket block. For fermions, a term whose own Gram matrix (a diagonal
+    block of the stack) shows a proportional pair of kets is exactly null,
+    and its overlaps are set to exactly 0 instead of keeping determinant
+    round-off.
+    """
+    weights = np.conj(bra_coeffs)[:, None] * ket_coeffs
+    if amps.shape[1] == 0:
+        return weights
+    n_bras, first_ket = len(bra_coeffs), len(amps) - len(ket_coeffs)
+    gram = np.einsum("sid,tjd->stij", amps.conj(), amps)
+    pairs = gram[:n_bras, first_ket:]
+    if statistics is Statistics.BOSON:
+        return weights * permanent(pairs)
+    out = weights * determinant(pairs)
+    own = np.arange(len(amps))
+    null = _has_proportional_pair(gram[own, own])  # Pauli exclusion, kept exact
+    out[null[:n_bras, None] | null[None, first_ket:]] = 0.0
+    return out
+
+
 def _term_overlaps(
     bras: Sequence[ElementaryState],
     kets: Sequence[ElementaryState],
     statistics: Statistics,
 ) -> np.ndarray:
-    """``<bra|ket>`` for every pair of terms, as a ``(bras, kets)`` array.
-
-    One ``einsum`` gives the Gram matrix of every pair of terms in the stack
-    of both sides, and per/det runs on the whole bra-ket block. For fermions,
-    a term whose own Gram matrix (a diagonal block of the stack) shows a
-    proportional pair of kets is exactly null, and its overlaps are set to
-    exactly 0 instead of keeping determinant round-off.
-    """
-    weights = np.conj([t.coeff for t in bras])[:, None] * np.array([t.coeff for t in kets])
-    if bras[0].n == 0:
-        return weights
+    """``overlaps`` of two term lists: the object front end of the kernel."""
     stack = bras if bras is kets else tuple(bras) + tuple(kets)
     amps = np.array([[k.amps for k in t.kets] for t in stack])  # (terms, n, dim)
-    gram = np.einsum("sid,tjd->stij", amps.conj(), amps)
-    pairs = gram[: len(bras), len(stack) - len(kets) :]
-    if statistics is Statistics.BOSON:
-        return weights * permanent(pairs)
-    overlaps = weights * determinant(pairs)
-    own = np.arange(len(stack))
-    null = _has_proportional_pair(gram[own, own])  # Pauli exclusion, kept exact
-    overlaps[null[: len(bras), None] | null[None, len(stack) - len(kets) :]] = 0.0
-    return overlaps
+    bra_coeffs = np.array([t.coeff for t in bras])
+    ket_coeffs = bra_coeffs if bras is kets else np.array([t.coeff for t in kets])
+    return overlaps(bra_coeffs, ket_coeffs, amps, statistics)
 
 
 def overlap_elementary(

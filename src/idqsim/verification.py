@@ -5,9 +5,13 @@ Each property draws its own `numpy` generator from ``default_rng([seed, k])``
 exact same states and bases. ``run_all`` never raises: a property that throws
 is reported as failed with the exception text.
 
-The random builders at the bottom are public on purpose — the test suite
+The random builders at the top are public on purpose — the test suite
 reuses them so that "the tests" and "the verifier" disagree only if the
-library itself is inconsistent.
+library itself is inconsistent. They draw an array at a time: one normal
+block per random state (``random_state``), normalized row by row in one
+pass, with the state's norm read off the arrays by ``states.overlaps``. The
+numbers, and the generator's state afterwards, are those of drawing one ket
+at a time.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .states import (
     elementary,
     inner,
     normalize,
+    overlaps,
     project_single,
 )
 
@@ -70,9 +75,21 @@ def _ensure(cond: bool, msg: str) -> None:
 # --- random builders (public; reused by the test suite) -------------------
 
 
+def _unit_rows(draws: np.ndarray) -> np.ndarray:
+    """Unit vectors ``re + 1j * im`` from normal draws shaped ``(..., 2, dim)``.
+
+    Each squared norm is ``re·re + im·im`` from one stacked ``matmul`` on views
+    of the complex rows, bit for bit what ``np.linalg.norm`` gives a single
+    row (``norm(axis=-1)`` and ``einsum`` round differently).
+    """
+    v = draws[..., 0, :] + 1j * draws[..., 1, :]
+    re, im = v.real, v.imag
+    sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return v / np.sqrt(sq[..., 0])
+
+
 def random_ket(rng: np.random.Generator, space: CanonicalBasis) -> Ket:
-    v = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    return Ket(space, v / np.linalg.norm(v))
+    return Ket(space, _unit_rows(rng.normal(size=(2, space.dim))))
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -92,6 +109,14 @@ def random_state(
 ) -> ParticleState:
     """Normalized random combination of elementary states.
 
+    Each draw is one normal block of shape ``(n_terms, 2 n dim + 2)``; per
+    term it holds the real and imaginary parts of each of the ``n`` kets in
+    turn, then the coefficient's real and imaginary parts. That is the stream
+    of drawing ket by ket with ``random_ket``, and the kets, the squared norm
+    (``states.overlaps`` on the arrays) and the coefficients, scaled by
+    ``1 / sqrt(norm^2)`` as ``normalize`` scales them, come out the same bit
+    for bit; the state is built once, already normalized.
+
     Raises ValueError on an empty sector (more fermions than single-particle
     states) and ArithmeticError if 100 draws in a row have a squared norm of
     at most 1e-6.
@@ -99,14 +124,16 @@ def random_state(
     if statistics is Statistics.FERMION and n > space.dim:
         raise ValueError(f"no state of {n} fermions over {space.dim} single-particle states")
     for _ in range(100):
-        terms = []
-        for _ in range(n_terms):
-            kets = tuple(random_ket(rng, space) for _ in range(n))
-            c = complex(rng.normal(), rng.normal())
-            terms.append(ElementaryState(c, kets))
-        psi = ParticleState(statistics, tuple(terms))
-        if inner(psi, psi).real > 1e-6:
-            return normalize(psi)
+        draw = rng.normal(size=(n_terms, 2 * n * space.dim + 2))
+        amps = _unit_rows(draw[:, :-2].reshape(n_terms, n, 2, space.dim))
+        coeffs = draw[:, -2] + 1j * draw[:, -1]
+        n2 = overlaps(coeffs, coeffs, amps, statistics).sum().real
+        if n2 > 1e-6:
+            scale = complex(1.0 / np.sqrt(n2))
+            return ParticleState(statistics, tuple(
+                ElementaryState(complex(c) * scale, tuple(Ket(space, a) for a in term))
+                for c, term in zip(coeffs, amps)
+            ))
     raise ArithmeticError(f"100 draws of {n} {statistics.value}s all had squared norm <= 1e-6")
 
 
@@ -123,7 +150,8 @@ def random_measurement_basis(
 def random_product_labeled(
     rng: np.random.Generator, space: CanonicalBasis, n: int
 ) -> LabeledState:
-    return product_state([random_ket(rng, space) for _ in range(n)])
+    amps = _unit_rows(rng.normal(size=(n, 2, space.dim)))
+    return product_state([Ket(space, a) for a in amps])
 
 
 # --- properties -------------------------------------------------------------

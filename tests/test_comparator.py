@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from idqsim import (
     CanonicalBasis,
+    Ket,
     LabeledState,
     MeasurementBasis,
     OccupationBasis,
@@ -34,7 +35,8 @@ from idqsim import (
     spectrum,
     symmetrize_state,
 )
-from idqsim.comparator import symmetrize
+from idqsim import comparator
+from idqsim.comparator import _products, _symmetrized, symmetrize
 from idqsim.permanents import permutation_parity
 from idqsim.states import ElementaryState, ParticleState
 from idqsim.verification import (
@@ -423,3 +425,38 @@ def test_factor_trace_matches_the_ensemble_route_when_a_ket_misses_the_state():
         SlotTrace(2, delocalized_pair(SPACE, "B", "C")),
     )
     assert_matches_the_ensemble_route(separated_product(), steps)
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_coefficient_sums_are_the_tensordot_ones_bit_for_bit(stats):
+    # np.dot on the flattened products is the dot that tensordot runs;
+    # ``coeffs @ products`` rounds differently
+    rng = np.random.default_rng(17)
+    for n in range(1, 5):
+        for n_terms in (1, 2, 3):
+            phi = random_state(rng, SPACE, n, stats, n_terms)
+            coeffs = np.array([t.coeff for t in phi.terms])
+            amps = np.array([[k.amps for k in t.kets] for t in phi.terms])
+            summed = np.tensordot(coeffs, _products(amps), axes=1)
+            assert np.array_equal(
+                symmetrize_state(phi), _symmetrized(summed, n, stats).reshape(-1)
+            )
+            labeled = LabeledState(tuple((t.coeff, t.kets) for t in phi.terms))
+            assert np.array_equal(labeled.vector(), summed.reshape(-1))
+
+
+def test_labeled_states_reject_non_finite_coefficients():
+    kets = (random_ket(np.random.default_rng(0), SPACE),) * 2
+    for bad in (float("nan"), complex(0.0, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            LabeledState(((bad, kets),))
+
+
+def test_labeled_trace_refuses_a_state_whose_norm_overflows_to_nan():
+    # 1e200 * 1e200 overflows, and inf * 0 fills the vector with NaN
+    big = Ket(SPACE, [1e200] + [0.0] * (SPACE.dim - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = LabeledState(((1.0, (big, big)),))
+        assert np.isnan(np.linalg.norm(state.vector()))
+        with pytest.raises(ValueError, match="normalized"):
+            comparator.trace_start(state)

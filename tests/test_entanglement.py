@@ -353,3 +353,30 @@ def test_labeled_errors_are_those_of_the_first_failing_side():
         with pytest.raises(want_type) as caught:
             analyze(state, plans)
         assert str(caught.value) == want_message
+
+
+def test_nan_matrices_fail_the_reconstruction_check():
+    with pytest.raises(ArithmeticError, match="residual"):
+        eigenvalues_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_a_wrong_eigendecomposition_is_caught(monkeypatch):
+    true_eigh = np.linalg.eigh
+
+    def shifted(m):
+        evals, evecs = true_eigh(m)
+        return evals + np.array([0.0, 1e-6]), evecs
+
+    m = np.diag([0.25, 0.75])
+    assert np.array_equal(eigenvalues_hermitian(m), [0.75, 0.25])
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    with pytest.raises(ArithmeticError, match="residual"):
+        eigenvalues_hermitian(m)
+
+
+def test_the_clamp_is_the_boundary_of_the_psd_check():
+    assert eigenvalues_hermitian(np.diag([1.0, -0.9e-10]))[1] == 0.0
+    with pytest.raises(NotPSDError):
+        eigenvalues_hermitian(np.diag([1.0, -1.1e-10]))
+    with pytest.raises(ValueError):  # empty: no lowest eigenvalue to check
+        eigenvalues_hermitian(np.zeros((0, 0)))

@@ -13,7 +13,7 @@ from idqsim import (
     orthonormality_defect,
     sp_inner,
 )
-from idqsim.verification import random_ket, random_measurement_basis
+from idqsim.verification import random_ket, random_measurement_basis, random_unitary
 
 
 def test_canonical_ordering_is_mode_major_up_before_down():
@@ -129,3 +129,30 @@ def test_orthonormality_defect_refuses_mixed_bases():
     b = CanonicalBasis(("A", "C")).ket("A", Spin.DOWN)
     with pytest.raises(BasisMismatchError, match="different bases"):
         orthonormality_defect([a, b])
+
+
+def test_kets_reject_non_finite_imaginary_parts_and_wrong_shapes():
+    space = CanonicalBasis(("A",))
+    for bad in (complex(0.0, float("nan")), complex(0.0, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            Ket(space, [1.0, bad])
+    with pytest.raises(BasisMismatchError, match="shape"):
+        Ket(space, [1.0, 0.0, 0.0])
+    with pytest.raises(BasisMismatchError, match="shape"):
+        Ket(space, [[1.0, 0.0]])
+
+
+def test_kets_copy_their_amplitudes_even_from_a_strided_column():
+    space = CanonicalBasis(("A", "B"))
+    u = random_unitary(np.random.default_rng(2), space.dim)
+    column, before = u[:, 1], u[:, 1].copy()
+    assert not column.flags.c_contiguous
+    k = Ket(space, column)
+    assert np.array_equal(k.amps, before) and k.amps.flags.c_contiguous
+    assert not k.amps.flags.writeable
+    u[:, 1] = 0.0
+    assert np.array_equal(k.amps, before)
+    source = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    k = Ket(space, source)
+    source[0] = 5.0
+    assert k.amps[0] == 1.0

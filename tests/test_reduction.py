@@ -9,6 +9,7 @@ import pytest
 
 from idqsim import (
     CanonicalBasis,
+    Ket,
     DensityMatrix,
     ElementaryState,
     LabeledState,
@@ -36,7 +37,7 @@ from idqsim import (
     von_neumann_entropy,
 )
 from idqsim.permanents import permutation_parity
-from idqsim.reduction import _ladder, _occupations
+from idqsim.reduction import _ladder, _occupations, _require_unit_norm, trace_start
 from idqsim.verification import random_ket, random_measurement_basis, random_state
 
 SPACE = CanonicalBasis(("A", "B", "C"))
@@ -512,3 +513,21 @@ def test_ladder_tables_match_the_entry_loop(statistics):
         assert np.array_equal(up, want_up), (dim, sector)
         assert np.array_equal(g, want_g), (dim, sector)
         assert not up.flags.writeable and not g.flags.writeable
+
+
+def test_nan_norms_and_probabilities_fail_their_checks():
+    with pytest.raises(ValueError, match="normalized"):
+        _require_unit_norm(float("nan"))
+    occ = OccupationBasis(CanonicalBasis(("A",)), 1, Statistics.BOSON)
+    with pytest.raises(ValueError, match="probability"):
+        DensityMatrix(occ, np.array([[1.0], [0.0]]), float("nan"))
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_trace_refuses_a_state_whose_coordinates_overflow(stats):
+    # the squared norm comes out NaN; it must fail the start, not the finish
+    big = Ket(SPACE, np.full(SPACE.dim, 1e200))
+    phi = ParticleState(stats, (ElementaryState(1e200, (big, big)),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="state must be normalized"):
+            trace_start(phi)

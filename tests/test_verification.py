@@ -11,9 +11,16 @@ import pytest
 import idqsim.states
 import idqsim.verification
 from idqsim.errors import ZeroProbabilityError
-from idqsim.hilbert import CanonicalBasis
-from idqsim.states import Statistics
-from idqsim.verification import PROPERTY_NAMES, random_state, run_all
+from idqsim.hilbert import CanonicalBasis, Ket
+from idqsim.states import ElementaryState, ParticleState, Statistics, inner, normalize
+from idqsim.verification import (
+    PROPERTY_NAMES,
+    _unit_rows,
+    random_ket,
+    random_product_labeled,
+    random_state,
+    run_all,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -112,7 +119,84 @@ def test_random_state_refuses_an_empty_sector_at_once():
 
 
 def test_random_state_gives_up_after_a_bounded_number_of_null_draws(monkeypatch):
-    monkeypatch.setattr(idqsim.verification, "inner", lambda a, b: 0j)
+    monkeypatch.setattr(idqsim.verification, "overlaps", lambda *args: np.zeros((1, 1)))
     rng = np.random.default_rng(0)
     with pytest.raises(ArithmeticError, match="100 draws of 2 bosons"):
         random_state(rng, CanonicalBasis(("A", "B")), 2, Statistics.BOSON)
+
+
+# --- the block draws against the per-ket loop they replaced -----------------
+
+
+def _per_ket_amps(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def _per_ket_state(rng, space, n, statistics, n_terms):
+    """``random_state`` as a loop over kets: one ``random_ket`` at a time, the
+    norm from ``inner`` and once more inside ``normalize``."""
+    for _ in range(100):
+        terms = []
+        for _ in range(n_terms):
+            kets = tuple(Ket(space, _per_ket_amps(rng, space.dim)) for _ in range(n))
+            terms.append(ElementaryState(complex(rng.normal(), rng.normal()), kets))
+        psi = ParticleState(statistics, tuple(terms))
+        if inner(psi, psi).real > 1e-6:
+            return normalize(psi)
+    raise ArithmeticError("null draws")
+
+
+def _same_stream_after(a, b):
+    return a.bit_generator.state == b.bit_generator.state and a.normal() == b.normal()
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_random_state_draws_what_the_per_ket_loop_draws(statistics):
+    for modes in range(1, 7):  # dim 2-12
+        space = CanonicalBasis(tuple("ABCDEF"[:modes]))
+        for n in range(5):
+            if statistics is Statistics.FERMION and n > space.dim:
+                continue
+            for n_terms in (1, 2, 3):
+                for seed in range(3):
+                    key = [seed, modes, n, n_terms]
+                    ours, theirs = np.random.default_rng(key), np.random.default_rng(key)
+                    got = random_state(ours, space, n, statistics, n_terms)
+                    want = _per_ket_state(theirs, space, n, statistics, n_terms)
+                    assert got.statistics is want.statistics
+                    assert len(got.terms) == len(want.terms) == n_terms
+                    for g, w in zip(got.terms, want.terms):
+                        assert np.array_equal(g.coeff, w.coeff), key
+                        assert len(g.kets) == len(w.kets) == n
+                        for gk, wk in zip(g.kets, w.kets):
+                            assert np.array_equal(gk.amps, wk.amps), key
+                    assert _same_stream_after(ours, theirs), key
+
+
+def test_random_kets_are_those_of_the_per_ket_draw():
+    for dim in range(2, 13, 2):
+        space = CanonicalBasis(tuple("ABCDEF"[: dim // 2]))
+        for seed in range(20):
+            ours, theirs = np.random.default_rng([seed, dim]), np.random.default_rng([seed, dim])
+            assert np.array_equal(random_ket(ours, space).amps, _per_ket_amps(theirs, dim))
+            assert _same_stream_after(ours, theirs)
+            if dim > 8:
+                continue  # labeled states are capped at dimension 8
+            got = random_product_labeled(ours, space, 3)
+            want = [_per_ket_amps(theirs, dim) for _ in range(3)]
+            for gk, wk in zip(got.terms[0][1], want):
+                assert np.array_equal(gk.amps, wk)
+            assert _same_stream_after(ours, theirs)
+
+
+def test_stacked_row_norms_round_as_linalg_norm_does():
+    # np.linalg.norm sums re.re + im.im through dot on strided views;
+    # norm(axis=-1) and einsum differ from it in the last bits
+    rng = np.random.default_rng(5)
+    for dim in range(2, 13):
+        draws = rng.normal(size=(500, 4, 2, dim))  # 2,000 rows per dim
+        units = _unit_rows(draws)
+        v = draws[..., 0, :] + 1j * draws[..., 1, :]
+        want = np.array([[row / np.linalg.norm(row) for row in term] for term in v])
+        assert np.array_equal(units, want), dim
