@@ -33,13 +33,11 @@ compression is checked against. It uses none of the ladder tables.
 
 The module also hosts the distinguishable-particle comparator: plain labeled
 product states with per-slot post-selected traces, no symmetrization. It
-traces the same way on the measured slot, and after each stage compresses
-its factor with the ladder route's ``reduction._compress``, so the factor
-is never wider than the product basis of the remaining slots. Like the
-ladder route it traces in three steps on an immutable walk,
-``trace_start``, ``trace_stage`` and ``trace_finish``:
-``distinguishable_trace_iterate`` runs them in sequence and
-``entanglement.analyze`` as a prefix tree shared by all plans.
+runs on the walk of ``idqsim.reduction`` (``trace_walk`` in sequence,
+``entanglement.analyze`` as a prefix tree), over a ``LabeledProductBasis``
+of the slots not yet measured: ``LabeledProductBasis.lower`` contracts the
+measured slot with ``_contract_slot``, and the shared stage compresses the
+factor, so it is never wider than the product basis of the remaining slots.
 """
 
 from __future__ import annotations
@@ -60,9 +58,10 @@ from .reduction import (
     MeasurementBasis,
     OccupationBasis,
     ZERO_PROB_TOL,
-    _compress,
     _entries,
     require_depth,
+    start_walk,
+    trace_walk,
 )
 from .states import ElementaryState, ParticleState, Statistics
 
@@ -260,7 +259,8 @@ def product_state(kets: Sequence[Ket], coeff: complex = 1.0) -> LabeledState:
 
 class LabeledProductBasis:
     """Product basis of the remaining labeled slots (duck-typed for
-    DensityMatrix: .size, .labels, .sector)."""
+    DensityMatrix and the trace walk: .space, .size, .labels, .sector,
+    .lower)."""
 
     def __init__(self, space: CanonicalBasis, slots: tuple[int, ...]):
         self.space = space
@@ -285,6 +285,16 @@ class LabeledProductBasis:
             flat = flat * self.space.dim + self.space.index_of(mode, spin)
         return flat
 
+    def lower(self, step: SlotTrace, factor: np.ndarray) -> tuple:
+        """One stage of a walk (see ``idqsim.reduction``): ``_contract_slot``
+        on the measured slot, onto the slots left, with weight 1 (a slot is
+        one particle)."""
+        if step.slot not in self.slots:
+            raise ValueError(f"slot {step.slot} already consumed or out of range")
+        lowered = _contract_slot(factor, step.basis, self.slots.index(step.slot))
+        rest = LabeledProductBasis(self.space, tuple(s for s in self.slots if s != step.slot))
+        return lowered, rest, 1.0
+
 
 @dataclass(frozen=True)
 class SlotTrace:
@@ -293,6 +303,10 @@ class SlotTrace:
 
     slot: int
     basis: MeasurementBasis
+
+    @property
+    def space(self) -> CanonicalBasis:
+        return self.basis.space
 
 
 def distinguishable_trace(state: LabeledState, step: SlotTrace) -> DensityMatrix:
@@ -307,43 +321,12 @@ def distinguishable_trace_iterate(
     Slot indices always refer to the original state; each measured slot is
     consumed. The result is a density matrix over the product basis of the
     remaining slots, with ``prob`` the product of stage probabilities:
-    ``trace_start``, then ``trace_stage`` per step, then ``trace_finish``.
+    ``reduction.trace_walk`` from ``trace_start``.
     """
-    walk = trace_start(state)
-    for step in steps:
-        walk = trace_stage(walk, step)
-    return trace_finish(walk)
+    return trace_walk(trace_start(state), steps)
 
 
 def trace_start(state: LabeledState) -> tuple:
-    """The untraced state as a walk ``(frame, remaining slots, V, prob)``,
-    with ``V`` its normalized vector as one column."""
-    vec = state.vector()
-    nrm = np.linalg.norm(vec)
-    if not abs(nrm - 1.0) <= 1e-8:  # NaN fails too
-        raise ValueError(f"state must be normalized (norm {nrm:.6g})")
-    return state.space, tuple(range(state.n)), (vec / nrm)[:, None], 1.0
-
-
-def trace_stage(walk: tuple, step: SlotTrace) -> tuple:
-    """The walk after measuring one more slot, compressed and renormalized.
-    Walks are never modified, so one can be shared."""
-    space, remaining, factor, prob = walk
-    if step.slot not in remaining:
-        raise ValueError(f"slot {step.slot} already consumed or out of range")
-    if step.basis.space != space:
-        raise ValueError("measurement basis lives in a different space")
-    lowered = _contract_slot(factor, step.basis, remaining.index(step.slot))
-    stage = np.vdot(lowered, lowered).real
-    if stage <= ZERO_PROB_TOL:
-        raise ZeroProbabilityError(
-            f"slot {step.slot} measurement never fires (total probability {stage:.3g})"
-        )
-    rest = tuple(s for s in remaining if s != step.slot)
-    return space, rest, _compress(lowered) / math.sqrt(stage), prob * stage
-
-
-def trace_finish(walk: tuple) -> DensityMatrix:
-    """The walk's remainder as a density matrix over the remaining slots."""
-    space, remaining, factor, prob = walk
-    return DensityMatrix(LabeledProductBasis(space, remaining), factor, prob)
+    """The untraced labeled state as a walk over the product basis of all
+    its slots."""
+    return start_walk(LabeledProductBasis(state.space, tuple(range(state.n))), state.vector())

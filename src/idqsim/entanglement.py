@@ -23,6 +23,9 @@ from .reduction import (
     MeasurementBasis,
     eigenvalues_hermitian,  # noqa: F401 - re-exported
     partial_trace_iterate,  # noqa: F401 - perfbench/tracer.py wraps this name
+    require_depth,
+    trace_finish,
+    trace_stage,
 )
 from .states import ParticleState
 
@@ -116,14 +119,16 @@ def analyze(
 ) -> EntanglementReport:
     """Run every trace plan and aggregate the mixedness verdicts.
 
-    All sides of all plans run as one prefix tree over the trace steps of
-    ``reduction`` (identical particles) or ``comparator`` (labeled ones):
-    the state is started once, and each distinct stage prefix is lowered
-    once. A stage is keyed by its value (its kets' amplitude bytes, and the
-    slot of a SlotTrace), and its frame is checked against the state's
-    before a stored walk is reused; a stored walk is dropped after the last
-    side that extends it. Sides run in plan order, so results and the first
-    error are those of tracing each side on its own.
+    All sides of all plans run as one prefix tree over the trace walk of
+    ``reduction``, which serves both particle kinds; the kind only picks
+    the start (``reduction.trace_start`` for identical particles,
+    ``comparator.trace_start`` for labeled ones). The state is started
+    once, and each distinct stage prefix is lowered once. A stage is keyed
+    by its value (its kets' amplitude bytes, and the slot of a SlotTrace),
+    and its frame is checked against the walk's before a stored walk is
+    reused; a stored walk is dropped after the last side that extends it.
+    Sides run in plan order, so results and the first error are those of
+    tracing each side on its own.
 
     A bipartition counts as mixed when every entropy it produced exceeds
     MIXED_THRESHOLD_BITS. The genuine-multipartite flag is the AND over
@@ -133,8 +138,7 @@ def analyze(
     labels = [p.label for p in plans]
     if len(set(labels)) != len(labels):
         raise ValueError("trace plan labels must be distinct")
-    labeled = isinstance(state, LabeledState)
-    steps = comparator if labeled else reduction
+    start = comparator.trace_start if isinstance(state, LabeledState) else reduction.trace_start
     paths = [[_prefixes(stages) for _, stages in plan.sides()] for plan in plans]
     users = Counter(prefix for sides in paths for path in sides for prefix in path)
     memo: dict[tuple, tuple] = {}
@@ -145,21 +149,20 @@ def analyze(
         entropies = []
         for (side, stages), path in zip(plan.sides(), sides):
             try:
-                root = steps.trace_start(state) if root is None else root
-                if not labeled:
-                    reduction.require_depth(len(stages), state.n)
+                root = start(state) if root is None else root
+                require_depth(len(stages), state.n)
                 walk = root
                 for stage, prefix in zip(stages, path):
                     users[prefix] -= 1
-                    # a walk starts with its frame; trace_stage raises on a foreign one
-                    same = (stage.basis if labeled else stage).space == walk[0]
+                    # a walk starts with its basis; trace_stage raises on a foreign frame
+                    same = stage.space == walk[0].space
                     hit = memo.get(prefix) if same else None
-                    walk = steps.trace_stage(walk, stage) if hit is None else hit
+                    walk = trace_stage(walk, stage) if hit is None else hit
                     if users[prefix]:
                         memo[prefix] = walk
                     else:
                         memo.pop(prefix, None)
-                rho = steps.trace_finish(walk)
+                rho = trace_finish(walk)
             except (SimulationError, ArithmeticError, ValueError) as exc:
                 # reworded in place: the same exception keeps its exit code
                 exc.args = (f"plan {plan.label!r}, side {side}: {exc}",)

@@ -36,17 +36,23 @@ a(psi_K) V]``, which is exact for mixtures because the trace is linear, and
 costs one gather per stage instead of a dense square of the larger sector.
 Once ``V`` has more columns than rows, ``_compress`` replaces it by a QR
 factor of the same ``V V^dagger``, so its width never exceeds the sector
-size (the labeled comparator compresses with the same function). The
-normalized factor is the reduced state: ``DensityMatrix`` keeps ``V``, and the
-nonzero eigenvalues of ``V V^dagger`` are those of the Gram matrix
-``V^dagger V``, which is only as wide as ``V`` (2-4 columns on a localized
-stage, against a sector of hundreds). The dense square over the whole
-sector is formed only when something reads ``DensityMatrix.mat``.
+size. The normalized factor is the reduced state: ``DensityMatrix`` keeps
+``V``, and the nonzero eigenvalues of ``V V^dagger`` are those of the Gram
+matrix ``V^dagger V``, which is only as wide as ``V`` (2-4 columns on a
+localized stage, against a sector of hundreds). The dense square over the
+whole sector is formed only when something reads ``DensityMatrix.mat``.
 
-A trace is three steps on an immutable walk: ``trace_start`` (coordinates
-and norm check), ``trace_stage`` (one lowering) and ``trace_finish`` (the
-normalized ``DensityMatrix``). ``partial_trace_iterate`` runs them in
-sequence; ``entanglement.analyze`` runs the same steps as a prefix tree, so
+One walk serves identical particles and the labeled ones of
+``idqsim.comparator``: an immutable tuple ``(basis, V, ||V||^2, prob)``. Its
+basis decides how a stage lowers ``V`` through ``basis.lower(stage, V)``,
+which returns the lowered factor, the basis that remains and the outcome
+weight: ``OccupationBasis.lower`` annihilates through the ladder tables with
+weight ``1/N``, the comparator's ``LabeledProductBasis.lower`` contracts the
+measured slot with weight 1. Everything else is shared: ``start_walk``
+(the norm check), ``trace_stage`` (frame check, probability floor,
+compression, product of stage probabilities), ``trace_finish`` (the
+normalized ``DensityMatrix``) and ``trace_walk``, which runs them in
+sequence. ``entanglement.analyze`` runs the same steps as a prefix tree, so
 sides that begin with equal stages share the walk up to where they part.
 """
 
@@ -56,7 +62,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,10 +136,13 @@ def _occupations(
     return tuple(gen(range(dim), sector))
 
 
+@lru_cache(maxsize=None)
 def _entries(dim: int, sector: int, statistics: Statistics) -> np.ndarray:
-    """``_occupations`` as an integer array, one row per occupation."""
+    """``_occupations`` as a read-only integer array, one row per occupation."""
     occupations = _occupations(dim, sector, statistics)
-    return np.array(occupations, dtype=np.intp).reshape(len(occupations), sector)
+    entries = np.array(occupations, dtype=np.intp).reshape(len(occupations), sector)
+    entries.flags.writeable = False
+    return entries
 
 
 @lru_cache(maxsize=None)
@@ -232,6 +241,14 @@ class OccupationBasis:
         v[self.index_of(entries)] = 1.0
         return v
 
+    def lower(self, mb: MeasurementBasis, factor: np.ndarray) -> tuple:
+        """One stage of a walk (see the module docstring): ``annihilate``
+        through every ket of ``mb``, onto the sector below, with weight
+        ``1/N`` (any of the ``N`` identical particles can be the one seen)."""
+        amps = np.array([k.amps for k in mb.kets])
+        rest = OccupationBasis(self.space, self.sector - 1, self.statistics)
+        return annihilate(amps, factor, self), rest, 1.0 / self.sector
+
     def __repr__(self) -> str:
         return (
             f"OccupationBasis(sector={self.sector}, "
@@ -253,7 +270,7 @@ def annihilate(
     return lowered.reshape(len(up), -1)
 
 
-def coords(phi: ParticleState, basis: Optional[OccupationBasis] = None) -> np.ndarray:
+def coords(phi: ParticleState, basis: OccupationBasis) -> np.ndarray:
     """Isometric coordinates of ``phi`` in the occupation-number basis.
 
     The standard inner product of coordinate vectors equals ``inner`` on
@@ -261,11 +278,6 @@ def coords(phi: ParticleState, basis: Optional[OccupationBasis] = None) -> np.nd
     ``c a^dagger(chi_1) ... a^dagger(chi_N) |vac>``: one creation, a scatter
     through the ladder table, per particle.
     """
-    if basis is None:
-        space = phi.basis if phi.n > 0 else None
-        if space is None:
-            raise ValueError("supply an OccupationBasis for zero-particle states")
-        basis = OccupationBasis(space, phi.n, phi.statistics)
     if basis.sector != phi.n:
         raise IncompatibleStatesError(
             f"state has {phi.n} particles, basis sector is {basis.sector}"
@@ -385,14 +397,9 @@ def partial_trace_iterate(
     """Successive one-particle traces; stage probabilities multiply.
 
     Works on a factor ``V`` with ``rho = V V^dagger`` (see the module
-    docstring): ``trace_start``, then ``trace_stage`` per basis, then
-    ``trace_finish``.
+    docstring): ``trace_walk`` from ``trace_start``.
     """
-    walk = trace_start(phi)
-    require_depth(len(bases), phi.n)
-    for mb in bases:
-        walk = trace_stage(walk, mb)
-    return trace_finish(walk)
+    return trace_walk(trace_start(phi), bases)
 
 
 def require_depth(stages: int, n: int) -> None:
@@ -401,37 +408,51 @@ def require_depth(stages: int, n: int) -> None:
         raise ValueError(f"cannot trace {stages} particles out of {n}")
 
 
-def trace_start(phi: ParticleState) -> tuple:
-    """The untraced state as a walk ``(frame, statistics, V, ||V||^2, prob,
-    particles left)``, with ``V`` its coordinates as one column."""
-    v = coords(phi, OccupationBasis(phi.basis, phi.n, phi.statistics))
-    norm2 = np.vdot(v, v).real  # equals inner(phi, phi): coordinates are isometric
+def start_walk(basis, vector: np.ndarray) -> tuple:
+    """The walk ``(basis, V, ||V||^2, prob)`` of an untraced state whose
+    coordinates over ``basis`` are ``vector``: ``V`` is that one column and
+    ``prob`` is 1. The state must be normalized."""
+    norm2 = np.vdot(vector, vector).real
     _require_unit_norm(norm2)
-    return phi.basis, phi.statistics, v[:, None], norm2, 1.0, phi.n
+    return basis, vector[:, None], norm2, 1.0
 
 
-def trace_stage(walk: tuple, mb: MeasurementBasis) -> tuple:
-    """The walk after one more stage: every column lowered through every ket
-    of ``mb``, then compressed. Walks are never modified, so one can be shared."""
-    space, statistics, factor, norm2, prob, m = walk
-    if mb.space != space:
+def trace_start(phi: ParticleState) -> tuple:
+    """The untraced identical-particle state as a walk over its sector."""
+    occ = OccupationBasis(phi.basis, phi.n, phi.statistics)
+    # coordinates are isometric, so ||V||^2 equals inner(phi, phi)
+    return start_walk(occ, coords(phi, occ))
+
+
+def trace_stage(walk: tuple, stage) -> tuple:
+    """The walk after one more stage, lowered by its basis and compressed.
+    Walks are never modified, so one can be shared."""
+    basis, factor, norm2, prob = walk
+    if stage.space != basis.space:
         raise IncompatibleStatesError("measurement ket and state bases differ")
-    amps = np.array([k.amps for k in mb.kets])
-    lowered = annihilate(amps, factor, OccupationBasis(space, m, statistics))
+    lowered, rest, weight = basis.lower(stage, factor)
     lowered2 = np.vdot(lowered, lowered).real
-    stage_prob = lowered2 / (m * norm2)
+    stage_prob = weight * lowered2 / norm2
     if stage_prob <= ZERO_PROB_TOL:
         raise ZeroProbabilityError(
             f"measurement basis never fires on this state (total probability {stage_prob:.3g})"
         )
-    return space, statistics, _compress(lowered), lowered2, prob * stage_prob, m - 1
+    return rest, _compress(lowered), lowered2, prob * stage_prob
 
 
 def trace_finish(walk: tuple) -> DensityMatrix:
     """The walk's remainder, normalized, as a density matrix."""
-    space, statistics, factor, norm2, prob, m = walk
-    occ = OccupationBasis(space, m, statistics)
-    return DensityMatrix(occ, factor / math.sqrt(norm2), prob)
+    basis, factor, norm2, prob = walk
+    return DensityMatrix(basis, factor / math.sqrt(norm2), prob)
+
+
+def trace_walk(walk: tuple, stages: Sequence) -> DensityMatrix:
+    """``stages`` run in sequence from ``walk``, for either particle kind;
+    too many stages fail before the first one runs."""
+    require_depth(len(stages), walk[0].sector)
+    for stage in stages:
+        walk = trace_stage(walk, stage)
+    return trace_finish(walk)
 
 
 def _compress(factor: np.ndarray) -> np.ndarray:

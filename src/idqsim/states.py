@@ -235,13 +235,22 @@ def inner(psi: ParticleState, phi: ParticleState) -> complex:
     return complex(_term_overlaps(psi.terms, phi.terms, psi.statistics).sum())
 
 
+def _norm2(psi: ParticleState) -> float:
+    """``inner(psi, psi)``, real part, with tiny negative round-off clamped to
+    zero. A NaN or infinite value (amplitudes too large) raises ValueError."""
+    n2 = inner(psi, psi).real
+    if not np.isfinite(n2):
+        raise ValueError(f"the squared norm is {n2} (amplitudes too large)")
+    return max(n2, 0.0)
+
+
 def norm(psi: ParticleState) -> float:
-    """Norm induced by ``inner``; tiny negative round-off is clamped to zero."""
-    return float(np.sqrt(max(inner(psi, psi).real, 0.0)))
+    """Norm induced by ``inner``; see ``_norm2`` for round-off and overflow."""
+    return float(np.sqrt(_norm2(psi)))
 
 
 def normalize(psi: ParticleState) -> ParticleState:
-    n2 = max(inner(psi, psi).real, 0.0)
+    n2 = _norm2(psi)
     if n2 <= NULL_NORM_SQ:
         raise NullStateError("state has zero norm and cannot be normalized")
     return psi * (1.0 / np.sqrt(n2))

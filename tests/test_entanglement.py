@@ -30,7 +30,7 @@ from idqsim import (
     purity,
     von_neumann_entropy,
 )
-from idqsim.errors import SimulationError
+from idqsim.errors import IncompatibleStatesError, SimulationError, ZeroProbabilityError
 from idqsim.verification import (
     random_ket,
     random_measurement_basis,
@@ -295,33 +295,66 @@ def test_labeled_slots_key_the_prefix(monkeypatch):
 
 
 OTHER = CanonicalBasis(("X", "Y", "Z"))
+LOC_A = MeasurementBasis.localized(SPACE, "A")
+LOC_X = MeasurementBasis.localized(OTHER, "X")
+
+
+def labeled_pair():
+    return product_state((SPACE.ket("A", Spin.DOWN), SPACE.ket("B", Spin.UP)))
 
 
 @pytest.mark.parametrize(
-    "plans",
+    "state, plans, want",
     [
         # a stored stage with the same amplitude bytes over another frame
         (
-            TracePlan("home", one_stages=(MeasurementBasis.localized(SPACE, "A"),)),
-            TracePlan("away", one_stages=(MeasurementBasis.localized(OTHER, "X"),)),
+            separated_state,
+            (TracePlan("home", one_stages=(LOC_A,)), TracePlan("away", one_stages=(LOC_X,))),
+            IncompatibleStatesError,
         ),
         # too deep a side fails before its first stage, even a foreign one
         (
-            TracePlan("ok", two_stages=(MeasurementBasis.localized(SPACE, "A"),)),
-            TracePlan("deep", one_stages=(MeasurementBasis.localized(OTHER, "X"),) * 4),
+            separated_state,
+            (TracePlan("ok", two_stages=(LOC_A,)), TracePlan("deep", one_stages=(LOC_X,) * 4)),
+            ValueError,
         ),
         # the first failing side wins, even when a later one fails sooner
         (
-            TracePlan("c twice", one_stages=(MeasurementBasis.localized(SPACE, "C"),) * 2),
-            TracePlan("too deep", one_stages=(MeasurementBasis.localized(SPACE, "A"),) * 4),
+            separated_state,
+            (
+                TracePlan("c twice", one_stages=(MeasurementBasis.localized(SPACE, "C"),) * 2),
+                TracePlan("too deep", one_stages=(LOC_A,) * 4),
+            ),
+            ZeroProbabilityError,
+        ),
+        # the same two errors on labeled states: a frame mismatch is not a ValueError
+        (
+            labeled_pair,
+            (
+                TracePlan("home", two_stages=(SlotTrace(0, LOC_A),)),
+                TracePlan("away", two_stages=(SlotTrace(0, LOC_X),)),
+            ),
+            IncompatibleStatesError,
+        ),
+        # more stages than slots fail before the foreign first stage runs
+        (
+            labeled_pair,
+            (
+                TracePlan("ok", two_stages=(SlotTrace(0, LOC_A),)),
+                TracePlan("deep", one_stages=tuple(SlotTrace(k, LOC_X) for k in range(3))),
+            ),
+            ValueError,
         ),
     ],
-    ids=["foreign frame", "depth first", "plan order"],
+    ids=["foreign frame", "depth first", "plan order", "labeled foreign frame", "labeled depth first"],
 )
-def test_errors_are_those_of_the_first_failing_side(plans):
-    want_type, want_message = first_side_error(separated_state(), plans)
+def test_errors_are_those_of_the_first_failing_side(state, plans, want):
+    want_type, want_message = first_side_error(state(), plans)
+    assert want_type is want
+    if want is ValueError:
+        assert "cannot trace" in want_message
     with pytest.raises(want_type) as caught:
-        analyze(separated_state(), plans)
+        analyze(state(), plans)
     assert type(caught.value) is want_type
     assert str(caught.value) == want_message
 
@@ -337,22 +370,15 @@ def test_unnormalized_state_fails_on_the_first_side():
 
 
 def test_labeled_errors_are_those_of_the_first_failing_side():
-    state = product_state((SPACE.ket("A", Spin.DOWN), SPACE.ket("B", Spin.UP)))
-    loc_a = MeasurementBasis.localized(SPACE, "A")
-    for plans in (
-        (
-            TracePlan("home", two_stages=(SlotTrace(0, loc_a),)),
-            TracePlan("away", two_stages=(SlotTrace(0, MeasurementBasis.localized(OTHER, "X")),)),
-        ),
-        (
-            TracePlan("fine", two_stages=(SlotTrace(0, loc_a),)),
-            TracePlan("twice", one_stages=(SlotTrace(0, loc_a), SlotTrace(0, loc_a))),
-        ),
-    ):
-        want_type, want_message = first_side_error(state, plans)
-        with pytest.raises(want_type) as caught:
-            analyze(state, plans)
-        assert str(caught.value) == want_message
+    state = labeled_pair()
+    plans = (
+        TracePlan("fine", two_stages=(SlotTrace(0, LOC_A),)),
+        TracePlan("twice", one_stages=(SlotTrace(0, LOC_A), SlotTrace(0, LOC_A))),
+    )
+    want_type, want_message = first_side_error(state, plans)
+    with pytest.raises(want_type) as caught:
+        analyze(state, plans)
+    assert str(caught.value) == want_message
 
 
 def test_nan_matrices_fail_the_reconstruction_check():

@@ -37,7 +37,7 @@ from idqsim import (
     von_neumann_entropy,
 )
 from idqsim.permanents import permutation_parity
-from idqsim.reduction import _ladder, _occupations, _require_unit_norm, trace_start
+from idqsim.reduction import _entries, _ladder, _occupations, _require_unit_norm, trace_start
 from idqsim.verification import random_ket, random_measurement_basis, random_state
 
 SPACE = CanonicalBasis(("A", "B", "C"))
@@ -513,6 +513,14 @@ def test_ladder_tables_match_the_entry_loop(statistics):
         assert np.array_equal(up, want_up), (dim, sector)
         assert np.array_equal(g, want_g), (dim, sector)
         assert not up.flags.writeable and not g.flags.writeable
+
+
+def test_sector_entries_are_converted_once_and_read_only():
+    for statistics in Statistics:
+        entries = _entries(6, 3, statistics)
+        assert _entries(6, 3, statistics) is entries
+        assert not entries.flags.writeable
+        assert entries.tolist() == [list(occ) for occ in _occupations(6, 3, statistics)]
 
 
 def test_nan_norms_and_probabilities_fail_their_checks():

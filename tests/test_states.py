@@ -295,3 +295,15 @@ def test_a_fermion_term_with_a_proportional_pair_has_exactly_zero_overlaps():
         mixed = ParticleState(Statistics.FERMION, clean.terms + (doubled,))
         want = inner(clean, clean)
         assert abs(inner(mixed, clean) - want) < 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("stats", list(Statistics), ids=lambda s: s.name)
+def test_norms_that_overflow_raise_naming_the_squared_norm(stats):
+    # 1e200 squared overflows; the clamp max(x, 0.0) used to keep the NaN
+    space = three_modes()
+    big = Ket(space, np.full(space.dim, 1e200))
+    phi = elementary(stats, (big, big), 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in (norm, normalize):
+            with pytest.raises(ValueError, match="squared norm is nan"):
+                f(phi)
