@@ -47,10 +47,9 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 def purity(rho: DensityMatrix) -> float:
     """Tr rho^2; equals 1 exactly for pure states, 1/d for maximal mixing.
 
-    Computed as ``||V^dagger V||_F^2`` on the factor ``V`` of ``rho``.
+    Read from ``rho``, which forms it from the Gram matrix of its spectrum.
     """
-    gram = rho.factor.conj().T @ rho.factor
-    return float(np.vdot(gram, gram).real)
+    return rho.purity
 
 
 Stage = Union[MeasurementBasis, SlotTrace]

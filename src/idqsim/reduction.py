@@ -29,6 +29,10 @@ through ``U`` and annihilation ``a(psi) = sum_j conj(psi_j) a_j`` gathers
 through it, so ``coords(project_single(psi, phi)) == a(psi) coords(phi)``:
 the projection algebra of ``idqsim.states`` in second-quantized form. The
 tables are built a whole sector at a time with numpy (``_ladder``).
+``coords`` raises each term in its own row, started from its one-particle
+coordinates ``c chi_N``: every further creation is one flat scatter per term
+(a 1-D ``np.add.at`` through the raveled ``U``), so one term's hops are alive
+at a time.
 
 Traces keep ``rho = V V^dagger`` as a factor ``V`` whose columns are
 unnormalized branches. One stage replaces ``V`` by ``[a(psi_1) V, ...,
@@ -274,9 +278,11 @@ def coords(phi: ParticleState, basis: OccupationBasis) -> np.ndarray:
     """Isometric coordinates of ``phi`` in the occupation-number basis.
 
     The standard inner product of coordinate vectors equals ``inner`` on
-    states. Every term is built at once as
-    ``c a^dagger(chi_1) ... a^dagger(chi_N) |vac>``: one creation, a scatter
-    through the ladder table, per particle.
+    states. Each term is raised as ``c a^dagger(chi_1) ... a^dagger(chi_N)
+    |vac>`` in its own row, from the one-particle coordinates ``c chi_N``
+    (``a^dagger(chi) |vac> = chi``): each further creation is one flat
+    scatter of that row's hops through the ladder table. The rows are summed
+    at the end; the zero-particle state is ``[sum c]``.
     """
     if basis.sector != phi.n:
         raise IncompatibleStatesError(
@@ -285,19 +291,23 @@ def coords(phi: ParticleState, basis: OccupationBasis) -> np.ndarray:
     if basis.statistics is not phi.statistics:
         raise IncompatibleStatesError("statistics of state and basis differ")
     dim = basis.space.dim
-    # one column per term, from coeff |vac> up
-    terms = np.array([[t.coeff for t in phi.terms]], dtype=complex)
-    cols = np.arange(terms.shape[1])
-    for k in range(phi.n - 1, -1, -1):  # a^dagger(chi_N) acts on |vac> first
+    coeffs = np.array([t.coeff for t in phi.terms], dtype=complex)
+    if phi.n == 0:
+        return np.array([coeffs.sum()])
+    terms = np.array([t.kets[-1].amps for t in phi.terms]) * coeffs[:, None]
+    for k in range(phi.n - 2, -1, -1):  # then a^dagger(chi_{N-1}), ..., a^dagger(chi_1)
         sector = phi.n - k
         up, g = _ladder(dim, sector, phi.statistics)
-        chis = np.array([t.kets[k].amps for t in phi.terms]).T  # (dim, terms)
-        size = len(_occupations(dim, sector, phi.statistics))
-        raised = np.zeros((size, cols.size), dtype=complex)
-        hops = g[:, :, None] * chis * terms[:, None, :]  # (lower rows, dim, terms)
-        np.add.at(raised, (up[:, :, None], cols), hops)
+        raised = np.zeros((len(terms), len(_occupations(dim, sector, phi.statistics))), complex)
+        for row, x, t in zip(raised, terms, phi.terms):
+            hops = g * t.kets[k].amps  # (lower rows, dim), times x in place
+            hops *= x[:, None]
+            # a 1-D index takes ufunc.at's fast path; up.ravel() is a view
+            np.add.at(row, up.ravel(), hops.ravel())
+            del hops  # one hop block alive at a time
         terms = raised
-    return terms.sum(axis=1)
+    # summed along contiguous (size, terms) rows: the order the tests pin bit for bit
+    return np.ascontiguousarray(terms.T).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,13 +320,15 @@ class DensityMatrix:
     construction, and ``tr(V V^dagger) = ||V||_F^2``. ``spectrum`` holds the
     descending eigenvalues (read-only), computed once at construction from
     the smaller of ``V^dagger V`` and ``V V^dagger`` and padded with zeros to
-    the basis size. The dense ``mat`` is formed on its first read.
+    the basis size; ``purity`` is ``tr rho^2``, the squared Frobenius norm of
+    that same Gram matrix. The dense ``mat`` is formed on its first read.
     """
 
     basis: object  # OccupationBasis or a labeled product basis (.size/.labels/.sector)
     factor: np.ndarray
     prob: float
     spectrum: np.ndarray = field(init=False, repr=False)
+    purity: float = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.factor, dtype=complex)
@@ -337,6 +349,7 @@ class DensityMatrix:
         object.__setattr__(self, "factor", v)
         object.__setattr__(self, "prob", min(max(p, 0.0), 1.0))
         object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "purity", float(np.vdot(small, small).real))
 
     @cached_property
     def mat(self) -> np.ndarray:
@@ -367,7 +380,7 @@ def eigenvalues_hermitian(mat: np.ndarray) -> np.ndarray:
     lo = evals.min()
     if lo < -EIGEN_CLAMP:
         raise NotPSDError(f"eigenvalue {lo:.3g} below -{EIGEN_CLAMP}")
-    return np.clip(evals, 0.0, None)[::-1]
+    return np.maximum(evals[::-1], 0.0)
 
 
 def probability_of(phi: ParticleState, basis: MeasurementBasis) -> float:

@@ -722,7 +722,10 @@ def _parse_labeled_state(raw: dict, space: CanonicalBasis, name: str) -> Labeled
         state = LabeledState(tuple((c, kets) for c, kets in terms))
     except (ValueError, OracleScaleError) as exc:
         raise ScenarioError(f"scenario.state: {exc}") from None
-    nrm = float(np.linalg.norm(state.vector()))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge amplitudes overflow
+        nrm = float(np.linalg.norm(state.vector()))
+    if not math.isfinite(nrm):
+        raise ScenarioError(f"scenario.state: the norm is {nrm} (amplitudes too large)")
     if nrm < 1e-12:
         raise ScenarioError(f"scenario {name!r}: the state has zero norm")
     return LabeledState(tuple((c / nrm, kets) for c, kets in state.terms))

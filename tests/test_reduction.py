@@ -1,6 +1,8 @@
 """Partial traces, occupation coordinates, and the probability gauge."""
 
+import gc
 import math
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from itertools import product
 
@@ -38,7 +40,7 @@ from idqsim import (
 )
 from idqsim.permanents import permutation_parity
 from idqsim.reduction import _entries, _ladder, _occupations, _require_unit_norm, trace_start
-from idqsim.verification import random_ket, random_measurement_basis, random_state
+from idqsim.verification import random_ket, random_measurement_basis, random_state, random_unitary
 
 SPACE = CanonicalBasis(("A", "B", "C"))
 
@@ -539,3 +541,150 @@ def test_trace_refuses_a_state_whose_coordinates_overflow(stats):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="state must be normalized"):
             trace_start(phi)
+
+
+# --- the coordinate kernel and the purity it feeds ----------------------------
+
+
+def add_at_coords(phi, occ):
+    """Coordinates by the earlier kernel: every term raised at once from
+    ``coeff |vac>``, one scatter per particle through a 2-D ``np.add.at``
+    index over (lower rows, dim, terms)."""
+    dim = occ.space.dim
+    terms = np.array([[t.coeff for t in phi.terms]], dtype=complex)
+    cols = np.arange(terms.shape[1])
+    for k in range(phi.n - 1, -1, -1):
+        sector = phi.n - k
+        up, g = _ladder(dim, sector, phi.statistics)
+        chis = np.array([t.kets[k].amps for t in phi.terms]).T
+        size = len(_occupations(dim, sector, phi.statistics))
+        raised = np.zeros((size, cols.size), dtype=complex)
+        hops = g[:, :, None] * chis * terms[:, None, :]
+        np.add.at(raised, (up[:, :, None], cols), hops)
+        terms = raised
+    return terms.sum(axis=1)
+
+
+@pytest.mark.parametrize("stats", list(Statistics), ids=lambda s: s.name)
+def test_coords_equal_the_two_dimensional_scatter_bit_for_bit(stats):
+    rng = np.random.default_rng(51)
+    for sites in range(1, 6):  # dim 2-10
+        space = CanonicalBasis(tuple("ABCDE"[:sites]))
+        for n in range(6):
+            if stats is Statistics.FERMION and n > space.dim:
+                continue
+            occ = OccupationBasis(space, n, stats)
+            for n_terms in (1, 2, 3):
+                phi = ParticleState(
+                    stats,
+                    tuple(
+                        ElementaryState(
+                            complex(rng.normal(), rng.normal()),
+                            tuple(random_ket(rng, space) for _ in range(n)),
+                        )
+                        for _ in range(n_terms)
+                    ),
+                )
+                want = add_at_coords(phi, occ)
+                assert np.array_equal(coords(phi, occ), want), (sites, n, n_terms)
+
+
+def test_large_boson_coords_equal_the_two_dimensional_scatter_bit_for_bit():
+    # eight bosons over six sites: a sector of 75,582
+    space = CanonicalBasis(tuple("ABCDEF"))
+    phi = random_state(np.random.default_rng(52), space, 8, Statistics.BOSON, n_terms=3)
+    occ = OccupationBasis(space, 8, Statistics.BOSON)
+    assert occ.size == 75582
+    assert np.array_equal(coords(phi, occ), add_at_coords(phi, occ))
+
+
+def test_coords_hold_one_hop_block_at_a_time():
+    # eight fermions over eight sites, three terms; the 2-D scatter held all
+    # three terms' hops at once, about five times this bound
+    space = CanonicalBasis(tuple("ABCDEFGH"))
+    stats = Statistics.FERMION
+    phi = random_state(np.random.default_rng(53), space, 8, stats, n_terms=3)
+    occ = OccupationBasis(space, 8, stats)
+    coords(phi, occ)  # ladder tables are built and cached outside the measurement
+    up, _ = _ladder(space.dim, 8, stats)
+    hop_block = up.size * 16  # one term's top-layer hops, complex
+    raised = len(phi.terms) * occ.size * 16
+    gc.collect()
+    tracemalloc.start()
+    try:
+        coords(phi, occ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * hop_block + raised
+
+
+def test_purity_is_the_squared_norm_of_the_gram_matrix():
+    rng = np.random.default_rng(54)
+    # narrow factors, from traces: bit for bit the Gram matrix V^dagger V
+    for stats in Statistics:
+        phi = random_state(rng, SPACE, 3, stats, n_terms=3)
+        for mb in (MeasurementBasis.localized(SPACE, "B"), random_measurement_basis(rng, SPACE)):
+            rho = partial_trace_one(phi, mb)
+            assert rho.factor.shape[1] < rho.basis.size
+            gram = rho.factor.conj().T @ rho.factor
+            assert rho.purity == float(np.vdot(gram, gram).real)
+            assert purity(rho) == rho.purity
+    # square and wide factors: V V^dagger has the same Frobenius norm
+    occ = OccupationBasis(SPACE, 1, Statistics.BOSON)
+    for width in (occ.size, occ.size + 3):
+        v = rng.normal(size=(occ.size, width)) + 1j * rng.normal(size=(occ.size, width))
+        rho = DensityMatrix(occ, v / np.linalg.norm(v), 1.0)
+        gram = rho.factor.conj().T @ rho.factor
+        assert abs(rho.purity - float(np.vdot(gram, gram).real)) < 1e-15
+
+
+# --- closed-form spectra above the oracle cap ---------------------------------
+
+
+def orbitals(space, rotated, count):
+    """``count`` orthonormal kets: canonical ones, or columns of a random
+    unitary (a single-particle unitary applied to the canonical ones)."""
+    u = random_unitary(np.random.default_rng(55), space.dim) if rotated else np.eye(space.dim)
+    return [Ket(space, u[:, j]) for j in range(count)]
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["canonical", "rotated"])
+def test_fermion_slater_determinant_leaves_equal_weights(rotated):
+    # seven fermions in orthonormal orbitals over dim 10, three complete
+    # stages: C(7, 3) = 35 equal eigenvalues over a sector of 210
+    space = CanonicalBasis(tuple("ABCDE"))
+    phi = normalize(elementary(Statistics.FERMION, orbitals(space, rotated, 7)))
+    full = MeasurementBasis.full(space)
+    rho = partial_trace_iterate(phi, (full, full, full))
+    want = np.zeros(rho.basis.size)
+    want[: math.comb(7, 3)] = 1.0 / math.comb(7, 3)
+    assert rho.basis.size == 210
+    assert np.abs(rho.spectrum - want).max() < 1e-12 * rho.basis.size
+    assert abs(rho.prob - 1.0) < 1e-12 * rho.basis.size
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["canonical", "rotated"])
+def test_boson_product_leaves_binomial_weights(rotated):
+    # eight bosons with multiplicities (4, 3, 1), two complete stages: the
+    # weights prod_j C(n_j, m_j) / C(8, 2) for every |m| = 6
+    space = CanonicalBasis(tuple("ABC"))
+    occupied = orbitals(space, rotated, 3)
+    mult = (4, 3, 1)
+    kets = [k for k, n in zip(occupied, mult) for _ in range(n)]
+    phi = normalize(elementary(Statistics.BOSON, kets))
+    full = MeasurementBasis.full(space)
+    rho = partial_trace_iterate(phi, (full, full))
+    weights = sorted(
+        (
+            math.prod(math.comb(n, m) for n, m in zip(mult, ms)) / math.comb(8, 2)
+            for ms in product(*(range(n + 1) for n in mult))
+            if sum(ms) == 6
+        ),
+        reverse=True,
+    )
+    want = np.zeros(rho.basis.size)
+    want[: len(weights)] = weights
+    assert rho.basis.size == 462
+    assert np.abs(rho.spectrum - want).max() < 1e-12 * rho.basis.size
+    assert abs(rho.prob - 1.0) < 1e-12 * rho.basis.size

@@ -363,6 +363,30 @@ def test_huge_amplitudes_print_only_the_error_line(tmp_path, where, value):
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
+@pytest.mark.parametrize("huge", ["coeff", "kets"])
+def test_huge_labeled_amplitudes_exit_2_with_only_the_error_line(tmp_path, huge):
+    # coefficient: the squared norm overflows; kets: their product is inf * 0
+    payload = labeled_file_payload()
+    term = payload["state"][0]
+    if huge == "coeff":
+        term["coeff"] = [1e300, 1e300]
+    else:
+        term["kets"] = [[[mode, spin, 1e200, 0.0]] for [[mode, spin, _, _]] in term["kets"]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "idqsim.cli", "run", "--file", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.startswith("error: scenario.state")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
 def test_non_orthonormal_basis_names_the_offending_pair(tmp_path):
     payload = induced_file_payload()
     payload["plans"][0]["two"] = [
