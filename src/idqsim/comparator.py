@@ -43,7 +43,6 @@ factor, so it is never wider than the product basis of the remaining slots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Sequence
@@ -51,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OracleScaleError, ZeroProbabilityError
-from .hilbert import CanonicalBasis, Ket
+from .hilbert import CanonicalBasis, Frozen, Ket
 from .permanents import signed_permutations
 from .reduction import (
     DensityMatrix,
@@ -217,19 +216,16 @@ def oracle_trace_iterate(
 # --- distinguishable-particle comparator ---------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledState:
+class LabeledState(Frozen):
     """Superposition of labeled product terms; no exchange symmetry.
     Coefficients must be finite."""
 
-    terms: tuple[tuple[complex, tuple[Ket, ...]], ...]
-
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple[tuple[complex, tuple[Ket, ...]], ...]):
+        if not terms:
             raise ValueError("labeled state needs at least one term")
-        n = len(self.terms[0][1])
-        space = self.terms[0][1][0].basis
-        for coeff, kets in self.terms:
+        n = len(terms[0][1])
+        space = terms[0][1][0].basis
+        for coeff, kets in terms:
             if not np.isfinite(coeff):
                 raise ValueError("coefficient must be finite")
             if len(kets) != n:
@@ -238,6 +234,7 @@ class LabeledState:
                 if k.basis != space:
                     raise ValueError("kets live in different bases")
         _check_scale(n, space.dim)
+        self._set("terms", terms)
 
     @property
     def n(self) -> int:
@@ -296,13 +293,13 @@ class LabeledProductBasis:
         return lowered, rest, 1.0
 
 
-@dataclass(frozen=True)
-class SlotTrace:
+class SlotTrace(Frozen):
     """Post-selected one-slot measurement: project slot ``slot`` (0-based,
     in the original labeling) onto each ket of ``basis``."""
 
-    slot: int
-    basis: MeasurementBasis
+    def __init__(self, slot: int, basis: MeasurementBasis):
+        self._set("slot", slot)
+        self._set("basis", basis)
 
     @property
     def space(self) -> CanonicalBasis:

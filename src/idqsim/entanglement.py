@@ -9,7 +9,6 @@ entangled when every planned bipartition leaves a mixed remainder.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence, Union
 
@@ -18,6 +17,7 @@ import numpy as np
 from . import comparator, reduction
 from .comparator import LabeledState, SlotTrace
 from .errors import SimulationError
+from .hilbert import Frozen
 from .reduction import (
     DensityMatrix,
     MeasurementBasis,
@@ -55,8 +55,7 @@ def purity(rho: DensityMatrix) -> float:
 Stage = Union[MeasurementBasis, SlotTrace]
 
 
-@dataclass(frozen=True)
-class TracePlan:
+class TracePlan(Frozen):
     """One bipartition to probe: which stages to trace toward each remainder.
 
     ``one_stages`` leaves a one-particle remainder, ``two_stages`` a
@@ -67,17 +66,19 @@ class TracePlan:
     ``bipartition=False`` so they do not vote on the genuine-multipartite flag.
     """
 
-    label: str
-    one_stages: Optional[tuple[Stage, ...]] = None
-    two_stages: Optional[tuple[Stage, ...]] = None
-    bipartition: bool = True
-
-    def __post_init__(self):
-        if self.one_stages is None and self.two_stages is None:
-            raise ValueError(f"plan {self.label!r} traces nothing")
-        for name, stages in (("one", self.one_stages), ("two", self.two_stages)):
-            if stages is not None:
-                object.__setattr__(self, f"{name}_stages", tuple(stages))
+    def __init__(
+        self,
+        label: str,
+        one_stages: Optional[Sequence[Stage]] = None,
+        two_stages: Optional[Sequence[Stage]] = None,
+        bipartition: bool = True,
+    ):
+        if one_stages is None and two_stages is None:
+            raise ValueError(f"plan {label!r} traces nothing")
+        self._set("label", label)
+        self._set("one_stages", None if one_stages is None else tuple(one_stages))
+        self._set("two_stages", None if two_stages is None else tuple(two_stages))
+        self._set("bipartition", bipartition)
 
     def sides(self) -> tuple[tuple[str, tuple[Stage, ...]], ...]:
         """(side, stages) for each traced side, "one" first."""
@@ -88,23 +89,38 @@ class TracePlan:
         )
 
 
-@dataclass(frozen=True)
-class BipartitionReport:
-    label: str
-    mixed: bool
-    entropy_one: Optional[float] = None
-    entropy_two: Optional[float] = None
-    purity_one: Optional[float] = None
-    purity_two: Optional[float] = None
-    rho_one: Optional[DensityMatrix] = None
-    rho_two: Optional[DensityMatrix] = None
-    bipartition: bool = True
+class BipartitionReport(Frozen):
+    def __init__(
+        self,
+        label: str,
+        mixed: bool,
+        entropy_one: Optional[float] = None,
+        entropy_two: Optional[float] = None,
+        purity_one: Optional[float] = None,
+        purity_two: Optional[float] = None,
+        rho_one: Optional[DensityMatrix] = None,
+        rho_two: Optional[DensityMatrix] = None,
+        bipartition: bool = True,
+    ):
+        self._set("label", label)
+        self._set("mixed", mixed)
+        self._set("entropy_one", entropy_one)
+        self._set("entropy_two", entropy_two)
+        self._set("purity_one", purity_one)
+        self._set("purity_two", purity_two)
+        self._set("rho_one", rho_one)
+        self._set("rho_two", rho_two)
+        self._set("bipartition", bipartition)
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
-    bipartitions: tuple[BipartitionReport, ...]
-    genuine_multipartite: Optional[bool]
+class EntanglementReport(Frozen):
+    def __init__(
+        self,
+        bipartitions: tuple[BipartitionReport, ...],
+        genuine_multipartite: Optional[bool],
+    ):
+        self._set("bipartitions", bipartitions)
+        self._set("genuine_multipartite", genuine_multipartite)
 
     def __getitem__(self, label: str) -> BipartitionReport:
         for b in self.bipartitions:

@@ -7,7 +7,6 @@ coordinate vector over the canonical (mode, spin) frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -29,12 +28,57 @@ class Spin(Enum):
         return "↑" if self is Spin.UP else "↓"
 
 
-@dataclass(frozen=True)
-class Mode:
+class Frozen:
+    """Base of the package's immutable types, written without ``dataclasses``,
+    which generates and compiles each class's methods when it is imported.
+
+    A subclass's ``__init__`` stores each of its parameters once, as the
+    field of that name, through ``_set``; afterwards assignment and deletion
+    raise ``AttributeError``. ``_fields`` lists those parameters: ``repr``
+    shows them as ``Cls(name=value, ...)``, and ``==`` and ``hash`` compare
+    them as a tuple, or identity when the subclass is declared ``eq=False``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    # bound to an instance, ``self._set(name, value)`` bypasses the frozen
+    # ``__setattr__``; one call per field is quicker than dataclasses' __init__
+    _set = object.__setattr__
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]  # after self
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class Mode(Frozen):
     """A named spatial mode with its position in the canonical ordering."""
 
-    name: str
-    index: int
+    def __init__(self, name: str, index: int):
+        self._set("name", name)
+        self._set("index", index)
 
 
 class CanonicalBasis:
@@ -93,23 +137,20 @@ class CanonicalBasis:
         return f"CanonicalBasis(modes={self.mode_names!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class Ket:
+class Ket(Frozen, eq=False):
     """A single-particle state: a complex amplitude vector over a canonical basis."""
 
-    basis: CanonicalBasis
-    amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amps, dtype=complex)
-        if amps.shape != (self.basis.dim,):
+    def __init__(self, basis: CanonicalBasis, amps: np.ndarray):
+        amps = np.array(amps, dtype=complex)
+        if amps.shape != (basis.dim,):
             raise BasisMismatchError(
-                f"amplitude vector has shape {amps.shape}, basis dim is {self.basis.dim}"
+                f"amplitude vector has shape {amps.shape}, basis dim is {basis.dim}"
             )
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
+        self._set("basis", basis)
+        self._set("amps", amps)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))

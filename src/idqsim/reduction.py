@@ -63,7 +63,6 @@ sides that begin with equal stages share the walk up to where they part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
@@ -76,7 +75,9 @@ from .errors import (
     NotPSDError,
     ZeroProbabilityError,
 )
-from .hilbert import CanonicalBasis, Ket, Spin, orthonormality_defect, ORTHONORMALITY_TOL
+from .hilbert import (
+    CanonicalBasis, Frozen, Ket, Spin, orthonormality_defect, ORTHONORMALITY_TOL
+)
 from .states import ParticleState, Statistics, inner, project_single
 
 TRACE_TOL = 1e-10
@@ -85,31 +86,29 @@ EIGEN_CLAMP = 1e-10
 RECONSTRUCTION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
+class MeasurementBasis(Frozen):
     """An orthonormal set of single-particle kets to trace onto.
 
     ``complete`` is true iff the set spans the whole single-particle space.
     """
 
-    kets: tuple[Ket, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "kets", tuple(self.kets))
-        if not self.kets:
+    def __init__(self, kets: Sequence[Ket]):
+        kets = tuple(kets)
+        if not kets:
             raise ValueError("measurement basis needs at least one ket")
-        space = self.kets[0].basis
-        for k in self.kets:
+        space = kets[0].basis
+        for k in kets:
             if k.basis != space:
                 raise BasisMismatchError("measurement kets live in different bases")
-        if len(self.kets) > space.dim:
+        if len(kets) > space.dim:
             raise ValueError("more kets than the space dimension")
-        defect, pair = orthonormality_defect(self.kets)
+        defect, pair = orthonormality_defect(kets)
         if defect > ORTHONORMALITY_TOL:
             raise ValueError(
                 f"measurement kets {pair[0]} and {pair[1]} are not orthonormal "
                 f"(deviation {defect:.3g})"
             )
+        self._set("kets", kets)
 
     @property
     def space(self) -> CanonicalBasis:
@@ -310,8 +309,7 @@ def coords(phi: ParticleState, basis: OccupationBasis) -> np.ndarray:
     return np.ascontiguousarray(terms.T).sum(axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(Frozen, eq=False):
     """Trace-one state ``V V^dagger`` over a sector basis, kept as its factor
     ``V`` (read-only, ``basis.size`` rows), plus the total measurement
     probability ``prob`` consumed to normalize it.
@@ -324,13 +322,16 @@ class DensityMatrix:
     that same Gram matrix. The dense ``mat`` is formed on its first read.
     """
 
-    basis: object  # OccupationBasis or a labeled product basis (.size/.labels/.sector)
-    factor: np.ndarray
-    prob: float
-    spectrum: np.ndarray = field(init=False, repr=False)
-    purity: float = field(init=False, repr=False)
+    # basis: OccupationBasis or a labeled product basis (.size/.labels/.sector)
+    def __init__(self, basis: object, factor: np.ndarray, prob: float):
+        self._set("basis", basis)
+        self._set("factor", factor)
+        self._set("prob", prob)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check and normalize the fields; kept apart from ``__init__`` so a
+        profiler can wrap the validation alone."""
         v = np.array(self.factor, dtype=complex)
         size = self.basis.size
         if v.ndim != 2 or v.shape[0] != size:
@@ -346,10 +347,10 @@ class DensityMatrix:
             raise ValueError(f"probability {p} outside [0, 1]")
         v.flags.writeable = False
         spectrum.flags.writeable = False
-        object.__setattr__(self, "factor", v)
-        object.__setattr__(self, "prob", min(max(p, 0.0), 1.0))
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "purity", float(np.vdot(small, small).real))
+        self._set("factor", v)
+        self._set("prob", min(max(p, 0.0), 1.0))
+        self._set("spectrum", spectrum)
+        self._set("purity", float(np.vdot(small, small).real))
 
     @cached_property
     def mat(self) -> np.ndarray:

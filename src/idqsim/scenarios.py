@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -36,7 +35,7 @@ from .errors import (
     ScenarioError,
     SimulationError,
 )
-from .hilbert import CanonicalBasis, Ket, Spin
+from .hilbert import CanonicalBasis, Frozen, Ket, Spin
 from .reduction import MeasurementBasis
 from .states import ElementaryState, ParticleState, Statistics, normalize
 
@@ -62,40 +61,40 @@ QUANTITIES = (
 )
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(Frozen):
     """One frozen number (or flag) a scenario run must reproduce.
 
     ``label`` names the trace plan; ``stage`` ("one"/"two") picks the
     remainder for quantities that need it (eigenvalues, probability).
     """
 
-    quantity: str
-    value: Union[float, tuple, bool]
-    label: Optional[str] = None
-    stage: Optional[str] = None
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.quantity not in QUANTITIES:
-            raise ScenarioError(
-                f"unknown quantity {self.quantity!r}; choose from {QUANTITIES}"
-            )
-        if self.quantity == "genuine_multipartite":
-            if not isinstance(self.value, bool):
+    def __init__(
+        self,
+        quantity: str,
+        value: Union[float, tuple, bool],
+        label: Optional[str] = None,
+        stage: Optional[str] = None,
+        tolerance: float = 1e-10,
+    ):
+        if quantity not in QUANTITIES:
+            raise ScenarioError(f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
+        if quantity == "genuine_multipartite":
+            if not isinstance(value, bool):
                 raise ScenarioError("genuine_multipartite expects true/false")
-        elif self.label is None:
-            raise ScenarioError(f"{self.quantity} needs a plan label")
-        if self.quantity in ("eigenvalues", "probability") and self.stage not in (
-            "one",
-            "two",
-        ):
-            raise ScenarioError(f"{self.quantity} needs stage 'one' or 'two'")
-        if self.quantity == "eigenvalues":
-            vals = tuple(float(v) for v in np.atleast_1d(np.asarray(self.value, float)))
-            object.__setattr__(self, "value", tuple(sorted(vals, reverse=True)))
-        if not 0 <= self.tolerance < math.inf:
+        elif label is None:
+            raise ScenarioError(f"{quantity} needs a plan label")
+        if quantity in ("eigenvalues", "probability") and stage not in ("one", "two"):
+            raise ScenarioError(f"{quantity} needs stage 'one' or 'two'")
+        if quantity == "eigenvalues":
+            vals = tuple(float(v) for v in np.atleast_1d(np.asarray(value, float)))
+            value = tuple(sorted(vals, reverse=True))
+        if not 0 <= tolerance < math.inf:
             raise ScenarioError("tolerance must be finite and nonnegative")
+        self._set("quantity", quantity)
+        self._set("value", value)
+        self._set("label", label)
+        self._set("stage", stage)
+        self._set("tolerance", tolerance)
 
     def describe(self) -> str:
         where = ""
@@ -105,18 +104,18 @@ class Expectation:
         return f"{self.quantity}{where}"
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    name: str
-    title: str
-    state: Union[ParticleState, LabeledState]
-    plans: tuple[TracePlan, ...]
-    expectations: tuple[Expectation, ...] = ()
-
-    def __post_init__(self):
-        labeled = isinstance(self.state, LabeledState)
+class ScenarioSpec(Frozen):
+    def __init__(
+        self,
+        name: str,
+        title: str,
+        state: Union[ParticleState, LabeledState],
+        plans: tuple[TracePlan, ...],
+        expectations: tuple[Expectation, ...] = (),
+    ):
+        labeled = isinstance(state, LabeledState)
         stage_type = SlotTrace if labeled else MeasurementBasis
-        for p in self.plans:
+        for p in plans:
             if not isinstance(p, TracePlan) or not all(
                 isinstance(st, stage_type) for _, stages in p.sides() for st in stages
             ):
@@ -125,23 +124,41 @@ class ScenarioSpec:
                     f"{kind} states take TracePlan entries with "
                     f"{stage_type.__name__} stages"
                 )
+        self._set("name", name)
+        self._set("title", title)
+        self._set("state", state)
+        self._set("plans", plans)
+        self._set("expectations", expectations)
 
 
-@dataclass(frozen=True)
-class ExpectationResult:
-    expectation: Expectation
-    tolerance: float  # effective tolerance used for the comparison
-    actual: object
-    passed: bool
-    note: str = ""
+class ExpectationResult(Frozen):
+    def __init__(
+        self,
+        expectation: Expectation,
+        tolerance: float,  # effective tolerance used for the comparison
+        actual: object,
+        passed: bool,
+        note: str = "",
+    ):
+        self._set("expectation", expectation)
+        self._set("tolerance", tolerance)
+        self._set("actual", actual)
+        self._set("passed", passed)
+        self._set("note", note)
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    name: str
-    title: str
-    report: EntanglementReport
-    checks: tuple[ExpectationResult, ...]
+class ScenarioReport(Frozen):
+    def __init__(
+        self,
+        name: str,
+        title: str,
+        report: EntanglementReport,
+        checks: tuple[ExpectationResult, ...],
+    ):
+        self._set("name", name)
+        self._set("title", title)
+        self._set("report", report)
+        self._set("checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -569,8 +586,14 @@ def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {p}") from None
+    except OSError as exc:  # a directory, no permission
+        raise ScenarioError(f"{p}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{p}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{p}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise ScenarioError(f"{p}: JSON nested too deeply") from None
     return parse_scenario(raw)
 
 

@@ -21,7 +21,6 @@ coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -32,7 +31,7 @@ from .errors import (
     IncompatibleStatesError,
     NullStateError,
 )
-from .hilbert import CanonicalBasis, Ket, sp_inner
+from .hilbert import CanonicalBasis, Frozen, Ket, sp_inner
 from .permanents import determinant, permanent, permutation_parity
 
 # States with squared norm at or below this are treated as the null vector.
@@ -55,44 +54,39 @@ class Statistics(Enum):
         return 1 if self is Statistics.BOSON else -1
 
 
-@dataclass(frozen=True, eq=False)
-class ElementaryState:
+class ElementaryState(Frozen, eq=False):
     """One term ``coeff * |kets[0], ..., kets[N-1]>`` over a shared basis."""
 
-    coeff: complex
-    kets: tuple[Ket, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "kets", tuple(self.kets))
-        if not np.isfinite(self.coeff.real) or not np.isfinite(self.coeff.imag):
+    def __init__(self, coeff: complex, kets: Sequence[Ket]):
+        coeff, kets = complex(coeff), tuple(kets)
+        if not np.isfinite(coeff.real) or not np.isfinite(coeff.imag):
             raise ValueError("coefficient must be finite")
-        bases = {k.basis for k in self.kets}
+        bases = {k.basis for k in kets}
         if len(bases) > 1:
             raise IncompatibleStatesError("all kets of a term must share one basis")
+        self._set("coeff", coeff)
+        self._set("kets", kets)
 
     @property
     def n(self) -> int:
         return len(self.kets)
 
 
-@dataclass(frozen=True, eq=False)
-class ParticleState:
+class ParticleState(Frozen, eq=False):
     """Linear combination of elementary states sharing particle number and statistics."""
 
-    statistics: Statistics
-    terms: tuple[ElementaryState, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+    def __init__(self, statistics: Statistics, terms: Sequence[ElementaryState]):
+        terms = tuple(terms)
+        if not terms:
             raise ValueError("state needs at least one term")
-        ns = {t.n for t in self.terms}
+        ns = {t.n for t in terms}
         if len(ns) > 1:
             raise IncompatibleStatesError(f"terms mix particle numbers {sorted(ns)}")
-        bases = {t.kets[0].basis for t in self.terms if t.kets}
+        bases = {t.kets[0].basis for t in terms if t.kets}
         if len(bases) > 1:
             raise IncompatibleStatesError("terms live in different bases")
+        self._set("statistics", statistics)
+        self._set("terms", terms)
 
     @property
     def n(self) -> int:

@@ -17,7 +17,6 @@ at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,7 +33,7 @@ from .comparator import (
 )
 from .entanglement import eigenvalues_hermitian, purity, spectrum, von_neumann_entropy
 from .errors import ZeroProbabilityError
-from .hilbert import CanonicalBasis, Ket, Spin, orthonormality_defect, sp_inner
+from .hilbert import CanonicalBasis, Frozen, Ket, Spin, orthonormality_defect, sp_inner
 from .permanents import permanent, permanent_naive, permanent_ryser
 from .reduction import (
     MeasurementBasis,
@@ -60,11 +59,11 @@ from .states import (
 BOTH = (Statistics.BOSON, Statistics.FERMION)
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    name: str
-    passed: bool
-    detail: str
+class PropertyResult(Frozen):
+    def __init__(self, name: str, passed: bool, detail: str):
+        self._set("name", name)
+        self._set("passed", passed)
+        self._set("detail", detail)
 
 
 def _ensure(cond: bool, msg: str) -> None:

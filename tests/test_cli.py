@@ -95,6 +95,26 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_directory_in_place_of_a_file_is_input_error(tmp_path, capsys):
+    assert main(["run", "--file", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path}: cannot read")
+
+
+def test_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "Zürich"}'.encode("latin-1"))
+    assert main(["run", "--file", str(path)]) == EXIT_INPUT
+    assert f"{path}: not UTF-8" in capsys.readouterr().err
+
+
+def test_file_nested_past_the_recursion_limit_is_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["run", "--file", str(path)]) == EXIT_INPUT
+    assert f"{path}: JSON nested too deeply" in capsys.readouterr().err
+
+
 def test_stage_that_never_fires_names_its_plan_and_side(tmp_path, capsys):
     # no particle sits at C, so the C-down detector of plan "at-c" never fires
     payload = {

@@ -1,19 +1,45 @@
-"""Single-particle layer: canonical frames, kets, inner products."""
+"""Single-particle layer: canonical frames, kets, inner products, and the
+immutable base class of the package's value types."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from idqsim import (
     BasisMismatchError,
+    BipartitionReport,
     CanonicalBasis,
     DegenerateKetError,
+    DensityMatrix,
+    ElementaryState,
+    EntanglementReport,
     Ket,
+    LabeledState,
+    MeasurementBasis,
+    Mode,
+    OccupationBasis,
+    ParticleState,
+    SlotTrace,
     Spin,
+    Statistics,
+    TracePlan,
     is_orthonormal_set,
     orthonormality_defect,
     sp_inner,
 )
-from idqsim.verification import random_ket, random_measurement_basis, random_unitary
+from idqsim.scenarios import Expectation, ExpectationResult, ScenarioReport, ScenarioSpec
+from idqsim.verification import (
+    PropertyResult,
+    random_ket,
+    random_measurement_basis,
+    random_unitary,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_canonical_ordering_is_mode_major_up_before_down():
@@ -156,3 +182,124 @@ def test_kets_copy_their_amplitudes_even_from_a_strided_column():
     k = Ket(space, source)
     source[0] = 5.0
     assert k.amps[0] == 1.0
+
+
+# --- the immutable value types -------------------------------------------
+
+SPACE = CanonicalBasis(("A", "B"))
+UP, DOWN = SPACE.ket("A", Spin.UP), SPACE.ket("A", Spin.DOWN)
+TERM = ElementaryState(coeff=1.0, kets=(UP,))
+STATE = ParticleState(statistics=Statistics.BOSON, terms=(TERM,))
+BASIS = MeasurementBasis(kets=(UP, DOWN))
+PLAN = TracePlan("p", one_stages=(BASIS,))
+EXPECTATION = Expectation(quantity="entropy_one", value=0.0, label="p")
+REPORT = EntanglementReport(bipartitions=(), genuine_multipartite=None)
+
+
+def pure_rho() -> DensityMatrix:
+    occupations = OccupationBasis(SPACE, 1, Statistics.BOSON)
+    return DensityMatrix(basis=occupations, factor=[[1], [0], [0], [0]], prob=1)
+
+
+# (constructor call by keyword, defaults it must fill in, compared by value?)
+FROZEN_TYPES = [
+    pytest.param(lambda: Mode(name="A", index=0), {}, True, id="Mode"),
+    pytest.param(lambda: Ket(basis=SPACE, amps=[1, 0, 0, 0]), {}, False, id="Ket"),
+    pytest.param(lambda: ElementaryState(coeff=2, kets=[UP]), {}, False, id="ElementaryState"),
+    pytest.param(
+        lambda: ParticleState(statistics=Statistics.BOSON, terms=[TERM]), {}, False,
+        id="ParticleState",
+    ),
+    pytest.param(lambda: MeasurementBasis(kets=[UP, DOWN]), {}, True, id="MeasurementBasis"),
+    pytest.param(pure_rho, {}, False, id="DensityMatrix"),
+    pytest.param(lambda: LabeledState(terms=((1.0, (UP,)),)), {}, True, id="LabeledState"),
+    pytest.param(lambda: SlotTrace(slot=0, basis=BASIS), {}, True, id="SlotTrace"),
+    pytest.param(
+        lambda: TracePlan(label="p", one_stages=[BASIS]),
+        {"two_stages": None, "bipartition": True}, True, id="TracePlan",
+    ),
+    pytest.param(
+        lambda: BipartitionReport(label="p", mixed=False),
+        {"entropy_one": None, "entropy_two": None, "purity_one": None, "purity_two": None,
+         "rho_one": None, "rho_two": None, "bipartition": True},
+        True, id="BipartitionReport",
+    ),
+    pytest.param(
+        lambda: EntanglementReport(bipartitions=(), genuine_multipartite=None), {}, True,
+        id="EntanglementReport",
+    ),
+    pytest.param(
+        lambda: Expectation(quantity="entropy_one", value=0.0, label="p"),
+        {"stage": None, "tolerance": 1e-10}, True, id="Expectation",
+    ),
+    pytest.param(
+        lambda: ScenarioSpec(name="s", title="t", state=STATE, plans=(PLAN,)),
+        {"expectations": ()}, True, id="ScenarioSpec",
+    ),
+    pytest.param(
+        lambda: ExpectationResult(
+            expectation=EXPECTATION, tolerance=1e-10, actual=0.0, passed=True
+        ),
+        {"note": ""}, True, id="ExpectationResult",
+    ),
+    pytest.param(
+        lambda: ScenarioReport(name="s", title="t", report=REPORT, checks=()), {}, True,
+        id="ScenarioReport",
+    ),
+    pytest.param(
+        lambda: PropertyResult(name="n", passed=True, detail="d"), {}, True,
+        id="PropertyResult",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, defaults, by_value", FROZEN_TYPES)
+def test_value_types_are_immutable_and_compare_as_declared(make, defaults, by_value):
+    a, b = make(), make()
+    for field in list(vars(a)):
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == a
+    if by_value:
+        assert a == b and hash(a) == hash(b)
+    else:
+        assert a != b and hash(a) == object.__hash__(a)
+    for field, value in defaults.items():
+        assert getattr(a, field) == value
+
+
+def test_reprs_name_the_fields_but_not_the_derived_spectrum():
+    assert repr(Mode("A", 0)) == "Mode(name='A', index=0)"
+    assert repr(PLAN).startswith("TracePlan(label='p', one_stages=(MeasurementBasis(kets=(|A↑>,")
+    rho = pure_rho()
+    text = repr(rho)
+    assert text.startswith("DensityMatrix(basis=OccupationBasis(") and text.endswith("prob=1.0)")
+    assert rho.purity == 1.0 and "spectrum" not in text and "purity" not in text
+
+
+def test_importing_idqsim_compiles_no_generated_source():
+    # numpy first, as any caller would have it; a compile event whose
+    # filename is not a .py file is code generated at import time
+    probe = (
+        "import sys, numpy\n"
+        "generated = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'compile' and not str(args[1]).endswith('.py'):\n"
+        "        generated.append(args[1])\n"
+        "sys.addaudithook(hook)\n"
+        "import idqsim\n"
+        "print(len(generated), 'dataclasses' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idqsim import (
     CanonicalBasis,
@@ -34,6 +35,7 @@ from idqsim.scenarios import (
     TOL_ENTROPY,
     TOL_PROB,
     TOL_PURITY,
+    parse_scenario,
 )
 from idqsim.verification import random_state
 
@@ -521,3 +523,59 @@ def test_expectation_validation():
     for tol in (math.inf, math.nan):  # either would let every check pass
         with pytest.raises(ScenarioError, match="tolerance"):
             Expectation("entropy_two", 42.0, "(AA)-A", tolerance=tol)
+
+
+# --- fuzzing the file parser ---------------------------------------------
+
+FIELDS = (
+    "name", "title", "kind", "statistics", "modes", "state", "coeff", "kets",
+    "plans", "label", "one", "two", "bipartition", "slot", "expectations",
+    "quantity", "value", "stage", "tolerance",
+)
+WORDS = FIELDS + (
+    "A", "B", "C", "up", "down", "boson", "fermion", "identical", "distinguishable",
+    "entropy_one", "entropy_two", "purity_one", "purity_two", "eigenvalues",
+    "probability", "genuine_multipartite", "(BC)-delocalized", "(12)-3", "",
+)
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.sampled_from(WORDS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, as the keys and indices that reach it."""
+    yield path
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+
+
+def _parse_or_reject(raw) -> None:
+    try:
+        parse_scenario(raw)
+    except ScenarioError:
+        pass
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(tree=JSON_TREES)
+def test_any_json_tree_parses_or_is_a_scenario_error(tree):
+    _parse_or_reject(tree)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(tree=JSON_TREES)
+def test_any_json_tree_in_any_one_field_of_a_valid_file(tree):
+    for payload in (induced_file_payload(), labeled_file_payload()):
+        for *head, last in list(_paths(payload))[1:]:
+            parent = payload
+            for key in head:
+                parent = parent[key]
+            kept, parent[last] = parent[last], tree
+            _parse_or_reject(payload)
+            parent[last] = kept
