@@ -38,6 +38,17 @@ Traces keep ``rho = V V^dagger`` as a factor ``V`` whose columns are
 unnormalized branches. One stage replaces ``V`` by ``[a(psi_1) V, ...,
 a(psi_K) V]``, which is exact for mixtures because the trace is linear, and
 costs one gather per stage instead of a dense square of the larger sector.
+A stage gathers only its kets' support, the ``s`` canonical entries where
+any of them is nonzero: ``a_j`` with ``conj(psi_j) = 0`` adds nothing. A
+localized stage touches 2 of the ``2M`` entries and a delocalized pair 4.
+``MeasurementBasis`` finds its support and the conjugated amplitudes on it
+once, on its first lowering, and ``_support_ladder`` keeps the ladder
+table's columns at that support per ``(dim, sector, statistics, support)``.
+That cache stays bounded: a full support, such as any random basis, reuses
+``_ladder``'s own arrays (so its lowering is the full-table one bit for
+bit); the paper's measurement families have at most ``M + C(M, 2)`` sparse
+supports (one per site, one per pair of sites); and each restricted table
+costs at most ``s / dim`` of the full one.
 Once ``V`` has more columns than rows, ``_compress`` replaces it by a QR
 factor of the same ``V V^dagger``, so its width never exceeds the sector
 size. The normalized factor is the reduced state: ``DensityMatrix`` keeps
@@ -118,6 +129,20 @@ class MeasurementBasis(Frozen):
     def complete(self) -> bool:
         return len(self.kets) == self.space.dim
 
+    @cached_property
+    def _support(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """``(support, conj)``, computed on the first lowering: the ascending
+        canonical entries where any ket is nonzero, and the conjugated
+        amplitudes on them as one C-contiguous ``(K, len(support))`` block."""
+        conj = np.conj(np.array([k.amps for k in self.kets]))
+        if np.count_nonzero(conj) == conj.size:  # dense, as every random basis is
+            return tuple(range(conj.shape[1])), conj
+        # a set of a few dozen ints is quicker than any(axis=0) and flatnonzero
+        support = tuple(sorted(set(conj.nonzero()[1].tolist())))
+        if len(support) < conj.shape[1]:
+            conj = conj.take(support, axis=1)  # C-contiguous, unlike conj[:, support]
+        return support, conj
+
     @classmethod
     def localized(cls, space: CanonicalBasis, mode: str) -> "MeasurementBasis":
         """Both spin kets of one spatial mode."""
@@ -179,6 +204,21 @@ def _ladder(
     else:
         g = np.where(counts > 0, 0.0, np.where(below % 2, -1.0, 1.0))  # Pauli exclusion
         up[counts > 0] = 0
+    up.flags.writeable = False
+    g.flags.writeable = False
+    return up, g
+
+
+@lru_cache(maxsize=None)
+def _support_ladder(
+    dim: int, sector: int, statistics: Statistics, support: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The columns ``support`` of ``_ladder``, read-only and C-contiguous;
+    at full support, ``_ladder``'s own arrays."""
+    up, g = _ladder(dim, sector, statistics)
+    if len(support) == dim:
+        return up, g
+    up, g = up.take(support, axis=1), g.take(support, axis=1)
     up.flags.writeable = False
     g.flags.writeable = False
     return up, g
@@ -248,9 +288,8 @@ class OccupationBasis:
         """One stage of a walk (see the module docstring): ``annihilate``
         through every ket of ``mb``, onto the sector below, with weight
         ``1/N`` (any of the ``N`` identical particles can be the one seen)."""
-        amps = np.array([k.amps for k in mb.kets])
         rest = OccupationBasis(self.space, self.sector - 1, self.statistics)
-        return annihilate(amps, factor, self), rest, 1.0 / self.sector
+        return annihilate(mb, factor, self), rest, 1.0 / self.sector
 
     def __repr__(self) -> str:
         return (
@@ -260,16 +299,19 @@ class OccupationBasis:
 
 
 def annihilate(
-    amps: np.ndarray, factor: np.ndarray, basis: OccupationBasis
+    mb: MeasurementBasis, factor: np.ndarray, basis: OccupationBasis
 ) -> np.ndarray:
-    """``[a(psi_1) V, ..., a(psi_K) V]`` for the rows ``psi_k`` of ``amps``.
+    """``[a(psi_1) V, ..., a(psi_K) V]`` for the kets ``psi_k`` of ``mb``.
 
     The columns of ``V = factor`` are coordinates over ``basis``, and
     ``a(psi) = sum_j conj(psi_j) a_j``; the result has one row per occupation
-    of the sector below and ``K`` times as many columns as ``V``.
+    of the sector below and ``K`` times as many columns as ``V``. Only the
+    entries ``j`` of the kets' support are gathered (see the module
+    docstring).
     """
-    up, g = _ladder(basis.space.dim, basis.sector, basis.statistics)
-    lowered = np.conj(amps) @ (factor[up] * g[:, :, None])  # (rows, K, columns)
+    support, conj = mb._support
+    up, g = _support_ladder(basis.space.dim, basis.sector, basis.statistics, support)
+    lowered = conj @ (factor[up] * g[:, :, None])  # (rows, K, columns)
     return lowered.reshape(len(up), -1)
 
 
@@ -341,7 +383,7 @@ class DensityMatrix(Frozen, eq=False):
             raise ValueError(f"trace is {trace:.12g}, expected 1")
         small = v.conj().T @ v if v.shape[1] < size else v @ v.conj().T
         spectrum = np.zeros(size)
-        spectrum[: len(small)] = eigenvalues_hermitian(small)  # the PSD check
+        spectrum[: len(small)], purity = _checked_eigenvalues(small)  # the PSD check
         p = float(self.prob)
         if not -1e-9 <= p <= 1.0 + 1e-9:  # NaN fails too
             raise ValueError(f"probability {p} outside [0, 1]")
@@ -350,7 +392,7 @@ class DensityMatrix(Frozen, eq=False):
         self._set("factor", v)
         self._set("prob", min(max(p, 0.0), 1.0))
         self._set("spectrum", spectrum)
-        self._set("purity", float(np.vdot(small, small).real))
+        self._set("purity", float(purity))
 
     @cached_property
     def mat(self) -> np.ndarray:
@@ -372,16 +414,25 @@ def eigenvalues_hermitian(mat: np.ndarray) -> np.ndarray:
     the Frobenius residual must stay within ``RECONSTRUCTION_TOL`` times
     ``max(1, ||mat||_F)``, compared squared; a NaN residual fails it.
     """
+    return _checked_eigenvalues(mat)[0]
+
+
+def _checked_eigenvalues(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """``eigenvalues_hermitian`` and ``||mat||_F^2``, which its
+    reconstruction check computes anyway."""
     m = np.asarray(mat, dtype=complex)
+    if not m.size:
+        raise ValueError("an empty matrix has no eigenvalues to check")
     evals, evecs = np.linalg.eigh(m)
     diff = m - (evecs * evals) @ evecs.conj().T
     resid2 = np.vdot(diff, diff).real
-    if not resid2 <= RECONSTRUCTION_TOL**2 * max(1.0, np.vdot(m, m).real):
+    norm2 = np.vdot(m, m).real
+    if not resid2 <= RECONSTRUCTION_TOL**2 * max(1.0, norm2):
         raise ArithmeticError(f"eigendecomposition residual {math.sqrt(resid2):.3g}")
-    lo = evals.min()
+    lo = evals[0]  # eigh returns them ascending
     if lo < -EIGEN_CLAMP:
         raise NotPSDError(f"eigenvalue {lo:.3g} below -{EIGEN_CLAMP}")
-    return np.maximum(evals[::-1], 0.0)
+    return np.maximum(evals[::-1], 0.0), norm2
 
 
 def probability_of(phi: ParticleState, basis: MeasurementBasis) -> float:

@@ -116,10 +116,12 @@ def random_state(
     ``1 / sqrt(norm^2)`` as ``normalize`` scales them, come out the same bit
     for bit; the state is built once, already normalized.
 
-    Raises ValueError on an empty sector (more fermions than single-particle
-    states) and ArithmeticError if 100 draws in a row have a squared norm of
-    at most 1e-6.
+    Raises ValueError, before any draw, when ``n_terms < 1`` or the sector is
+    empty (more fermions than single-particle states), and ArithmeticError if
+    100 draws in a row have a squared norm of at most 1e-6.
     """
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be at least 1, got {n_terms}")
     if statistics is Statistics.FERMION and n > space.dim:
         raise ValueError(f"no state of {n} fermions over {space.dim} single-particle states")
     for _ in range(100):
@@ -140,7 +142,10 @@ def random_measurement_basis(
     rng: np.random.Generator, space: CanonicalBasis, size: Optional[int] = None
 ) -> MeasurementBasis:
     """Orthonormal measurement set from a Haar-ish unitary; complete if
-    ``size`` is None."""
+    ``size`` is None. A ``size`` outside ``1..dim`` raises ValueError before
+    any draw."""
+    if size is not None and not 1 <= size <= space.dim:
+        raise ValueError(f"size must be between 1 and {space.dim}, got {size}")
     u = random_unitary(rng, space.dim)
     k = space.dim if size is None else size
     return MeasurementBasis(tuple(Ket(space, u[:, j]) for j in range(k)))
@@ -288,8 +293,7 @@ def _prop_oracle_trace_agreement(rng) -> str:
             paper = projected @ projected.conj().T
             worst = max(worst, float(np.abs(paper / paper.trace().real - ref.mat).max()))
             # ... and tied to the ladder route: coords(P_psi phi) = a(psi) coords(phi)
-            amps = np.array([psi.amps for psi in mb.kets])
-            ladder = annihilate(amps, coords(phi, upper)[:, None], upper)
+            ladder = annihilate(mb, coords(phi, upper)[:, None], upper)
             worst = max(worst, float(np.abs(projected - ladder).max()))
             checked += 1
     # iterated traces

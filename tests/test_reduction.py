@@ -4,10 +4,11 @@ import gc
 import math
 import tracemalloc
 from bisect import bisect_left, bisect_right
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idqsim import (
     CanonicalBasis,
@@ -38,8 +39,11 @@ from idqsim import (
     spectrum,
     von_neumann_entropy,
 )
+from idqsim.comparator import oracle_trace_iterate
 from idqsim.permanents import permutation_parity
-from idqsim.reduction import _entries, _ladder, _occupations, _require_unit_norm, trace_start
+from idqsim.reduction import (
+    _entries, _ladder, _occupations, _require_unit_norm, _support_ladder, annihilate, trace_start
+)
 from idqsim.verification import random_ket, random_measurement_basis, random_state, random_unitary
 
 SPACE = CanonicalBasis(("A", "B", "C"))
@@ -525,6 +529,95 @@ def test_sector_entries_are_converted_once_and_read_only():
         assert entries.tolist() == [list(occ) for occ in _occupations(6, 3, statistics)]
 
 
+# --- lowering through the support of the measurement kets --------------------
+
+
+def full_table_annihilate(mb, factor, basis):
+    """``annihilate`` before it gathered only the kets' support: every column
+    of the ladder table, weighted and contracted with the full amplitudes."""
+    amps = np.array([k.amps for k in mb.kets])
+    up, g = _ladder(basis.space.dim, basis.sector, basis.statistics)
+    return (np.conj(amps) @ (factor[up] * g[:, :, None])).reshape(len(up), -1)
+
+
+def sparse_basis(rng, space, support_size):
+    """Random orthonormal kets, as many as 1..``support_size``, all supported
+    on the same random ``support_size`` canonical entries."""
+    support = np.sort(rng.choice(space.dim, size=support_size, replace=False))
+    u = random_unitary(rng, support_size)
+    kets = []
+    for j in range(int(rng.integers(1, support_size + 1))):
+        amps = np.zeros(space.dim, dtype=complex)
+        amps[support] = u[:, j]
+        kets.append(Ket(space, amps))
+    return MeasurementBasis(kets)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics), ids=lambda s: s.name)
+def test_annihilate_matches_the_full_table_formula(statistics):
+    rng = np.random.default_rng(56)
+    for sites in range(2, 6):  # dims 4-10
+        modes = "ABCDE"[:sites]
+        space = CanonicalBasis(tuple(modes))
+        exact = [MeasurementBasis.localized(space, m) for m in modes]
+        exact.append(random_measurement_basis(rng, space))
+        sparse = [delocalized_pair(space, a, b) for a, b in combinations(modes, 2)]
+        sparse += [sparse_basis(rng, space, int(rng.integers(1, space.dim))) for _ in range(3)]
+        for sector in range(1, 7):
+            if statistics is Statistics.FERMION and sector > space.dim:
+                continue
+            basis = OccupationBasis(space, sector, statistics)
+            for width in (1, 2, 3):
+                factor = rng.normal(size=(basis.size, width)) + 1j * rng.normal(
+                    size=(basis.size, width)
+                )
+                for mb in exact:
+                    got = annihilate(mb, factor, basis)
+                    assert np.array_equal(got, full_table_annihilate(mb, factor, basis))
+                for mb in sparse:
+                    got = annihilate(mb, factor, basis)
+                    want = full_table_annihilate(mb, factor, basis)
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() <= 1e-12 * basis.size
+
+
+def test_full_support_gathers_through_the_ladder_table_itself():
+    for statistics in Statistics:
+        full = _ladder(SPACE.dim, 3, statistics)
+        up, g = _support_ladder(SPACE.dim, 3, statistics, tuple(range(SPACE.dim)))
+        assert up is full[0] and g is full[1]
+        up, g = _support_ladder(SPACE.dim, 3, statistics, (2, 3))
+        assert np.array_equal(up, full[0][:, [2, 3]]) and np.array_equal(g, full[1][:, [2, 3]])
+        assert up.flags.c_contiguous and not up.flags.writeable and not g.flags.writeable
+    mb = MeasurementBasis.localized(SPACE, "B")
+    support, conj = mb._support
+    assert support == (2, 3) and conj.flags.c_contiguous
+    assert mb._support is mb._support  # computed once per basis
+
+
+@pytest.mark.parametrize("stages", [1, 2])
+def test_sparse_support_traces_agree_with_the_oracle(stages):
+    rng = np.random.default_rng(57)
+    compared = 0
+    for statistics in Statistics:
+        for _ in range(8):
+            phi = random_state(rng, SPACE, 3, statistics)
+            bases = tuple(
+                sparse_basis(rng, SPACE, int(rng.integers(2, SPACE.dim)))
+                for _ in range(stages)
+            )
+            try:
+                ours = partial_trace_iterate(phi, bases)
+            except ZeroProbabilityError:
+                continue
+            ref = oracle_trace_iterate(phi, bases)
+            tol = 1e-12 * ours.basis.size
+            assert np.abs(ours.mat - ref.mat).max() <= tol
+            assert abs(ours.prob - ref.prob) <= tol
+            compared += 1
+    assert compared >= 10
+
+
 def test_nan_norms_and_probabilities_fail_their_checks():
     with pytest.raises(ValueError, match="normalized"):
         _require_unit_norm(float("nan"))
@@ -688,3 +781,59 @@ def test_boson_product_leaves_binomial_weights(rotated):
     assert rho.basis.size == 462
     assert np.abs(rho.spectrum - want).max() < 1e-12 * rho.basis.size
     assert abs(rho.prob - 1.0) < 1e-12 * rho.basis.size
+
+
+@st.composite
+def canonical_products(draw):
+    """``(statistics, sites, n, stage sites)``: a product of canonical kets
+    with occupations ``n_j`` (``N`` = 6-8 over 3-4 sites) and 1-3 localized
+    stages, each at a site that still holds a particle."""
+    statistics = draw(st.sampled_from(list(Statistics)))
+    sites = draw(st.integers(3, 4))
+    dim = 2 * sites
+    if statistics is Statistics.BOSON:
+        entries = draw(st.lists(st.integers(0, dim - 1), min_size=6, max_size=8))
+    else:
+        entries = draw(st.permutations(range(dim)))[: draw(st.integers(6, dim))]
+    n = np.bincount(entries, minlength=dim)
+    left = n.reshape(sites, 2).sum(axis=1)  # entry j is site j // 2
+    stages = []
+    for _ in range(draw(st.integers(1, 3))):
+        site = draw(st.sampled_from([s for s in range(sites) if left[s]]))
+        left[site] -= 1
+        stages.append(site)
+    return statistics, sites, n, stages
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(case=canonical_products())
+def test_canonical_products_leave_binomial_weights(case):
+    # removing k_s particles at site s leaves each pattern m with
+    # sum_{j in s} m_j = k_s at weight prod_j C(n_j, m_j) / prod_s C(n_s, k_s),
+    # after the probability prod_s n_s^(k_s falling) / N^(k falling)
+    statistics, sites, n, stages = case
+    modes = "ABCD"[:sites]
+    space = CanonicalBasis(tuple(modes))
+    canonical = space.kets()
+    kets = [canonical[j] for j in range(space.dim) for _ in range(n[j])]
+    phi = normalize(elementary(statistics, kets))
+    bases = tuple(MeasurementBasis.localized(space, modes[s]) for s in stages)
+    rho = partial_trace_iterate(phi, bases)
+    k = np.bincount(stages, minlength=sites)
+    n_site = n.reshape(sites, 2).sum(axis=1)
+    per_site = [
+        [
+            math.comb(n[2 * s], m) * math.comb(n[2 * s + 1], k[s] - m) / math.comb(n_site[s], k[s])
+            for m in range(k[s] + 1)
+        ]
+        for s in range(sites)
+    ]
+    weights = sorted((math.prod(ws) for ws in product(*per_site)), reverse=True)
+    want = np.zeros(rho.basis.size)
+    want[: len(weights)] = weights
+    prob = math.prod(math.perm(int(a), int(b)) for a, b in zip(n_site, k)) / math.perm(
+        len(kets), len(stages)
+    )
+    tol = 1e-12 * rho.basis.size
+    assert np.abs(rho.spectrum - want).max() <= tol
+    assert abs(rho.prob - prob) <= tol

@@ -17,6 +17,7 @@ from idqsim.verification import (
     PROPERTY_NAMES,
     _unit_rows,
     random_ket,
+    random_measurement_basis,
     random_product_labeled,
     random_state,
     run_all,
@@ -116,6 +117,23 @@ def test_random_state_refuses_an_empty_sector_at_once():
     )
     assert proc.returncode == 1
     assert "ValueError: no state of 12 fermions over 10 single-particle states" in proc.stderr
+
+
+def test_random_state_refuses_no_terms_before_drawing():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n_terms"):
+        random_state(rng, CanonicalBasis(("A", "B")), 2, Statistics.BOSON, n_terms=0)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("size", [0, 7])
+def test_random_measurement_basis_refuses_a_size_outside_the_space(size):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="size"):
+        random_measurement_basis(rng, CanonicalBasis(("A", "B", "C")), size)
+    assert rng.bit_generator.state == before
 
 
 def test_random_state_gives_up_after_a_bounded_number_of_null_draws(monkeypatch):
