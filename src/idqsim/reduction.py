@@ -41,9 +41,10 @@ costs one gather per stage instead of a dense square of the larger sector.
 A stage gathers only its kets' support, the ``s`` canonical entries where
 any of them is nonzero: ``a_j`` with ``conj(psi_j) = 0`` adds nothing. A
 localized stage touches 2 of the ``2M`` entries and a delocalized pair 4.
-``MeasurementBasis`` finds its support and the conjugated amplitudes on it
-once, on its first lowering, and ``_support_ladder`` keeps the ladder
-table's columns at that support per ``(dim, sector, statistics, support)``.
+``MeasurementBasis`` finds its support, and the conjugated amplitudes on a
+sparse one, once, on its first lowering, and ``_support_ladder`` keeps the
+ladder table's columns at that support per ``(dim, sector, statistics,
+support)``.
 That cache stays bounded: a full support, such as any random basis, reuses
 ``_ladder``'s own arrays (so its lowering is the full-table one bit for
 bit); the paper's measurement families have at most ``M + C(M, 2)`` sparse
@@ -130,17 +131,19 @@ class MeasurementBasis(Frozen):
         return len(self.kets) == self.space.dim
 
     @cached_property
-    def _support(self) -> tuple[tuple[int, ...], np.ndarray]:
-        """``(support, conj)``, computed on the first lowering: the ascending
-        canonical entries where any ket is nonzero, and the conjugated
-        amplitudes on them as one C-contiguous ``(K, len(support))`` block."""
-        conj = np.conj(np.array([k.amps for k in self.kets]))
-        if np.count_nonzero(conj) == conj.size:  # dense, as every random basis is
-            return tuple(range(conj.shape[1])), conj
-        # a set of a few dozen ints is quicker than any(axis=0) and flatnonzero
-        support = tuple(sorted(set(conj.nonzero()[1].tolist())))
-        if len(support) < conj.shape[1]:
-            conj = conj.take(support, axis=1)  # C-contiguous, unlike conj[:, support]
+    def _support(self) -> tuple[tuple[int, ...], np.ndarray | None]:
+        """``(support, conj)``, found on the first lowering: the ascending
+        canonical entries where any ket is nonzero and, when they are fewer
+        than ``dim``, the conjugated amplitudes on them as one read-only
+        C-contiguous block. At full support ``conj`` is None: that block
+        would copy the kets whole for as long as the basis lives, while a
+        dense basis (any random one) is mostly lowered once."""
+        amps = np.array([k.amps for k in self.kets])
+        support = tuple(np.flatnonzero(amps.any(axis=0)).tolist())
+        if len(support) == amps.shape[1]:
+            return support, None
+        conj = np.conj(amps.take(support, axis=1))
+        conj.flags.writeable = False
         return support, conj
 
     @classmethod
@@ -311,6 +314,8 @@ def annihilate(
     """
     support, conj = mb._support
     up, g = _support_ladder(basis.space.dim, basis.sector, basis.statistics, support)
+    if conj is None:
+        conj = np.conj(np.array([k.amps for k in mb.kets]))
     lowered = conj @ (factor[up] * g[:, :, None])  # (rows, K, columns)
     return lowered.reshape(len(up), -1)
 

@@ -591,8 +591,10 @@ def test_full_support_gathers_through_the_ladder_table_itself():
         assert up.flags.c_contiguous and not up.flags.writeable and not g.flags.writeable
     mb = MeasurementBasis.localized(SPACE, "B")
     support, conj = mb._support
-    assert support == (2, 3) and conj.flags.c_contiguous
+    assert support == (2, 3) and conj.flags.c_contiguous and not conj.flags.writeable
     assert mb._support is mb._support  # computed once per basis
+    dense = random_measurement_basis(np.random.default_rng(0), SPACE)
+    assert dense._support == (tuple(range(SPACE.dim)), None)
 
 
 @pytest.mark.parametrize("stages", [1, 2])
