@@ -18,6 +18,11 @@ with the creators in ascending ``j``. An elementary state is
 ``|chi_1, ..., chi_N> = a^dagger(chi_1) ... a^dagger(chi_N) |vac>`` with
 ``a^dagger(chi) = sum_j chi_j a_j^dagger``; its squared norm is the permanent
 or determinant of its Gram matrix, so the coordinate map is an isometry.
+Each sector is enumerated once, by ``_entries``, into one cached read-only
+``(size, sector)`` integer array whose rows are the ascending entries of the
+occupations in lexicographic order. Everything else reads that array: the
+ladder tables, ``OccupationBasis`` (its size, lookups and norm factors) and
+the comparator's isometry; index tuples are made only where labels are read.
 
 Ladder tables: for each sector ``n``, ``U[r, j]`` is the index of occupation
 ``r`` of sector ``n-1`` with entry ``j`` added, and
@@ -76,7 +81,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -114,12 +119,11 @@ class MeasurementBasis(Frozen):
                 raise BasisMismatchError("measurement kets live in different bases")
         if len(kets) > space.dim:
             raise ValueError("more kets than the space dimension")
-        defect, pair = orthonormality_defect(kets)
+        defect, (i, j) = orthonormality_defect(kets)
         if defect > ORTHONORMALITY_TOL:
-            raise ValueError(
-                f"measurement kets {pair[0]} and {pair[1]} are not orthonormal "
-                f"(deviation {defect:.3g})"
-            )
+            what = (f"ket {i} is not normalized" if i == j
+                    else f"kets {i} and {j} are not orthonormal")
+            raise ValueError(f"measurement {what} (deviation {defect:.3g})")
         self._set("kets", kets)
 
     @property
@@ -158,20 +162,15 @@ class MeasurementBasis(Frozen):
 
 
 @lru_cache(maxsize=None)
-def _occupations(
-    dim: int, sector: int, statistics: Statistics
-) -> tuple[tuple[int, ...], ...]:
-    """Ascending index tuples of one sector in lexicographic order; the one
-    place sectors are enumerated."""
-    gen = combinations_with_replacement if statistics is Statistics.BOSON else combinations
-    return tuple(gen(range(dim), sector))
-
-
-@lru_cache(maxsize=None)
 def _entries(dim: int, sector: int, statistics: Statistics) -> np.ndarray:
-    """``_occupations`` as a read-only integer array, one row per occupation."""
-    occupations = _occupations(dim, sector, statistics)
-    entries = np.array(occupations, dtype=np.intp).reshape(len(occupations), sector)
+    """The occupations of one sector as a read-only ``(size, sector)`` integer
+    array, one ascending row of canonical indices per occupation, rows in
+    lexicographic order; the one place sectors are enumerated."""
+    boson = statistics is Statistics.BOSON
+    occupations = (combinations_with_replacement if boson else combinations)(range(dim), sector)
+    size = math.comb(dim + sector - 1 if boson else dim, sector)
+    entries = np.fromiter(chain.from_iterable(occupations), np.intp, size * sector)
+    entries = entries.reshape(size, sector)
     entries.flags.writeable = False
     return entries
 
@@ -230,8 +229,10 @@ def _support_ladder(
 class OccupationBasis:
     """Occupation-number basis of the M-particle sector over a canonical frame.
 
-    Entries are multisets of canonical single-particle indices, stored as
-    ascending index tuples in lexicographic order; fermions exclude repeats.
+    ``entries`` holds the occupations as ``_entries`` enumerates them: one
+    ascending row of canonical single-particle indices per basis state, rows
+    in lexicographic order; fermions exclude repeats. Sizes, labels, lookups
+    and norm factors are all read off that one array.
     """
 
     def __init__(self, space: CanonicalBasis, sector: int, statistics: Statistics):
@@ -240,47 +241,44 @@ class OccupationBasis:
         self.space = space
         self.sector = sector
         self.statistics = statistics
-        self.occupations: tuple[tuple[int, ...], ...] = _occupations(
-            space.dim, sector, statistics
-        )
-        if not self.occupations:
+        self.entries: np.ndarray = _entries(space.dim, sector, statistics)
+        if not len(self.entries):
             raise ValueError(
                 f"empty {statistics.value} sector {sector} over dim {space.dim}"
             )
 
     @property
     def size(self) -> int:
-        return len(self.occupations)
+        return len(self.entries)
 
     @cached_property
     def norm_factors(self) -> np.ndarray:
         """sqrt(prod_j n_j!) per entry: the squared norm of the canonical
-        elementary state with these entries is its square."""
-        factors = []
-        for occ in self.occupations:
-            f = 1
-            run = 1
-            for a, b in zip(occ, occ[1:]):
-                run = run + 1 if a == b else 1
-                f *= run
-            factors.append(math.sqrt(f))
-        return np.array(factors)
+        elementary state with these entries is its square. Each position of
+        a row contributes its 1-based place within its run of equal entries;
+        the product is exact: Python integers past sector 20, as 21! overflows
+        int64."""
+        pos = np.arange(self.sector)
+        starts = np.where(np.diff(self.entries, axis=1, prepend=-1) != 0, pos, 0)
+        run = pos + 1 - np.maximum.accumulate(starts, axis=1)
+        exact = run.prod(axis=1, dtype=np.int64 if self.sector <= 20 else object)
+        return np.sqrt(exact.astype(float))
 
     @property
     def labels(self) -> tuple[str, ...]:
         sp_labels = self.space.labels
         return tuple(
             ",".join(sp_labels[j] for j in occ) if occ else "vac"
-            for occ in self.occupations
+            for occ in self.entries.tolist()
         )
 
     def index_of(self, entries: Sequence[tuple[str, "object"]]) -> int:
         """Index of the occupation holding the given (mode, spin) pairs."""
         occ = tuple(sorted(self.space.index_of(m, s) for m, s in entries))
-        try:
-            return self.occupations.index(occ)
-        except ValueError:
-            raise KeyError(f"no occupation {occ} in sector {self.sector}") from None
+        match = len(occ) == self.sector and (self.entries == occ).all(axis=1)
+        if not np.any(match):
+            raise KeyError(f"no occupation {occ} in sector {self.sector}")
+        return int(np.argmax(match))
 
     def unit_vector(self, entries: Sequence[tuple[str, "object"]]) -> np.ndarray:
         v = np.zeros(self.size, dtype=complex)
@@ -344,7 +342,7 @@ def coords(phi: ParticleState, basis: OccupationBasis) -> np.ndarray:
     for k in range(phi.n - 2, -1, -1):  # then a^dagger(chi_{N-1}), ..., a^dagger(chi_1)
         sector = phi.n - k
         up, g = _ladder(dim, sector, phi.statistics)
-        raised = np.zeros((len(terms), len(_occupations(dim, sector, phi.statistics))), complex)
+        raised = np.zeros((len(terms), len(_entries(dim, sector, phi.statistics))), complex)
         for row, x, t in zip(raised, terms, phi.terms):
             hops = g * t.kets[k].amps  # (lower rows, dim), times x in place
             hops *= x[:, None]

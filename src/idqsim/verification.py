@@ -44,7 +44,9 @@ from .reduction import (
     partial_trace_one,
     probability_of,
 )
-from .scenarios import get_builtin, standard_space
+from .scenarios import (
+    EIGS_OVERLAP, ENTROPY_OVERLAP_BITS, delocalized_pair, get_builtin, standard_space
+)
 from .states import (
     ElementaryState,
     ParticleState,
@@ -296,25 +298,33 @@ def _prop_oracle_trace_agreement(rng) -> str:
             ladder = annihilate(mb, coords(phi, upper)[:, None], upper)
             worst = max(worst, float(np.abs(projected - ladder).max()))
             checked += 1
-    # iterated traces
-    for stats in BOTH:
-        for _ in range(6):
-            phi = random_state(rng, space, 3, stats)
-            stages = tuple(
-                random_measurement_basis(rng, space, int(rng.integers(2, space.dim)))
-                for _ in range(2)
-            )
-            try:
-                ours = partial_trace_iterate(phi, stages)
-            except ZeroProbabilityError:
-                continue
-            ref = oracle_trace_iterate(phi, stages)
-            worst = max(worst, float(np.abs(ours.mat - ref.mat).max()))
-            worst = max(worst, abs(ours.prob - ref.prob))
-            checked += 1
-    _ensure(checked >= 20, f"only {checked} comparable draws")
+    # iterated traces through random bases, then through the paper's bases,
+    # which lower through a sparse support: one site, or a pair of sites
+    sparse = [MeasurementBasis.localized(space, m) for m in "ABC"]
+    sparse += [delocalized_pair(space, a, b) for a, b in ("AB", "AC", "BC")]
+    schedule = [(stats, 2, None) for stats in BOTH for _ in range(6)]
+    schedule += [(stats, depth, sparse) for stats in BOTH for depth in (1, 2) * 4]
+    through_sparse = 0
+    for stats, depth, pool in schedule:
+        phi = random_state(rng, space, 3, stats)
+        stages = tuple(
+            random_measurement_basis(rng, space, int(rng.integers(2, space.dim)))
+            if pool is None else pool[int(rng.integers(len(pool)))]
+            for _ in range(depth)
+        )
+        try:
+            ours = partial_trace_iterate(phi, stages)
+        except ZeroProbabilityError:
+            continue
+        ref = oracle_trace_iterate(phi, stages)
+        worst = max(worst, float(np.abs(ours.mat - ref.mat).max()), abs(ours.prob - ref.prob))
+        checked += 1
+        through_sparse += pool is not None
+    _ensure(checked - through_sparse >= 20, f"only {checked - through_sparse} comparable draws")
+    _ensure(through_sparse >= 8, f"only {through_sparse} comparable draws through sparse bases")
     _ensure(worst < 1e-10, f"labeled and label-free traces differ by {worst:.3g}")
-    return f"{checked} reductions compared, worst entry deviation {worst:.3g}"
+    return (f"{checked} reductions compared ({through_sparse} through localized or delocalized "
+            f"bases), worst entry deviation {worst:.3g}")
 
 
 def _prop_projection_completeness(rng) -> str:
@@ -538,16 +548,15 @@ def _prop_coords_isometry(rng) -> str:
 
 
 def _prop_benchmark_reductions(rng) -> str:
-    target = math.log2(3) - 2.0 / 3.0
     checks = []
 
     overlap = get_builtin("overlap")
     (plan,) = overlap.plans  # (AA)-A: one localized-A stage, then two
     for stages in (plan.two_stages, plan.one_stages):
         rho = partial_trace_iterate(overlap.state, stages)
-        checks.append(abs(von_neumann_entropy(rho) - target))
+        checks.append(abs(von_neumann_entropy(rho) - ENTROPY_OVERLAP_BITS))
         ev = spectrum(rho)
-        checks.append(float(np.abs(ev[:2] - np.array([2 / 3, 1 / 3])).max()))
+        checks.append(float(np.abs(ev[:2] - np.array(EIGS_OVERLAP)).max()))
         checks.append(float(np.abs(ev[2:]).max()) if ev.size > 2 else 0.0)
 
     ghz = get_builtin("ghz")

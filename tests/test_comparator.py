@@ -101,7 +101,7 @@ def kron_isometry(occ):
     cols = [
         kron_symmetrize(ElementaryState(1.0, tuple(kets[j] for j in entry)), occ.statistics)
         / (math.sqrt(math.factorial(occ.sector)) * occ.norm_factors[i])
-        for i, entry in enumerate(occ.occupations)
+        for i, entry in enumerate(occ.entries.tolist())
     ]
     return np.column_stack(cols)
 

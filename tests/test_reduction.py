@@ -4,7 +4,7 @@ import gc
 import math
 import tracemalloc
 from bisect import bisect_left, bisect_right
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -42,7 +42,7 @@ from idqsim import (
 from idqsim.comparator import oracle_trace_iterate
 from idqsim.permanents import permutation_parity
 from idqsim.reduction import (
-    _entries, _ladder, _occupations, _require_unit_norm, _support_ladder, annihilate, trace_start
+    _entries, _ladder, _require_unit_norm, _support_ladder, annihilate, trace_start
 )
 from idqsim.verification import random_ket, random_measurement_basis, random_state, random_unitary
 
@@ -89,6 +89,25 @@ def test_occupation_labels_name_their_entries():
     assert i == j
 
 
+def test_index_of_finds_every_row_and_refuses_what_the_sector_lacks():
+    fermions = OccupationBasis(SPACE, 2, Statistics.FERMION)
+    bosons = OccupationBasis(SPACE, 3, Statistics.BOSON)
+    pairs = [(m, s) for m in "ABC" for s in (Spin.UP, Spin.DOWN)]  # canonical order
+    for occ in (fermions, bosons):
+        rows = occ.entries.tolist()
+        assert [occ.index_of([pairs[j] for j in row]) for row in rows] == list(range(occ.size))
+    with pytest.raises(KeyError, match="no occupation"):
+        fermions.index_of([("A", Spin.DOWN), ("A", Spin.DOWN)])  # Pauli exclusion
+    bosons = OccupationBasis(SPACE, 2, Statistics.BOSON)
+    for entries in ([("A", Spin.DOWN)], [("A", Spin.DOWN)] * 3, []):
+        with pytest.raises(KeyError, match="no occupation"):
+            bosons.index_of(entries)
+    vac = OccupationBasis(SPACE, 0, Statistics.BOSON)
+    assert vac.index_of([]) == 0
+    with pytest.raises(KeyError):
+        vac.index_of([("A", Spin.UP)])
+
+
 def test_coords_carry_the_multiplicity_factor():
     # |Adn,Adn> has squared norm 2, so its lone coordinate must be sqrt(2)
     a_dn = SPACE.ket("A", Spin.DOWN)
@@ -124,7 +143,7 @@ def coords_by_products(phi, occ):
     """Coordinates by the definition: expand every term over the supports of
     its kets, sort each product into an occupation (with the reordering sign
     for fermions), then scale by sqrt(prod n_j!)."""
-    index = {o: i for i, o in enumerate(occ.occupations)}
+    index = {tuple(o): i for i, o in enumerate(occ.entries.tolist())}
     fermionic = phi.statistics is Statistics.FERMION
     vec = np.zeros(occ.size, dtype=complex)
     for term in phi.terms:
@@ -486,11 +505,18 @@ def test_measurement_basis_completeness_flag():
     assert not MeasurementBasis.localized(SPACE, "A").complete
 
 
+def itertools_sector(dim, sector, statistics):
+    """Ascending index tuples of one sector in lexicographic order, as the
+    sectors were enumerated before they became one array."""
+    boson = statistics is Statistics.BOSON
+    return tuple((combinations_with_replacement if boson else combinations)(range(dim), sector))
+
+
 def loop_ladder(dim, sector, statistics):
     """The (row, entry) loop that built the ladder tables before they were
     built a whole table at a time."""
-    lower = _occupations(dim, sector - 1, statistics)
-    index = {occ: i for i, occ in enumerate(_occupations(dim, sector, statistics))}
+    lower = itertools_sector(dim, sector - 1, statistics)
+    index = {occ: i for i, occ in enumerate(itertools_sector(dim, sector, statistics))}
     up = np.zeros((len(lower), dim), dtype=np.intp)
     g = np.zeros((len(lower), dim))
     for r, occ in enumerate(lower):
@@ -523,10 +549,50 @@ def test_ladder_tables_match_the_entry_loop(statistics):
 
 def test_sector_entries_are_converted_once_and_read_only():
     for statistics in Statistics:
-        entries = _entries(6, 3, statistics)
-        assert _entries(6, 3, statistics) is entries
-        assert not entries.flags.writeable
-        assert entries.tolist() == [list(occ) for occ in _occupations(6, 3, statistics)]
+        for dim in range(1, 9):
+            for sector in range(7):  # sector 0 and the empty fermion sectors included
+                want = itertools_sector(dim, sector, statistics)
+                entries = _entries(dim, sector, statistics)
+                assert _entries(dim, sector, statistics) is entries
+                assert not entries.flags.writeable
+                assert entries.dtype == np.intp and entries.shape == (len(want), sector)
+                assert entries.tolist() == [list(occ) for occ in want], (dim, sector)
+        assert _entries(4, 0, statistics).shape == (1, 0)  # the vacuum is one empty row
+        assert OccupationBasis(SPACE, 0, statistics).labels == ("vac",)
+    assert _entries(2, 3, Statistics.FERMION).shape == (0, 3)
+    with pytest.raises(ValueError, match="empty fermion sector 7 over dim 6"):
+        OccupationBasis(SPACE, 7, Statistics.FERMION)
+
+
+def loop_norm_factors(occupations):
+    """The per-occupation loop ``norm_factors`` replaced: the exact integer
+    product of each entry's place within its run of equal entries."""
+    factors = []
+    for occ in occupations:
+        f = 1
+        run = 1
+        for a, b in zip(occ, occ[1:]):
+            run = run + 1 if a == b else 1
+            f *= run
+        factors.append(math.sqrt(f))
+    return np.array(factors)
+
+
+def test_norm_factors_equal_the_occupation_loop_bit_for_bit():
+    for statistics in Statistics:
+        for sites in range(1, 5):
+            space = CanonicalBasis(tuple("ABCD"[:sites]))
+            for sector in range(8):
+                if statistics is Statistics.FERMION and sector > space.dim:
+                    continue
+                occ = OccupationBasis(space, sector, statistics)
+                want = loop_norm_factors(itertools_sector(space.dim, sector, statistics))
+                assert np.array_equal(occ.norm_factors, want), (statistics, sites, sector)
+    # one site, two entries: up to sector! in one row, past what int64 holds at 21
+    for sector in (19, 20, 21, 24):
+        occ = OccupationBasis(CanonicalBasis(("A",)), sector, Statistics.BOSON)
+        want = loop_norm_factors(itertools_sector(2, sector, Statistics.BOSON))
+        assert np.array_equal(occ.norm_factors, want), sector
 
 
 # --- lowering through the support of the measurement kets --------------------
@@ -652,7 +718,7 @@ def add_at_coords(phi, occ):
         sector = phi.n - k
         up, g = _ladder(dim, sector, phi.statistics)
         chis = np.array([t.kets[k].amps for t in phi.terms]).T
-        size = len(_occupations(dim, sector, phi.statistics))
+        size = len(_entries(dim, sector, phi.statistics))
         raised = np.zeros((size, cols.size), dtype=complex)
         hops = g[:, :, None] * chis * terms[:, None, :]
         np.add.at(raised, (up[:, :, None], cols), hops)

@@ -403,6 +403,33 @@ def test_non_orthonormal_basis_names_the_offending_pair(tmp_path):
         run_file(path)
 
 
+@pytest.mark.parametrize(
+    "bad_ket",
+    [
+        [["B", "down", 1e-200, 0.0]],  # underflows to a zero ket
+        [["C", "up", 1.0, 0.0], ["C", "up", -1.0, 0.0]],  # components cancel
+        [["C", "up", 0.5, 0.0]],
+    ],
+    ids=["tiny", "cancelling", "short"],
+)
+def test_unnormalized_basis_ket_is_named_alone(tmp_path, bad_ket):
+    payload = induced_file_payload()
+    payload["plans"][0]["two"] = [[[["B", "down", 1.0, 0.0]], bad_ket]]
+    path = tmp_path / "unnormalized.json"
+    path.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "idqsim.cli", "run", "--file", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(
+        "error: scenario.plans[0].two[0]: measurement ket 1 is not normalized (deviation "
+    ), proc.stderr
+
+
 def test_fermionic_null_state_error_carries_the_scenario_name(tmp_path):
     payload = {
         "name": "pauli-trap",

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import idqsim.reduction
 import idqsim.states
 import idqsim.verification
 from idqsim.errors import ZeroProbabilityError
@@ -59,6 +60,22 @@ def test_sign_bug_in_fermionic_removal_is_caught(monkeypatch):
     assert "oracle-trace-agreement" in failed
     # the battery must report, never raise
     assert len(results) == 19
+
+
+def test_sign_bug_on_the_sparse_support_gather_is_caught(monkeypatch):
+    # drop the fermionic exchange sign only where a stage gathers a sparse
+    # support: the Haar bases of the earlier draws never take that path
+    support_ladder = idqsim.reduction._support_ladder
+
+    def unsigned(dim, sector, statistics, support):
+        up, g = support_ladder(dim, sector, statistics, support)
+        return (up, g) if len(support) == dim else (up, np.abs(g))
+
+    monkeypatch.setattr(idqsim.reduction, "_support_ladder", unsigned)
+    results = {r.name: r for r in run_all(0)}
+    failed = results["oracle-trace-agreement"]
+    assert not failed.passed
+    assert "labeled and label-free traces differ" in failed.detail
 
 
 def _raise_value_error(*args, **kwargs):
