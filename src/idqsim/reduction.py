@@ -256,12 +256,11 @@ class OccupationBasis:
         """sqrt(prod_j n_j!) per entry: the squared norm of the canonical
         elementary state with these entries is its square. Each position of
         a row contributes its 1-based place within its run of equal entries;
-        the product is exact: Python integers past sector 20, as 21! overflows
-        int64."""
+        the product is taken in exact Python integers."""
         pos = np.arange(self.sector)
         starts = np.where(np.diff(self.entries, axis=1, prepend=-1) != 0, pos, 0)
         run = pos + 1 - np.maximum.accumulate(starts, axis=1)
-        exact = run.prod(axis=1, dtype=np.int64 if self.sector <= 20 else object)
+        exact = run.prod(axis=1, dtype=object)
         return np.sqrt(exact.astype(float))
 
     @property

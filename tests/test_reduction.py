@@ -588,7 +588,7 @@ def test_norm_factors_equal_the_occupation_loop_bit_for_bit():
                 occ = OccupationBasis(space, sector, statistics)
                 want = loop_norm_factors(itertools_sector(space.dim, sector, statistics))
                 assert np.array_equal(occ.norm_factors, want), (statistics, sites, sector)
-    # one site, two entries: up to sector! in one row, past what int64 holds at 21
+    # one site, two entries: up to sector! in one row, past what int64 holds
     for sector in (19, 20, 21, 24):
         occ = OccupationBasis(CanonicalBasis(("A",)), sector, Statistics.BOSON)
         want = loop_norm_factors(itertools_sector(2, sector, Statistics.BOSON))
