@@ -10,13 +10,19 @@ The builtin scenarios freeze the reference numbers for three qubits in three
 sites: a fully separated product, the delocalized-measurement reduction that
 leaves an entangled pair, a GHZ-type superposition, the full-overlap state
 with both particles-in-one-site reductions, and the two distinguishable
-comparators that show none of this happens for labeled particles.
+comparators that show none of this happens for labeled particles. Each is
+built once per process, on its first request, and that one spec is shared by
+every later call. Sharing is safe because a spec is immutable all the way
+down: the records are ``Frozen`` and every ``Ket``'s amplitudes are read-only.
+The measurement bases therefore keep the supports found on their first
+lowering. Only inputs are shared; every run computes and returns a new report.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -356,6 +362,11 @@ def standard_space() -> CanonicalBasis:
 def delocalized_pair(space: CanonicalBasis, left: str, right: str) -> MeasurementBasis:
     """Spin kets of the balanced superposition of two sites,
     {(left+right) down, (left+right) up} each over sqrt(2)."""
+    if left == right or left not in space.mode_names or right not in space.mode_names:
+        raise ValueError(
+            f"a delocalized pair needs two distinct sites of {space.mode_names}, "
+            f"not {left!r} and {right!r}"
+        )
     r = 1.0 / math.sqrt(2.0)
     mk = lambda s: space.superposition([(left, s, r), (right, s, r)])
     return MeasurementBasis((mk(Spin.DOWN), mk(Spin.UP)))
@@ -564,12 +575,22 @@ def builtin_names() -> tuple[str, ...]:
 
 
 def get_builtin(name: str) -> ScenarioSpec:
-    try:
-        return _BUILTIN_BUILDERS[name]()
-    except KeyError:
+    """The builtin scenario ``name``, built on its first request and then
+    shared: later calls in the process return the same spec. A spec holds
+    only immutable parts (``Frozen`` records, read-only ``Ket`` amplitudes),
+    so no caller can change what another one runs, and its bases keep their
+    supports from one run to the next. An unknown name, hashable or not, is
+    a ``ScenarioError`` and is not remembered."""
+    if name not in builtin_names():  # a tuple: an unhashable name is just absent
         raise ScenarioError(
             f"no builtin scenario {name!r}; available: {', '.join(_BUILTIN_BUILDERS)}"
-        ) from None
+        )
+    return _build_builtin(name)
+
+
+@cache
+def _build_builtin(name: str) -> ScenarioSpec:
+    return _BUILTIN_BUILDERS[name]()
 
 
 def run_builtin(name: str, tolerance: Optional[float] = None) -> ScenarioReport:

@@ -1,10 +1,12 @@
 """Builtin scenarios, scenario files, and report rendering."""
 
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +16,21 @@ from hypothesis import given, settings, strategies as st
 from idqsim import (
     CanonicalBasis,
     Expectation,
+    Ket,
     MeasurementBasis,
+    ParticleState,
     ScenarioError,
     Statistics,
     builtin_names,
+    delocalized_pair,
     get_builtin,
     load_scenario,
     partial_trace_one,
     run_builtin,
     run_file,
     run_spec,
+    scenarios,
+    standard_space,
 )
 from idqsim.reduction import DensityMatrix
 from idqsim.scenarios import (
@@ -64,6 +71,138 @@ def test_every_builtin_passes_its_own_expectations():
 def test_unknown_builtin_is_a_scenario_error():
     with pytest.raises(ScenarioError):
         get_builtin("no-such-thing")
+
+
+def test_unhashable_builtin_name_is_a_scenario_error_and_is_not_remembered():
+    before = scenarios._build_builtin.cache_info()
+    for name in (["x"], {"ghz": 1}, "no-such-thing"):
+        with pytest.raises(ScenarioError, match=r"no builtin scenario .*; available: separated, "):
+            get_builtin(name)
+    assert scenarios._build_builtin.cache_info() == before
+
+
+def test_delocalized_pair_rejects_equal_sites():
+    with pytest.raises(ValueError, match="'B' and 'B'"):
+        delocalized_pair(standard_space(), "B", "B")
+
+
+def test_delocalized_pair_rejects_an_unknown_site():
+    with pytest.raises(ValueError, match="'B' and 'Z'"):
+        delocalized_pair(standard_space(), "B", "Z")
+
+
+# --- shared builtin specs -------------------------------------------------------
+
+
+def spec_stages(spec) -> list:
+    return [st for p in spec.plans for _, side in p.sides() for st in side]
+
+
+def spec_bases(spec) -> list:
+    """The measurement basis of every stage of every plan, in plan order."""
+    return [getattr(st, "basis", st) for st in spec_stages(spec)]  # a SlotTrace wraps its basis
+
+
+def densities(run) -> list:
+    return [
+        rho
+        for b in run.report.bipartitions
+        for rho in (b.rho_one, b.rho_two)
+        if rho is not None
+    ]
+
+
+def test_each_builtin_is_one_shared_spec():
+    for name in builtin_names():
+        assert get_builtin(name) is get_builtin(name), name
+
+
+def test_a_repeat_get_builtin_builds_no_ket_or_basis(monkeypatch):
+    for name in builtin_names():
+        get_builtin(name)
+    built = []
+    for cls in (Ket, MeasurementBasis):
+
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built.append(_name)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for name in builtin_names():
+        get_builtin(name)
+    assert built == []
+    scenarios._BUILTIN_BUILDERS["induced"]()  # the counters do see a build
+    assert {"Ket", "MeasurementBasis"} <= set(built)
+
+
+def test_shared_specs_cannot_be_changed():
+    for name in builtin_names():
+        spec = get_builtin(name)
+        state = spec.state
+        identical = isinstance(state, ParticleState)
+        bases = spec_bases(spec)
+        records = [spec, state, *spec.plans, *spec.expectations, *spec_stages(spec), *bases]
+        if identical:
+            records += state.terms
+        for r in records:
+            for field in r._fields:
+                with pytest.raises(AttributeError):
+                    setattr(r, field, None)
+        state_kets = [k for t in state.terms for k in (t.kets if identical else t[1])]
+        for k in state_kets + [k for b in bases for k in b.kets]:
+            assert not k.amps.flags.writeable
+            with pytest.raises(ValueError):
+                k.amps[0] = 1.0
+
+
+def test_a_tolerance_override_leaves_the_shared_spec_as_it_was():
+    for name in builtin_names():
+        tight = run_builtin(name, tolerance=1e-30)
+        assert all(c.tolerance == 1e-30 for c in tight.checks), name
+        fresh = run_spec(scenarios._BUILTIN_BUILDERS[name]())
+        assert run_builtin(name).to_json() == fresh.to_json(), name
+
+
+def test_repeated_runs_of_a_shared_spec_reuse_its_supports():
+    for name in builtin_names():
+        spec = get_builtin(name)
+        bases = spec_bases(spec)
+        first = run_spec(spec).to_json()
+        supports = [vars(b).get("_support") for b in bases]
+        if isinstance(spec.state, ParticleState):  # labeled traces never lower
+            assert all(s is not None for s in supports), name
+        assert run_spec(spec).to_json() == first, name
+        assert all(vars(b).get("_support") is s for b, s in zip(bases, supports)), name
+        # a spec's first run finds the supports and reads the same
+        fresh = scenarios._BUILTIN_BUILDERS[name]()
+        assert all("_support" not in vars(b) for b in spec_bases(fresh)), name
+        assert run_spec(fresh).to_json() == first, name
+
+
+def test_runs_of_a_shared_spec_return_new_results():
+    for name in builtin_names():
+        a, b = run_builtin(name), run_builtin(name)
+        assert a is not b and a.report is not b.report, name
+        pairs = list(zip(densities(a), densities(b)))
+        assert pairs and all(x is not y for x, y in pairs), name
+
+
+def test_rounds_of_the_shared_specs_keep_memory_bounded():
+    # one report of a builtin holds about 10 KB, so keeping the reports, or
+    # a cache that grows per run, passes the slack within a few rounds;
+    # working code grows about 28 KB over the 50 rounds, less each round
+    slack = 128 * 1024
+    tracemalloc.start()
+    try:
+        sizes = []
+        for _ in range(50):
+            for name in builtin_names():
+                run_builtin(name)
+            gc.collect()
+            sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) - sizes[0] <= slack, [s - sizes[0] for s in sizes[::10]]
 
 
 def test_every_builtin_finishes_within_a_second():
