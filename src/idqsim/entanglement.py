@@ -9,6 +9,7 @@ entangled when every planned bipartition leaves a mixed remainder.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Sequence, Union
 
@@ -88,6 +89,13 @@ class TracePlan(Frozen):
             if stages is not None
         )
 
+    @cached_property
+    def _paths(self) -> tuple[tuple[tuple, ...], ...]:
+        """``_prefixes`` of each side's stages, in ``sides()`` order; found on
+        the first ``analyze``, as stages and their kets' amplitudes are
+        immutable."""
+        return tuple(_prefixes(stages) for _, stages in self.sides())
+
 
 class BipartitionReport(Frozen):
     def __init__(
@@ -123,10 +131,12 @@ class EntanglementReport(Frozen):
         self._set("genuine_multipartite", genuine_multipartite)
 
     def __getitem__(self, label: str) -> BipartitionReport:
-        for b in self.bipartitions:
-            if b.label == label:
-                return b
-        raise KeyError(label)
+        return self._by_label[label]
+
+    @cached_property
+    def _by_label(self) -> dict[str, BipartitionReport]:
+        """The bipartitions by label, the first of equal labels winning."""
+        return {b.label: b for b in reversed(self.bipartitions)}
 
 
 def analyze(
@@ -142,6 +152,7 @@ def analyze(
     by its value (its kets' amplitude bytes, and the slot of a SlotTrace),
     and its frame is checked against the walk's before a stored walk is
     reused; a stored walk is dropped after the last side that extends it.
+    A plan keys its stages once, on its first run (``TracePlan._paths``).
     Sides run in plan order, so results and the first error are those of
     tracing each side on its own.
 
@@ -154,7 +165,7 @@ def analyze(
     if len(set(labels)) != len(labels):
         raise ValueError("trace plan labels must be distinct")
     start = comparator.trace_start if isinstance(state, LabeledState) else reduction.trace_start
-    paths = [[_prefixes(stages) for _, stages in plan.sides()] for plan in plans]
+    paths = [plan._paths for plan in plans]
     users = Counter(prefix for sides in paths for path in sides for prefix in path)
     memo: dict[tuple, tuple] = {}
     root = None

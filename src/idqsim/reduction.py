@@ -60,8 +60,12 @@ factor of the same ``V V^dagger``, so its width never exceeds the sector
 size. The normalized factor is the reduced state: ``DensityMatrix`` keeps
 ``V``, and the nonzero eigenvalues of ``V V^dagger`` are those of the Gram
 matrix ``V^dagger V``, which is only as wide as ``V`` (2-4 columns on a
-localized stage, against a sector of hundreds). The dense square over the
-whole sector is formed only when something reads ``DensityMatrix.mat``.
+localized stage, against a sector of hundreds). One ``eigvalsh`` of that
+Gram matrix gives them, checked by what is read of them (their sum against
+the trace, the sum of their squares against the purity, their order)
+rather than by rebuilding the matrix from eigenvectors that nothing reads.
+The dense square over the whole sector is formed only when something reads
+``DensityMatrix.mat``.
 
 One walk serves identical particles and the labeled ones of
 ``idqsim.comparator``: an immutable tuple ``(basis, V, ||V||^2, prob)``. Its
@@ -100,7 +104,7 @@ from .states import ParticleState, Statistics, inner, project_single
 TRACE_TOL = 1e-10
 ZERO_PROB_TOL = 1e-12
 EIGEN_CLAMP = 1e-10
-RECONSTRUCTION_TOL = 1e-9
+MOMENT_TOL = 1e-9
 
 
 class MeasurementBasis(Frozen):
@@ -360,10 +364,11 @@ class DensityMatrix(Frozen, eq=False):
 
     The factor is the representation: ``V V^dagger`` is Hermitian and PSD by
     construction, and ``tr(V V^dagger) = ||V||_F^2``. ``spectrum`` holds the
-    descending eigenvalues (read-only), computed once at construction from
-    the smaller of ``V^dagger V`` and ``V V^dagger`` and padded with zeros to
-    the basis size; ``purity`` is ``tr rho^2``, the squared Frobenius norm of
-    that same Gram matrix. The dense ``mat`` is formed on its first read.
+    descending eigenvalues (read-only), computed once at construction by one
+    ``eigvalsh`` of the smaller of ``V^dagger V`` and ``V V^dagger``, checked
+    by ``_checked_eigenvalues`` and padded with zeros to the basis size;
+    ``purity`` is ``tr rho^2``, the squared Frobenius norm of that same Gram
+    matrix. The dense ``mat`` is formed on its first read.
     """
 
     # basis: OccupationBasis or a labeled product basis (.size/.labels/.sector)
@@ -385,7 +390,7 @@ class DensityMatrix(Frozen, eq=False):
             raise ValueError(f"trace is {trace:.12g}, expected 1")
         small = v.conj().T @ v if v.shape[1] < size else v @ v.conj().T
         spectrum = np.zeros(size)
-        spectrum[: len(small)], purity = _checked_eigenvalues(small)  # the PSD check
+        spectrum[: len(small)], purity = _checked_eigenvalues(small)  # the moment and PSD checks
         p = float(self.prob)
         if not -1e-9 <= p <= 1.0 + 1e-9:  # NaN fails too
             raise ValueError(f"probability {p} outside [0, 1]")
@@ -411,27 +416,55 @@ class DensityMatrix(Frozen, eq=False):
 def eigenvalues_hermitian(mat: np.ndarray) -> np.ndarray:
     """Descending real eigenvalues of a Hermitian matrix.
 
-    Tiny negative values (>= -1e-10) are clamped to zero; anything lower
-    raises NotPSDError. The eigendecomposition is checked by reconstruction:
-    the Frobenius residual must stay within ``RECONSTRUCTION_TOL`` times
-    ``max(1, ||mat||_F)``, compared squared; a NaN residual fails it.
+    The input must be Hermitian: the eigensolver reads one triangle only,
+    and the moment checks of ``_checked_eigenvalues`` would pass a
+    complex-symmetric matrix. Its anti-Hermitian part
+    ``(mat - mat^dagger) / 2`` may reach ``MOMENT_TOL`` times
+    ``max(1, ||mat||_F)`` in Frobenius norm; beyond that it raises
+    ArithmeticError. The eigenvalues are then checked and clamped as
+    ``_checked_eigenvalues`` describes.
     """
-    return _checked_eigenvalues(mat)[0]
+    m = np.asarray(mat, dtype=complex)
+    norm2 = np.vdot(m, m).real
+    if math.isfinite(norm2):  # else _checked_eigenvalues refuses it
+        skew = m - m.conj().T
+        skew2 = np.vdot(skew, skew).real / 4
+        if not skew2 <= MOMENT_TOL**2 * max(1.0, norm2):
+            raise ArithmeticError(f"anti-Hermitian residual {math.sqrt(skew2):.3g}")
+    return _checked_eigenvalues(m)[0]
 
 
 def _checked_eigenvalues(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """``eigenvalues_hermitian`` and ``||mat||_F^2``, which its
-    reconstruction check computes anyway."""
+    """Descending eigenvalues of a Hermitian ``mat`` and ``||mat||_F^2``,
+    from one ``eigvalsh``.
+
+    The eigenvalues are checked through what is read of them, in O(n^2):
+    their sum against the trace, the sum of their squares against
+    ``||mat||_F^2`` (which a density matrix reports as its purity), and
+    their ascending order. The moment residual, both moments taken as a
+    shift of one eigenvalue, must stay within ``MOMENT_TOL`` times ``n``
+    times ``max(1, ||mat||_F)``; a NaN fails it, and a non-finite matrix is
+    refused before the solver runs. Tiny negative eigenvalues
+    (>= -``EIGEN_CLAMP``) are clamped to zero; anything lower raises
+    NotPSDError.
+    """
     m = np.asarray(mat, dtype=complex)
     if not m.size:
         raise ValueError("an empty matrix has no eigenvalues to check")
-    evals, evecs = np.linalg.eigh(m)
-    diff = m - (evecs * evals) @ evecs.conj().T
-    resid2 = np.vdot(diff, diff).real
     norm2 = np.vdot(m, m).real
-    if not resid2 <= RECONSTRUCTION_TOL**2 * max(1.0, norm2):
-        raise ArithmeticError(f"eigendecomposition residual {math.sqrt(resid2):.3g}")
-    lo = evals[0]  # eigh returns them ascending
+    if not math.isfinite(norm2):  # LAPACK builds differ on NaN input
+        raise ArithmeticError(f"squared norm {norm2}: no eigenvalue residual can be checked")
+    evals = np.linalg.eigvalsh(m)
+    ev = evals.tolist()  # Python floats: quicker than numpy on a few values
+    trace = sum(m.diagonal().real.tolist())
+    scale = max(1.0, math.sqrt(norm2))
+    # d(sum l) = sum d and d(sum l^2) ~ 2 sum l d with |l| <= scale
+    resid = max(abs(sum(ev) - trace), abs(sum(x * x for x in ev) - norm2) / (2 * scale))
+    if not resid <= MOMENT_TOL * len(ev) * scale:
+        raise ArithmeticError(f"eigenvalue moment residual {resid:.3g}")
+    if ev != sorted(ev):
+        raise ArithmeticError("eigenvalues out of ascending order")
+    lo = ev[0]
     if lo < -EIGEN_CLAMP:
         raise NotPSDError(f"eigenvalue {lo:.3g} below -{EIGEN_CLAMP}")
     return np.maximum(evals[::-1], 0.0), norm2

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cache
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -341,14 +342,9 @@ def _evaluate(
     if e.quantity == "probability":
         return ExpectationResult(e, tol, rho.prob, abs(rho.prob - e.value) <= tol)
     # eigenvalues, padded with zeros to a common length
-    ev = spectrum(rho)
-    want = np.zeros(max(ev.size, len(e.value)))
-    want[: len(e.value)] = e.value
-    have = np.zeros_like(want)
-    have[: ev.size] = ev
-    return ExpectationResult(
-        e, tol, tuple(float(v) for v in ev), float(np.abs(have - want).max()) <= tol
-    )
+    ev = tuple(spectrum(rho).tolist())
+    close = all(abs(h - w) <= tol for h, w in zip_longest(ev, e.value, fillvalue=0.0))
+    return ExpectationResult(e, tol, ev, close)
 
 
 # --- builtin scenarios -------------------------------------------------------

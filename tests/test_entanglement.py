@@ -381,23 +381,55 @@ def test_labeled_errors_are_those_of_the_first_failing_side():
     assert str(caught.value) == want_message
 
 
-def test_nan_matrices_fail_the_reconstruction_check():
-    with pytest.raises(ArithmeticError, match="residual"):
-        eigenvalues_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+def test_nan_matrices_fail_the_reconstruction_check(monkeypatch):
+    def lapack_refuses(m):  # as some LAPACK builds treat NaN
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", lapack_refuses)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ArithmeticError, match="residual"):
+            eigenvalues_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_a_wrong_eigendecomposition_is_caught(monkeypatch):
-    true_eigh = np.linalg.eigh
-
-    def shifted(m):
-        evals, evecs = true_eigh(m)
-        return evals + np.array([0.0, 1e-6]), evecs
-
+    true_eigvalsh = np.linalg.eigvalsh
     m = np.diag([0.25, 0.75])
     assert np.array_equal(eigenvalues_hermitian(m), [0.75, 0.25])
-    monkeypatch.setattr(np.linalg, "eigh", shifted)
-    with pytest.raises(ArithmeticError, match="residual"):
-        eigenvalues_hermitian(m)
+    # a shift the sum of the eigenvalues sees, and one only their squares see
+    for shift in ([0.0, 1e-6], [1e-6, -1e-6]):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, s=shift: true_eigvalsh(a) + s)
+        with pytest.raises(ArithmeticError, match="residual"):
+            eigenvalues_hermitian(m)
+        with pytest.raises(ArithmeticError, match="residual"):
+            partial_trace_one(overlap_state(), MeasurementBasis.localized(SPACE, "A"))
+
+
+def test_eigenvalues_out_of_order_are_caught(monkeypatch):
+    true_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: true_eigvalsh(a)[::-1])
+    with pytest.raises(ArithmeticError, match="order"):
+        eigenvalues_hermitian(np.diag([0.25, 0.75]))
+    with pytest.raises(ArithmeticError, match="order"):
+        partial_trace_one(overlap_state(), MeasurementBasis.localized(SPACE, "A"))
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [[[1, 1j], [1j, 1]], [[1, 5], [-5, 1]], [[1 + 1e-6j, 0], [0, 1]]],
+    ids=["complex-symmetric", "antisymmetric-part", "complex-diagonal"],
+)
+def test_non_hermitian_matrices_are_refused(mat):
+    # the solver reads one triangle: the first would give [2, 0] unchecked
+    with pytest.raises(ArithmeticError, match="anti-Hermitian residual"):
+        eigenvalues_hermitian(np.array(mat))
+
+
+def test_rounding_off_hermitian_is_accepted():
+    rng = np.random.default_rng(5)
+    u = random_unitary(rng, 4)
+    m = (u * np.array([0.1, 0.2, 0.3, 0.4])) @ u.conj().T  # Hermitian up to rounding
+    assert not np.array_equal(m, m.conj().T)
+    assert np.allclose(eigenvalues_hermitian(m), [0.4, 0.3, 0.2, 0.1], atol=1e-12)
 
 
 def test_the_clamp_is_the_boundary_of_the_psd_check():

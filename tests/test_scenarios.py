@@ -23,6 +23,7 @@ from idqsim import (
     Statistics,
     builtin_names,
     delocalized_pair,
+    entanglement,
     get_builtin,
     load_scenario,
     partial_trace_one,
@@ -177,6 +178,63 @@ def test_repeated_runs_of_a_shared_spec_reuse_its_supports():
         fresh = scenarios._BUILTIN_BUILDERS[name]()
         assert all("_support" not in vars(b) for b in spec_bases(fresh)), name
         assert run_spec(fresh).to_json() == first, name
+
+
+def test_a_repeat_run_computes_no_stage_key(monkeypatch):
+    keys = []
+    stage_key = entanglement._stage_key
+
+    def counting(stage):
+        keys.append(stage)
+        return stage_key(stage)
+
+    monkeypatch.setattr(entanglement, "_stage_key", counting)
+    for name in builtin_names():
+        spec = get_builtin(name)
+        first = run_spec(spec).to_json()
+        keys.clear()
+        assert run_spec(get_builtin(name)).to_json() == first, name
+        assert keys == [], name
+        # equal-valued plans built anew are keyed anew, to the same keys
+        fresh = scenarios._BUILTIN_BUILDERS[name]()
+        assert all(a is not b for a, b in zip(fresh.plans, spec.plans)), name
+        assert run_spec(fresh).to_json() == first, name
+        assert keys, name
+        assert [p._paths for p in fresh.plans] == [p._paths for p in spec.plans], name
+
+
+def test_a_check_on_a_missing_plan_reads_no_such_plan():
+    spec = get_builtin("overlap")
+    report = entanglement.analyze(spec.state, spec.plans)
+    for e in (
+        Expectation("entropy_two", 0.0, "absent"),
+        Expectation("eigenvalues", (1.0,), "absent", "two"),
+        Expectation("probability", 1.0, "absent", "one"),
+    ):
+        check = scenarios._evaluate(e, report, None)
+        assert (check.actual, check.passed, check.note) == (None, False, "no such plan")
+    with pytest.raises(KeyError):
+        report["absent"]
+    assert [report[p.label] for p in spec.plans] == list(report.bipartitions)
+    # of equal labels, the first is found, as a scan in order finds it
+    first, second = (entanglement.BipartitionReport("x", mixed) for mixed in (True, False))
+    assert entanglement.EntanglementReport((first, second), None)["x"] is first
+
+
+def test_eigenvalue_checks_pad_with_zeros_and_fail_on_nan():
+    spec = get_builtin("overlap")
+    report = entanglement.analyze(spec.state, spec.plans)
+    label = spec.plans[0].label
+    for value, passed in (
+        (EIGS_OVERLAP, True),
+        (EIGS_OVERLAP + (0.0, 0.0, 0.0, 0.0), True),  # longer than the spectrum
+        (EIGS_OVERLAP[:1], False),  # the missing 1/3 is read as 0
+        ((math.nan,) + EIGS_OVERLAP[1:], False),
+        (EIGS_OVERLAP[:1] + (math.nan,), False),
+    ):
+        check = scenarios._evaluate(Expectation("eigenvalues", value, label, "two"), report, None)
+        assert check.passed is passed, value
+        assert check.actual == tuple(report[label].rho_two.spectrum.tolist())
 
 
 def test_runs_of_a_shared_spec_return_new_results():
@@ -601,15 +659,16 @@ def test_missing_file_and_broken_json_are_scenario_errors(tmp_path):
 
 
 def record_diagonalizations(monkeypatch) -> list:
-    """Patch ``eigh`` and ``eigvalsh`` to record ``(size, limit)`` per call:
-    the order of the matrix diagonalized and, when the call comes from a
+    """Patch ``eigh`` and ``eigvalsh`` to record ``(name, size, limit)`` per
+    call: which of the two ran, the order of the matrix diagonalized and,
+    when the call comes from a
     ``DensityMatrix`` under construction, the smaller of its basis size and
     its factor's width (None outside any construction)."""
     calls, limits = [], []
 
     def counting(fn):
         def wrapper(a, *args, **kwargs):
-            calls.append((np.shape(a)[-1], limits[-1] if limits else None))
+            calls.append((fn.__name__, np.shape(a)[-1], limits[-1] if limits else None))
             return fn(a, *args, **kwargs)
 
         return wrapper
@@ -644,8 +703,9 @@ def test_each_density_matrix_is_diagonalized_at_most_once(monkeypatch):
         ]
         assert matrices
         assert len(calls) <= len(matrices), name
-        for size, limit in calls:
+        for solver, size, limit in calls:
             assert limit is not None and size <= limit, (name, size, limit)
+            assert solver == "eigvalsh", name
 
 
 def test_sweep_shaped_trace_diagonalizes_only_the_gram_matrix(monkeypatch):
@@ -656,7 +716,7 @@ def test_sweep_shaped_trace_diagonalizes_only_the_gram_matrix(monkeypatch):
     calls = record_diagonalizations(monkeypatch)
     rho = partial_trace_one(phi, MeasurementBasis.localized(space, "C"))
     assert rho.basis.size == 220
-    assert calls == [(2, 2)]
+    assert calls == [("eigvalsh", 2, 2)]  # no eigh
     assert np.count_nonzero(rho.spectrum) <= 2
 
 
