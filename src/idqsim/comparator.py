@@ -101,29 +101,21 @@ def _symmetrized(tensors: np.ndarray, n: int, statistics: Statistics) -> np.ndar
     return out
 
 
-def _symmetrized_vector(
-    terms: Sequence[ElementaryState], statistics: Statistics
-) -> np.ndarray:
-    """The terms' product tensors, summed with their coefficients and then
-    symmetrized once, as a flat labeled vector."""
-    coeffs = np.array([t.coeff for t in terms])
-    n = terms[0].n
-    if n == 0:
-        return np.array([coeffs.sum()])
-    _check_scale(n, terms[0].kets[0].basis.dim)
-    amps = np.array([[k.amps for k in t.kets] for t in terms])
-    products = _products(amps)
-    summed = np.dot(coeffs[None], products.reshape(len(terms), -1))
-    return _symmetrized(summed.reshape(products.shape[1:]), n, statistics).reshape(-1)
-
-
 def symmetrize(term: ElementaryState, statistics: Statistics) -> np.ndarray:
     """Sum of signed slot permutations of the term's product vector."""
-    return _symmetrized_vector((term,), statistics)
+    return symmetrize_state(ParticleState(statistics, (term,)))
 
 
 def symmetrize_state(phi: ParticleState) -> np.ndarray:
-    return _symmetrized_vector(phi.terms, phi.statistics)
+    """The state's product tensors, read off its amplitude stack, summed with
+    their coefficients and then symmetrized once, as a flat labeled vector."""
+    coeffs, amps = phi._stack
+    if phi.n == 0:
+        return np.array([coeffs.sum()])
+    _check_scale(phi.n, amps.shape[2])
+    products = _products(amps)
+    summed = np.dot(coeffs[None], products.reshape(len(coeffs), -1))
+    return _symmetrized(summed.reshape(products.shape[1:]), phi.n, phi.statistics).reshape(-1)
 
 
 def oracle_inner(bra: ParticleState, ket: ParticleState) -> complex:
@@ -172,10 +164,9 @@ def _contract_slot(factor: np.ndarray, basis: MeasurementBasis, slot: int) -> np
     The result has ``dim`` times fewer rows and ``K`` times as many columns.
     """
     dim = basis.space.dim
-    amps = np.array([psi.amps for psi in basis.kets])
     cols = factor.reshape(dim**slot, dim, -1, factor.shape[1])
-    lowered = np.einsum("kb,abcw->ackw", amps.conj(), cols)
-    return lowered.reshape(-1, len(amps) * factor.shape[1])
+    lowered = np.einsum("kb,abcw->ackw", basis.amps.conj(), cols)
+    return lowered.reshape(-1, len(basis.amps) * factor.shape[1])
 
 
 def oracle_trace(phi: ParticleState, basis: MeasurementBasis) -> DensityMatrix:

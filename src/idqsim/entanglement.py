@@ -217,7 +217,7 @@ def _prefixes(stages: Sequence[Stage]) -> tuple[tuple, ...]:
 
 def _stage_key(stage: Stage) -> tuple:
     """A stage by value: its slot (None for a MeasurementBasis) and the bytes
-    of its kets' amplitudes."""
+    of its kets' amplitude stack."""
     if isinstance(stage, SlotTrace):
         return stage.slot, _stage_key(stage.basis)[1]
-    return None, b"".join(k.amps.tobytes() for k in stage.kets)
+    return None, stage.amps.tobytes()

@@ -137,18 +137,29 @@ class CanonicalBasis:
         return f"CanonicalBasis(modes={self.mode_names!r})"
 
 
+def checked_amplitudes(basis: CanonicalBasis, amps, ndim: int = 1) -> np.ndarray:
+    """``amps`` as a read-only C-contiguous complex copy, checked as one ket
+    is checked: ``ndim - 1`` leading axes, then amplitude vectors of
+    ``basis.dim`` entries (else BasisMismatchError), all of them finite
+    (else ValueError). ``Ket`` checks its vector with ``ndim=1``; the
+    ``from_arrays`` constructors check a whole stack of kets at once."""
+    amps = np.array(amps, dtype=complex, order="C")
+    vector = amps.shape[ndim - 1 :]
+    if vector != (basis.dim,):
+        raise BasisMismatchError(
+            f"amplitude vector has shape {vector}, basis dim is {basis.dim}"
+        )
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+    amps.flags.writeable = False
+    return amps
+
+
 class Ket(Frozen, eq=False):
     """A single-particle state: a complex amplitude vector over a canonical basis."""
 
     def __init__(self, basis: CanonicalBasis, amps: np.ndarray):
-        amps = np.array(amps, dtype=complex)
-        if amps.shape != (basis.dim,):
-            raise BasisMismatchError(
-                f"amplitude vector has shape {amps.shape}, basis dim is {basis.dim}"
-            )
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
-        amps.flags.writeable = False
+        amps = checked_amplitudes(basis, amps)
         self._set("basis", basis)
         self._set("amps", amps)
 
@@ -205,18 +216,24 @@ def sp_inner(bra: Ket, ket: Ket) -> complex:
     return complex(np.vdot(bra.amps, ket.amps))
 
 
-def orthonormality_defect(kets: Sequence[Ket]) -> tuple[float, tuple[int, int]]:
+def orthonormality_defect(
+    kets: Sequence[Ket] | np.ndarray,
+) -> tuple[float, tuple[int, int]]:
     """Worst deviation |<i|j> - delta_ij| over all pairs, with the offending pair.
 
-    Read off the Gram matrix of the stacked amplitudes. The pair is the first
-    worst one in row-major order, ``(i, j)`` with ``i <= j``, as
-    ``|<i|j>| = |<j|i>|``.
+    ``kets`` is a sequence of kets of one basis, or their amplitudes already
+    stacked as a ``(K, dim)`` array. The defect is read off the Gram matrix
+    of that stack. The pair is the first worst one in row-major order,
+    ``(i, j)`` with ``i <= j``, as ``|<i|j>| = |<j|i>|``.
     """
-    if not kets:
+    if not len(kets):
         raise ValueError("need at least one ket")
-    for k in kets:
-        _require_same_basis(kets[0], k)
-    amps = np.array([k.amps for k in kets])
+    if isinstance(kets, np.ndarray):
+        amps = kets
+    else:
+        for k in kets:
+            _require_same_basis(kets[0], k)
+        amps = np.array([k.amps for k in kets])
     gram = amps.conj() @ amps.T
     gram.flat[:: len(kets) + 1] -= 1.0
     dev = np.abs(gram)

@@ -97,7 +97,13 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .hilbert import (
-    CanonicalBasis, Frozen, Ket, Spin, orthonormality_defect, ORTHONORMALITY_TOL
+    CanonicalBasis,
+    Frozen,
+    Ket,
+    Spin,
+    checked_amplitudes,
+    orthonormality_defect,
+    ORTHONORMALITY_TOL,
 )
 from .states import ParticleState, Statistics, inner, project_single
 
@@ -110,6 +116,13 @@ MOMENT_TOL = 1e-9
 class MeasurementBasis(Frozen):
     """An orthonormal set of single-particle kets to trace onto.
 
+    Kept as one ``(K, dim)`` amplitude stack ``amps``, read-only and
+    C-contiguous, which the lowerings and stage keys read. The constructor
+    takes kets and stacks them once, to check them; ``from_arrays`` takes
+    the stack itself and builds ``kets``, through the ``Ket`` constructor,
+    only when something reads them. Both run the same checks: at least one
+    ket, no more kets than ``dim``, and orthonormality within
+    ``ORTHONORMALITY_TOL`` (``orthonormality_defect`` on the stack).
     ``complete`` is true iff the set spans the whole single-particle space.
     """
 
@@ -121,22 +134,43 @@ class MeasurementBasis(Frozen):
         for k in kets:
             if k.basis != space:
                 raise BasisMismatchError("measurement kets live in different bases")
-        if len(kets) > space.dim:
+        self._set("kets", kets)
+        self._set_stack(space, np.array([k.amps for k in kets]))
+
+    @classmethod
+    def from_arrays(cls, space: CanonicalBasis, amps) -> "MeasurementBasis":
+        """The basis whose kets over ``space`` are the rows of ``amps``,
+        copied C-contiguous and read-only. Refuses what the constructor
+        refuses, with its exception types and messages, and, through
+        ``checked_amplitudes``, what ``Ket`` refuses in a row."""
+        amps = checked_amplitudes(space, amps, ndim=2)
+        if not len(amps):
+            raise ValueError("measurement basis needs at least one ket")
+        basis = cls.__new__(cls)
+        basis._set_stack(space, amps)
+        return basis
+
+    def _set_stack(self, space: CanonicalBasis, amps: np.ndarray) -> None:
+        """Check the stack (size and orthonormality), then keep it."""
+        if len(amps) > space.dim:
             raise ValueError("more kets than the space dimension")
-        defect, (i, j) = orthonormality_defect(kets)
+        defect, (i, j) = orthonormality_defect(amps)
         if defect > ORTHONORMALITY_TOL:
             what = (f"ket {i} is not normalized" if i == j
                     else f"kets {i} and {j} are not orthonormal")
             raise ValueError(f"measurement {what} (deviation {defect:.3g})")
-        self._set("kets", kets)
+        amps.flags.writeable = False
+        self._set("space", space)
+        self._set("amps", amps)
 
-    @property
-    def space(self) -> CanonicalBasis:
-        return self.kets[0].basis
+    @cached_property
+    def kets(self) -> tuple[Ket, ...]:
+        """The kets of a basis built ``from_arrays``, on their first read."""
+        return tuple(Ket(self.space, a) for a in self.amps)
 
     @property
     def complete(self) -> bool:
-        return len(self.kets) == self.space.dim
+        return len(self.amps) == self.space.dim
 
     @cached_property
     def _support(self) -> tuple[tuple[int, ...], np.ndarray | None]:
@@ -146,11 +180,10 @@ class MeasurementBasis(Frozen):
         C-contiguous block. At full support ``conj`` is None: that block
         would copy the kets whole for as long as the basis lives, while a
         dense basis (any random one) is mostly lowered once."""
-        amps = np.array([k.amps for k in self.kets])
-        support = tuple(np.flatnonzero(amps.any(axis=0)).tolist())
-        if len(support) == amps.shape[1]:
+        support = tuple(np.flatnonzero(self.amps.any(axis=0)).tolist())
+        if len(support) == self.space.dim:
             return support, None
-        conj = np.conj(amps.take(support, axis=1))
+        conj = np.conj(self.amps.take(support, axis=1))
         conj.flags.writeable = False
         return support, conj
 
@@ -316,7 +349,7 @@ def annihilate(
     support, conj = mb._support
     up, g = _support_ladder(basis.space.dim, basis.sector, basis.statistics, support)
     if conj is None:
-        conj = np.conj(np.array([k.amps for k in mb.kets]))
+        conj = np.conj(mb.amps)
     lowered = conj @ (factor[up] * g[:, :, None])  # (rows, K, columns)
     return lowered.reshape(len(up), -1)
 
@@ -338,16 +371,16 @@ def coords(phi: ParticleState, basis: OccupationBasis) -> np.ndarray:
     if basis.statistics is not phi.statistics:
         raise IncompatibleStatesError("statistics of state and basis differ")
     dim = basis.space.dim
-    coeffs = np.array([t.coeff for t in phi.terms], dtype=complex)
+    coeffs, amps = phi._stack
     if phi.n == 0:
         return np.array([coeffs.sum()])
-    terms = np.array([t.kets[-1].amps for t in phi.terms]) * coeffs[:, None]
+    terms = amps[:, -1] * coeffs[:, None]
     for k in range(phi.n - 2, -1, -1):  # then a^dagger(chi_{N-1}), ..., a^dagger(chi_1)
         sector = phi.n - k
         up, g = _ladder(dim, sector, phi.statistics)
         raised = np.zeros((len(terms), len(_entries(dim, sector, phi.statistics))), complex)
-        for row, x, t in zip(raised, terms, phi.terms):
-            hops = g * t.kets[k].amps  # (lower rows, dim), times x in place
+        for row, x, chi in zip(raised, terms, amps[:, k]):
+            hops = g * chi  # (lower rows, dim), times x in place
             hops *= x[:, None]
             # a 1-D index takes ufunc.at's fast path; up.ravel() is a view
             np.add.at(row, up.ravel(), hops.ravel())

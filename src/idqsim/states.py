@@ -7,10 +7,18 @@ only. Overlaps between elementary states are computed from the single-particle
 Gram matrix ``M_ij = <bra_i|ket_j>`` as ``per(M)`` for bosons and ``det(M)``
 for fermions, which equals 1/N! times the inner product of the corresponding
 label-symmetrized tensors (see ``idqsim.comparator`` for that cross-check).
-The array kernel ``overlaps`` forms the Gram matrices of all term pairs of a
-``(terms, n, dim)`` amplitude stack in one ``einsum`` and evaluates per/det on
-the whole block; ``inner`` and ``overlap_elementary`` are its object front
-end, and ``verification.random_state`` calls it on freshly drawn arrays.
+
+What the kernels read is one amplitude stack per state, ``_stack = (coeffs,
+amps)``: the coefficients ``(T,)`` and the kets ``(T, N, dim)``, row
+``[t, i]`` being ket ``i`` of term ``t``, both read-only and C-contiguous.
+``ParticleState(statistics, terms)`` checks each ket and term as it is
+built and stacks them on the first read; ``ParticleState.from_arrays``
+checks a whole stack at once (shape, dimension, finite values) and builds
+``terms``, through the same ``ElementaryState`` and ``Ket`` constructors,
+only when something reads them. The array kernel ``overlaps`` forms the
+Gram matrices of all term pairs of a stack in one ``einsum`` and evaluates
+per/det on the whole block; ``inner`` runs it on the two states' stacks,
+and ``verification.random_state`` on freshly drawn arrays.
 
 Removing one particle against a measurement ket ``psi`` maps
 ``|chi_1,...,chi_N>`` to ``sum_i eta^(i-1) <psi|chi_i> |...without chi_i...>``,
@@ -22,6 +30,7 @@ coordinates.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +40,7 @@ from .errors import (
     IncompatibleStatesError,
     NullStateError,
 )
-from .hilbert import CanonicalBasis, Frozen, Ket, sp_inner
+from .hilbert import CanonicalBasis, Frozen, Ket, checked_amplitudes, sp_inner
 from .permanents import determinant, permanent, permutation_parity
 
 # States with squared norm at or below this are treated as the null vector.
@@ -73,7 +82,11 @@ class ElementaryState(Frozen, eq=False):
 
 
 class ParticleState(Frozen, eq=False):
-    """Linear combination of elementary states sharing particle number and statistics."""
+    """Linear combination of elementary states sharing particle number and statistics.
+
+    Kept as one amplitude stack (see the module docstring): built from
+    ``terms`` here, or given whole to ``from_arrays``.
+    """
 
     def __init__(self, statistics: Statistics, terms: Sequence[ElementaryState]):
         terms = tuple(terms)
@@ -87,17 +100,64 @@ class ParticleState(Frozen, eq=False):
             raise IncompatibleStatesError("terms live in different bases")
         self._set("statistics", statistics)
         self._set("terms", terms)
+        self._set("n", terms[0].n)
+        self._set("_space", bases.pop() if bases else None)
 
-    @property
-    def n(self) -> int:
-        return self.terms[0].n
+    @classmethod
+    def from_arrays(
+        cls, statistics: Statistics, space: CanonicalBasis, coeffs, amps
+    ) -> "ParticleState":
+        """The state ``sum_t coeffs[t] |amps[t, 0], ..., amps[t, N-1]>`` over
+        ``space``, from a ``(T,)`` coefficient array and a ``(T, N, dim)``
+        amplitude stack, both copied C-contiguous and read-only.
+
+        The stack is checked as a whole, with the exception types and
+        messages of the per-object path: a ket dimension other than
+        ``space.dim`` (BasisMismatchError, from ``checked_amplitudes``),
+        a NaN or infinite amplitude or coefficient, no terms. ``terms`` are
+        built on their first read.
+        """
+        amps = checked_amplitudes(space, amps, ndim=3)
+        coeffs = np.array(coeffs, dtype=complex)
+        if coeffs.shape != amps.shape[:1]:
+            raise ValueError(f"coefficients {coeffs.shape} do not fit amplitudes {amps.shape}")
+        if not len(coeffs):
+            raise ValueError("state needs at least one term")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficient must be finite")
+        coeffs.flags.writeable = False
+        state = cls.__new__(cls)
+        state._set("statistics", statistics)
+        state._set("n", amps.shape[1])
+        state._set("_space", space)
+        state._set("_stack", (coeffs, amps))
+        return state
+
+    @cached_property
+    def terms(self) -> tuple[ElementaryState, ...]:
+        """The terms of a state built ``from_arrays``, on their first read."""
+        coeffs, amps = self._stack
+        return tuple(
+            ElementaryState(c, tuple(Ket(self._space, a) for a in kets))
+            for c, kets in zip(coeffs.tolist(), amps)
+        )
+
+    @cached_property
+    def _stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(coeffs, amps)`` of a state built from terms, on the first read."""
+        dim = self._space.dim if self._space is not None else 0
+        coeffs = np.array([t.coeff for t in self.terms], dtype=complex)
+        amps = np.array([[k.amps for k in t.kets] for t in self.terms], dtype=complex)
+        amps = amps.reshape(len(self.terms), self.n, dim)
+        coeffs.flags.writeable = False
+        amps.flags.writeable = False
+        return coeffs, amps
 
     @property
     def basis(self) -> CanonicalBasis:
-        for t in self.terms:
-            if t.kets:
-                return t.kets[0].basis
-        raise EmptyStateError("zero-particle state carries no basis")
+        if not self.n:
+            raise EmptyStateError("zero-particle state carries no basis")
+        return self._space
 
     # -- convenience algebra ------------------------------------------------
 
@@ -201,32 +261,24 @@ def overlaps(
     return out
 
 
-def _term_overlaps(
-    bras: Sequence[ElementaryState],
-    kets: Sequence[ElementaryState],
-    statistics: Statistics,
-) -> np.ndarray:
-    """``overlaps`` of two term lists: the object front end of the kernel."""
-    stack = bras if bras is kets else tuple(bras) + tuple(kets)
-    amps = np.array([[k.amps for k in t.kets] for t in stack])  # (terms, n, dim)
-    bra_coeffs = np.array([t.coeff for t in bras])
-    ket_coeffs = bra_coeffs if bras is kets else np.array([t.coeff for t in kets])
-    return overlaps(bra_coeffs, ket_coeffs, amps, statistics)
-
-
 def overlap_elementary(
     bra: ElementaryState, ket: ElementaryState, statistics: Statistics
 ) -> complex:
     """Overlap of two elementary states: conj(c_bra) c_ket per/det of the Gram matrix."""
     if bra.n != ket.n:
         raise IncompatibleStatesError(f"particle numbers differ: {bra.n} vs {ket.n}")
-    return complex(_term_overlaps((bra,), (ket,), statistics)[0, 0])
+    return inner(ParticleState(statistics, (bra,)), ParticleState(statistics, (ket,)))
 
 
 def inner(psi: ParticleState, phi: ParticleState) -> complex:
-    """Sesquilinear inner product: the sum of every term pair's overlap."""
+    """Sesquilinear inner product: the sum of every term pair's overlap,
+    ``overlaps`` on the two states' stacks."""
     _require_compatible(psi, phi)
-    return complex(_term_overlaps(psi.terms, phi.terms, psi.statistics).sum())
+    (bra_coeffs, bras), (ket_coeffs, kets) = psi._stack, phi._stack
+    # the bra terms, then the ket terms; once for a state with itself, and
+    # zero-particle stacks hold no amplitudes to join
+    amps = bras if psi is phi or not psi.n else np.concatenate((bras, kets))
+    return complex(overlaps(bra_coeffs, ket_coeffs, amps, psi.statistics).sum())
 
 
 def _norm2(psi: ParticleState) -> float:

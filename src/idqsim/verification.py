@@ -11,7 +11,9 @@ library itself is inconsistent. They draw an array at a time: one normal
 block per random state (``random_state``), normalized row by row in one
 pass, with the state's norm read off the arrays by ``states.overlaps``. The
 numbers, and the generator's state afterwards, are those of drawing one ket
-at a time.
+at a time. States and bases are built from those arrays in one step
+(``ParticleState.from_arrays``, ``MeasurementBasis.from_arrays``), which
+checks the whole stack once; their terms and kets are made only if read.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ def random_state(
     of drawing ket by ket with ``random_ket``, and the kets, the squared norm
     (``states.overlaps`` on the arrays) and the coefficients, scaled by
     ``1 / sqrt(norm^2)`` as ``normalize`` scales them, come out the same bit
-    for bit; the state is built once, already normalized.
+    for bit. The state is built once, already normalized, by
+    ``ParticleState.from_arrays`` on those arrays.
 
     Raises ValueError, before any draw, when ``n_terms < 1`` or the sector is
     empty (more fermions than single-particle states), and ArithmeticError if
@@ -132,25 +135,22 @@ def random_state(
         coeffs = draw[:, -2] + 1j * draw[:, -1]
         n2 = overlaps(coeffs, coeffs, amps, statistics).sum().real
         if n2 > 1e-6:
-            scale = complex(1.0 / np.sqrt(n2))
-            return ParticleState(statistics, tuple(
-                ElementaryState(complex(c) * scale, tuple(Ket(space, a) for a in term))
-                for c, term in zip(coeffs, amps)
-            ))
+            return ParticleState.from_arrays(statistics, space, coeffs * (1.0 / np.sqrt(n2)), amps)
     raise ArithmeticError(f"100 draws of {n} {statistics.value}s all had squared norm <= 1e-6")
 
 
 def random_measurement_basis(
     rng: np.random.Generator, space: CanonicalBasis, size: Optional[int] = None
 ) -> MeasurementBasis:
-    """Orthonormal measurement set from a Haar-ish unitary; complete if
-    ``size`` is None. A ``size`` outside ``1..dim`` raises ValueError before
-    any draw."""
+    """Orthonormal measurement set from a Haar-ish unitary: its first
+    ``size`` columns, all of them if ``size`` is None, as the rows of one
+    ``MeasurementBasis.from_arrays`` stack. A ``size`` outside ``1..dim``
+    raises ValueError before any draw."""
     if size is not None and not 1 <= size <= space.dim:
         raise ValueError(f"size must be between 1 and {space.dim}, got {size}")
     u = random_unitary(rng, space.dim)
     k = space.dim if size is None else size
-    return MeasurementBasis(tuple(Ket(space, u[:, j]) for j in range(k)))
+    return MeasurementBasis.from_arrays(space, u[:, :k].T)
 
 
 def random_product_labeled(
@@ -184,7 +184,7 @@ def _prop_canonical_orthonormality(rng) -> str:
     worst = 0.0
     for _ in range(5):
         mb = random_measurement_basis(rng, space)
-        d, _ = orthonormality_defect(mb.kets)
+        d, _ = orthonormality_defect(mb.amps)
         worst = max(worst, d)
     _ensure(worst <= 1e-10, f"remixed basis defect {worst:.3g}")
     return f"canonical defect 0, remixed worst {worst:.3g}"
