@@ -39,16 +39,19 @@ def spectrum(rho: DensityMatrix) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -sum p log2 p, with 0 log 0 = 0. In bits."""
-    p = spectrum(rho)
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum()) + 0.0  # flatten -0.0 for pure states
+    """S(rho) = -sum p log2 p, with 0 log 0 = 0. In bits; +0.0 for a pure state.
+
+    Read from ``rho``, which sums it once over the eigenvalues of its Gram
+    matrix at construction.
+    """
+    return rho.entropy
 
 
 def purity(rho: DensityMatrix) -> float:
     """Tr rho^2; equals 1 exactly for pure states, 1/d for maximal mixing.
 
-    Read from ``rho``, which forms it from the Gram matrix of its spectrum.
+    Read from ``rho``, which forms it from the same Gram matrix as its
+    spectrum.
     """
     return rho.purity
 

@@ -60,12 +60,16 @@ factor of the same ``V V^dagger``, so its width never exceeds the sector
 size. The normalized factor is the reduced state: ``DensityMatrix`` keeps
 ``V``, and the nonzero eigenvalues of ``V V^dagger`` are those of the Gram
 matrix ``V^dagger V``, which is only as wide as ``V`` (2-4 columns on a
-localized stage, against a sector of hundreds). One ``eigvalsh`` of that
-Gram matrix gives them, checked by what is read of them (their sum against
-the trace, the sum of their squares against the purity, their order)
-rather than by rebuilding the matrix from eigenvectors that nothing reads.
-The dense square over the whole sector is formed only when something reads
-``DensityMatrix.mat``.
+localized stage, against a sector of hundreds). Every readout comes off
+that one Gram matrix (or ``V V^dagger`` for a wider ``V``), in one pass at
+construction: the trace off its diagonal, checked against 1 first; the
+eigenvalues from one ``eigvalsh``, checked by what is read of them (their
+sum against that trace, the sum of their squares against the purity,
+their order) rather than by rebuilding the matrix from eigenvectors that
+nothing reads; and the entropy, summed once over those checked
+eigenvalues. ``entanglement.von_neumann_entropy`` and ``purity`` read the
+stored values. The dense square over the whole sector is formed only when
+something reads ``DensityMatrix.mat``.
 
 One walk serves identical particles and the labeled ones of
 ``idqsim.comparator``: an immutable tuple ``(basis, V, ||V||^2, prob)``. Its
@@ -124,6 +128,9 @@ class MeasurementBasis(Frozen):
     ket, no more kets than ``dim``, and orthonormality within
     ``ORTHONORMALITY_TOL`` (``orthonormality_defect`` on the stack).
     ``complete`` is true iff the set spans the whole single-particle space.
+    Bases compare and hash by value, as their space and the bytes of their
+    stack with signed zeros merged; ``==``, ``hash`` and ``repr`` read the
+    stack, so none of them builds the kets of a ``from_arrays`` basis.
     """
 
     def __init__(self, kets: Sequence[Ket]):
@@ -162,6 +169,12 @@ class MeasurementBasis(Frozen):
         amps.flags.writeable = False
         self._set("space", space)
         self._set("amps", amps)
+
+    def _values(self) -> tuple:
+        return self.space, (self.amps + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+
+    def __repr__(self) -> str:
+        return f"MeasurementBasis(space={self.space!r}, amps={self.amps!r})"
 
     @cached_property
     def kets(self) -> tuple[Ket, ...]:
@@ -396,12 +409,16 @@ class DensityMatrix(Frozen, eq=False):
     probability ``prob`` consumed to normalize it.
 
     The factor is the representation: ``V V^dagger`` is Hermitian and PSD by
-    construction, and ``tr(V V^dagger) = ||V||_F^2``. ``spectrum`` holds the
-    descending eigenvalues (read-only), computed once at construction by one
-    ``eigvalsh`` of the smaller of ``V^dagger V`` and ``V V^dagger``, checked
-    by ``_checked_eigenvalues`` and padded with zeros to the basis size;
-    ``purity`` is ``tr rho^2``, the squared Frobenius norm of that same Gram
-    matrix. The dense ``mat`` is formed on its first read.
+    construction. Every readout comes off one Gram matrix, the smaller of
+    ``V^dagger V`` and ``V V^dagger``, formed once at construction: the
+    trace is the sum of its diagonal (checked against 1 before anything
+    else is read), ``spectrum`` holds the descending eigenvalues
+    (read-only) from one ``eigvalsh`` of it, checked by
+    ``_checked_eigenvalues`` and padded with zeros to the basis size,
+    ``purity`` is ``tr rho^2``, its squared Frobenius norm, and ``entropy``
+    is the von Neumann entropy in bits, summed once over the checked
+    eigenvalues (``0 log 0 = 0``, and a pure state reads ``+0.0``). The
+    dense ``mat`` is formed on its first read.
     """
 
     # basis: OccupationBasis or a labeled product basis (.size/.labels/.sector)
@@ -418,12 +435,13 @@ class DensityMatrix(Frozen, eq=False):
         size = self.basis.size
         if v.ndim != 2 or v.shape[0] != size:
             raise ValueError(f"factor shape {v.shape} does not fit basis size {size}")
-        trace = np.vdot(v, v).real
+        gram = v.conj().T @ v if v.shape[1] < size else v @ v.conj().T
+        trace = sum(gram.diagonal().real.tolist())  # ||V||_F^2; NaN fails below
         if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace is {trace:.12g}, expected 1")
-        small = v.conj().T @ v if v.shape[1] < size else v @ v.conj().T
+        evals, ev, purity = _checked_eigenvalues(gram, trace)  # the moment and PSD checks
         spectrum = np.zeros(size)
-        spectrum[: len(small)], purity = _checked_eigenvalues(small)  # the moment and PSD checks
+        spectrum[: len(ev)] = evals
         p = float(self.prob)
         if not -1e-9 <= p <= 1.0 + 1e-9:  # NaN fails too
             raise ValueError(f"probability {p} outside [0, 1]")
@@ -433,6 +451,8 @@ class DensityMatrix(Frozen, eq=False):
         self._set("prob", min(max(p, 0.0), 1.0))
         self._set("spectrum", spectrum)
         self._set("purity", float(purity))
+        # clamped as the spectrum is: eigenvalues <= 0 add nothing; + 0.0 flattens -0.0
+        self._set("entropy", -sum(x * math.log2(x) for x in ev if x > 0.0) + 0.0)
 
     @cached_property
     def mat(self) -> np.ndarray:
@@ -464,15 +484,17 @@ def eigenvalues_hermitian(mat: np.ndarray) -> np.ndarray:
         skew2 = np.vdot(skew, skew).real / 4
         if not skew2 <= MOMENT_TOL**2 * max(1.0, norm2):
             raise ArithmeticError(f"anti-Hermitian residual {math.sqrt(skew2):.3g}")
-    return _checked_eigenvalues(m)[0]
+    return _checked_eigenvalues(m, sum(m.diagonal().real.tolist()))[0]
 
 
-def _checked_eigenvalues(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Descending eigenvalues of a Hermitian ``mat`` and ``||mat||_F^2``,
-    from one ``eigvalsh``.
+def _checked_eigenvalues(mat: np.ndarray, trace: float) -> tuple[np.ndarray, list[float], float]:
+    """The eigenvalues of a Hermitian ``mat`` whose diagonal sums to
+    ``trace``, from one ``eigvalsh``: descending and clamped as an array,
+    ascending and unclamped as the Python floats the checks read, and
+    ``||mat||_F^2``.
 
     The eigenvalues are checked through what is read of them, in O(n^2):
-    their sum against the trace, the sum of their squares against
+    their sum against ``trace``, the sum of their squares against
     ``||mat||_F^2`` (which a density matrix reports as its purity), and
     their ascending order. The moment residual, both moments taken as a
     shift of one eigenvalue, must stay within ``MOMENT_TOL`` times ``n``
@@ -489,7 +511,6 @@ def _checked_eigenvalues(mat: np.ndarray) -> tuple[np.ndarray, float]:
         raise ArithmeticError(f"squared norm {norm2}: no eigenvalue residual can be checked")
     evals = np.linalg.eigvalsh(m)
     ev = evals.tolist()  # Python floats: quicker than numpy on a few values
-    trace = sum(m.diagonal().real.tolist())
     scale = max(1.0, math.sqrt(norm2))
     # d(sum l) = sum d and d(sum l^2) ~ 2 sum l d with |l| <= scale
     resid = max(abs(sum(ev) - trace), abs(sum(x * x for x in ev) - norm2) / (2 * scale))
@@ -500,7 +521,7 @@ def _checked_eigenvalues(mat: np.ndarray) -> tuple[np.ndarray, float]:
     lo = ev[0]
     if lo < -EIGEN_CLAMP:
         raise NotPSDError(f"eigenvalue {lo:.3g} below -{EIGEN_CLAMP}")
-    return np.maximum(evals[::-1], 0.0), norm2
+    return np.maximum(evals[::-1], 0.0), ev, norm2  # the clamp turns -0.0 into 0.0
 
 
 def probability_of(phi: ParticleState, basis: MeasurementBasis) -> float:

@@ -189,9 +189,6 @@ class ParticleState(Frozen, eq=False):
     def normalized(self) -> "ParticleState":
         return normalize(self)
 
-    def project(self, meas: Ket) -> "ParticleState":
-        return project_single(meas, self)
-
     def __repr__(self) -> str:
         def term_repr(t: ElementaryState) -> str:
             body = ", ".join(repr(k).strip("|>") for k in t.kets)

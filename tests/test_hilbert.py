@@ -274,11 +274,16 @@ def test_value_types_are_immutable_and_compare_as_declared(make, defaults, by_va
 
 def test_reprs_name_the_fields_but_not_the_derived_spectrum():
     assert repr(Mode("A", 0)) == "Mode(name='A', index=0)"
-    assert repr(PLAN).startswith("TracePlan(label='p', one_stages=(MeasurementBasis(kets=(|A↑>,")
+    # a basis shows its stack, not kets it would have to build
+    assert repr(PLAN).startswith(
+        "TracePlan(label='p', one_stages=(MeasurementBasis("
+        "space=CanonicalBasis(modes=('A', 'B')), amps=array([[1.+0.j, 0.+0.j,"
+    )
     rho = pure_rho()
     text = repr(rho)
     assert text.startswith("DensityMatrix(basis=OccupationBasis(") and text.endswith("prob=1.0)")
     assert rho.purity == 1.0 and "spectrum" not in text and "purity" not in text
+    assert rho.entropy == 0.0 and "entropy" not in text
 
 
 def test_importing_idqsim_compiles_no_generated_source():

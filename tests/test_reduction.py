@@ -41,6 +41,7 @@ from idqsim import (
 )
 from idqsim.comparator import oracle_trace_iterate
 from idqsim.permanents import permutation_parity
+from idqsim import reduction
 from idqsim.reduction import (
     _entries, _ladder, _require_unit_norm, _support_ladder, annihilate, trace_start
 )
@@ -422,15 +423,19 @@ def compressed_two_stage_trace():
     return partial_trace_iterate(phi, (full, full))
 
 
-def labeled_trace_with_more_branches_than_rows():
-    # two full slot measurements of three slots: 36 branches over 6 rows
-    rng = np.random.default_rng(42)
+def random_labeled_state(rng, n_terms):
+    """A normalized labeled state of three slots with random kets."""
     terms = [
         (complex(rng.normal(), rng.normal()), tuple(random_ket(rng, SPACE) for _ in range(3)))
-        for _ in range(2)
+        for _ in range(n_terms)
     ]
     scale = np.linalg.norm(LabeledState(tuple(terms)).vector())
-    state = LabeledState(tuple((c / scale, kets) for c, kets in terms))
+    return LabeledState(tuple((c / scale, kets) for c, kets in terms))
+
+
+def labeled_trace_with_more_branches_than_rows():
+    # two full slot measurements of three slots: 36 branches over 6 rows
+    state = random_labeled_state(np.random.default_rng(42), 2)
     full = MeasurementBasis.full(SPACE)
     return distinguishable_trace_iterate(state, (SlotTrace(0, full), SlotTrace(2, full)))
 
@@ -798,6 +803,157 @@ def test_purity_is_the_squared_norm_of_the_gram_matrix():
         rho = DensityMatrix(occ, v / np.linalg.norm(v), 1.0)
         gram = rho.factor.conj().T @ rho.factor
         assert abs(rho.purity - float(np.vdot(gram, gram).real)) < 1e-15
+
+
+# --- the one-pass finish: every readout off one Gram matrix -------------------
+
+
+def dense_readouts(rho):
+    """Spectrum, purity and entropy of the dense ``rho.mat``, computed apart
+    from the Gram matrix the density matrix reads them off."""
+    dense = np.linalg.eigvalsh(rho.mat)[::-1]
+    p = dense[dense > 0]
+    return dense, float((dense**2).sum()), float(-(p * np.log2(p)).sum())
+
+
+def _finish_cases():
+    """Reduced states of all three routes that build a DensityMatrix, with
+    narrow factors (a Gram matrix ``V^dagger V``) and wide ones (``V V^dagger``)."""
+    rng = np.random.default_rng(61)
+    cases = []
+    for stats in Statistics:
+        phi = random_state(rng, SPACE, 3, stats)
+        for what, stages in (
+            ("localized", (MeasurementBasis.localized(SPACE, "A"),)),
+            ("random", (random_measurement_basis(rng, SPACE),)),
+            ("pair, localized",
+             (delocalized_pair(SPACE, "A", "B"), MeasurementBasis.localized(SPACE, "C"))),
+        ):
+            cases.append((f"ladder {stats.value} {what}", partial_trace_iterate, phi, stages))
+            cases.append((f"oracle {stats.value} {what}", oracle_trace_iterate, phi, stages))
+    full = MeasurementBasis.full(SPACE)
+    for name, n_terms in (("product", 1), ("two-term", 2)):
+        labeled = random_labeled_state(rng, n_terms)
+        for slots, stages in (
+            ("one slot", (SlotTrace(1, random_measurement_basis(rng, SPACE, 4)),)),
+            ("two slots", (SlotTrace(0, full), SlotTrace(2, full))),
+        ):
+            route = distinguishable_trace_iterate
+            cases.append((f"labeled {name}, {slots}", route, labeled, stages))
+    return cases
+
+
+FINISH_CASES = _finish_cases()
+
+
+@pytest.mark.parametrize("name, route, state, stages", FINISH_CASES,
+                         ids=[c[0] for c in FINISH_CASES])
+def test_every_route_reads_spectrum_purity_and_entropy_off_the_dense_matrix(
+    name, route, state, stages
+):
+    rho = route(state, stages)
+    dense, dense_purity, dense_entropy = dense_readouts(rho)
+    tol = 1e-12 * rho.basis.size
+    assert np.abs(spectrum(rho) - dense).max() < tol
+    assert abs(purity(rho) - dense_purity) < tol
+    assert abs(von_neumann_entropy(rho) - dense_entropy) < tol
+    assert von_neumann_entropy(rho) == rho.entropy and type(rho.entropy) is float
+
+
+def test_the_finish_cases_cover_narrow_and_wide_factors():
+    shapes = set()
+    for _, route, state, stages in FINISH_CASES:
+        v = route(state, stages).factor
+        shapes.add(v.shape[1] < v.shape[0])
+    assert shapes == {True, False}
+
+
+def test_a_pure_remainder_reads_plus_zero_bits():
+    occ = OccupationBasis(SPACE, 1, Statistics.BOSON)
+    # narrow: the Gram matrix diag(1, 0) has an exact zero eigenvalue
+    narrow = np.zeros((occ.size, 2))
+    narrow[0, 0] = 1.0
+    # wide: V V^dagger over a two-row basis
+    two = OccupationBasis(CanonicalBasis(("A",)), 1, Statistics.BOSON)
+    wide = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    ladder = partial_trace_one(separated_state(), MeasurementBasis.localized(SPACE, "A"))
+    for rho in (DensityMatrix(occ, narrow, 1.0), DensityMatrix(two, wide, 1.0), ladder):
+        s = von_neumann_entropy(rho)
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0
+        assert rho.purity == 1.0
+
+
+def test_two_equal_eigenvalues_read_exactly_one_bit():
+    occ = OccupationBasis(SPACE, 1, Statistics.BOSON)
+    narrow = np.zeros((occ.size, 2))
+    narrow[0:2, 0] = narrow[2:4, 1] = 0.5  # V^dagger V = diag(1/2, 1/2)
+    two = OccupationBasis(CanonicalBasis(("A",)), 1, Statistics.BOSON)
+    wide = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])  # V V^dagger = diag(1/2, 1/2)
+    for rho in (DensityMatrix(occ, narrow, 1.0), DensityMatrix(two, wide, 1.0)):
+        assert von_neumann_entropy(rho) == 1.0
+        assert rho.purity == 0.5
+
+
+def test_a_negative_zero_eigenvalue_is_clamped_to_plus_zero(monkeypatch):
+    # LAPACK may return -0.0, as it does for diag(1, -0.0)
+    assert np.signbit(np.linalg.eigvalsh(np.diag([1.0, -0.0]))).any()
+    ev = eigenvalues_hermitian(np.diag([1.0, -0.0]))
+    assert ev.tolist() == [1.0, 0.0] and not np.signbit(ev).any()
+    true_eigvalsh = np.linalg.eigvalsh
+
+    def signed_zeros(a):
+        ev = true_eigvalsh(a)
+        return np.where(ev == 0.0, -0.0, ev)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", signed_zeros)
+    occ = OccupationBasis(SPACE, 1, Statistics.BOSON)
+    narrow = np.zeros((occ.size, 2))
+    narrow[0, 0] = 1.0
+    assert np.signbit(np.linalg.eigvalsh(narrow.T @ narrow)).any()
+    rho = DensityMatrix(occ, narrow, 1.0)
+    assert rho.spectrum.tolist() == [1.0] + [0.0] * (occ.size - 1)
+    assert not np.signbit(rho.spectrum).any()
+    assert math.copysign(1.0, von_neumann_entropy(rho)) == 1.0
+
+
+def _off_trace_factors():
+    rng = np.random.default_rng(62)
+    occ = OccupationBasis(SPACE, 1, Statistics.BOSON)
+    cases = []
+    for kind, width in (("narrow", 2), ("wide", occ.size + 2)):
+        v = rng.normal(size=(occ.size, width)) + 1j * rng.normal(size=(occ.size, width))
+        v /= np.linalg.norm(v)
+        for label, scale in (("1+2e-10", 1.0 + 2e-10), ("1-2e-10", 1.0 - 2e-10)):
+            cases.append((f"{kind} {label}", occ, v * math.sqrt(scale)))
+        bad = v.copy()
+        bad[1, 1] = np.nan
+        cases.append((f"{kind} NaN", occ, bad))
+    return cases
+
+
+OFF_TRACE = _off_trace_factors()
+
+
+@pytest.mark.parametrize("name, occ, factor", OFF_TRACE, ids=[c[0] for c in OFF_TRACE])
+def test_a_factor_off_unit_trace_is_refused_before_any_eigenvalue_check(
+    name, occ, factor, monkeypatch
+):
+    def no_eigenvalues(*args):
+        raise AssertionError("an eigenvalue check ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+    monkeypatch.setattr(reduction, "_checked_eigenvalues", no_eigenvalues)
+    message = r"^trace is (nan|1\.0000000002|0\.9999999998), expected 1$"
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(occ, factor, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0 + 0.5e-10, 1.0 - 0.5e-10])
+def test_a_factor_within_the_trace_tolerance_is_accepted(scale):
+    for name, occ, factor in OFF_TRACE:
+        if not name.endswith("NaN"):
+            rho = DensityMatrix(occ, factor / np.linalg.norm(factor) * math.sqrt(scale), 1.0)
+            assert abs(rho.spectrum.sum() - scale) < 1e-12
 
 
 # --- closed-form spectra above the oracle cap ---------------------------------

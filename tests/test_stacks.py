@@ -304,3 +304,45 @@ def test_a_verify_shaped_round_builds_no_ket(built_kets):
     for phi in states:
         assert len(phi.terms) == 2
     assert len(built_kets) == sum(2 * phi.n for phi in states)
+
+
+def test_bases_compare_and_hash_by_value(built_kets):
+    """A basis is its space and its stack: equal stacks over equal spaces are
+    equal bases, with equal hashes, however they were built. Signed zeros
+    are merged, as ``_merge_terms`` merges them; ``==``, ``hash`` and
+    ``repr`` build no ``Ket``."""
+    def same(a, b):
+        return a == b and not a != b and hash(a) == hash(b)
+
+    loc_a, loc_a2, loc_b = (MeasurementBasis.localized(SPACE, m) for m in "AAB")
+    amps = random_unitary(np.random.default_rng(24), SPACE.dim)[:3]
+    theirs = per_object_basis(SPACE, amps)
+    eye = np.eye(SPACE.dim, dtype=complex)[:2]
+    signed = eye.copy()
+    signed[eye == 0] = complex(-0.0, -0.0)
+    built = len(built_kets)
+    ours = MeasurementBasis.from_arrays(SPACE, amps)
+    twin = MeasurementBasis.from_arrays(CanonicalBasis(("A", "B", "C")), amps.copy())
+    plus = MeasurementBasis.from_arrays(SPACE, eye)
+    minus = MeasurementBasis.from_arrays(SPACE, signed)
+    others = (  # unequal kets: another phase, order, subset or space
+        MeasurementBasis.from_arrays(SPACE, amps * 1j),
+        MeasurementBasis.from_arrays(SPACE, amps[::-1]),
+        MeasurementBasis.from_arrays(SPACE, amps[:2]),
+        MeasurementBasis.from_arrays(CanonicalBasis(("A", "B", "D")), amps),
+    )
+    assert same(loc_a, loc_a2) and loc_a != loc_b
+    assert same(ours, theirs) and same(ours, twin)
+    for other in others:
+        assert ours != other and not ours == other
+    # -0.0 against 0.0, in the real and the imaginary parts
+    assert bits(plus.amps) != bits(minus.amps) and same(plus, minus) and same(plus, loc_a)
+    # slot traces compare by slot and basis
+    assert same(SlotTrace(1, ours), SlotTrace(1, theirs))
+    assert SlotTrace(1, ours) != SlotTrace(2, ours) and SlotTrace(1, ours) != SlotTrace(1, plus)
+    assert len({SlotTrace(0, plus), SlotTrace(0, minus), SlotTrace(0, theirs)}) == 2
+    text = repr(SlotTrace(1, ours))
+    assert text.startswith("SlotTrace(slot=1, basis=MeasurementBasis(space=CanonicalBasis(")
+    assert "amps=array(" in text and "|" not in text
+    assert len(built_kets) == built
+    assert all("kets" not in vars(b) for b in (ours, twin, plus, minus) + others)
