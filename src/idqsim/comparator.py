@@ -5,9 +5,10 @@ A state's terms become product tensors, one array axis per slot (the outer
 product of the kets), summed with the coefficients by one ``np.dot`` on the
 flattened tensors (the product ``np.tensordot`` forms; ``@`` rounds
 differently), and the (anti)symmetrized vector is the signed sum of the
-``N!`` axis transposes of that one tensor. It is exponentially sized on
-purpose: results are trusted because the construction is obvious, not
-because it is fast. Scale is capped accordingly.
+``N!`` axis transposes of that one tensor, evaluated as nested coset sums
+in ``N(N-1)/2`` transposed passes (``_symmetrized``). It is exponentially
+sized on purpose: results are trusted because the construction is obvious,
+not because it is fast. Scale is capped accordingly.
 
 The load-bearing identities, verified in the property suite:
 
@@ -51,7 +52,6 @@ import numpy as np
 
 from .errors import OracleScaleError, ZeroProbabilityError
 from .hilbert import CanonicalBasis, Frozen, Ket
-from .permanents import signed_permutations
 from .reduction import (
     DensityMatrix,
     MeasurementBasis,
@@ -88,16 +88,25 @@ def _products(amps: np.ndarray) -> np.ndarray:
 
 
 def _symmetrized(tensors: np.ndarray, n: int, statistics: Statistics) -> np.ndarray:
-    """Signed sum of the ``n!`` transposes of the last ``n`` axes."""
-    lead = tuple(range(tensors.ndim - n))
-    perms, signs = signed_permutations(n)
-    out = np.zeros_like(tensors)
-    for perm, sign in zip(perms, signs):
-        moved = tensors.transpose(lead + tuple(len(lead) + perm))
-        if statistics is Statistics.BOSON or sign > 0:
-            out += moved
-        else:
-            out -= moved
+    """Signed sum of the ``n!`` transposes of the last ``n`` axes, as a new
+    array (leading axes are a stack).
+
+    Evaluated as nested coset sums in ``n(n-1)/2`` transposed passes: every
+    permutation of the axes ``a..n-1`` is one ``(a k)``, ``k >= a`` (``(a a)``
+    the identity), times one that fixes axis ``a``. So for ``a = n-2`` down
+    to ``0``, ``out`` becomes ``out + eps * sum_{k>a} swapaxes(out, a, k)``,
+    with ``eps = -1`` for fermions. Each level sums into a fresh array.
+    """
+    if n < 2:
+        return tensors + 0.0  # a new array, as for every n
+    lead = tensors.ndim - n
+    add = np.subtract if statistics is Statistics.FERMION else np.add
+    out = tensors
+    for a in range(lead + n - 2, lead - 1, -1):
+        acc = add(out, out.swapaxes(a, a + 1))
+        for k in range(a + 2, lead + n):
+            add(acc, out.swapaxes(a, k), out=acc)
+        out = acc
     return out
 
 

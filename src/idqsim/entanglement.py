@@ -220,7 +220,7 @@ def _prefixes(stages: Sequence[Stage]) -> tuple[tuple, ...]:
 
 def _stage_key(stage: Stage) -> tuple:
     """A stage by value: its slot (None for a MeasurementBasis) and the bytes
-    of its kets' amplitude stack."""
+    of its kets' amplitude stack, keyed as ``MeasurementBasis`` compares."""
     if isinstance(stage, SlotTrace):
         return stage.slot, _stage_key(stage.basis)[1]
-    return None, stage.amps.tobytes()
+    return None, (stage.amps + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0

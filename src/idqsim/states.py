@@ -58,6 +58,10 @@ class Statistics(Enum):
     BOSON = "boson"
     FERMION = "fermion"
 
+    # members are singletons, so identity hashing agrees with equality and
+    # skips ``Enum.__hash__`` on every lru-cached table lookup
+    __hash__ = object.__hash__
+
     @property
     def eta(self) -> int:
         return 1 if self is Statistics.BOSON else -1

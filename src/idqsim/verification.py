@@ -33,11 +33,12 @@ from .comparator import (
     oracle_trace_iterate,
     product_state,
 )
-from .entanglement import eigenvalues_hermitian, purity, spectrum, von_neumann_entropy
+from .entanglement import purity, spectrum, von_neumann_entropy
 from .errors import ZeroProbabilityError
 from .hilbert import CanonicalBasis, Frozen, Ket, Spin, orthonormality_defect, sp_inner
 from .permanents import permanent, permanent_naive, permanent_ryser
 from .reduction import (
+    DensityMatrix,
     MeasurementBasis,
     OccupationBasis,
     annihilate,
@@ -466,6 +467,14 @@ def _prop_distinguishable_purity(rng) -> str:
     return f"{checked} product states stay pure under slot traces, worst deviation {worst:.3g}"
 
 
+def _entropy_of_factor(factor: np.ndarray) -> float:
+    """``von_neumann_entropy`` of the trace-one ``factor factor^dagger``, read
+    through a ``DensityMatrix`` over a basis of its size: the ``d`` states of
+    ``d - 1`` bosons on one site."""
+    basis = OccupationBasis(CanonicalBasis(("A",)), len(factor) - 1, Statistics.BOSON)
+    return von_neumann_entropy(DensityMatrix(basis, factor, 1.0))
+
+
 def _prop_entropy_unitary_invariance(rng) -> str:
     worst = 0.0
     for d in (2, 3, 6):
@@ -473,11 +482,8 @@ def _prop_entropy_unitary_invariance(rng) -> str:
             evals = rng.random(d)
             evals /= evals.sum()
             u = random_unitary(rng, d)
-            m = (u * evals) @ u.conj().T
             s_direct = -(evals * np.log2(evals)).sum()
-            p = eigenvalues_hermitian(m)
-            p = p[p > 0]
-            s_via = -(p * np.log2(p)).sum()
+            s_via = _entropy_of_factor(u * np.sqrt(evals))
             worst = max(worst, abs(s_direct - s_via))
     _ensure(worst < 1e-9, f"entropy moved under conjugation by {worst:.3g}")
     return f"15 spectra survive unitary conjugation, worst deviation {worst:.3g}"
@@ -504,22 +510,17 @@ def _prop_entropy_concavity(rng) -> str:
     worst = 0.0
     for d in (2, 4):
         for _ in range(8):
-            def rand_rho():
+            def rand_factor():
                 u = random_unitary(rng, d)
                 ev = rng.random(d)
                 ev /= ev.sum()
-                return (u * ev) @ u.conj().T
+                return u * np.sqrt(ev)
 
-            r1, r2 = rand_rho(), rand_rho()
+            v1, v2 = rand_factor(), rand_factor()
             lam = float(rng.random())
-            mix = lam * r1 + (1 - lam) * r2
-
-            def ent(m):
-                p = eigenvalues_hermitian(m)
-                p = p[p > 0]
-                return -(p * np.log2(p)).sum()
-
-            gap = ent(mix) - lam * ent(r1) - (1 - lam) * ent(r2)
+            mix = np.hstack([math.sqrt(lam) * v1, math.sqrt(1 - lam) * v2])
+            ent = _entropy_of_factor
+            gap = ent(mix) - lam * ent(v1) - (1 - lam) * ent(v2)
             worst = min(worst, gap)
     _ensure(worst > -1e-9, f"concavity violated by {worst:.3g}")
     return f"16 random mixtures, smallest concavity gap {worst:.3g}"

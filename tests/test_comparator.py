@@ -37,7 +37,7 @@ from idqsim import (
 )
 from idqsim import comparator
 from idqsim.comparator import _products, _symmetrized, symmetrize
-from idqsim.permanents import permutation_parity
+from idqsim.permanents import permutation_parity, signed_permutations
 from idqsim.states import ElementaryState, ParticleState
 from idqsim.verification import (
     random_ket,
@@ -127,6 +127,73 @@ def test_product_tensor_symmetrizer_matches_the_kron_permutation_sum(stats, n):
     occ = OccupationBasis(SPACE, n, stats)
     t = occupation_isometry(occ)
     assert np.abs(t - kron_isometry(occ)).max() < 1e-12 * t.size
+
+
+def transpose_symmetrized(tensors, n, statistics):
+    """The symmetrizer the nested coset sums replaced: one strided pass per
+    permutation of the last ``n`` axes, signed by its parity for fermions."""
+    lead = tuple(range(tensors.ndim - n))
+    perms, signs = signed_permutations(n)
+    out = np.zeros_like(tensors)
+    for perm, sign in zip(perms, signs):
+        moved = tensors.transpose(lead + tuple(len(lead) + perm))
+        if statistics is Statistics.BOSON or sign > 0:
+            out += moved
+        else:
+            out -= moved
+    return out
+
+
+# five single-particle states, so that five fermions do not cancel outright
+SYM_DIM = 5
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+def test_coset_symmetrizer_matches_the_sum_over_all_transposes(stats, n, lead):
+    rng = np.random.default_rng([37, n, len(lead), stats is Statistics.FERMION])
+    shape = lead + (SYM_DIM,) * n
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    kept = x.copy()
+    got = _symmetrized(x, n, stats)
+    assert not np.shares_memory(got, x)
+    assert np.array_equal(x, kept)
+    tol = 1e-12 * SYM_DIM**n * np.abs(x).max()
+    assert np.abs(got - transpose_symmetrized(x, n, stats)).max() < tol
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_coset_symmetrizer_is_exact_on_one_hot_product_stacks(stats, n):
+    # canonical products with distinct and with repeated entries, as one
+    # stack: the sums are integers, so both routes agree bit for bit
+    rng = np.random.default_rng([38, n])
+    distinct = [rng.permutation(SYM_DIM)[:n] for _ in range(20)]
+    repeated = rng.integers(0, SYM_DIM, size=(20, n))
+    entries = np.concatenate([np.reshape(distinct, (20, n)), repeated])
+    stack = _products(np.eye(SYM_DIM, dtype=complex)[entries])
+    got = _symmetrized(stack, n, stats)
+    assert got.tobytes() == transpose_symmetrized(stack, n, stats).tobytes()
+    assert np.abs(got).max() >= 1  # the distinct rows survive antisymmetrization
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_oracle_agrees_with_the_algebra_at_its_scale_cap(stats):
+    n, space = comparator.MAX_PARTICLES, CanonicalBasis(("A", "B", "C", "D"))
+    assert space.dim == comparator.MAX_DIM
+    rng = np.random.default_rng(38)
+    a = random_state(rng, space, n, stats)
+    b = random_state(rng, space, n, stats)
+    scale = math.factorial(n) * math.sqrt(inner(a, a).real * inner(b, b).real)
+    for bra, ket in ((a, b), (a, a)):
+        assert abs(oracle_inner(bra, ket) - math.factorial(n) * inner(bra, ket)) < 1e-12 * scale
+    for mb in (MeasurementBasis.localized(space, "B"), random_measurement_basis(rng, space)):
+        ours = partial_trace_iterate(a, (mb,))
+        ref = oracle_trace_iterate(a, (mb,))
+        tol = 1e-12 * ref.basis.size
+        assert np.abs(ours.mat - ref.mat).max() < tol
+        assert abs(ours.prob - ref.prob) < tol
 
 
 def test_occupation_isometry_is_cached_and_read_only():

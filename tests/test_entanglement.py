@@ -279,6 +279,23 @@ def test_bases_equal_in_value_share_one_lowering(monkeypatch):
     assert report["p2"].rho_one.prob == report["p0"].rho_one.prob
 
 
+def test_bases_differing_only_in_signed_zeros_share_one_lowering(monkeypatch):
+    lowerings = counted(monkeypatch, idqsim.reduction.OccupationBasis, "lower")
+    eye = np.eye(SPACE.dim, dtype=complex)[:2]
+    signed = np.where(eye == 0, complex(-0.0, -0.0), eye)
+    plus = MeasurementBasis.from_arrays(SPACE, eye)
+    minus = MeasurementBasis.from_arrays(SPACE, signed)
+    assert plus.amps.tobytes() != minus.amps.tobytes()
+    assert plus == minus
+    plans = [
+        TracePlan("plus", two_stages=(plus,), bipartition=False),
+        TracePlan("minus", two_stages=(minus,), bipartition=False),
+    ]
+    report = analyze(separated_state(), plans)
+    assert len(lowerings) == 1
+    assert np.array_equal(report["minus"].rho_two.mat, report["plus"].rho_two.mat)
+
+
 def test_labeled_slots_key_the_prefix(monkeypatch):
     lowerings = counted(monkeypatch, idqsim.comparator, "_contract_slot")
     state = product_state((SPACE.ket("A", Spin.DOWN), SPACE.ket("A", Spin.UP)))

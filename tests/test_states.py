@@ -22,6 +22,7 @@ from idqsim import (
     states_close,
 )
 from idqsim.permanents import permanent_naive
+from idqsim.reduction import _ladder
 from idqsim.states import overlap_elementary
 
 
@@ -307,3 +308,11 @@ def test_norms_that_overflow_raise_naming_the_squared_norm(stats):
         for f in (norm, normalize):
             with pytest.raises(ValueError, match="squared norm is nan"):
                 f(phi)
+
+
+def test_statistics_looked_up_by_value_hit_the_same_table_entry():
+    table = _ladder(4, 2, Statistics.BOSON)
+    hits = _ladder.cache_info().hits
+    assert _ladder(4, 2, Statistics("boson")) is table
+    assert _ladder.cache_info().hits == hits + 1
+    assert {Statistics.FERMION: 1}[Statistics("fermion")] == 1

@@ -1,5 +1,6 @@
 """The seeded property-check battery and its sensitivity to planted bugs."""
 
+import math
 import os
 import subprocess
 import sys
@@ -60,6 +61,22 @@ def test_sign_bug_in_fermionic_removal_is_caught(monkeypatch):
     assert "oracle-trace-agreement" in failed
     # the battery must report, never raise
     assert len(results) == 19
+
+
+def test_entropy_bug_in_the_density_matrix_is_caught(monkeypatch):
+    # plant an entropy in nats: the entropy properties read it off a
+    # DensityMatrix, as every reduction does
+    finish = idqsim.reduction.DensityMatrix.__post_init__
+
+    def in_nats(self):
+        finish(self)
+        self._set("entropy", self.entropy * math.log(2.0))
+
+    monkeypatch.setattr(idqsim.reduction.DensityMatrix, "__post_init__", in_nats)
+    results = {r.name: r for r in run_all(0)}
+    failed = results["entropy-unitary-invariance"]
+    assert not failed.passed
+    assert "entropy moved under conjugation" in failed.detail
 
 
 def test_sign_bug_on_the_sparse_support_gather_is_caught(monkeypatch):
