@@ -218,11 +218,18 @@ def oracle_trace_iterate(
 
 class LabeledState(Frozen):
     """Superposition of labeled product terms; no exchange symmetry.
-    Coefficients must be finite."""
+    Coefficients must be finite.
+
+    Checked as it is built, term by term, and kept with its slot count
+    ``n``, its frame ``space`` and one read-only amplitude stack ``_stack
+    = (coeffs (T,), amps (T, n, dim))``, which ``vector`` reads.
+    """
 
     def __init__(self, terms: tuple[tuple[complex, tuple[Ket, ...]], ...]):
         if not terms:
             raise ValueError("labeled state needs at least one term")
+        if not terms[0][1]:
+            raise ValueError("labeled state needs at least one slot")
         n = len(terms[0][1])
         space = terms[0][1][0].basis
         for coeff, kets in terms:
@@ -234,19 +241,16 @@ class LabeledState(Frozen):
                 if k.basis != space:
                     raise ValueError("kets live in different bases")
         _check_scale(n, space.dim)
+        coeffs = np.array([c for c, _ in terms])
+        amps = np.array([[k.amps for k in kets] for _, kets in terms])
+        coeffs.flags.writeable = amps.flags.writeable = False
         self._set("terms", terms)
-
-    @property
-    def n(self) -> int:
-        return len(self.terms[0][1])
-
-    @property
-    def space(self) -> CanonicalBasis:
-        return self.terms[0][1][0].basis
+        self._set("n", n)
+        self._set("space", space)
+        self._set("_stack", (coeffs, amps))
 
     def vector(self) -> np.ndarray:
-        coeffs = np.array([c for c, _ in self.terms])
-        amps = np.array([[k.amps for k in kets] for _, kets in self.terms])
+        coeffs, amps = self._stack
         return np.dot(coeffs[None], _products(amps).reshape(len(coeffs), -1)).reshape(-1)
 
 

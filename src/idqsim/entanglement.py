@@ -152,9 +152,10 @@ def analyze(
     the start (``reduction.trace_start`` for identical particles,
     ``comparator.trace_start`` for labeled ones). The state is started
     once, and each distinct stage prefix is lowered once. A stage is keyed
-    by its value (its kets' amplitude bytes, and the slot of a SlotTrace),
-    and its frame is checked against the walk's before a stored walk is
-    reused; a stored walk is dropped after the last side that extends it.
+    by its value (its frame and its kets' amplitude bytes, and the slot of a
+    SlotTrace), so a stage from another frame never meets a stored walk and
+    ``trace_stage`` refuses it; a stored walk is dropped after the last
+    side that extends it.
     A plan keys its stages once, on its first run (``TracePlan._paths``).
     Sides run in plan order, so results and the first error are those of
     tracing each side on its own.
@@ -183,9 +184,8 @@ def analyze(
                 walk = root
                 for stage, prefix in zip(stages, path):
                     users[prefix] -= 1
-                    # a walk starts with its basis; trace_stage raises on a foreign frame
-                    same = stage.space == walk[0].space
-                    hit = memo.get(prefix) if same else None
+                    # a key holds its frame: a foreign stage misses, and trace_stage raises
+                    hit = memo.get(prefix)
                     walk = trace_stage(walk, stage) if hit is None else hit
                     if users[prefix]:
                         memo[prefix] = walk
@@ -219,8 +219,9 @@ def _prefixes(stages: Sequence[Stage]) -> tuple[tuple, ...]:
 
 
 def _stage_key(stage: Stage) -> tuple:
-    """A stage by value: its slot (None for a MeasurementBasis) and the bytes
-    of its kets' amplitude stack, keyed as ``MeasurementBasis`` compares."""
+    """A stage by value: its slot (None for a MeasurementBasis) and the
+    value key its basis compares by (``MeasurementBasis._key``: the frame
+    and the stack's bytes)."""
     if isinstance(stage, SlotTrace):
-        return stage.slot, _stage_key(stage.basis)[1]
-    return None, (stage.amps + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+        return stage.slot, stage.basis._key
+    return None, stage._key

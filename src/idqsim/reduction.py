@@ -128,9 +128,11 @@ class MeasurementBasis(Frozen):
     ket, no more kets than ``dim``, and orthonormality within
     ``ORTHONORMALITY_TOL`` (``orthonormality_defect`` on the stack).
     ``complete`` is true iff the set spans the whole single-particle space.
-    Bases compare and hash by value, as their space and the bytes of their
-    stack with signed zeros merged; ``==``, ``hash`` and ``repr`` read the
-    stack, so none of them builds the kets of a ``from_arrays`` basis.
+    Bases compare and hash by one value key, ``_key``, made on first use:
+    their frame's mode names and the bytes of their stack with signed zeros
+    merged. ``==``, ``hash``, ``repr`` and ``entanglement``'s stage keys
+    read the stack, so none of them builds the kets of a ``from_arrays``
+    basis.
     """
 
     def __init__(self, kets: Sequence[Ket]):
@@ -170,8 +172,14 @@ class MeasurementBasis(Frozen):
         self._set("space", space)
         self._set("amps", amps)
 
+    @cached_property
+    def _key(self) -> tuple[tuple[str, ...], bytes]:
+        """The value a basis compares and hashes by, and the stage key of
+        ``entanglement``: its frame's mode names and its stack's bytes."""
+        return self.space.mode_names, (self.amps + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+
     def _values(self) -> tuple:
-        return self.space, (self.amps + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+        return self._key
 
     def __repr__(self) -> str:
         return f"MeasurementBasis(space={self.space!r}, amps={self.amps!r})"

@@ -8,17 +8,20 @@ Gram matrix ``M_ij = <bra_i|ket_j>`` as ``per(M)`` for bosons and ``det(M)``
 for fermions, which equals 1/N! times the inner product of the corresponding
 label-symmetrized tensors (see ``idqsim.comparator`` for that cross-check).
 
-What the kernels read is one amplitude stack per state, ``_stack = (coeffs,
-amps)``: the coefficients ``(T,)`` and the kets ``(T, N, dim)``, row
-``[t, i]`` being ket ``i`` of term ``t``, both read-only and C-contiguous.
-``ParticleState(statistics, terms)`` checks each ket and term as it is
-built and stacks them on the first read; ``ParticleState.from_arrays``
-checks a whole stack at once (shape, dimension, finite values) and builds
-``terms``, through the same ``ElementaryState`` and ``Ket`` constructors,
-only when something reads them. The array kernel ``overlaps`` forms the
-Gram matrices of all term pairs of a stack in one ``einsum`` and evaluates
-per/det on the whole block; ``inner`` runs it on the two states' stacks,
-and ``verification.random_state`` on freshly drawn arrays.
+A state is stored as one amplitude stack and nothing else, ``_stack =
+(coeffs, amps)``: the coefficients ``(T,)`` and the kets ``(T, N, dim)``,
+row ``[t, i]`` being ket ``i`` of term ``t``, both read-only and
+C-contiguous. ``ParticleState(statistics, terms)`` checks each ket and term
+as it is built and stacks them once; ``ParticleState.from_arrays`` checks a
+whole stack at once (shape, dimension, finite values). Both, and every step
+of the algebra (``+``, ``-``, ``*``, ``normalize``, ``project_single``), end
+in ``ParticleState._keep``, which refuses a non-finite coefficient and keeps
+the stack. ``terms`` are a view, built through the ``ElementaryState`` and
+``Ket`` constructors only when something reads them. The array kernel
+``overlaps`` forms the Gram matrices of all term pairs of a stack in one
+``einsum`` and evaluates per/det on the whole block; ``inner`` runs it on
+the two states' stacks, and ``verification.random_state`` on freshly drawn
+arrays.
 
 Removing one particle against a measurement ket ``psi`` maps
 ``|chi_1,...,chi_N>`` to ``sum_i eta^(i-1) <psi|chi_i> |...without chi_i...>``,
@@ -40,7 +43,8 @@ from .errors import (
     IncompatibleStatesError,
     NullStateError,
 )
-from .hilbert import CanonicalBasis, Frozen, Ket, checked_amplitudes, sp_inner
+# sp_inner is not called here; perfbench/tracer.py wraps this module's name
+from .hilbert import CanonicalBasis, Frozen, Ket, checked_amplitudes, sp_inner  # noqa: F401
 from .permanents import determinant, permanent, permutation_parity
 
 # States with squared norm at or below this are treated as the null vector.
@@ -88,7 +92,7 @@ class ElementaryState(Frozen, eq=False):
 class ParticleState(Frozen, eq=False):
     """Linear combination of elementary states sharing particle number and statistics.
 
-    Kept as one amplitude stack (see the module docstring): built from
+    Stored as one amplitude stack (see the module docstring): stacked from
     ``terms`` here, or given whole to ``from_arrays``.
     """
 
@@ -102,10 +106,11 @@ class ParticleState(Frozen, eq=False):
         bases = {t.kets[0].basis for t in terms if t.kets}
         if len(bases) > 1:
             raise IncompatibleStatesError("terms live in different bases")
-        self._set("statistics", statistics)
-        self._set("terms", terms)
-        self._set("n", terms[0].n)
-        self._set("_space", bases.pop() if bases else None)
+        space = bases.pop() if bases else None
+        coeffs = np.array([t.coeff for t in terms], dtype=complex)
+        amps = np.array([[k.amps for k in t.kets] for t in terms], dtype=complex)
+        dim = space.dim if space is not None else 0
+        self._keep(statistics, space, coeffs, amps.reshape(len(terms), ns.pop(), dim))
 
     @classmethod
     def from_arrays(
@@ -118,8 +123,7 @@ class ParticleState(Frozen, eq=False):
         The stack is checked as a whole, with the exception types and
         messages of the per-object path: a ket dimension other than
         ``space.dim`` (BasisMismatchError, from ``checked_amplitudes``),
-        a NaN or infinite amplitude or coefficient, no terms. ``terms`` are
-        built on their first read.
+        a NaN or infinite amplitude or coefficient, no terms.
         """
         amps = checked_amplitudes(space, amps, ndim=3)
         coeffs = np.array(coeffs, dtype=complex)
@@ -127,35 +131,35 @@ class ParticleState(Frozen, eq=False):
             raise ValueError(f"coefficients {coeffs.shape} do not fit amplitudes {amps.shape}")
         if not len(coeffs):
             raise ValueError("state needs at least one term")
+        return cls.__new__(cls)._keep(statistics, space, coeffs, amps)
+
+    def _keep(self, statistics, space, coeffs: np.ndarray, amps: np.ndarray) -> "ParticleState":
+        """The last step of every constructor and of the algebra: refuse a
+        non-finite coefficient, then keep ``(coeffs, amps)``, read-only, as
+        the state's stack."""
         if not np.isfinite(coeffs).all():
             raise ValueError("coefficient must be finite")
         coeffs.flags.writeable = False
-        state = cls.__new__(cls)
-        state._set("statistics", statistics)
-        state._set("n", amps.shape[1])
-        state._set("_space", space)
-        state._set("_stack", (coeffs, amps))
-        return state
+        amps.flags.writeable = False
+        self._set("statistics", statistics)
+        self._set("n", amps.shape[1])
+        self._set("_space", space)
+        self._set("_stack", (coeffs, amps))
+        return self
+
+    def _with(self, coeffs: np.ndarray, amps: np.ndarray) -> "ParticleState":
+        """A state of the same statistics and frame with another stack."""
+        state = ParticleState.__new__(ParticleState)
+        return state._keep(self.statistics, self._space, coeffs, amps)
 
     @cached_property
     def terms(self) -> tuple[ElementaryState, ...]:
-        """The terms of a state built ``from_arrays``, on their first read."""
+        """The terms, built from the stack on their first read."""
         coeffs, amps = self._stack
         return tuple(
             ElementaryState(c, tuple(Ket(self._space, a) for a in kets))
             for c, kets in zip(coeffs.tolist(), amps)
         )
-
-    @cached_property
-    def _stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(coeffs, amps)`` of a state built from terms, on the first read."""
-        dim = self._space.dim if self._space is not None else 0
-        coeffs = np.array([t.coeff for t in self.terms], dtype=complex)
-        amps = np.array([[k.amps for k in t.kets] for t in self.terms], dtype=complex)
-        amps = amps.reshape(len(self.terms), self.n, dim)
-        coeffs.flags.writeable = False
-        amps.flags.writeable = False
-        return coeffs, amps
 
     @property
     def basis(self) -> CanonicalBasis:
@@ -167,17 +171,19 @@ class ParticleState(Frozen, eq=False):
 
     def __add__(self, other: "ParticleState") -> "ParticleState":
         _require_compatible(self, other)
-        return ParticleState(self.statistics, self.terms + other.terms)
+        (ca, aa), (cb, ab) = self._stack, other._stack
+        # a zero-particle stack is (T, 0, dim), or (T, 0, 0) when built from terms
+        amps = np.concatenate((aa, ab.reshape(ab.shape[:2] + aa.shape[2:])))
+        return self._with(np.concatenate((ca, cb)), amps)
 
     def __sub__(self, other: "ParticleState") -> "ParticleState":
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "ParticleState":
         c = complex(scalar)
-        return ParticleState(
-            self.statistics,
-            tuple(ElementaryState(t.coeff * c, t.kets) for t in self.terms),
-        )
+        coeffs, amps = self._stack
+        with np.errstate(over="ignore", invalid="ignore"):  # _keep refuses inf and nan
+            return self._with(coeffs * c, amps)
 
     __rmul__ = __mul__
 
@@ -306,8 +312,13 @@ def normalize(psi: ParticleState) -> ParticleState:
 def project_single(meas: Ket, phi: ParticleState) -> ParticleState:
     """Remove one particle against the normalized measurement ket ``meas``.
 
-    The squared norm of the result is the unnormalized weight of the outcome;
-    see ``idqsim.reduction`` for the probability gauge.
+    Reads ``phi``'s stack row by row. The remainders merge as they are
+    made: two are one term when their rows are equal up to order, compared
+    as bytes with signed zeros merged, and their coefficients add, with the
+    sign of the reordering for fermions; a fermion remainder holding a row
+    twice is exactly null and dropped. The squared norm of the result is
+    the unnormalized weight of the outcome; see ``idqsim.reduction`` for
+    the probability gauge.
     """
     if phi.n == 0:
         raise EmptyStateError("cannot project a zero-particle state")
@@ -315,52 +326,38 @@ def project_single(meas: Ket, phi: ParticleState) -> ParticleState:
         raise ValueError("measurement ket must be normalized")
     if meas.basis != phi.basis:
         raise IncompatibleStatesError("measurement ket and state bases differ")
-    out: list[ElementaryState] = []
-    for term in phi.terms:
-        for i, chi in enumerate(term.kets):
-            amp = sp_inner(meas, chi)
+    fermion = phi.statistics is Statistics.FERMION
+    coeffs, amps = phi._stack
+    merged: dict[tuple[bytes, ...], list] = {}
+    for coeff, rows in zip(coeffs.tolist(), amps):
+        raw = [(row + 0.0).tobytes() for row in rows]  # + 0.0 turns -0.0 into 0.0
+        for i, row in enumerate(rows):
+            amp = complex(np.vdot(meas.amps, row))
             if amp == 0:
                 continue
-            phase = _removal_phase(phi.statistics, i)
-            out.append(
-                ElementaryState(
-                    term.coeff * phase * amp, term.kets[:i] + term.kets[i + 1 :]
-                )
-            )
-    merged = _merge_terms(phi.statistics, out)
-    if not merged:
+            rest = [j for j in range(phi.n) if j != i]
+            order = sorted(rest, key=raw.__getitem__)
+            key = tuple(raw[j] for j in order)
+            if fermion and len(set(key)) < len(key):
+                continue  # two identical kets: exactly null
+            sign = permutation_parity([j - (j > i) for j in order]) if fermion else 1
+            c = sign * (coeff * _removal_phase(phi.statistics, i) * amp)
+            if key in merged:
+                merged[key][0] += c
+            else:
+                merged[key] = [c, rows[order]]
+    kept = [(c, rows) for c, rows in merged.values() if c != 0]
+    if not kept:
         # nothing fired: the null state of the (N-1)-particle sector
-        filler = phi.basis.kets()[0]
-        merged = (ElementaryState(0.0, (filler,) * (phi.n - 1)),)
-    return ParticleState(phi.statistics, merged)
+        filler = np.zeros((phi.n - 1, phi.basis.dim), dtype=complex)
+        filler[:, 0] = 1.0
+        kept = [(0j, filler)]
+    return phi._with(np.array([c for c, _ in kept], dtype=complex), np.array([r for _, r in kept]))
 
 
 def _removal_phase(statistics: Statistics, i: int) -> int:
     """Exchange sign picked up by pulling entry ``i`` (0-based) to the front."""
     return 1 if (statistics.eta == 1 or i % 2 == 0) else -1
-
-
-def _merge_terms(
-    statistics: Statistics, terms: Sequence[ElementaryState]
-) -> tuple[ElementaryState, ...]:
-    """Combine terms whose ket lists are equal up to permutation (and sign)."""
-    acc: dict[tuple[bytes, ...], list] = {}
-    for t in terms:
-        raw = [(k.amps + 0.0).tobytes() for k in t.kets]  # + 0.0 turns -0.0 into 0.0
-        order = sorted(range(len(raw)), key=raw.__getitem__)
-        if statistics is Statistics.FERMION:
-            if len(set(raw)) < len(raw):
-                continue  # two identical kets: exactly null
-            sign = permutation_parity(order)
-        else:
-            sign = 1
-        key = tuple(raw[i] for i in order)
-        coeff = sign * t.coeff
-        if key in acc:
-            acc[key][0] += coeff
-        else:
-            acc[key] = [coeff, tuple(t.kets[i] for i in order)]
-    return tuple(ElementaryState(c, kets) for c, kets in acc.values() if c != 0)
 
 
 def states_close(a: ParticleState, b: ParticleState, tol: float = 1e-10) -> bool:

@@ -382,11 +382,10 @@ def _prop_trace_unitary_invariance(rng) -> str:
             phi = random_state(rng, space, int(rng.integers(2, 4)), stats)
             base = random_measurement_basis(rng, space)
             u = random_unitary(rng, space.dim)
-            mixed_kets = tuple(
-                Ket(space, np.sum([u[j, i] * base.kets[j].amps for j in range(space.dim)], axis=0))
-                for i in range(space.dim)
+            # ket i is sum_j u[j, i] base_j, summed over j in order
+            remixed = MeasurementBasis.from_arrays(
+                space, (u[:, :, None] * base.amps[:, None]).sum(axis=0)
             )
-            remixed = MeasurementBasis(mixed_kets)
             r1 = partial_trace_one(phi, base)
             r2 = partial_trace_one(phi, remixed)
             worst = max(worst, float(np.abs(r1.mat - r2.mat).max()))

@@ -519,6 +519,16 @@ def test_labeled_states_reject_non_finite_coefficients():
             LabeledState(((bad, kets),))
 
 
+def test_a_labeled_state_needs_at_least_one_slot():
+    with pytest.raises(ValueError, match="labeled state needs at least one slot"):
+        product_state([])
+    ket = random_ket(np.random.default_rng(0), SPACE)
+    with pytest.raises(ValueError, match="labeled state needs at least one slot"):
+        LabeledState(((1.0, ()), (1.0, (ket,))))
+    with pytest.raises(ValueError, match="labeled state needs at least one term"):
+        LabeledState(())
+
+
 def test_labeled_trace_refuses_a_state_whose_norm_overflows_to_nan():
     # 1e200 * 1e200 overflows, and inf * 0 fills the vector with NaN
     big = Ket(SPACE, [1e200] + [0.0] * (SPACE.dim - 1))

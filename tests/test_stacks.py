@@ -21,7 +21,10 @@ from idqsim import (
     coords,
     delocalized_pair,
     inner,
+    normalize,
     partial_trace_iterate,
+    project_single,
+    states_close,
 )
 from idqsim.comparator import (
     _contract_slot, oracle_inner, oracle_trace_iterate, symmetrize_state
@@ -306,10 +309,49 @@ def test_a_verify_shaped_round_builds_no_ket(built_kets):
     assert len(built_kets) == sum(2 * phi.n for phi in states)
 
 
+@pytest.fixture
+def built_terms(monkeypatch):
+    """Every ``ElementaryState`` constructed while the test runs."""
+    built = []
+    init = ElementaryState.__init__
+
+    def counting(self, coeff, kets):
+        init(self, coeff, kets)
+        built.append(self)
+
+    monkeypatch.setattr(ElementaryState, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("statistics", [B, F], ids=["boson", "fermion"])
+def test_the_algebra_on_stacks_builds_no_ket_and_no_term(statistics, built_kets, built_terms):
+    """``normalize``, ``+``, ``-``, scaling and ``project_single`` read and
+    write stacks; the results agree with the per-object states'."""
+    rng = np.random.default_rng(25)
+    meas = Ket(SPACE, unit_rows(rng, (SPACE.dim,)))
+    built_kets.clear()
+    coeffs, amps = np.array([1.0, 0.5j, -0.3]), unit_rows(rng, (3, 3, SPACE.dim))
+    phi = ParticleState.from_arrays(statistics, SPACE, coeffs, amps)
+    other = ParticleState.from_arrays(statistics, SPACE, coeffs[::-1], amps[::-1])
+    unit = normalize(phi)
+    results = [unit, phi + other, phi - other, 2.0 * phi, -phi, project_single(meas, unit)]
+    results.append(project_single(meas, results[-1]))
+    assert abs(inner(unit, unit) - 1.0) < 1e-12
+    assert built_kets == [] and built_terms == []
+    # the same states, built and combined term by term
+    theirs = per_object_state(statistics, SPACE, coeffs, amps)
+    them = per_object_state(statistics, SPACE, coeffs[::-1], amps[::-1])
+    once = project_single(meas, normalize(theirs))
+    wants = [normalize(theirs), theirs + them, theirs - them, 2.0 * theirs, -theirs, once,
+             project_single(meas, once)]
+    for got, want in zip(results, wants):
+        assert got.n == want.n and states_close(got, want, 1e-12)
+
+
 def test_bases_compare_and_hash_by_value(built_kets):
     """A basis is its space and its stack: equal stacks over equal spaces are
     equal bases, with equal hashes, however they were built. Signed zeros
-    are merged, as ``_merge_terms`` merges them; ``==``, ``hash`` and
+    are merged, as ``project_single`` merges them; ``==``, ``hash`` and
     ``repr`` build no ``Ket``."""
     def same(a, b):
         return a == b and not a != b and hash(a) == hash(b)

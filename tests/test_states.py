@@ -310,6 +310,39 @@ def test_norms_that_overflow_raise_naming_the_squared_norm(stats):
                 f(phi)
 
 
+@pytest.mark.parametrize("scale", [
+    lambda phi: phi * float("nan"),
+    lambda phi: phi * complex(0.0, float("inf")),
+    lambda phi: phi * 1e308 * 1e308,  # overflows, without a numpy warning
+    lambda phi: 1e308 * (-1e308 * phi),
+], ids=["nan", "infinite", "overflow", "negative overflow"])
+def test_scaling_to_a_non_finite_coefficient_is_refused(scale):
+    space = three_modes()
+    phi = elementary(Statistics.BOSON, (space.ket("A", Spin.UP), space.ket("B", Spin.DOWN)), 0.5)
+    with pytest.raises(ValueError, match="^coefficient must be finite$"):
+        scale(phi)
+
+
+@pytest.mark.parametrize("stats", list(Statistics), ids=lambda s: s.name)
+def test_vacua_from_a_projection_and_from_no_kets_add_and_overlap(stats):
+    # the projected vacuum keeps its frame, one built from no kets has none
+    space = three_modes()
+    a = space.ket("A", Spin.DOWN)
+    projected = project_single(a, elementary(stats, (a,), 0.6))
+    empty = elementary(stats, (), 0.8j)
+    assert projected.n == empty.n == 0
+    assert inner(projected, empty) == pytest.approx(0.6 * 0.8j)
+    for total, coeffs in (
+        (projected + empty, (0.6, 0.8j)),
+        (empty + projected, (0.8j, 0.6)),
+        (projected - empty, (0.6, -0.8j)),
+    ):
+        assert total.n == 0
+        assert [t.coeff for t in total.terms] == pytest.approx(coeffs)
+        assert inner(total, total) == pytest.approx(abs(sum(coeffs)) ** 2)
+        assert inner(projected, total) == pytest.approx(0.6 * sum(coeffs))
+
+
 def test_statistics_looked_up_by_value_hit_the_same_table_entry():
     table = _ladder(4, 2, Statistics.BOSON)
     hits = _ladder.cache_info().hits
