@@ -28,9 +28,11 @@ The oracle traces the symmetrized vector on its leading slot and maps the
 end result to the occupation basis as ``T^dagger V``. The isometry ``T``
 (``occupation_isometry``) symmetrizes the canonical product tensors of every
 occupation entry as one stack; it is built on first use, once per
-``(dim, sector, statistics)``, and returned read-only. The oracle never
-compresses its factor: it is the reference that the ladder route's
-compression is checked against. It uses none of the ladder tables.
+``(dim, sector, statistics)``, and returned read-only. Only the eight
+tables used last are kept: the boson one of 4 particles over dimension 8
+alone is 21.6 MB. The oracle never compresses its factor: it is the
+reference that the ladder route's compression is checked against. It uses
+none of the ladder tables.
 
 The module also hosts the distinguishable-particle comparator: plain labeled
 product states with per-slot post-selected traces, no symmetrization. It
@@ -58,6 +60,7 @@ from .reduction import (
     OccupationBasis,
     ZERO_PROB_TOL,
     _entries,
+    _shared_basis,
     require_depth,
     start_walk,
     trace_walk,
@@ -145,7 +148,8 @@ def occupation_isometry(occ: OccupationBasis) -> np.ndarray:
     return _isometry(occ.space.dim, occ.sector, occ.statistics)
 
 
-@lru_cache(maxsize=None)
+# a verify round uses 4 tables and run_all(0) 6, so neither evicts one
+@lru_cache(maxsize=8)
 def _isometry(dim: int, sector: int, statistics: Statistics) -> np.ndarray:
     """``occupation_isometry`` per ``(dim, sector, statistics)``: the product
     tensors of every entry's canonical kets, symmetrized as one stack."""
@@ -203,7 +207,7 @@ def oracle_trace_iterate(
         factor = nxt / math.sqrt(stage)
         prob *= stage
         m -= 1
-    occ = OccupationBasis(phi.basis, m, phi.statistics)
+    occ = _shared_basis(OccupationBasis, phi.basis, m, phi.statistics)
     sym = occupation_isometry(occ).conj().T @ factor
     compressed = np.vdot(sym, sym).real
     if abs(compressed - 1.0) > 1e-9:
@@ -293,7 +297,9 @@ class LabeledProductBasis:
         if step.slot not in self.slots:
             raise ValueError(f"slot {step.slot} already consumed or out of range")
         lowered = _contract_slot(factor, step.basis, self.slots.index(step.slot))
-        rest = LabeledProductBasis(self.space, tuple(s for s in self.slots if s != step.slot))
+        rest = _shared_basis(
+            LabeledProductBasis, self.space, tuple(s for s in self.slots if s != step.slot)
+        )
         return lowered, rest, 1.0
 
 
@@ -330,4 +336,5 @@ def distinguishable_trace_iterate(
 def trace_start(state: LabeledState) -> tuple:
     """The untraced labeled state as a walk over the product basis of all
     its slots."""
-    return start_walk(LabeledProductBasis(state.space, tuple(range(state.n))), state.vector())
+    basis = _shared_basis(LabeledProductBasis, state.space, tuple(range(state.n)))
+    return start_walk(basis, state.vector())

@@ -34,7 +34,8 @@ MIXED_THRESHOLD_BITS = 1e-6
 
 
 def spectrum(rho: DensityMatrix) -> np.ndarray:
-    """Descending eigenvalues of ``rho`` (computed at its construction, read-only)."""
+    """Descending eigenvalues of ``rho`` (read-only): computed at its
+    construction, padded with zeros to its basis size on first read."""
     return rho.spectrum
 
 
@@ -63,7 +64,8 @@ class TracePlan(Frozen):
     """One bipartition to probe: which stages to trace toward each remainder.
 
     ``one_stages`` leaves a one-particle remainder, ``two_stages`` a
-    two-particle one; either may be None to skip that side. Stages are
+    two-particle one; either may be None to skip that side, but a side
+    given must trace at least one stage. Stages are
     MeasurementBasis entries for identical particles and SlotTrace entries
     for labeled ones. Plans that do not split the state into complementary
     parts (e.g. a conditional two-step measurement) should set
@@ -79,9 +81,14 @@ class TracePlan(Frozen):
     ):
         if one_stages is None and two_stages is None:
             raise ValueError(f"plan {label!r} traces nothing")
+        one_stages = None if one_stages is None else tuple(one_stages)
+        two_stages = None if two_stages is None else tuple(two_stages)
+        for side, stages in (("one", one_stages), ("two", two_stages)):
+            if stages == ():  # it would report the untraced state as its remainder
+                raise ValueError(f"plan {label!r}, side {side}: no stages to trace")
         self._set("label", label)
-        self._set("one_stages", None if one_stages is None else tuple(one_stages))
-        self._set("two_stages", None if two_stages is None else tuple(two_stages))
+        self._set("one_stages", one_stages)
+        self._set("two_stages", two_stages)
         self._set("bipartition", bipartition)
 
     def sides(self) -> tuple[tuple[str, tuple[Stage, ...]], ...]:

@@ -68,8 +68,11 @@ sum against that trace, the sum of their squares against the purity,
 their order) rather than by rebuilding the matrix from eigenvectors that
 nothing reads; and the entropy, summed once over those checked
 eigenvalues. ``entanglement.von_neumann_entropy`` and ``purity`` read the
-stored values. The dense square over the whole sector is formed only when
-something reads ``DensityMatrix.mat``.
+stored values. A reduced state keeps only what it computed: its factor and
+the Gram matrix's few eigenvalues. The spectrum padded with zeros to the
+whole sector is made when something reads ``DensityMatrix.spectrum``, and
+the dense square over the sector when something reads
+``DensityMatrix.mat``.
 
 One walk serves identical particles and the labeled ones of
 ``idqsim.comparator``: an immutable tuple ``(basis, V, ||V||^2, prob)``. Its
@@ -77,7 +80,10 @@ basis decides how a stage lowers ``V`` through ``basis.lower(stage, V)``,
 which returns the lowered factor, the basis that remains and the outcome
 weight: ``OccupationBasis.lower`` annihilates through the ladder tables with
 weight ``1/N``, the comparator's ``LabeledProductBasis.lower`` contracts the
-measured slot with weight 1. Everything else is shared: ``start_walk``
+measured slot with weight 1. The bases a walk starts on and lowers onto
+come from one cache, ``_shared_basis``, keyed by ``(frame, sector,
+statistics)`` or ``(frame, slots)``, so all remainders of one sector share
+one basis object. Everything else is shared: ``start_walk``
 (the norm check), ``trace_stage`` (frame check, probability floor,
 compression, product of stage probabilities), ``trace_finish`` (the
 normalized ``DensityMatrix``) and ``trace_walk``, which runs them in
@@ -152,9 +158,9 @@ class MeasurementBasis(Frozen):
         copied C-contiguous and read-only. Refuses what the constructor
         refuses, with its exception types and messages, and, through
         ``checked_amplitudes``, what ``Ket`` refuses in a row."""
-        amps = checked_amplitudes(space, amps, ndim=2)
-        if not len(amps):
+        if np.shape(amps)[:1] == (0,):
             raise ValueError("measurement basis needs at least one ket")
+        amps = checked_amplitudes(space, amps, ndim=2)
         basis = cls.__new__(cls)
         basis._set_stack(space, amps)
         return basis
@@ -284,6 +290,17 @@ def _support_ladder(
     return up, g
 
 
+@lru_cache(maxsize=128)
+def _shared_basis(kind: type, space: CanonicalBasis, *key):
+    """The one ``kind(space, *key)`` that walks start on and lower onto, so
+    that all remainders of one sector share one basis object: ``(frame,
+    sector, statistics)`` for an ``OccupationBasis``, ``(frame, slots)`` for
+    the comparator's ``LabeledProductBasis``. Bases are never modified. The
+    cache is bounded because frames can be made without end; a basis it
+    drops is only built again."""
+    return kind(space, *key)
+
+
 class OccupationBasis:
     """Occupation-number basis of the M-particle sector over a canonical frame.
 
@@ -346,7 +363,7 @@ class OccupationBasis:
         """One stage of a walk (see the module docstring): ``annihilate``
         through every ket of ``mb``, onto the sector below, with weight
         ``1/N`` (any of the ``N`` identical particles can be the one seen)."""
-        rest = OccupationBasis(self.space, self.sector - 1, self.statistics)
+        rest = _shared_basis(OccupationBasis, self.space, self.sector - 1, self.statistics)
         return annihilate(mb, factor, self), rest, 1.0 / self.sector
 
     def __repr__(self) -> str:
@@ -418,15 +435,17 @@ class DensityMatrix(Frozen, eq=False):
 
     The factor is the representation: ``V V^dagger`` is Hermitian and PSD by
     construction. Every readout comes off one Gram matrix, the smaller of
-    ``V^dagger V`` and ``V V^dagger``, formed once at construction: the
-    trace is the sum of its diagonal (checked against 1 before anything
-    else is read), ``spectrum`` holds the descending eigenvalues
-    (read-only) from one ``eigvalsh`` of it, checked by
-    ``_checked_eigenvalues`` and padded with zeros to the basis size,
-    ``purity`` is ``tr rho^2``, its squared Frobenius norm, and ``entropy``
-    is the von Neumann entropy in bits, summed once over the checked
-    eigenvalues (``0 log 0 = 0``, and a pure state reads ``+0.0``). The
-    dense ``mat`` is formed on its first read.
+    ``V^dagger V`` and ``V V^dagger``, formed once at construction, and
+    every check runs there: the trace is the sum of its diagonal (checked
+    against 1 before anything else is read); its descending eigenvalues
+    come from one ``eigvalsh``, checked and clamped by
+    ``_checked_eigenvalues``, and only those (as many as the Gram matrix is
+    wide) are kept; ``purity`` is ``tr rho^2``, its squared Frobenius norm;
+    and ``entropy`` is the von Neumann entropy in bits, summed once over
+    the checked eigenvalues (``0 log 0 = 0``, never below zero, and a pure
+    state reads ``+0.0``). ``spectrum`` pads the kept eigenvalues with
+    zeros to the basis size on its first read, and the dense ``mat`` is
+    formed on its first read.
     """
 
     # basis: OccupationBasis or a labeled product basis (.size/.labels/.sector)
@@ -448,19 +467,28 @@ class DensityMatrix(Frozen, eq=False):
         if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace is {trace:.12g}, expected 1")
         evals, ev, purity = _checked_eigenvalues(gram, trace)  # the moment and PSD checks
-        spectrum = np.zeros(size)
-        spectrum[: len(ev)] = evals
         p = float(self.prob)
         if not -1e-9 <= p <= 1.0 + 1e-9:  # NaN fails too
             raise ValueError(f"probability {p} outside [0, 1]")
         v.flags.writeable = False
-        spectrum.flags.writeable = False
+        evals.flags.writeable = False
         self._set("factor", v)
         self._set("prob", min(max(p, 0.0), 1.0))
-        self._set("spectrum", spectrum)
+        self._set("_eigenvalues", evals)
         self._set("purity", float(purity))
-        # clamped as the spectrum is: eigenvalues <= 0 add nothing; + 0.0 flattens -0.0
-        self._set("entropy", -sum(x * math.log2(x) for x in ev if x > 0.0) + 0.0)
+        # clamped as the spectrum is: eigenvalues <= 0 add nothing, and a top
+        # eigenvalue rounded just above 1 must not read below zero bits;
+        # + 0.0 flattens -0.0
+        self._set("entropy", max(-sum(x * math.log2(x) for x in ev if x > 0.0), 0.0) + 0.0)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The descending eigenvalues (read-only), padded with zeros to the
+        basis size on first read."""
+        spectrum = np.zeros(self.basis.size)
+        spectrum[: len(self._eigenvalues)] = self._eigenvalues
+        spectrum.flags.writeable = False
+        return spectrum
 
     @cached_property
     def mat(self) -> np.ndarray:
@@ -581,7 +609,7 @@ def start_walk(basis, vector: np.ndarray) -> tuple:
 
 def trace_start(phi: ParticleState) -> tuple:
     """The untraced identical-particle state as a walk over its sector."""
-    occ = OccupationBasis(phi.basis, phi.n, phi.statistics)
+    occ = _shared_basis(OccupationBasis, phi.basis, phi.n, phi.statistics)
     # coordinates are isometric, so ||V||^2 equals inner(phi, phi)
     return start_walk(occ, coords(phi, occ))
 

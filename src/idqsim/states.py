@@ -125,12 +125,12 @@ class ParticleState(Frozen, eq=False):
         ``space.dim`` (BasisMismatchError, from ``checked_amplitudes``),
         a NaN or infinite amplitude or coefficient, no terms.
         """
+        if np.shape(amps)[:1] == (0,):
+            raise ValueError("state needs at least one term")
         amps = checked_amplitudes(space, amps, ndim=3)
         coeffs = np.array(coeffs, dtype=complex)
         if coeffs.shape != amps.shape[:1]:
             raise ValueError(f"coefficients {coeffs.shape} do not fit amplitudes {amps.shape}")
-        if not len(coeffs):
-            raise ValueError("state needs at least one term")
         return cls.__new__(cls)._keep(statistics, space, coeffs, amps)
 
     def _keep(self, statistics, space, coeffs: np.ndarray, amps: np.ndarray) -> "ParticleState":

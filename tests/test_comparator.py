@@ -207,6 +207,21 @@ def test_occupation_isometry_is_cached_and_read_only():
     assert occupation_isometry(OccupationBasis(other, 2, Statistics.FERMION)) is t
 
 
+def test_the_isometry_cache_keeps_only_the_tables_used_last():
+    cached = comparator._isometry
+    size = cached.cache_info().maxsize
+    assert size is not None
+    keys = [(dim, 1, Statistics.BOSON) for dim in range(1, size + 2)]
+    for key in keys:
+        cached(*key)
+    info = cached.cache_info()
+    assert info.currsize == size
+    cached(*keys[-1])
+    assert cached.cache_info().hits == info.hits + 1
+    cached(*keys[0])  # the table used longest ago was dropped
+    assert cached.cache_info().misses == info.misses + 1
+
+
 def test_labeled_and_label_free_traces_agree_on_the_benchmarks():
     a_dn, a_up = SPACE.ket("A", Spin.DOWN), SPACE.ket("A", Spin.UP)
     overlap = elementary(Statistics.BOSON, (a_dn, a_dn, a_up), 1.0 / math.sqrt(2.0))

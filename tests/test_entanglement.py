@@ -142,6 +142,29 @@ def test_empty_plans_are_rejected():
         TracePlan("nothing")
 
 
+@pytest.mark.parametrize("side", ["one", "two"])
+def test_a_plan_side_with_no_stages_is_refused(side):
+    # on ghz the empty side reported the untraced state, pure, as its remainder
+    loc_a = MeasurementBasis.localized(SPACE, "A")
+    sides = {"one_stages": (loc_a, loc_a), "two_stages": (loc_a,), f"{side}_stages": iter(())}
+    with pytest.raises(ValueError, match=rf"^plan 'p', side {side}: no stages to trace$"):
+        TracePlan("p", **sides)
+
+
+@pytest.mark.parametrize("name", ["ghz", "distinguishable"])
+def test_remainders_of_one_sector_share_one_basis_object(name):
+    spec = get_builtin(name)
+    report = analyze(spec.state, spec.plans)
+    groups: dict[tuple, list] = {}
+    for b in report.bipartitions:
+        for rho in (b.rho_one, b.rho_two):
+            if rho is not None:  # a labeled sector is also keyed by the slots it keeps
+                key = (rho.sector, getattr(rho.basis, "slots", None))
+                groups.setdefault(key, []).append(rho.basis)
+    assert max(map(len, groups.values())) > 1
+    assert all(basis is group[0] for group in groups.values() for basis in group)
+
+
 # --- the prefix-tree runner ---------------------------------------------------
 
 

@@ -860,6 +860,43 @@ def test_every_route_reads_spectrum_purity_and_entropy_off_the_dense_matrix(
     assert von_neumann_entropy(rho) == rho.entropy and type(rho.entropy) is float
 
 
+@pytest.mark.parametrize("name, route, state, stages", FINISH_CASES,
+                         ids=[c[0] for c in FINISH_CASES])
+def test_the_spectrum_is_padded_on_first_read_as_the_eager_padding_was(
+    name, route, state, stages
+):
+    rho = route(state, stages)
+    assert "spectrum" not in vars(rho)  # nothing padded at construction
+    v = rho.factor
+    gram = v.conj().T @ v if v.shape[1] < v.shape[0] else v @ v.conj().T
+    eager = np.zeros(rho.basis.size)
+    eager[: len(gram)] = np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0)
+    assert rho.spectrum.tobytes() == eager.tobytes()
+    assert spectrum(rho) is rho.spectrum and not rho.spectrum.flags.writeable
+
+
+def test_a_density_matrix_keeps_no_padded_spectrum_until_it_is_read():
+    # 11,440 occupations and a two-column factor: the factor is kept, and
+    # the zero padding of its two eigenvalues is made only on first read
+    occ = OccupationBasis(CanonicalBasis(tuple("ABCDE")), 7, Statistics.BOSON)
+    assert occ.size >= 10_000
+    rng = np.random.default_rng(63)
+    v = rng.normal(size=(occ.size, 2)) + 1j * rng.normal(size=(occ.size, 2))
+    v /= np.linalg.norm(v)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rho = DensityMatrix(occ, v, 1.0)
+        kept = tracemalloc.get_traced_memory()[0] - base - rho.factor.nbytes
+        rho.spectrum
+        padded = tracemalloc.get_traced_memory()[0] - base - rho.factor.nbytes
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * occ.size
+    assert padded >= 8 * occ.size
+
+
 def test_the_finish_cases_cover_narrow_and_wide_factors():
     shapes = set()
     for _, route, state, stages in FINISH_CASES:
@@ -881,6 +918,25 @@ def test_a_pure_remainder_reads_plus_zero_bits():
         s = von_neumann_entropy(rho)
         assert s == 0.0 and math.copysign(1.0, s) == 1.0
         assert rho.purity == 1.0
+
+
+@pytest.mark.parametrize("statistics", list(Statistics), ids=lambda s: s.value)
+def test_a_pure_remainder_of_a_rotated_product_never_reads_below_zero_bits(statistics):
+    # one qubit per site with a random spin direction: tracing site A leaves
+    # a product of the other two, whose top eigenvalue may round just above 1
+    rng = np.random.default_rng(64)
+    loc_a = MeasurementBasis.localized(SPACE, "A")
+    for _ in range(20):
+        kets = []
+        for mode in "ABC":
+            theta, phase = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi)
+            kets.append(SPACE.superposition([
+                (mode, Spin.UP, math.cos(theta / 2)),
+                (mode, Spin.DOWN, complex(math.cos(phase), math.sin(phase)) * math.sin(theta / 2)),
+            ]))
+        rho = partial_trace_one(normalize(elementary(statistics, kets)), loc_a)
+        s = von_neumann_entropy(rho)
+        assert 0.0 <= s < 1e-12 and math.copysign(1.0, s) == 1.0
 
 
 def test_two_equal_eigenvalues_read_exactly_one_bit():

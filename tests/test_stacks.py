@@ -193,6 +193,7 @@ def _bad_state_stacks():
     cases.append(("a dimension too large", coeffs, unit_rows(rng, (2, 3, SPACE.dim + 2))))
     cases.append(("a dimension too small", coeffs, amps[..., :-1]))
     cases.append(("no terms", coeffs[:0], amps[:0]))
+    cases.append(("empty lists", [], []))
     return cases
 
 
@@ -222,6 +223,7 @@ def _bad_basis_stacks():
     cases.append(("a dimension too large", np.eye(SPACE.dim + 2)[:3]))
     cases.append(("a dimension too small", rows[:2, :-1]))
     cases.append(("no rows", rows[:0]))
+    cases.append(("an empty list", []))
     cases.append(("more rows than dim", np.vstack([rows, rows[:1]])))
     scaled = rows[:4].copy()
     scaled[2] *= 1.0 + 1e-6
