@@ -10,8 +10,10 @@ The builtin scenarios freeze the reference numbers for three qubits in three
 sites: a fully separated product, the delocalized-measurement reduction that
 leaves an entangled pair, a GHZ-type superposition, the full-overlap state
 with both particles-in-one-site reductions, and the two distinguishable
-comparators that show none of this happens for labeled particles. Each is
-built once per process, on its first request, and that one spec is shared by
+comparators that show none of this happens for labeled particles. Each is a
+scenario file, ``builtins/<name>.json``, read by the same checked parser as
+any user's file and holding the only copy of its reference values. A file is
+read once per process, on its first request, and that one spec is shared by
 every later call. Sharing is safe because a spec is immutable all the way
 down: the records are ``Frozen`` and every ``Ket``'s amplitudes are read-only.
 The measurement bases therefore keep the supports found on their first
@@ -33,7 +35,6 @@ from .comparator import (
     LabeledState,
     SlotTrace,
     distinguishable_trace_iterate,  # noqa: F401 - perfbench/tracer.py wraps this name
-    product_state,
 )
 from .entanglement import EntanglementReport, TracePlan, analyze, spectrum
 from .errors import (
@@ -45,17 +46,6 @@ from .errors import (
 from .hilbert import CanonicalBasis, Frozen, Ket, Spin
 from .reduction import MeasurementBasis
 from .states import ElementaryState, ParticleState, Statistics, normalize
-
-# Frozen reference values for the builtin scenarios.
-ENTROPY_OVERLAP_BITS = math.log2(3.0) - 2.0 / 3.0  # 0.9182958340544896
-EIGS_OVERLAP = (2.0 / 3.0, 1.0 / 3.0)
-PURITY_OVERLAP = 5.0 / 9.0
-PROB_ONE_IN_THREE = 1.0 / 3.0
-
-TOL_ENTROPY = 1e-9
-TOL_EIGS = 1e-10
-TOL_PURITY = 1e-10
-TOL_PROB = 1e-10
 
 QUANTITIES = (
     "entropy_one",
@@ -71,8 +61,10 @@ QUANTITIES = (
 class Expectation(Frozen):
     """One frozen number (or flag) a scenario run must reproduce.
 
-    ``label`` names the trace plan; ``stage`` ("one"/"two") picks the
-    remainder for quantities that need it (eigenvalues, probability).
+    ``label`` names the trace plan, for every quantity but
+    ``genuine_multipartite``, which takes none; ``stage`` ("one"/"two")
+    picks the remainder for the quantities that need it (eigenvalues,
+    probability), and the others take none.
     """
 
     def __init__(
@@ -88,10 +80,15 @@ class Expectation(Frozen):
         if quantity == "genuine_multipartite":
             if not isinstance(value, bool):
                 raise ScenarioError("genuine_multipartite expects true/false")
+            if label is not None:
+                raise ScenarioError("genuine_multipartite takes no plan label")
         elif label is None:
             raise ScenarioError(f"{quantity} needs a plan label")
-        if quantity in ("eigenvalues", "probability") and stage not in ("one", "two"):
-            raise ScenarioError(f"{quantity} needs stage 'one' or 'two'")
+        if quantity in ("eigenvalues", "probability"):
+            if stage not in ("one", "two"):
+                raise ScenarioError(f"{quantity} needs stage 'one' or 'two'")
+        elif stage is not None:
+            raise ScenarioError(f"{quantity} takes no stage")
         if quantity == "eigenvalues":
             vals = tuple(float(v) for v in np.atleast_1d(np.asarray(value, float)))
             value = tuple(sorted(vals, reverse=True))
@@ -368,225 +365,39 @@ def delocalized_pair(space: CanonicalBasis, left: str, right: str) -> Measuremen
     return MeasurementBasis((mk(Spin.DOWN), mk(Spin.UP)))
 
 
-def _loc(space: CanonicalBasis, mode: str) -> MeasurementBasis:
-    return MeasurementBasis.localized(space, mode)
-
-
-def _one_per_site(space: CanonicalBasis) -> tuple[Ket, Ket, Ket]:
-    """A-down, B-down, C-up: one qubit in each site."""
-    return (space.ket("A", Spin.DOWN), space.ket("B", Spin.DOWN), space.ket("C", Spin.UP))
-
-
-def _three_cuts(names: str, stage: Callable[[int], object]) -> tuple[TracePlan, ...]:
-    """The cuts (01)-2, (20)-1 and (12)-0 of three sites or slots, spelled
-    with ``names``: the one-particle side measures the two in brackets, in
-    that order, and the two-particle side the third; ``stage(i)`` measures
-    the i-th and is called once per index."""
-    stages = [stage(i) for i in range(3)]
-    return tuple(
-        TracePlan(
-            f"({names[a]}{names[b]})-{names[c]}",
-            one_stages=(stages[a], stages[b]),
-            two_stages=(stages[c],),
-        )
-        for a, b, c in ((0, 1, 2), (2, 0, 1), (1, 2, 0))
-    )
-
-
-def _pure_cut(label: str, prob: float) -> list[Expectation]:
-    """Both remainders of plan ``label`` are pure; the two-particle one is
-    reached with probability ``prob``."""
-    return [
-        Expectation("entropy_two", 0.0, label, tolerance=TOL_ENTROPY),
-        Expectation("entropy_one", 0.0, label, tolerance=TOL_ENTROPY),
-        Expectation("purity_two", 1.0, label, tolerance=TOL_PURITY),
-        Expectation("purity_one", 1.0, label, tolerance=TOL_PURITY),
-        Expectation("probability", prob, label, "two", tolerance=TOL_PROB),
-    ]
-
-
-def _separated_spec() -> ScenarioSpec:
-    space = standard_space()
-    state = ParticleState(Statistics.BOSON, (ElementaryState(1.0, _one_per_site(space)),))
-    plans = _three_cuts("ABC", lambda i: _loc(space, "ABC"[i]))
-    expectations = [e for p in plans for e in _pure_cut(p.label, PROB_ONE_IN_THREE)]
-    expectations.append(Expectation("genuine_multipartite", False))
-    return ScenarioSpec(
-        "separated",
-        "one qubit per site: every cut leaves a pure remainder",
-        state,
-        plans,
-        tuple(expectations),
-    )
-
-
-def _induced_spec() -> ScenarioSpec:
-    space = standard_space()
-    state = ParticleState(Statistics.BOSON, (ElementaryState(1.0, _one_per_site(space)),))
-    plan = TracePlan(
-        "(BC)-delocalized",
-        two_stages=(delocalized_pair(space, "B", "C"),),
-        bipartition=False,
-    )
-    expectations = (
-        Expectation("probability", PROB_ONE_IN_THREE, "(BC)-delocalized", "two",
-                    tolerance=TOL_PROB),
-        Expectation("entropy_two", 1.0, "(BC)-delocalized", tolerance=TOL_ENTROPY),
-        Expectation("purity_two", 0.5, "(BC)-delocalized", tolerance=TOL_PURITY),
-        Expectation("eigenvalues", (0.5, 0.5), "(BC)-delocalized", "two",
-                    tolerance=TOL_EIGS),
-    )
-    return ScenarioSpec(
-        "induced",
-        "a delocalized detection entangles the two leftover qubits",
-        state,
-        (plan,),
-        expectations,
-    )
-
-
-def _ghz_spec() -> ScenarioSpec:
-    space = standard_space()
-    dn = tuple(space.ket(m, Spin.DOWN) for m in "ABC")
-    up = tuple(space.ket(m, Spin.UP) for m in "ABC")
-    state = normalize(
-        ParticleState(
-            Statistics.BOSON,
-            (ElementaryState(1.0, dn), ElementaryState(1.0, up)),
-        )
-    )
-    plans = _three_cuts("ABC", lambda i: _loc(space, "ABC"[i]))
-    expectations = []
-    for label in (p.label for p in plans):
-        expectations += [
-            Expectation("entropy_two", 1.0, label, tolerance=TOL_ENTROPY),
-            Expectation("entropy_one", 1.0, label, tolerance=TOL_ENTROPY),
-            Expectation("purity_two", 0.5, label, tolerance=TOL_PURITY),
-            Expectation("purity_one", 0.5, label, tolerance=TOL_PURITY),
-            Expectation("eigenvalues", (0.5, 0.5), label, "two", tolerance=TOL_EIGS),
-            Expectation("eigenvalues", (0.5, 0.5), label, "one", tolerance=TOL_EIGS),
-            Expectation("probability", PROB_ONE_IN_THREE, label, "two",
-                        tolerance=TOL_PROB),
-        ]
-    expectations.append(Expectation("genuine_multipartite", True))
-    return ScenarioSpec(
-        "ghz",
-        "GHZ-type superposition: every cut is maximally mixed",
-        state,
-        plans,
-        tuple(expectations),
-    )
-
-
-def _overlap_spec() -> ScenarioSpec:
-    space = standard_space()
-    a_dn = space.ket("A", Spin.DOWN)
-    a_up = space.ket("A", Spin.UP)
-    state = ParticleState(
-        Statistics.BOSON,
-        (ElementaryState(1.0 / math.sqrt(2.0), (a_dn, a_dn, a_up)),),
-    )
-    loc_a = _loc(space, "A")
-    plan = TracePlan("(AA)-A", one_stages=(loc_a, loc_a), two_stages=(loc_a,))
-    expectations = (
-        Expectation("probability", 1.0, "(AA)-A", "two", tolerance=TOL_PROB),
-        Expectation("probability", 1.0, "(AA)-A", "one", tolerance=TOL_PROB),
-        Expectation("entropy_two", ENTROPY_OVERLAP_BITS, "(AA)-A",
-                    tolerance=TOL_ENTROPY),
-        Expectation("entropy_one", ENTROPY_OVERLAP_BITS, "(AA)-A",
-                    tolerance=TOL_ENTROPY),
-        Expectation("purity_two", PURITY_OVERLAP, "(AA)-A", tolerance=TOL_PURITY),
-        Expectation("purity_one", PURITY_OVERLAP, "(AA)-A", tolerance=TOL_PURITY),
-        Expectation("eigenvalues", EIGS_OVERLAP, "(AA)-A", "two", tolerance=TOL_EIGS),
-        Expectation("eigenvalues", EIGS_OVERLAP, "(AA)-A", "one", tolerance=TOL_EIGS),
-        Expectation("genuine_multipartite", True),
-    )
-    return ScenarioSpec(
-        "overlap",
-        "three bosonic qubits piled in one site are pairwise entangled",
-        state,
-        (plan,),
-        expectations,
-    )
-
-
-def _distinguishable_spec() -> ScenarioSpec:
-    space = standard_space()
-    state = product_state(_one_per_site(space))
-    plans = _three_cuts("123", lambda i: SlotTrace(i, _loc(space, "ABC"[i])))
-    nonlocal_ab = delocalized_pair(space, "A", "B")
-    plans += (
-        TracePlan("(23)-1 nonlocal", two_stages=(SlotTrace(0, nonlocal_ab),),
-                  bipartition=False),
-        TracePlan("(31)-2 nonlocal", two_stages=(SlotTrace(1, nonlocal_ab),),
-                  bipartition=False),
-    )
-    expectations = [e for p in plans[:3] for e in _pure_cut(p.label, 1.0)]
-    for label in ("(23)-1 nonlocal", "(31)-2 nonlocal"):
-        expectations += [
-            Expectation("entropy_two", 0.0, label, tolerance=TOL_ENTROPY),
-            Expectation("purity_two", 1.0, label, tolerance=TOL_PURITY),
-            Expectation("probability", 0.5, label, "two", tolerance=TOL_PROB),
-        ]
-    expectations.append(Expectation("genuine_multipartite", False))
-    return ScenarioSpec(
-        "distinguishable",
-        "labeled qubits in separate sites: no cut ever mixes",
-        state,
-        plans,
-        tuple(expectations),
-    )
-
-
-def _distinguishable_overlapped_spec() -> ScenarioSpec:
-    space = standard_space()
-    state = product_state(
-        (space.ket("A", Spin.DOWN), space.ket("A", Spin.DOWN), space.ket("A", Spin.UP))
-    )
-    loc_a = _loc(space, "A")
-    plans = _three_cuts("123", lambda i: SlotTrace(i, loc_a))
-    expectations = [e for p in plans for e in _pure_cut(p.label, 1.0)]
-    expectations.append(Expectation("genuine_multipartite", False))
-    return ScenarioSpec(
-        "distinguishable-overlapped",
-        "labeled qubits piled in one site still never mix",
-        state,
-        plans,
-        tuple(expectations),
-    )
-
-
-_BUILTIN_BUILDERS = {
-    "separated": _separated_spec,
-    "induced": _induced_spec,
-    "ghz": _ghz_spec,
-    "overlap": _overlap_spec,
-    "distinguishable": _distinguishable_spec,
-    "distinguishable-overlapped": _distinguishable_overlapped_spec,
-}
+_BUILTIN_DIR = Path(__file__).with_name("builtins")
+_BUILTIN_NAMES = (
+    "separated",
+    "induced",
+    "ghz",
+    "overlap",
+    "distinguishable",
+    "distinguishable-overlapped",
+)
 
 
 def builtin_names() -> tuple[str, ...]:
-    return tuple(_BUILTIN_BUILDERS)
+    return _BUILTIN_NAMES
 
 
 def get_builtin(name: str) -> ScenarioSpec:
-    """The builtin scenario ``name``, built on its first request and then
-    shared: later calls in the process return the same spec. A spec holds
-    only immutable parts (``Frozen`` records, read-only ``Ket`` amplitudes),
-    so no caller can change what another one runs, and its bases keep their
-    supports from one run to the next. An unknown name, hashable or not, is
-    a ``ScenarioError`` and is not remembered."""
-    if name not in builtin_names():  # a tuple: an unhashable name is just absent
+    """The builtin scenario ``name``, loaded from ``builtins/<name>.json`` on
+    its first request and then shared: later calls in the process return the
+    same spec. A spec holds only immutable parts (``Frozen`` records,
+    read-only ``Ket`` amplitudes), so no caller can change what another one
+    runs, and its bases keep their supports from one run to the next. An
+    unknown name, hashable or not, is a ``ScenarioError`` and is not
+    remembered."""
+    if name not in _BUILTIN_NAMES:  # a tuple: an unhashable name is just absent
         raise ScenarioError(
-            f"no builtin scenario {name!r}; available: {', '.join(_BUILTIN_BUILDERS)}"
+            f"no builtin scenario {name!r}; available: {', '.join(_BUILTIN_NAMES)}"
         )
-    return _build_builtin(name)
+    return _load_builtin(name)
 
 
 @cache
-def _build_builtin(name: str) -> ScenarioSpec:
-    return _BUILTIN_BUILDERS[name]()
+def _load_builtin(name: str) -> ScenarioSpec:
+    return load_scenario(_BUILTIN_DIR / f"{name}.json")
 
 
 def run_builtin(name: str, tolerance: Optional[float] = None) -> ScenarioReport:

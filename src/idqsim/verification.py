@@ -47,9 +47,7 @@ from .reduction import (
     partial_trace_one,
     probability_of,
 )
-from .scenarios import (
-    EIGS_OVERLAP, ENTROPY_OVERLAP_BITS, delocalized_pair, get_builtin, standard_space
-)
+from .scenarios import delocalized_pair, get_builtin, standard_space
 from .states import (
     ElementaryState,
     ParticleState,
@@ -547,26 +545,40 @@ def _prop_coords_isometry(rng) -> str:
     return f"coordinate map preserves inner products, worst deviation {worst:.3g}"
 
 
+def _expected(spec, quantity: str, label: str, stage=None):
+    """The reference value that the scenario file of ``spec`` states for one
+    quantity of plan ``label``."""
+    (value,) = [
+        e.value
+        for e in spec.expectations
+        if (e.quantity, e.label, e.stage) == (quantity, label, stage)
+    ]
+    return value
+
+
 def _prop_benchmark_reductions(rng) -> str:
     checks = []
 
     overlap = get_builtin("overlap")
     (plan,) = overlap.plans  # (AA)-A: one localized-A stage, then two
-    for stages in (plan.two_stages, plan.one_stages):
-        rho = partial_trace_iterate(overlap.state, stages)
-        checks.append(abs(von_neumann_entropy(rho) - ENTROPY_OVERLAP_BITS))
+    for side in ("two", "one"):
+        rho = partial_trace_iterate(overlap.state, getattr(plan, f"{side}_stages"))
+        entropy = _expected(overlap, f"entropy_{side}", plan.label)
+        checks.append(abs(von_neumann_entropy(rho) - entropy))
         ev = spectrum(rho)
-        checks.append(float(np.abs(ev[:2] - np.array(EIGS_OVERLAP)).max()))
+        eigs = _expected(overlap, "eigenvalues", plan.label, side)
+        checks.append(float(np.abs(ev[:2] - np.array(eigs)).max()))
         checks.append(float(np.abs(ev[2:]).max()) if ev.size > 2 else 0.0)
 
     ghz = get_builtin("ghz")
     for plan in ghz.plans:  # one localized stage per site
         rho = partial_trace_iterate(ghz.state, plan.two_stages)
-        checks.append(abs(von_neumann_entropy(rho) - 1.0))
+        checks.append(abs(von_neumann_entropy(rho) - _expected(ghz, "entropy_two", plan.label)))
 
     sep = get_builtin("separated")
-    rho = partial_trace_iterate(sep.state, sep.plans[0].two_stages)
-    checks.append(abs(purity(rho) - 1.0))
+    plan = sep.plans[0]
+    rho = partial_trace_iterate(sep.state, plan.two_stages)
+    checks.append(abs(purity(rho) - _expected(sep, "purity_two", plan.label)))
 
     worst = max(checks)
     _ensure(worst < 1e-9, f"benchmark numbers off by {worst:.3g}")

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 import idqsim.cli as cli
 from idqsim import NotPSDError, builtin_names
 from idqsim.cli import EXIT_FAILED, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+
+BUILTINS = Path(__file__).resolve().parents[1] / "src" / "idqsim" / "builtins"
 
 
 def test_list_names_every_builtin(capsys):
@@ -86,6 +89,29 @@ def test_failed_expectation_exits_one(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "status: FAIL" in out
     assert "[FAIL] purity_two" in out
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"quantity": "entropy_two", "value": 1.0, "label": "(BC)-delocalized",
+          "stage": "one"}, "entropy_two takes no stage"),
+        ({"quantity": "genuine_multipartite", "value": False,
+          "label": "(BC)-delocalized"}, "genuine_multipartite takes no plan label"),
+    ],
+    ids=["stage", "label"],
+)
+def test_stage_or_label_the_quantity_does_not_take_is_input_error(
+    tmp_path, capsys, extra, message
+):
+    payload = json.loads((BUILTINS / "induced.json").read_text(encoding="utf-8"))
+    payload["expectations"].append(extra)
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(payload))
+    assert main(["run", "--file", str(path), "--format", "machine"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: scenario.expectations[4]: {message}\n"
 
 
 def test_malformed_file_is_input_error(tmp_path, capsys):

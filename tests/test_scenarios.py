@@ -1,6 +1,7 @@
 """Builtin scenarios, scenario files, and report rendering."""
 
 import gc
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import idqsim.cli as cli
 from idqsim import (
     CanonicalBasis,
     Expectation,
@@ -34,21 +36,19 @@ from idqsim import (
     standard_space,
 )
 from idqsim.reduction import DensityMatrix
-from idqsim.scenarios import (
-    EIGS_OVERLAP,
-    ENTROPY_OVERLAP_BITS,
-    PROB_ONE_IN_THREE,
-    PURITY_OVERLAP,
-    TOL_EIGS,
-    TOL_ENTROPY,
-    TOL_PROB,
-    TOL_PURITY,
-    parse_scenario,
-)
+from idqsim.scenarios import parse_scenario
 from idqsim.verification import random_state
 
 RT2 = 1.0 / math.sqrt(2.0)
-SRC = Path(__file__).resolve().parents[1] / "src"
+EIGS_OVERLAP = (2.0 / 3.0, 1.0 / 3.0)
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+BUILTINS = SRC / "idqsim" / "builtins"
+
+
+def load_builtin_file(name: str):
+    """A fresh spec of builtin ``name``, parsed anew from its shipped file."""
+    return load_scenario(BUILTINS / f"{name}.json")
 
 
 def test_builtin_names_are_stable():
@@ -75,11 +75,11 @@ def test_unknown_builtin_is_a_scenario_error():
 
 
 def test_unhashable_builtin_name_is_a_scenario_error_and_is_not_remembered():
-    before = scenarios._build_builtin.cache_info()
+    before = scenarios._load_builtin.cache_info()
     for name in (["x"], {"ghz": 1}, "no-such-thing"):
         with pytest.raises(ScenarioError, match=r"no builtin scenario .*; available: separated, "):
             get_builtin(name)
-    assert scenarios._build_builtin.cache_info() == before
+    assert scenarios._load_builtin.cache_info() == before
 
 
 def test_delocalized_pair_rejects_equal_sites():
@@ -132,7 +132,7 @@ def test_a_repeat_get_builtin_builds_no_ket_or_basis(monkeypatch):
     for name in builtin_names():
         get_builtin(name)
     assert built == []
-    scenarios._BUILTIN_BUILDERS["induced"]()  # the counters do see a build
+    load_builtin_file("induced")  # the counters do see a build
     assert {"Ket", "MeasurementBasis"} <= set(built)
 
 
@@ -160,7 +160,7 @@ def test_a_tolerance_override_leaves_the_shared_spec_as_it_was():
     for name in builtin_names():
         tight = run_builtin(name, tolerance=1e-30)
         assert all(c.tolerance == 1e-30 for c in tight.checks), name
-        fresh = run_spec(scenarios._BUILTIN_BUILDERS[name]())
+        fresh = run_spec(load_builtin_file(name))
         assert run_builtin(name).to_json() == fresh.to_json(), name
 
 
@@ -171,11 +171,17 @@ def test_repeated_runs_of_a_shared_spec_reuse_its_supports():
         first = run_spec(spec).to_json()
         supports = [vars(b).get("_support") for b in bases]
         if isinstance(spec.state, ParticleState):  # labeled traces never lower
-            assert all(s is not None for s in supports), name
+            # the parser makes one basis per stage entry, and the prefix tree
+            # lowers one of each equal-valued group per tree node, so some
+            # copies stay unlowered; every distinct stage value has a lowered one
+            lowered = {b for b, s in zip(bases, supports) if s is not None}
+            assert lowered == set(bases), name  # bases compare by value
         assert run_spec(spec).to_json() == first, name
+        # a second run lowers nothing anew: no basis gains a support, and
+        # every support found on the first run is the same object after it
         assert all(vars(b).get("_support") is s for b, s in zip(bases, supports)), name
         # a spec's first run finds the supports and reads the same
-        fresh = scenarios._BUILTIN_BUILDERS[name]()
+        fresh = load_builtin_file(name)
         assert all("_support" not in vars(b) for b in spec_bases(fresh)), name
         assert run_spec(fresh).to_json() == first, name
 
@@ -196,7 +202,7 @@ def test_a_repeat_run_computes_no_stage_key(monkeypatch):
         assert run_spec(get_builtin(name)).to_json() == first, name
         assert keys == [], name
         # equal-valued plans built anew are keyed anew, to the same keys
-        fresh = scenarios._BUILTIN_BUILDERS[name]()
+        fresh = load_builtin_file(name)
         assert all(a is not b for a, b in zip(fresh.plans, spec.plans)), name
         assert run_spec(fresh).to_json() == first, name
         assert keys, name
@@ -274,31 +280,32 @@ def test_every_builtin_finishes_within_a_second():
 
 
 def test_builtin_expectations_carry_the_frozen_reference_values():
-    # single source of truth: the numbers the whole suite is anchored to
-    assert np.isclose(ENTROPY_OVERLAP_BITS, math.log2(3.0) - 2.0 / 3.0, atol=0)
-    assert EIGS_OVERLAP == (2.0 / 3.0, 1.0 / 3.0)
-    assert PURITY_OVERLAP == 5.0 / 9.0
-
+    # single source of truth: the numbers the whole suite is anchored to, as
+    # the builtin scenario files state them, against their closed forms
     overlap = get_builtin("overlap")
     by_key = {
         (e.quantity, e.stage): e
         for e in overlap.expectations
         if e.quantity != "genuine_multipartite"
     }
-    assert by_key[("entropy_two", None)].value == ENTROPY_OVERLAP_BITS
-    assert by_key[("entropy_two", None)].tolerance == TOL_ENTROPY == 1e-9
-    assert by_key[("eigenvalues", "one")].value == EIGS_OVERLAP
-    assert by_key[("eigenvalues", "one")].tolerance == TOL_EIGS == 1e-10
-    assert by_key[("purity_one", None)].value == PURITY_OVERLAP
-    assert by_key[("purity_one", None)].tolerance == TOL_PURITY == 1e-10
+    for side in ("one", "two"):
+        entropy = by_key[(f"entropy_{side}", None)]
+        assert entropy.value == math.log2(3.0) - 2.0 / 3.0
+        assert entropy.tolerance == 1e-9
+        eigs = by_key[("eigenvalues", side)]
+        assert eigs.value == (2 / 3, 1 / 3)
+        assert eigs.tolerance == 1e-10
+        purity = by_key[(f"purity_{side}", None)]
+        assert purity.value == 5 / 9
+        assert purity.tolerance == 1e-10
 
     induced = get_builtin("induced")
     eig = [e for e in induced.expectations if e.quantity == "eigenvalues"][0]
     assert eig.value == (0.5, 0.5)
-    assert eig.tolerance == TOL_EIGS
+    assert eig.tolerance == 1e-10
     prob = [e for e in induced.expectations if e.quantity == "probability"][0]
-    assert prob.value == PROB_ONE_IN_THREE
-    assert prob.tolerance == TOL_PROB == 1e-10
+    assert prob.value == 1 / 3
+    assert prob.tolerance == 1e-10
 
     for name, flag in (("separated", False), ("ghz", True), ("overlap", True),
                        ("distinguishable", False)):
@@ -312,14 +319,64 @@ def test_builtin_expectations_carry_the_frozen_reference_values():
     ghz = get_builtin("ghz")
     for e in ghz.expectations:
         if e.quantity in ("entropy_one", "entropy_two"):
-            assert e.value == 1.0 and e.tolerance == TOL_ENTROPY
+            assert e.value == 1.0 and e.tolerance == 1e-9
 
     for name in ("separated", "distinguishable", "distinguishable-overlapped"):
         for e in get_builtin(name).expectations:
             if e.quantity.startswith("purity"):
-                assert e.value == 1.0 and e.tolerance == TOL_PURITY
+                assert e.value == 1.0 and e.tolerance == 1e-10
             if e.quantity.startswith("entropy"):
-                assert e.value == 0.0 and e.tolerance == TOL_ENTROPY
+                assert e.value == 0.0 and e.tolerance == 1e-9
+
+
+def test_builtin_files_are_exactly_the_builtins():
+    assert sorted(p.stem for p in BUILTINS.iterdir()) == sorted(builtin_names())
+    for name in builtin_names():
+        raw = json.loads((BUILTINS / f"{name}.json").read_text(encoding="utf-8"))
+        assert raw["name"] == name
+
+
+def test_each_builtin_file_runs_to_its_recorded_digest(capsys):
+    refs = json.loads((ROOT / "perfbench" / "refs" / "paper.json").read_text())
+    for name in builtin_names():
+        path = BUILTINS / f"{name}.json"
+        assert cli.main(["run", "--file", str(path), "--format", "machine"]) == 0, name
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == refs[name], name
+
+
+LAZY_PROBE = """
+import json, sys
+opened = []
+sys.addaudithook(
+    lambda event, args: opened.append(str(args[0]))
+    if event == "open" and str(args[0]).endswith(".json") else None
+)
+import idqsim
+idqsim.builtin_names()
+print(json.dumps(opened))
+for name in idqsim.builtin_names():
+    opened.clear()
+    first = idqsim.get_builtin(name)
+    assert idqsim.get_builtin(name) is first
+    print(json.dumps(opened))
+"""
+
+
+def test_builtins_load_lazily_each_from_its_own_file_once():
+    # in a fresh process: this one has loaded the builtins already
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert lines[0] == []  # importing and listing the names reads no file
+    for name, opened in zip(builtin_names(), lines[1:], strict=True):
+        assert [Path(p).resolve() for p in opened] == [(BUILTINS / f"{name}.json").resolve()]
 
 
 def induced_file_payload():
@@ -746,6 +803,10 @@ def test_expectation_validation():
         Expectation("eigenvalues", (0.5, 0.5), "x")  # no stage
     with pytest.raises(ScenarioError):
         Expectation("genuine_multipartite", 1.0)  # not a bool
+    with pytest.raises(ScenarioError, match="takes no stage"):
+        Expectation("entropy_two", 1.0, "x", "one")
+    with pytest.raises(ScenarioError, match="takes no plan label"):
+        Expectation("genuine_multipartite", True, "x")
     for tol in (math.inf, math.nan):  # either would let every check pass
         with pytest.raises(ScenarioError, match="tolerance"):
             Expectation("entropy_two", 42.0, "(AA)-A", tolerance=tol)
