@@ -24,7 +24,6 @@ from .entanglement import (
     EntanglementReport,
     TracePlan,
     analyze,
-    eigenvalues_hermitian,
     purity,
     spectrum,
     von_neumann_entropy,
@@ -44,9 +43,7 @@ from .errors import (
 from .hilbert import (
     CanonicalBasis,
     Ket,
-    Mode,
     Spin,
-    is_orthonormal_set,
     orthonormality_defect,
     sp_inner,
 )
@@ -102,7 +99,6 @@ __all__ = [
     "Ket",
     "LabeledState",
     "MeasurementBasis",
-    "Mode",
     "NotPSDError",
     "NullStateError",
     "OccupationBasis",
@@ -125,11 +121,9 @@ __all__ = [
     "determinant",
     "distinguishable_trace",
     "distinguishable_trace_iterate",
-    "eigenvalues_hermitian",
     "elementary",
     "get_builtin",
     "inner",
-    "is_orthonormal_set",
     "load_scenario",
     "norm",
     "normalize",

@@ -13,12 +13,7 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .errors import (
-    NotPSDError,
-    ScenarioError,
-    SimulationError,
-    ZeroProbabilityError,
-)
+from .errors import NotPSDError, SimulationError
 from .scenarios import builtin_names, get_builtin, run_file, run_spec
 from .verification import run_all
 
@@ -106,16 +101,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ZeroProbabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NotPSDError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except SimulationError as exc:
+    except SimulationError as exc:  # ScenarioError, ZeroProbabilityError and the rest
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ArithmeticError, ValueError) as exc:

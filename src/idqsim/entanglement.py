@@ -22,7 +22,6 @@ from .hilbert import Frozen
 from .reduction import (
     DensityMatrix,
     MeasurementBasis,
-    eigenvalues_hermitian,  # noqa: F401 - re-exported
     partial_trace_iterate,  # noqa: F401 - perfbench/tracer.py wraps this name
     require_depth,
     trace_finish,

@@ -73,14 +73,6 @@ class Frozen:
         return f"{type(self).__qualname__}({body})"
 
 
-class Mode(Frozen):
-    """A named spatial mode with its position in the canonical ordering."""
-
-    def __init__(self, name: str, index: int):
-        self._set("name", name)
-        self._set("index", index)
-
-
 class CanonicalBasis:
     """Orthonormal (mode, spin) frame, ordered mode-major with spin up before down."""
 
@@ -91,16 +83,15 @@ class CanonicalBasis:
         if len(set(names)) != len(names):
             raise ValueError(f"mode names must be unique, got {names!r}")
         self.mode_names: tuple[str, ...] = names
-        self.modes: tuple[Mode, ...] = tuple(Mode(nm, i) for i, nm in enumerate(names))
-        self.entries: tuple[tuple[Mode, Spin], ...] = tuple(
-            (m, s) for m in self.modes for s in (Spin.UP, Spin.DOWN)
+        self.entries: tuple[tuple[str, Spin], ...] = tuple(
+            (m, s) for m in names for s in (Spin.UP, Spin.DOWN)
         )
         self.dim: int = len(self.entries)
-        self._index = {(m.name, s): j for j, (m, s) in enumerate(self.entries)}
+        self._index = {e: j for j, e in enumerate(self.entries)}
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(m.name + s.arrow for m, s in self.entries)
+        return tuple(m + s.arrow for m, s in self.entries)
 
     def index_of(self, mode: str, spin: Spin) -> int:
         try:
@@ -113,10 +104,6 @@ class CanonicalBasis:
         amps = np.zeros(self.dim, dtype=complex)
         amps[self.index_of(mode, spin)] = 1.0
         return Ket(self, amps)
-
-    def kets(self) -> tuple["Ket", ...]:
-        """The full canonical basis as kets, in canonical order."""
-        return tuple(self.ket(m.name, s) for m, s in self.entries)
 
     def superposition(self, components: Iterable[tuple[str, Spin, complex]]) -> "Ket":
         """Build an (unnormalized) ket from (mode, spin, amplitude) triples."""
@@ -216,32 +203,18 @@ def sp_inner(bra: Ket, ket: Ket) -> complex:
     return complex(np.vdot(bra.amps, ket.amps))
 
 
-def orthonormality_defect(
-    kets: Sequence[Ket] | np.ndarray,
-) -> tuple[float, tuple[int, int]]:
+def orthonormality_defect(amps: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Worst deviation |<i|j> - delta_ij| over all pairs, with the offending pair.
 
-    ``kets`` is a sequence of kets of one basis, or their amplitudes already
-    stacked as a ``(K, dim)`` array. The defect is read off the Gram matrix
-    of that stack. The pair is the first worst one in row-major order,
-    ``(i, j)`` with ``i <= j``, as ``|<i|j>| = |<j|i>|``.
+    ``amps`` stacks the kets' amplitudes as a ``(K, dim)`` array. The defect
+    is read off the Gram matrix of that stack. The pair is the first worst
+    one in row-major order, ``(i, j)`` with ``i <= j``, as
+    ``|<i|j>| = |<j|i>|``.
     """
-    if not len(kets):
+    if not len(amps):
         raise ValueError("need at least one ket")
-    if isinstance(kets, np.ndarray):
-        amps = kets
-    else:
-        for k in kets:
-            _require_same_basis(kets[0], k)
-        amps = np.array([k.amps for k in kets])
     gram = amps.conj() @ amps.T
-    gram.flat[:: len(kets) + 1] -= 1.0
+    gram.flat[:: len(amps) + 1] -= 1.0
     dev = np.abs(gram)
     worst = int(dev.argmax())
-    return float(dev.flat[worst]), tuple(sorted(divmod(worst, len(kets))))
-
-
-def is_orthonormal_set(kets: Sequence[Ket], tol: float = ORTHONORMALITY_TOL) -> bool:
-    """True iff all pairwise inner products match the identity within tol."""
-    defect, _ = orthonormality_defect(kets)
-    return defect <= tol
+    return float(dev.flat[worst]), tuple(sorted(divmod(worst, len(amps))))

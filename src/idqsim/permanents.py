@@ -40,14 +40,12 @@ def permutation_parity(perm: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def signed_permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(perms, signs)``: the ``n!`` permutations of ``0..n-1`` as
-    the rows of ``perms`` in lexicographic order, and the parity of each."""
+def _permutation_rows(n: int) -> np.ndarray:
+    """The ``n!`` permutations of ``0..n-1`` as the rows of one read-only
+    array, in lexicographic order."""
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
-    signs = np.array([permutation_parity(p) for p in perms])
     perms.flags.writeable = False
-    signs.flags.writeable = False
-    return perms, signs
+    return perms
 
 
 def _square_stack(matrix: np.ndarray) -> np.ndarray:
@@ -65,7 +63,7 @@ def permanent_naive(matrix: np.ndarray):
     """Permanent by the explicit sum over all n! permutations."""
     a = _square_stack(matrix)
     n = a.shape[-1]
-    perms, _ = signed_permutations(n)
+    perms = _permutation_rows(n)
     picked = a[..., np.arange(n), perms]  # (..., n!, n): a[i, perm[i]] per row
     return _result(a, picked.prod(axis=-1).sum(axis=-1))
 

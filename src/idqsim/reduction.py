@@ -133,7 +133,6 @@ class MeasurementBasis(Frozen):
     only when something reads them. Both run the same checks: at least one
     ket, no more kets than ``dim``, and orthonormality within
     ``ORTHONORMALITY_TOL`` (``orthonormality_defect`` on the stack).
-    ``complete`` is true iff the set spans the whole single-particle space.
     Bases compare and hash by one value key, ``_key``, made on first use:
     their frame's mode names and the bytes of their stack with signed zeros
     merged. ``==``, ``hash``, ``repr`` and ``entanglement``'s stage keys
@@ -195,10 +194,6 @@ class MeasurementBasis(Frozen):
         """The kets of a basis built ``from_arrays``, on their first read."""
         return tuple(Ket(self.space, a) for a in self.amps)
 
-    @property
-    def complete(self) -> bool:
-        return len(self.amps) == self.space.dim
-
     @cached_property
     def _support(self) -> tuple[tuple[int, ...], np.ndarray | None]:
         """``(support, conj)``, found on the first lowering: the ascending
@@ -216,13 +211,14 @@ class MeasurementBasis(Frozen):
 
     @classmethod
     def localized(cls, space: CanonicalBasis, mode: str) -> "MeasurementBasis":
-        """Both spin kets of one spatial mode."""
-        return cls((space.ket(mode, Spin.UP), space.ket(mode, Spin.DOWN)))
+        """Both spin kets of one spatial mode: the two rows of the identity
+        at its up and down entries."""
+        return cls.from_arrays(space, np.eye(2, space.dim, space.index_of(mode, Spin.UP)))
 
     @classmethod
     def full(cls, space: CanonicalBasis) -> "MeasurementBasis":
-        """The complete canonical basis."""
-        return cls(space.kets())
+        """The complete canonical basis: the rows of the identity."""
+        return cls.from_arrays(space, np.eye(space.dim))
 
 
 @lru_cache(maxsize=None)
@@ -496,31 +492,6 @@ class DensityMatrix(Frozen, eq=False):
         m = self.factor @ self.factor.conj().T
         m.flags.writeable = False
         return m
-
-    @property
-    def sector(self) -> int:
-        return self.basis.sector
-
-
-def eigenvalues_hermitian(mat: np.ndarray) -> np.ndarray:
-    """Descending real eigenvalues of a Hermitian matrix.
-
-    The input must be Hermitian: the eigensolver reads one triangle only,
-    and the moment checks of ``_checked_eigenvalues`` would pass a
-    complex-symmetric matrix. Its anti-Hermitian part
-    ``(mat - mat^dagger) / 2`` may reach ``MOMENT_TOL`` times
-    ``max(1, ||mat||_F)`` in Frobenius norm; beyond that it raises
-    ArithmeticError. The eigenvalues are then checked and clamped as
-    ``_checked_eigenvalues`` describes.
-    """
-    m = np.asarray(mat, dtype=complex)
-    norm2 = np.vdot(m, m).real
-    if math.isfinite(norm2):  # else _checked_eigenvalues refuses it
-        skew = m - m.conj().T
-        skew2 = np.vdot(skew, skew).real / 4
-        if not skew2 <= MOMENT_TOL**2 * max(1.0, norm2):
-            raise ArithmeticError(f"anti-Hermitian residual {math.sqrt(skew2):.3g}")
-    return _checked_eigenvalues(m, sum(m.diagonal().real.tolist()))[0]
 
 
 def _checked_eigenvalues(mat: np.ndarray, trace: float) -> tuple[np.ndarray, list[float], float]:

@@ -449,6 +449,7 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
     except ValueError as exc:
         raise ScenarioError(f"scenario.modes: {exc}") from None
 
+    bases: dict = {}  # every basis parsed so far, so that equal stages share one
     if kind == "identical":
         stats_name = _need_str(raw, "statistics", "scenario")
         try:
@@ -460,13 +461,13 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
         state = _parse_identical_state(raw, space, statistics, name)
 
         def parse_stage(v, where: str, earlier) -> MeasurementBasis:
-            return _parse_basis(v, space, where)
+            return _parse_basis(v, space, where, bases)
 
     else:
         state = _parse_labeled_state(raw, space, name)
 
         def parse_stage(v, where: str, earlier) -> SlotTrace:
-            return _parse_slot_trace(v, space, state.n, where, earlier)
+            return _parse_slot_trace(v, space, state.n, where, earlier, bases)
 
     plans = _parse_plans(raw, state.n, parse_stage)
     expectations = _parse_expectations(raw, [p.label for p in plans])
@@ -582,18 +583,22 @@ def _parse_labeled_state(raw: dict, space: CanonicalBasis, name: str) -> Labeled
     return LabeledState(tuple((c / nrm, kets) for c, kets in state.terms))
 
 
-def _parse_basis(v, space: CanonicalBasis, where: str) -> MeasurementBasis:
+def _parse_basis(v, space: CanonicalBasis, where: str, bases: dict) -> MeasurementBasis:
+    """The basis of one stage entry; a value already in ``bases`` (the
+    file's earlier stages) is returned as that object, so equal stages share
+    one basis and one ``_support``."""
     if not isinstance(v, list) or not v:
         raise ScenarioError(f"{where}: expected a nonempty list of kets")
     kets = tuple(_parse_ket(k, space, f"{where}[{j}]") for j, k in enumerate(v))
     try:
-        return MeasurementBasis(kets)
+        basis = MeasurementBasis(kets)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
+    return bases.setdefault(basis, basis)
 
 
 def _parse_slot_trace(
-    v, space: CanonicalBasis, n: int, where: str, earlier: Sequence[SlotTrace]
+    v, space: CanonicalBasis, n: int, where: str, earlier: Sequence[SlotTrace], bases: dict
 ) -> SlotTrace:
     if not isinstance(v, dict):
         raise ScenarioError(f"{where}: expected an object")
@@ -604,7 +609,7 @@ def _parse_slot_trace(
         raise ScenarioError(f"{where}.slot: {slot} outside 0..{n - 1}")
     if any(st.slot == slot for st in earlier):
         raise ScenarioError(f"{where}.slot: slot {slot} already measured on this side")
-    return SlotTrace(slot, _parse_basis(v.get("kets"), space, f"{where}.kets"))
+    return SlotTrace(slot, _parse_basis(v.get("kets"), space, f"{where}.kets", bases))
 
 
 def _parse_plans(

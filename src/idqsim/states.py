@@ -190,14 +190,8 @@ class ParticleState(Frozen, eq=False):
     def __neg__(self) -> "ParticleState":
         return (-1.0) * self
 
-    def inner(self, other: "ParticleState") -> complex:
-        return inner(self, other)
-
     def norm(self) -> float:
         return norm(self)
-
-    def normalized(self) -> "ParticleState":
-        return normalize(self)
 
     def __repr__(self) -> str:
         def term_repr(t: ElementaryState) -> str:

@@ -178,7 +178,7 @@ def _prop_single_particle_inner(rng) -> str:
 
 def _prop_canonical_orthonormality(rng) -> str:
     space = standard_space()
-    defect, pair = orthonormality_defect(space.kets())
+    defect, pair = orthonormality_defect(MeasurementBasis.full(space).amps)
     _ensure(defect == 0.0, f"canonical defect {defect:.3g} at {pair}")
     worst = 0.0
     for _ in range(5):

@@ -37,7 +37,7 @@ from idqsim import (
 )
 from idqsim import comparator
 from idqsim.comparator import _products, _symmetrized, symmetrize
-from idqsim.permanents import permutation_parity, signed_permutations
+from idqsim.permanents import permutation_parity
 from idqsim.states import ElementaryState, ParticleState
 from idqsim.verification import (
     random_ket,
@@ -97,7 +97,7 @@ def kron_symmetrize(term, statistics):
 
 
 def kron_isometry(occ):
-    kets = SPACE.kets()
+    kets = MeasurementBasis.full(SPACE).kets
     cols = [
         kron_symmetrize(ElementaryState(1.0, tuple(kets[j] for j in entry)), occ.statistics)
         / (math.sqrt(math.factorial(occ.sector)) * occ.norm_factors[i])
@@ -133,11 +133,10 @@ def transpose_symmetrized(tensors, n, statistics):
     """The symmetrizer the nested coset sums replaced: one strided pass per
     permutation of the last ``n`` axes, signed by its parity for fermions."""
     lead = tuple(range(tensors.ndim - n))
-    perms, signs = signed_permutations(n)
     out = np.zeros_like(tensors)
-    for perm, sign in zip(perms, signs):
-        moved = tensors.transpose(lead + tuple(len(lead) + perm))
-        if statistics is Statistics.BOSON or sign > 0:
+    for perm in permutations(range(n)):
+        moved = tensors.transpose(lead + tuple(len(lead) + p for p in perm))
+        if statistics is Statistics.BOSON or permutation_parity(perm) > 0:
             out += moved
         else:
             out -= moved

@@ -20,7 +20,6 @@ from idqsim import (
     analyze,
     builtin_names,
     distinguishable_trace_iterate,
-    eigenvalues_hermitian,
     elementary,
     get_builtin,
     normalize,
@@ -31,6 +30,7 @@ from idqsim import (
     von_neumann_entropy,
 )
 from idqsim.errors import IncompatibleStatesError, SimulationError, ZeroProbabilityError
+from idqsim.reduction import _checked_eigenvalues
 from idqsim.verification import (
     random_ket,
     random_measurement_basis,
@@ -48,7 +48,7 @@ def overlap_state():
 
 
 def test_eigenvalues_come_out_descending_and_clamped():
-    ev = eigenvalues_hermitian(np.diag([0.25, 0.75, -1e-12]))
+    ev, _, _ = _checked_eigenvalues(np.diag([0.25, 0.75, -1e-12]), 1.0 - 1e-12)
     assert ev[0] == pytest.approx(0.75)
     assert ev[1] == pytest.approx(0.25)
     assert ev[2] == 0.0
@@ -56,7 +56,7 @@ def test_eigenvalues_come_out_descending_and_clamped():
 
 def test_clearly_negative_matrices_are_rejected():
     with pytest.raises(NotPSDError):
-        eigenvalues_hermitian(np.diag([1.1, -0.1]))
+        _checked_eigenvalues(np.diag([1.1, -0.1]), 1.0)
 
 
 def test_entropy_of_known_spectra():
@@ -71,7 +71,7 @@ def test_entropy_is_basis_independent():
     s_ref = -(p * np.log2(p)).sum()
     u = random_unitary(rng, 3)
     m = (u * p) @ u.conj().T
-    ev = eigenvalues_hermitian(m)
+    ev, _, _ = _checked_eigenvalues(m, np.trace(m).real)
     ev = ev[ev > 0]
     assert np.isclose(-(ev * np.log2(ev)).sum(), s_ref)
 
@@ -159,7 +159,7 @@ def test_remainders_of_one_sector_share_one_basis_object(name):
     for b in report.bipartitions:
         for rho in (b.rho_one, b.rho_two):
             if rho is not None:  # a labeled sector is also keyed by the slots it keeps
-                key = (rho.sector, getattr(rho.basis, "slots", None))
+                key = (rho.basis.sector, getattr(rho.basis, "slots", None))
                 groups.setdefault(key, []).append(rho.basis)
     assert max(map(len, groups.values())) > 1
     assert all(basis is group[0] for group in groups.values() for basis in group)
@@ -428,18 +428,18 @@ def test_nan_matrices_fail_the_reconstruction_check(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lapack_refuses)
     for bad in (np.nan, np.inf):
         with pytest.raises(ArithmeticError, match="residual"):
-            eigenvalues_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]))
+            _checked_eigenvalues(np.array([[bad, 0.0], [0.0, 1.0]]), 1.0)
 
 
 def test_a_wrong_eigendecomposition_is_caught(monkeypatch):
     true_eigvalsh = np.linalg.eigvalsh
     m = np.diag([0.25, 0.75])
-    assert np.array_equal(eigenvalues_hermitian(m), [0.75, 0.25])
+    assert np.array_equal(_checked_eigenvalues(m, 1.0)[0], [0.75, 0.25])
     # a shift the sum of the eigenvalues sees, and one only their squares see
     for shift in ([0.0, 1e-6], [1e-6, -1e-6]):
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, s=shift: true_eigvalsh(a) + s)
         with pytest.raises(ArithmeticError, match="residual"):
-            eigenvalues_hermitian(m)
+            _checked_eigenvalues(m, 1.0)
         with pytest.raises(ArithmeticError, match="residual"):
             partial_trace_one(overlap_state(), MeasurementBasis.localized(SPACE, "A"))
 
@@ -448,20 +448,9 @@ def test_eigenvalues_out_of_order_are_caught(monkeypatch):
     true_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: true_eigvalsh(a)[::-1])
     with pytest.raises(ArithmeticError, match="order"):
-        eigenvalues_hermitian(np.diag([0.25, 0.75]))
+        _checked_eigenvalues(np.diag([0.25, 0.75]), 1.0)
     with pytest.raises(ArithmeticError, match="order"):
         partial_trace_one(overlap_state(), MeasurementBasis.localized(SPACE, "A"))
-
-
-@pytest.mark.parametrize(
-    "mat",
-    [[[1, 1j], [1j, 1]], [[1, 5], [-5, 1]], [[1 + 1e-6j, 0], [0, 1]]],
-    ids=["complex-symmetric", "antisymmetric-part", "complex-diagonal"],
-)
-def test_non_hermitian_matrices_are_refused(mat):
-    # the solver reads one triangle: the first would give [2, 0] unchecked
-    with pytest.raises(ArithmeticError, match="anti-Hermitian residual"):
-        eigenvalues_hermitian(np.array(mat))
 
 
 def test_rounding_off_hermitian_is_accepted():
@@ -469,12 +458,13 @@ def test_rounding_off_hermitian_is_accepted():
     u = random_unitary(rng, 4)
     m = (u * np.array([0.1, 0.2, 0.3, 0.4])) @ u.conj().T  # Hermitian up to rounding
     assert not np.array_equal(m, m.conj().T)
-    assert np.allclose(eigenvalues_hermitian(m), [0.4, 0.3, 0.2, 0.1], atol=1e-12)
+    ev, _, _ = _checked_eigenvalues(m, np.trace(m).real)
+    assert np.allclose(ev, [0.4, 0.3, 0.2, 0.1], atol=1e-12)
 
 
 def test_the_clamp_is_the_boundary_of_the_psd_check():
-    assert eigenvalues_hermitian(np.diag([1.0, -0.9e-10]))[1] == 0.0
+    assert _checked_eigenvalues(np.diag([1.0, -0.9e-10]), 1.0 - 0.9e-10)[0][1] == 0.0
     with pytest.raises(NotPSDError):
-        eigenvalues_hermitian(np.diag([1.0, -1.1e-10]))
+        _checked_eigenvalues(np.diag([1.0, -1.1e-10]), 1.0 - 1.1e-10)
     with pytest.raises(ValueError):  # empty: no lowest eigenvalue to check
-        eigenvalues_hermitian(np.zeros((0, 0)))
+        _checked_eigenvalues(np.zeros((0, 0)), 0.0)

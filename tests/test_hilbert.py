@@ -20,14 +20,12 @@ from idqsim import (
     Ket,
     LabeledState,
     MeasurementBasis,
-    Mode,
     OccupationBasis,
     ParticleState,
     SlotTrace,
     Spin,
     Statistics,
     TracePlan,
-    is_orthonormal_set,
     orthonormality_defect,
     sp_inner,
 )
@@ -49,13 +47,15 @@ def test_canonical_ordering_is_mode_major_up_before_down():
     assert space.index_of("A", Spin.UP) == 0
     assert space.index_of("A", Spin.DOWN) == 1
     assert space.index_of("C", Spin.DOWN) == 5
+    assert space.entries[:3] == (("A", Spin.UP), ("A", Spin.DOWN), ("B", Spin.UP))
 
 
 def test_canonical_kets_are_exactly_orthonormal():
     space = CanonicalBasis(("A", "B", "C"))
-    defect, _ = orthonormality_defect(space.kets())
-    assert defect == 0.0
-    assert is_orthonormal_set(space.kets())
+    full = MeasurementBasis.full(space)
+    assert orthonormality_defect(full.amps) == (0.0, (0, 0))
+    for k, (mode, spin) in zip(full.kets, space.entries, strict=True):
+        assert np.array_equal(k.amps, space.ket(mode, spin).amps)
 
 
 def test_inner_product_is_antilinear_in_the_bra():
@@ -113,7 +113,7 @@ def test_orthonormality_defect_points_at_the_offending_pair():
     a = space.ket("A", Spin.UP)
     b = space.ket("B", Spin.UP)
     almost = (a + 0.1 * b).normalized()
-    defect, pair = orthonormality_defect([a, b, almost])
+    defect, pair = orthonormality_defect(np.array([a.amps, b.amps, almost.amps]))
     assert pair in ((0, 2), (2, 0))
     assert defect > 0.05
 
@@ -135,26 +135,28 @@ def test_orthonormality_defect_matches_the_pairwise_loop():
     for k in range(1, space.dim + 1):
         for _ in range(5):
             kets = [random_ket(rng, space) for _ in range(k)]
-            defect, pair = orthonormality_defect(kets)
+            defect, pair = orthonormality_defect(np.array([k.amps for k in kets]))
             want, want_pair = loop_orthonormality_defect(kets)
             assert defect == pytest.approx(want, rel=1e-12, abs=1e-15)
             assert pair == want_pair
     # an orthonormal set with one planted bad pair
     kets = list(random_measurement_basis(rng, space).kets)
     kets[5] = (kets[5] + 0.03 * kets[2]).normalized()
-    defect, pair = orthonormality_defect(kets)
+    defect, pair = orthonormality_defect(np.array([k.amps for k in kets]))
     want, want_pair = loop_orthonormality_defect(kets)
     assert pair == want_pair == (2, 5)
     assert defect == pytest.approx(want, rel=1e-12)
-    exact = orthonormality_defect(space.kets())
-    assert exact == loop_orthonormality_defect(space.kets()) == (0.0, (0, 0))
+    full = MeasurementBasis.full(space)
+    exact = orthonormality_defect(full.amps)
+    assert exact == loop_orthonormality_defect(full.kets) == (0.0, (0, 0))
 
 
-def test_orthonormality_defect_refuses_mixed_bases():
+def test_a_measurement_basis_refuses_kets_of_mixed_frames():
+    # a stack carries no frame: kets are checked for one when they are stacked
     a = CanonicalBasis(("A", "B")).ket("A", Spin.UP)
     b = CanonicalBasis(("A", "C")).ket("A", Spin.DOWN)
     with pytest.raises(BasisMismatchError, match="different bases"):
-        orthonormality_defect([a, b])
+        MeasurementBasis([a, b])
 
 
 def test_kets_reject_non_finite_imaginary_parts_and_wrong_shapes():
@@ -203,7 +205,6 @@ def pure_rho() -> DensityMatrix:
 
 # (constructor call by keyword, defaults it must fill in, compared by value?)
 FROZEN_TYPES = [
-    pytest.param(lambda: Mode(name="A", index=0), {}, True, id="Mode"),
     pytest.param(lambda: Ket(basis=SPACE, amps=[1, 0, 0, 0]), {}, False, id="Ket"),
     pytest.param(lambda: ElementaryState(coeff=2, kets=[UP]), {}, False, id="ElementaryState"),
     pytest.param(
@@ -273,7 +274,6 @@ def test_value_types_are_immutable_and_compare_as_declared(make, defaults, by_va
 
 
 def test_reprs_name_the_fields_but_not_the_derived_spectrum():
-    assert repr(Mode("A", 0)) == "Mode(name='A', index=0)"
     # a basis shows its stack, not kets it would have to build
     assert repr(PLAN).startswith(
         "TracePlan(label='p', one_stages=(MeasurementBasis("

@@ -27,7 +27,6 @@ from idqsim import (
     coords,
     delocalized_pair,
     distinguishable_trace_iterate,
-    eigenvalues_hermitian,
     elementary,
     inner,
     normalize,
@@ -43,7 +42,13 @@ from idqsim.comparator import oracle_trace_iterate
 from idqsim.permanents import permutation_parity
 from idqsim import reduction
 from idqsim.reduction import (
-    _entries, _ladder, _require_unit_norm, _support_ladder, annihilate, trace_start
+    _checked_eigenvalues,
+    _entries,
+    _ladder,
+    _require_unit_norm,
+    _support_ladder,
+    annihilate,
+    trace_start,
 )
 from idqsim.verification import random_ket, random_measurement_basis, random_state, random_unitary
 
@@ -465,7 +470,7 @@ def test_labeled_factor_is_never_wider_than_its_basis():
 
 def test_dense_matrix_that_is_not_psd_is_rejected():
     with pytest.raises(NotPSDError):
-        eigenvalues_hermitian(np.diag([1.2, -0.2]))
+        _checked_eigenvalues(np.diag([1.2, -0.2]), 1.0)
     occ = OccupationBasis(CanonicalBasis(("A",)), 1, Statistics.BOSON)
     factor = np.array([[1.0], [0.0]])
     with pytest.raises(ValueError, match="trace"):
@@ -505,9 +510,21 @@ def test_measurement_basis_rejects_non_orthonormal_kets():
         MeasurementBasis((a, (a + b) * (1.0 / math.sqrt(2.0))))
 
 
-def test_measurement_basis_completeness_flag():
-    assert MeasurementBasis.full(SPACE).complete
-    assert not MeasurementBasis.localized(SPACE, "A").complete
+def test_localized_and_full_bases_equal_the_ket_built_ones_bit_for_bit():
+    pairs = [
+        (
+            MeasurementBasis.localized(SPACE, mode),
+            MeasurementBasis((SPACE.ket(mode, Spin.UP), SPACE.ket(mode, Spin.DOWN))),
+        )
+        for mode in SPACE.mode_names
+    ]
+    full = MeasurementBasis([SPACE.ket(m, s) for m, s in SPACE.entries])
+    pairs.append((MeasurementBasis.full(SPACE), full))
+    for ours, theirs in pairs:
+        assert ours == theirs and hash(ours) == hash(theirs) and ours._key == theirs._key
+        assert ours.amps.tobytes() == theirs.amps.tobytes()
+        assert ours.amps.flags.c_contiguous and not ours.amps.flags.writeable
+        assert "kets" not in vars(ours)  # built from the stack, kets only on request
 
 
 def itertools_sector(dim, sector, statistics):
@@ -953,7 +970,7 @@ def test_two_equal_eigenvalues_read_exactly_one_bit():
 def test_a_negative_zero_eigenvalue_is_clamped_to_plus_zero(monkeypatch):
     # LAPACK may return -0.0, as it does for diag(1, -0.0)
     assert np.signbit(np.linalg.eigvalsh(np.diag([1.0, -0.0]))).any()
-    ev = eigenvalues_hermitian(np.diag([1.0, -0.0]))
+    ev, _, _ = _checked_eigenvalues(np.diag([1.0, -0.0]), 1.0)
     assert ev.tolist() == [1.0, 0.0] and not np.signbit(ev).any()
     true_eigvalsh = np.linalg.eigvalsh
 
@@ -1094,7 +1111,7 @@ def test_canonical_products_leave_binomial_weights(case):
     statistics, sites, n, stages = case
     modes = "ABCD"[:sites]
     space = CanonicalBasis(tuple(modes))
-    canonical = space.kets()
+    canonical = MeasurementBasis.full(space).kets
     kets = [canonical[j] for j in range(space.dim) for _ in range(n[j])]
     phi = normalize(elementary(statistics, kets))
     bases = tuple(MeasurementBasis.localized(space, modes[s]) for s in stages)

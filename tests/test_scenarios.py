@@ -171,11 +171,8 @@ def test_repeated_runs_of_a_shared_spec_reuse_its_supports():
         first = run_spec(spec).to_json()
         supports = [vars(b).get("_support") for b in bases]
         if isinstance(spec.state, ParticleState):  # labeled traces never lower
-            # the parser makes one basis per stage entry, and the prefix tree
-            # lowers one of each equal-valued group per tree node, so some
-            # copies stay unlowered; every distinct stage value has a lowered one
-            lowered = {b for b, s in zip(bases, supports) if s is not None}
-            assert lowered == set(bases), name  # bases compare by value
+            # equal-valued stages are one object, lowered on the first run
+            assert all(s is not None for s in supports), name
         assert run_spec(spec).to_json() == first, name
         # a second run lowers nothing anew: no basis gains a support, and
         # every support found on the first run is the same object after it
@@ -184,6 +181,34 @@ def test_repeated_runs_of_a_shared_spec_reuse_its_supports():
         fresh = load_builtin_file(name)
         assert all("_support" not in vars(b) for b in spec_bases(fresh)), name
         assert run_spec(fresh).to_json() == first, name
+
+
+@pytest.mark.parametrize(
+    "name, stages, distinct, lowered",
+    [
+        ("separated", 9, 3, 3),
+        ("ghz", 9, 3, 3),
+        ("overlap", 3, 1, 1),
+        ("distinguishable", 11, 4, 0),  # labeled traces never lower
+        ("distinguishable-overlapped", 9, 1, 0),
+    ],
+)
+def test_equal_stages_of_one_file_share_one_basis(name, stages, distinct, lowered):
+    spec = load_builtin_file(name)
+    bases = spec_bases(spec)
+    objects = list({id(b): b for b in bases}.values())
+    assert len(bases) == stages
+    assert len(objects) == len(set(bases)) == distinct  # one object per value
+    run_spec(spec)
+    assert sum("_support" in vars(b) for b in objects) == lowered
+
+
+def test_equal_stages_of_different_files_stay_apart():
+    # the parser shares a basis within one file only, so no spec holds
+    # another's objects and no cache outlives a parse
+    a, b = spec_bases(load_builtin_file("separated")), spec_bases(load_builtin_file("ghz"))
+    assert set(a) & set(b)
+    assert not {id(x) for x in a} & {id(x) for x in b}
 
 
 def test_a_repeat_run_computes_no_stage_key(monkeypatch):

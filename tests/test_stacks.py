@@ -149,7 +149,6 @@ def test_bases_from_arrays_equal_the_per_object_bases_bit_for_bit(name, amps):
     ours = MeasurementBasis.from_arrays(SPACE, amps)
     theirs = per_object_basis(SPACE, amps)
     assert ours.space == theirs.space == SPACE
-    assert ours.complete == theirs.complete == (len(amps) == SPACE.dim)
     assert ours.amps.flags.c_contiguous and not ours.amps.flags.writeable
     assert bits(ours.amps) == bits(theirs.amps)
     assert len(ours.kets) == len(theirs.kets) == len(amps)
