@@ -30,7 +30,6 @@ from .entanglement import (
 )
 from .errors import (
     BasisMismatchError,
-    DegenerateKetError,
     EmptyStateError,
     IncompatibleStatesError,
     NotPSDError,
@@ -89,7 +88,6 @@ __all__ = [
     "BasisMismatchError",
     "BipartitionReport",
     "CanonicalBasis",
-    "DegenerateKetError",
     "DensityMatrix",
     "ElementaryState",
     "EmptyStateError",

@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OracleScaleError, ZeroProbabilityError
+from .errors import IncompatibleStatesError, OracleScaleError, ZeroProbabilityError
 from .hilbert import CanonicalBasis, Frozen, Ket
 from .reduction import (
     DensityMatrix,
@@ -65,7 +65,7 @@ from .reduction import (
     start_walk,
     trace_walk,
 )
-from .states import ElementaryState, ParticleState, Statistics
+from .states import ElementaryState, ParticleState, Statistics, _stack_terms
 
 MAX_PARTICLES = 5
 MAX_DIM = 8
@@ -224,34 +224,35 @@ class LabeledState(Frozen):
     """Superposition of labeled product terms; no exchange symmetry.
     Coefficients must be finite.
 
-    Checked as it is built, term by term, and kept with its slot count
-    ``n``, its frame ``space`` and one read-only amplitude stack ``_stack
-    = (coeffs (T,), amps (T, n, dim))``, which ``vector`` reads.
+    Built from ``(coeff, kets)`` terms by ``states._stack_terms``, the
+    stacker of ``ParticleState``, so both refuse malformed terms alike, and
+    kept as its slot count ``n`` (at least one), its frame ``space`` and one
+    read-only complex amplitude stack ``_stack = (coeffs (T,), amps (T, n,
+    dim))``, which ``vector`` reads. ``terms`` is a view of that stack,
+    built on its first read; states compare and hash by it, and so by the
+    values of their kets.
     """
 
     def __init__(self, terms: tuple[tuple[complex, tuple[Ket, ...]], ...]):
-        if not terms:
-            raise ValueError("labeled state needs at least one term")
-        if not terms[0][1]:
+        space, coeffs, amps = _stack_terms(terms)
+        n = amps.shape[1]
+        if not n:
             raise ValueError("labeled state needs at least one slot")
-        n = len(terms[0][1])
-        space = terms[0][1][0].basis
-        for coeff, kets in terms:
-            if not np.isfinite(coeff):
-                raise ValueError("coefficient must be finite")
-            if len(kets) != n:
-                raise ValueError("terms differ in slot count")
-            for k in kets:
-                if k.basis != space:
-                    raise ValueError("kets live in different bases")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficient must be finite")
         _check_scale(n, space.dim)
-        coeffs = np.array([c for c, _ in terms])
-        amps = np.array([[k.amps for k in kets] for _, kets in terms])
         coeffs.flags.writeable = amps.flags.writeable = False
-        self._set("terms", terms)
         self._set("n", n)
         self._set("space", space)
         self._set("_stack", (coeffs, amps))
+
+    @cached_property
+    def terms(self) -> tuple[tuple[complex, tuple[Ket, ...]], ...]:
+        """The ``(coeff, kets)`` terms, built from the stack on their first read."""
+        coeffs, amps = self._stack
+        return tuple(
+            (c, tuple(Ket(self.space, a) for a in kets)) for c, kets in zip(coeffs.tolist(), amps)
+        )
 
     def vector(self) -> np.ndarray:
         coeffs, amps = self._stack
@@ -293,7 +294,13 @@ class LabeledProductBasis:
     def lower(self, step: SlotTrace, factor: np.ndarray) -> tuple:
         """One stage of a walk (see ``idqsim.reduction``): ``_contract_slot``
         on the measured slot, onto the slots left, with weight 1 (a slot is
-        one particle)."""
+        one particle). A stage other than a ``SlotTrace`` (an
+        identical-particle ``MeasurementBasis``) is refused with
+        IncompatibleStatesError."""
+        if not isinstance(step, SlotTrace):
+            raise IncompatibleStatesError(
+                f"labeled states are traced through SlotTrace stages, not {type(step).__name__}"
+            )
         if step.slot not in self.slots:
             raise ValueError(f"slot {step.slot} already consumed or out of range")
         lowered = _contract_slot(factor, step.basis, self.slots.index(step.slot))

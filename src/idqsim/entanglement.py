@@ -66,7 +66,8 @@ class TracePlan(Frozen):
     two-particle one; either may be None to skip that side, but a side
     given must trace at least one stage. Stages are
     MeasurementBasis entries for identical particles and SlotTrace entries
-    for labeled ones. Plans that do not split the state into complementary
+    for labeled ones; a stage of the other kind is refused when it is
+    traced. Plans that do not split the state into complementary
     parts (e.g. a conditional two-step measurement) should set
     ``bipartition=False`` so they do not vote on the genuine-multipartite flag.
     """

@@ -9,10 +9,6 @@ class BasisMismatchError(SimulationError):
     """Vectors defined over different canonical single-particle bases."""
 
 
-class DegenerateKetError(SimulationError):
-    """A single-particle ket with (numerically) zero norm."""
-
-
 class IncompatibleStatesError(SimulationError):
     """States that differ in particle number, exchange statistics or basis."""
 

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BasisMismatchError, DegenerateKetError
+from .errors import BasisMismatchError
 
 # Canonical bases are exact; this slack only absorbs rounding in
 # user-supplied superpositions.
@@ -142,42 +142,36 @@ def checked_amplitudes(basis: CanonicalBasis, amps, ndim: int = 1) -> np.ndarray
     return amps
 
 
-class Ket(Frozen, eq=False):
-    """A single-particle state: a complex amplitude vector over a canonical basis."""
+def _value_key(space: CanonicalBasis, amps: np.ndarray) -> tuple[tuple[str, ...], bytes]:
+    """The value a single-particle ket or stack compares and hashes by: its
+    frame's mode names and the bytes of its amplitudes with signed zeros
+    merged (``+ 0.0`` turns -0.0 into 0.0)."""
+    return space.mode_names, (amps + 0.0).tobytes()
+
+
+class Ket(Frozen):
+    """A single-particle state: a complex amplitude vector over a canonical
+    basis. Kets compare and hash by value, ``_value_key``."""
 
     def __init__(self, basis: CanonicalBasis, amps: np.ndarray):
         amps = checked_amplitudes(basis, amps)
         self._set("basis", basis)
         self._set("amps", amps)
 
+    def _values(self) -> tuple:
+        return _value_key(self.basis, self.amps)
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def normalized(self) -> "Ket":
-        """Unit-norm copy; direction and phase preserved."""
-        n = self.norm()
-        if n < 1e-12:
-            raise DegenerateKetError("cannot normalize a zero ket")
-        return Ket(self.basis, self.amps / n)
 
     def __add__(self, other: "Ket") -> "Ket":
         _require_same_basis(self, other)
         return Ket(self.basis, self.amps + other.amps)
 
-    def __sub__(self, other: "Ket") -> "Ket":
-        _require_same_basis(self, other)
-        return Ket(self.basis, self.amps - other.amps)
-
     def __mul__(self, scalar) -> "Ket":
         return Ket(self.basis, self.amps * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "Ket":
-        return Ket(self.basis, self.amps / complex(scalar))
-
-    def __neg__(self) -> "Ket":
-        return Ket(self.basis, -self.amps)
 
     def __repr__(self) -> str:
         parts = []

@@ -111,6 +111,7 @@ from .hilbert import (
     Frozen,
     Ket,
     Spin,
+    _value_key,
     checked_amplitudes,
     orthonormality_defect,
     ORTHONORMALITY_TOL,
@@ -180,8 +181,9 @@ class MeasurementBasis(Frozen):
     @cached_property
     def _key(self) -> tuple[tuple[str, ...], bytes]:
         """The value a basis compares and hashes by, and the stage key of
-        ``entanglement``: its frame's mode names and its stack's bytes."""
-        return self.space.mode_names, (self.amps + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+        ``entanglement``: ``hilbert._value_key`` of its frame and stack, the
+        rule a ``Ket`` compares by."""
+        return _value_key(self.space, self.amps)
 
     def _values(self) -> tuple:
         return self._key
@@ -358,7 +360,14 @@ class OccupationBasis:
     def lower(self, mb: MeasurementBasis, factor: np.ndarray) -> tuple:
         """One stage of a walk (see the module docstring): ``annihilate``
         through every ket of ``mb``, onto the sector below, with weight
-        ``1/N`` (any of the ``N`` identical particles can be the one seen)."""
+        ``1/N`` (any of the ``N`` identical particles can be the one seen).
+        A stage other than a ``MeasurementBasis`` (a labeled ``SlotTrace``)
+        is refused with IncompatibleStatesError."""
+        if not isinstance(mb, MeasurementBasis):
+            raise IncompatibleStatesError(
+                f"identical particles are traced through MeasurementBasis stages, "
+                f"not {type(mb).__name__}"
+            )
         rest = _shared_basis(OccupationBasis, self.space, self.sector - 1, self.statistics)
         return annihilate(mb, factor, self), rest, 1.0 / self.sector
 

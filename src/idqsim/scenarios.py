@@ -37,12 +37,7 @@ from .comparator import (
     distinguishable_trace_iterate,  # noqa: F401 - perfbench/tracer.py wraps this name
 )
 from .entanglement import EntanglementReport, TracePlan, analyze, spectrum
-from .errors import (
-    NullStateError,
-    OracleScaleError,
-    ScenarioError,
-    SimulationError,
-)
+from .errors import NullStateError, ScenarioError, SimulationError
 from .hilbert import CanonicalBasis, Frozen, Ket, Spin
 from .reduction import MeasurementBasis
 from .states import ElementaryState, ParticleState, Statistics, normalize
@@ -117,17 +112,6 @@ class ScenarioSpec(Frozen):
         plans: tuple[TracePlan, ...],
         expectations: tuple[Expectation, ...] = (),
     ):
-        labeled = isinstance(state, LabeledState)
-        stage_type = SlotTrace if labeled else MeasurementBasis
-        for p in plans:
-            if not isinstance(p, TracePlan) or not all(
-                isinstance(st, stage_type) for _, stages in p.sides() for st in stages
-            ):
-                kind = "labeled" if labeled else "identical-particle"
-                raise ScenarioError(
-                    f"{kind} states take TracePlan entries with "
-                    f"{stage_type.__name__} stages"
-                )
         self._set("name", name)
         self._set("title", title)
         self._set("state", state)
@@ -437,6 +421,8 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
         raise ScenarioError(
             f"scenario.kind: {kind!r} is not 'identical' or 'distinguishable'"
         )
+    known = ("name", "title", "kind", "modes", "state", "plans", "expectations")
+    _refuse_unknown(raw, "scenario", known + (("statistics",) if kind == "identical" else ()))
     modes = raw.get("modes")
     if (
         not isinstance(modes, list)
@@ -472,6 +458,14 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
     plans = _parse_plans(raw, state.n, parse_stage)
     expectations = _parse_expectations(raw, [p.label for p in plans])
     return ScenarioSpec(name, title, state, plans, expectations)
+
+
+def _refuse_unknown(obj: dict, where: str, fields: Sequence[str]) -> None:
+    """Refuse a field of ``obj`` that the parser would not read, such as a
+    misspelled ``expectations``, rather than silently ignore it."""
+    for key in obj:
+        if key not in fields:
+            raise ScenarioError(f"{where}.{key}: unknown field")
 
 
 def _need_str(obj: dict, key: str, where: str) -> str:
@@ -536,6 +530,7 @@ def _parse_terms(raw: dict, space: CanonicalBasis):
         where = f"scenario.state[{i}]"
         if not isinstance(t, dict):
             raise ScenarioError(f"{where}: expected an object")
+        _refuse_unknown(t, where, ("coeff", "kets"))
         coeff = (
             _parse_complex(t["coeff"], f"{where}.coeff") if "coeff" in t else 1.0 + 0j
         )
@@ -571,8 +566,8 @@ def _parse_identical_state(
 def _parse_labeled_state(raw: dict, space: CanonicalBasis, name: str) -> LabeledState:
     terms = _parse_terms(raw, space)
     try:
-        state = LabeledState(tuple((c, kets) for c, kets in terms))
-    except (ValueError, OracleScaleError) as exc:
+        state = LabeledState(terms)
+    except (SimulationError, ValueError) as exc:
         raise ScenarioError(f"scenario.state: {exc}") from None
     with np.errstate(over="ignore", invalid="ignore"):  # huge amplitudes overflow
         nrm = float(np.linalg.norm(state.vector()))
@@ -580,7 +575,7 @@ def _parse_labeled_state(raw: dict, space: CanonicalBasis, name: str) -> Labeled
         raise ScenarioError(f"scenario.state: the norm is {nrm} (amplitudes too large)")
     if nrm < 1e-12:
         raise ScenarioError(f"scenario {name!r}: the state has zero norm")
-    return LabeledState(tuple((c / nrm, kets) for c, kets in state.terms))
+    return LabeledState([(c / nrm, kets) for c, kets in terms])
 
 
 def _parse_basis(v, space: CanonicalBasis, where: str, bases: dict) -> MeasurementBasis:
@@ -602,6 +597,7 @@ def _parse_slot_trace(
 ) -> SlotTrace:
     if not isinstance(v, dict):
         raise ScenarioError(f"{where}: expected an object")
+    _refuse_unknown(v, where, ("slot", "kets"))
     slot = v.get("slot")
     if not isinstance(slot, int) or isinstance(slot, bool):
         raise ScenarioError(f"{where}.slot: expected an integer")
@@ -628,6 +624,7 @@ def _parse_plans(
         where = f"scenario.plans[{i}]"
         if not isinstance(p, dict):
             raise ScenarioError(f"{where}: expected an object")
+        _refuse_unknown(p, where, ("label", "one", "two", "bipartition"))
         label = _need_str(p, "label", where)
         sides: dict = {}
         for side in ("one", "two"):
@@ -666,6 +663,7 @@ def _parse_expectations(raw: dict, labels: Sequence[str]) -> tuple[Expectation, 
         where = f"scenario.expectations[{i}]"
         if not isinstance(e, dict):
             raise ScenarioError(f"{where}: expected an object")
+        _refuse_unknown(e, where, ("quantity", "value", "label", "stage", "tolerance"))
         quantity = _need_str(e, "quantity", where)
         value = e.get("value")
         if quantity == "genuine_multipartite":

@@ -12,10 +12,12 @@ A state is stored as one amplitude stack and nothing else, ``_stack =
 (coeffs, amps)``: the coefficients ``(T,)`` and the kets ``(T, N, dim)``,
 row ``[t, i]`` being ket ``i`` of term ``t``, both read-only and
 C-contiguous. ``ParticleState(statistics, terms)`` checks each ket and term
-as it is built and stacks them once; ``ParticleState.from_arrays`` checks a
-whole stack at once (shape, dimension, finite values). Both, and every step
-of the algebra (``+``, ``-``, ``*``, ``normalize``, ``project_single``), end
-in ``ParticleState._keep``, which refuses a non-finite coefficient and keeps
+as it is built and stacks them once, through ``_stack_terms``, the term
+stacker that the comparator's ``LabeledState`` shares;
+``ParticleState.from_arrays`` checks a whole stack at once (shape,
+dimension, finite values). Both, and every step of the algebra (``+``,
+``-``, ``*``, ``normalize``, ``project_single``), end in
+``ParticleState._keep``, which refuses a non-finite coefficient and keeps
 the stack. ``terms`` are a view, built through the ``ElementaryState`` and
 ``Ket`` constructors only when something reads them. The array kernel
 ``overlaps`` forms the Gram matrices of all term pairs of a stack in one
@@ -44,7 +46,7 @@ from .errors import (
     NullStateError,
 )
 # sp_inner is not called here; perfbench/tracer.py wraps this module's name
-from .hilbert import CanonicalBasis, Frozen, Ket, checked_amplitudes, sp_inner  # noqa: F401
+from .hilbert import CanonicalBasis, Frozen, Ket, _value_key, checked_amplitudes, sp_inner  # noqa: F401
 from .permanents import determinant, permanent, permutation_parity
 
 # States with squared norm at or below this are treated as the null vector.
@@ -97,20 +99,7 @@ class ParticleState(Frozen, eq=False):
     """
 
     def __init__(self, statistics: Statistics, terms: Sequence[ElementaryState]):
-        terms = tuple(terms)
-        if not terms:
-            raise ValueError("state needs at least one term")
-        ns = {t.n for t in terms}
-        if len(ns) > 1:
-            raise IncompatibleStatesError(f"terms mix particle numbers {sorted(ns)}")
-        bases = {t.kets[0].basis for t in terms if t.kets}
-        if len(bases) > 1:
-            raise IncompatibleStatesError("terms live in different bases")
-        space = bases.pop() if bases else None
-        coeffs = np.array([t.coeff for t in terms], dtype=complex)
-        amps = np.array([[k.amps for k in t.kets] for t in terms], dtype=complex)
-        dim = space.dim if space is not None else 0
-        self._keep(statistics, space, coeffs, amps.reshape(len(terms), ns.pop(), dim))
+        self._keep(statistics, *_stack_terms((t.coeff, t.kets) for t in terms))
 
     @classmethod
     def from_arrays(
@@ -200,6 +189,29 @@ class ParticleState(Frozen, eq=False):
 
         kind = self.statistics.value
         return " + ".join(term_repr(t) for t in self.terms) + f"  [{kind}s]"
+
+
+def _stack_terms(pairs) -> tuple[CanonicalBasis | None, np.ndarray, np.ndarray]:
+    """``(space, coeffs, amps)`` from ``(coeff, kets)`` pairs: the kets' one
+    frame (None when no term holds a ket) and the complex stacks ``(T,)``
+    and ``(T, N, dim)`` (``(T, 0, 0)`` without kets). Refuses no terms
+    (ValueError), terms of different ket counts and kets of different
+    frames (IncompatibleStatesError). The term stacker of ``ParticleState``
+    and of the comparator's ``LabeledState``."""
+    pairs = tuple(pairs)
+    if not pairs:
+        raise ValueError("state needs at least one term")
+    ns = {len(kets) for _, kets in pairs}
+    if len(ns) > 1:
+        raise IncompatibleStatesError(f"terms mix particle numbers {sorted(ns)}")
+    bases = {k.basis for _, kets in pairs for k in kets}
+    if len(bases) > 1:
+        raise IncompatibleStatesError("kets live in different bases")
+    space = bases.pop() if bases else None
+    coeffs = np.array([c for c, _ in pairs], dtype=complex)
+    amps = np.array([[k.amps for k in kets] for _, kets in pairs], dtype=complex)
+    dim = space.dim if space is not None else 0
+    return space, coeffs, amps.reshape(len(pairs), ns.pop(), dim)
 
 
 def elementary(
@@ -308,11 +320,11 @@ def project_single(meas: Ket, phi: ParticleState) -> ParticleState:
 
     Reads ``phi``'s stack row by row. The remainders merge as they are
     made: two are one term when their rows are equal up to order, compared
-    as bytes with signed zeros merged, and their coefficients add, with the
-    sign of the reordering for fermions; a fermion remainder holding a row
-    twice is exactly null and dropped. The squared norm of the result is
-    the unnormalized weight of the outcome; see ``idqsim.reduction`` for
-    the probability gauge.
+    by ``hilbert._value_key`` (bytes with signed zeros merged), and their
+    coefficients add, with the sign of the reordering for fermions; a
+    fermion remainder holding a row twice is exactly null and dropped. The
+    squared norm of the result is the unnormalized weight of the outcome;
+    see ``idqsim.reduction`` for the probability gauge.
     """
     if phi.n == 0:
         raise EmptyStateError("cannot project a zero-particle state")
@@ -322,9 +334,9 @@ def project_single(meas: Ket, phi: ParticleState) -> ParticleState:
         raise IncompatibleStatesError("measurement ket and state bases differ")
     fermion = phi.statistics is Statistics.FERMION
     coeffs, amps = phi._stack
-    merged: dict[tuple[bytes, ...], list] = {}
+    merged: dict[tuple, list] = {}
     for coeff, rows in zip(coeffs.tolist(), amps):
-        raw = [(row + 0.0).tobytes() for row in rows]  # + 0.0 turns -0.0 into 0.0
+        raw = [_value_key(phi._space, row) for row in rows]
         for i, row in enumerate(rows):
             amp = complex(np.vdot(meas.amps, row))
             if amp == 0:

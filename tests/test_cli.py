@@ -114,6 +114,39 @@ def test_stage_or_label_the_quantity_does_not_take_is_input_error(
     assert captured.err == f"error: scenario.expectations[4]: {message}\n"
 
 
+def renamed(obj: dict, key: str, new: str) -> None:
+    obj[new] = obj.pop(key)
+
+
+@pytest.mark.parametrize(
+    "builtin, edit, where",
+    [
+        ("induced", lambda d: renamed(d, "expectations", "expectation"),
+         "scenario.expectation"),
+        ("distinguishable", lambda d: d.update(statistics="boson"), "scenario.statistics"),
+        ("induced", lambda d: renamed(d["state"][0], "coeff", "coef"), "scenario.state[0].coef"),
+        ("induced", lambda d: renamed(d["plans"][0], "bipartition", "bipartite"),
+         "scenario.plans[0].bipartite"),
+        ("distinguishable", lambda d: renamed(d["plans"][1]["one"][1], "slot", "slots"),
+         "scenario.plans[1].one[1].slots"),
+        ("induced", lambda d: renamed(d["expectations"][2], "tolerance", "tol"),
+         "scenario.expectations[2].tol"),
+    ],
+    ids=["scenario", "statistics of labeled particles", "state term", "plan", "slot stage",
+         "expectation"],
+)
+def test_a_field_the_parser_does_not_read_is_input_error(tmp_path, capsys, builtin, edit, where):
+    # a misspelled "expectations" ran with no checks at all: PASS (0/0), exit 0
+    payload = json.loads((BUILTINS / f"{builtin}.json").read_text(encoding="utf-8"))
+    edit(payload)
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(payload))
+    assert main(["run", "--file", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}: unknown field\n"
+
+
 def test_malformed_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ definitely not json")

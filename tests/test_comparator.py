@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from idqsim import (
     CanonicalBasis,
+    IncompatibleStatesError,
     Ket,
     LabeledState,
     MeasurementBasis,
@@ -536,11 +537,35 @@ def test_labeled_states_reject_non_finite_coefficients():
 def test_a_labeled_state_needs_at_least_one_slot():
     with pytest.raises(ValueError, match="labeled state needs at least one slot"):
         product_state([])
-    ket = random_ket(np.random.default_rng(0), SPACE)
     with pytest.raises(ValueError, match="labeled state needs at least one slot"):
+        LabeledState(((1.0, ()), (0.5, ())))
+    # the terms are stacked as ParticleState stacks them, with its refusals
+    ket = random_ket(np.random.default_rng(0), SPACE)
+    with pytest.raises(IncompatibleStatesError, match=r"^terms mix particle numbers \[0, 1\]$"):
         LabeledState(((1.0, ()), (1.0, (ket,))))
-    with pytest.raises(ValueError, match="labeled state needs at least one term"):
+    with pytest.raises(ValueError, match="^state needs at least one term$"):
         LabeledState(())
+
+
+def test_labeled_states_compare_by_the_values_of_their_kets():
+    """Kets compare by value, so labeled states built from distinct but
+    equal kets are equal and hash alike, signed zeros merged; the stack is
+    complex even when every coefficient is real."""
+    def build(coeff=1.0, up=Spin.UP):
+        return LabeledState(((coeff, (SPACE.ket("A", Spin.DOWN), SPACE.ket("B", up))),))
+
+    a, b = build(), build()
+    assert a.terms[0][1][0] is not b.terms[0][1][0]
+    assert a == b and hash(a) == hash(b)
+    signed = Ket(SPACE, np.where(SPACE.ket("A", Spin.DOWN).amps == 0, -0.0, 1.0))
+    c = LabeledState(((1.0 + 0j, (signed, SPACE.ket("B", Spin.UP))),))
+    assert np.signbit(c._stack[1].real).any()
+    assert a == c and hash(a) == hash(c)
+    assert a != build(coeff=-1.0) and a != build(up=Spin.DOWN)
+    coeffs, amps = a._stack
+    assert coeffs.dtype == amps.dtype == np.complex128
+    assert not coeffs.flags.writeable and not amps.flags.writeable
+    assert a.terms == ((1.0, (SPACE.ket("A", Spin.DOWN), SPACE.ket("B", Spin.UP))),)
 
 
 def test_labeled_trace_refuses_a_state_whose_norm_overflows_to_nan():

@@ -421,6 +421,25 @@ def test_labeled_errors_are_those_of_the_first_failing_side():
     assert str(caught.value) == want_message
 
 
+@pytest.mark.parametrize(
+    "state, trace, stage, want",
+    [
+        (separated_state, partial_trace_iterate, SlotTrace(0, LOC_A),
+         "identical particles are traced through MeasurementBasis stages, not SlotTrace"),
+        (labeled_pair, distinguishable_trace_iterate, LOC_A,
+         "labeled states are traced through SlotTrace stages, not MeasurementBasis"),
+    ],
+    ids=["slot trace on identical particles", "measurement basis on labeled particles"],
+)
+def test_a_stage_of_the_wrong_particle_kind_is_refused(state, trace, stage, want):
+    with pytest.raises(IncompatibleStatesError) as caught:
+        trace(state(), (stage,))
+    assert str(caught.value) == want
+    with pytest.raises(IncompatibleStatesError) as caught:
+        analyze(state(), (TracePlan("p", two_stages=(stage,)),))
+    assert str(caught.value) == f"plan 'p', side two: {want}"
+
+
 def test_nan_matrices_fail_the_reconstruction_check(monkeypatch):
     def lapack_refuses(m):  # as some LAPACK builds treat NaN
         raise np.linalg.LinAlgError("eigenvalues did not converge")

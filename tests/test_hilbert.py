@@ -13,19 +13,21 @@ from idqsim import (
     BasisMismatchError,
     BipartitionReport,
     CanonicalBasis,
-    DegenerateKetError,
     DensityMatrix,
     ElementaryState,
     EntanglementReport,
     Ket,
     LabeledState,
     MeasurementBasis,
+    NullStateError,
     OccupationBasis,
     ParticleState,
     SlotTrace,
     Spin,
     Statistics,
     TracePlan,
+    elementary,
+    normalize,
     orthonormality_defect,
     sp_inner,
 )
@@ -73,18 +75,27 @@ def test_superposition_accumulates_repeated_entries():
     assert sp_inner(space.ket("A", Spin.UP), k) == pytest.approx(1.0)
 
 
-def test_normalized_preserves_direction():
+def unit(k: Ket) -> Ket:
+    """``k`` scaled to unit norm, as ``Ket`` has no normalizing method."""
+    return k * (1 / k.norm())
+
+
+def test_scaling_by_the_inverse_norm_preserves_direction():
     space = CanonicalBasis(("A", "B"))
     k = space.superposition([("A", Spin.DOWN, 3.0), ("B", Spin.DOWN, 4.0)])
-    u = k.normalized()
+    u = unit(k)
     assert np.isclose(u.norm(), 1.0)
     assert np.isclose(abs(sp_inner(u, k)), 5.0)
 
 
-def test_zero_ket_cannot_be_normalized():
+def test_a_zero_ket_cannot_be_scaled_to_unit_norm():
     space = CanonicalBasis(("A",))
-    with pytest.raises(DegenerateKetError):
-        Ket(space, np.zeros(2)).normalized()
+    zero = Ket(space, np.zeros(2))
+    with pytest.raises(ZeroDivisionError):
+        unit(zero)
+    # nor can a state holding it
+    with pytest.raises(NullStateError):
+        normalize(elementary(Statistics.BOSON, (zero,)))
 
 
 def test_kets_from_different_frames_do_not_mix():
@@ -112,7 +123,7 @@ def test_orthonormality_defect_points_at_the_offending_pair():
     space = CanonicalBasis(("A", "B"))
     a = space.ket("A", Spin.UP)
     b = space.ket("B", Spin.UP)
-    almost = (a + 0.1 * b).normalized()
+    almost = unit(a + 0.1 * b)
     defect, pair = orthonormality_defect(np.array([a.amps, b.amps, almost.amps]))
     assert pair in ((0, 2), (2, 0))
     assert defect > 0.05
@@ -141,7 +152,7 @@ def test_orthonormality_defect_matches_the_pairwise_loop():
             assert pair == want_pair
     # an orthonormal set with one planted bad pair
     kets = list(random_measurement_basis(rng, space).kets)
-    kets[5] = (kets[5] + 0.03 * kets[2]).normalized()
+    kets[5] = unit(kets[5] + 0.03 * kets[2])
     defect, pair = orthonormality_defect(np.array([k.amps for k in kets]))
     want, want_pair = loop_orthonormality_defect(kets)
     assert pair == want_pair == (2, 5)
@@ -205,7 +216,7 @@ def pure_rho() -> DensityMatrix:
 
 # (constructor call by keyword, defaults it must fill in, compared by value?)
 FROZEN_TYPES = [
-    pytest.param(lambda: Ket(basis=SPACE, amps=[1, 0, 0, 0]), {}, False, id="Ket"),
+    pytest.param(lambda: Ket(basis=SPACE, amps=[1, 0, 0, 0]), {}, True, id="Ket"),
     pytest.param(lambda: ElementaryState(coeff=2, kets=[UP]), {}, False, id="ElementaryState"),
     pytest.param(
         lambda: ParticleState(statistics=Statistics.BOSON, terms=[TERM]), {}, False,
@@ -213,7 +224,11 @@ FROZEN_TYPES = [
     ),
     pytest.param(lambda: MeasurementBasis(kets=[UP, DOWN]), {}, True, id="MeasurementBasis"),
     pytest.param(pure_rho, {}, False, id="DensityMatrix"),
-    pytest.param(lambda: LabeledState(terms=((1.0, (UP,)),)), {}, True, id="LabeledState"),
+    # a fresh ket per call: labeled states compare by their kets' values
+    pytest.param(
+        lambda: LabeledState(terms=((1.0, (SPACE.ket("A", Spin.UP),)),)), {}, True,
+        id="LabeledState",
+    ),
     pytest.param(lambda: SlotTrace(slot=0, basis=BASIS), {}, True, id="SlotTrace"),
     pytest.param(
         lambda: TracePlan(label="p", one_stages=[BASIS]),
@@ -271,6 +286,20 @@ def test_value_types_are_immutable_and_compare_as_declared(make, defaults, by_va
         assert a != b and hash(a) == object.__hash__(a)
     for field, value in defaults.items():
         assert getattr(a, field) == value
+
+
+def test_kets_compare_and_hash_by_frame_and_amplitudes():
+    """A ket is its frame's mode names and its amplitudes, with signed zeros
+    merged, as a ``MeasurementBasis`` is its frame and stack."""
+    signed = Ket(SPACE, [1.0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)])
+    twin = Ket(CanonicalBasis(("A", "B")), [1, 0, 0, 0])
+    assert np.signbit(signed.amps.real).any() and np.signbit(signed.amps.imag).any()
+    for same in (signed, twin, SPACE.ket("A", Spin.UP)):
+        assert same == UP and not same != UP and hash(same) == hash(UP)
+    assert len({UP, signed, twin, DOWN}) == 2
+    for other in (DOWN, 1j * UP, Ket(CanonicalBasis(("A", "C")), [1, 0, 0, 0])):
+        assert other != UP and not other == UP
+    assert UP != MeasurementBasis([UP]) and UP != (SPACE, UP.amps)
 
 
 def test_reprs_name_the_fields_but_not_the_derived_spectrum():

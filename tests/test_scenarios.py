@@ -599,6 +599,11 @@ def test_bad_files_fail_with_field_paths(tmp_path):
     slot_twice["plans"][0]["one"] = [{"slot": 0, "kets": loc_a}] * 2
     cases.append((slot_twice, "plans[0].one[1].slot"))
 
+    # labeled terms are stacked as identical-particle terms are, with their errors
+    mixed_slots = labeled_file_payload()
+    mixed_slots["state"].append({"kets": mixed_slots["state"][0]["kets"][:2]})
+    cases.append((mixed_slots, "scenario.state: terms mix particle numbers"))
+
     # beyond the labeled size cap: six slots, and two slots over dimension 10
     six_slots = labeled_file_payload()
     six_slots["state"][0]["kets"] *= 2

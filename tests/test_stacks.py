@@ -12,7 +12,9 @@ from idqsim import (
     CanonicalBasis,
     ElementaryState,
     EmptyStateError,
+    IncompatibleStatesError,
     Ket,
+    LabeledState,
     MeasurementBasis,
     OccupationBasis,
     ParticleState,
@@ -199,16 +201,47 @@ def _bad_state_stacks():
 BAD_STATE_STACKS = _bad_state_stacks()
 
 
-@pytest.mark.parametrize("statistics", [B, F], ids=["boson", "fermion"])
+def labeled_state(space, coeffs, amps):
+    return LabeledState(tuple(
+        (c, tuple(Ket(space, a) for a in kets)) for c, kets in zip(coeffs, amps)
+    ))
+
+
+# None: a LabeledState, which must refuse what a boson state refuses
+@pytest.mark.parametrize("statistics", [B, F, None], ids=["boson", "fermion", "labeled"])
 @pytest.mark.parametrize("name, coeffs, amps", BAD_STATE_STACKS,
                          ids=[c[0] for c in BAD_STATE_STACKS])
 def test_state_stacks_are_refused_as_the_per_object_path_refuses_them(
     statistics, name, coeffs, amps
 ):
-    got = refusal(lambda: ParticleState.from_arrays(statistics, SPACE, coeffs, amps))
+    if statistics is None:
+        got, statistics = refusal(lambda: labeled_state(SPACE, coeffs, amps)), B
+    else:
+        got = refusal(lambda: ParticleState.from_arrays(statistics, SPACE, coeffs, amps))
     assert got == refusal(lambda: per_object_state(statistics, SPACE, coeffs, amps))
     if "dimension" in name:
         assert got[0] is BasisMismatchError
+
+
+def _bad_term_lists():
+    """Term lists that no stack can hold: ket counts or frames that differ."""
+    amps = unit_rows(np.random.default_rng(26), (2, 3, SPACE.dim))
+    first = (1.0, tuple(Ket(SPACE, r) for r in amps[0]))
+    return [
+        ("different ket counts", (first, (0.5j, tuple(Ket(SPACE, r) for r in amps[1, :2])))),
+        ("a term over another frame",
+         (first, (0.5j, tuple(Ket(CanonicalBasis(("A", "B", "D")), r) for r in amps[1])))),
+    ]
+
+
+BAD_TERM_LISTS = _bad_term_lists()
+
+
+@pytest.mark.parametrize("name, terms", BAD_TERM_LISTS, ids=[c[0] for c in BAD_TERM_LISTS])
+def test_term_lists_are_refused_alike_by_both_particle_kinds(name, terms):
+    theirs = refusal(lambda: ParticleState(B, tuple(ElementaryState(*t) for t in terms)))
+    assert refusal(lambda: LabeledState(terms)) == theirs
+    assert theirs[0] is IncompatibleStatesError
 
 
 def _bad_basis_stacks():
