@@ -40,8 +40,8 @@ plans = (
 report = analyze(ghz, plans)
 print("GHZ-type superposition:")
 for b in report.bipartitions:
-    print(f"  cut {b.label}: two-particle entropy {b.entropy_two:.12f},"
-          f" one-particle entropy {b.entropy_one:.12f} bits")
+    print(f"  cut {b.label}: two-particle entropy {b.rho_two.entropy:.12f},"
+          f" one-particle entropy {b.rho_one.entropy:.12f} bits")
 print("  genuinely multipartite:", report.genuine_multipartite)
 
 overlapped = elementary(
@@ -55,7 +55,7 @@ plan = TracePlan("(AA)-A", one_stages=(loc["A"], loc["A"]),
 report = analyze(overlapped, (plan,))
 b = report["(AA)-A"]
 print("\nfully overlapped bosons:")
-print(f"  entropies: {b.entropy_two:.12f} and {b.entropy_one:.12f} bits"
+print(f"  entropies: {b.rho_two.entropy:.12f} and {b.rho_one.entropy:.12f} bits"
       f" (log2(3) - 2/3 = {math.log2(3) - 2 / 3:.12f})")
 print(f"  spectra: {[round(float(v), 6) for v in spectrum(b.rho_two) if v > 1e-9]}"
       f" and {[round(float(v), 6) for v in spectrum(b.rho_one) if v > 1e-9]}")

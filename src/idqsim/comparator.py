@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IncompatibleStatesError, OracleScaleError, ZeroProbabilityError
-from .hilbert import CanonicalBasis, Frozen, Ket
+from .hilbert import CanonicalBasis, Frozen, Ket, _value_key
 from .reduction import (
     DensityMatrix,
     MeasurementBasis,
@@ -65,7 +65,7 @@ from .reduction import (
     start_walk,
     trace_walk,
 )
-from .states import ElementaryState, ParticleState, Statistics, _stack_terms
+from .states import ElementaryState, ParticleState, Statistics, _require_compatible, _stack_terms
 
 MAX_PARTICLES = 5
 MAX_DIM = 8
@@ -131,9 +131,10 @@ def symmetrize_state(phi: ParticleState) -> np.ndarray:
 
 
 def oracle_inner(bra: ParticleState, ket: ParticleState) -> complex:
-    """Labeled inner product; equals factorial(n) times the state algebra's."""
-    if bra.statistics is not ket.statistics or bra.n != ket.n:
-        raise ValueError("oracle_inner needs states of equal kind and size")
+    """Labeled inner product; equals factorial(n) times the state algebra's.
+    States that ``inner`` refuses (other statistics, particle number or
+    frame) are refused alike, with IncompatibleStatesError."""
+    _require_compatible(bra, ket)
     return complex(np.vdot(symmetrize_state(bra), symmetrize_state(ket)))
 
 
@@ -189,7 +190,9 @@ def oracle_trace(phi: ParticleState, basis: MeasurementBasis) -> DensityMatrix:
 def oracle_trace_iterate(
     phi: ParticleState, bases: Sequence[MeasurementBasis]
 ) -> DensityMatrix:
-    """One-particle traces computed entirely in the labeled space."""
+    """One-particle traces computed entirely in the labeled space. A stage
+    over another frame is refused with IncompatibleStatesError, as the walk
+    of ``idqsim.reduction`` refuses it."""
     n = phi.n
     dim = phi.basis.dim
     _check_scale(n, dim)
@@ -199,7 +202,7 @@ def oracle_trace_iterate(
     m = n
     for mb in bases:
         if mb.space != phi.basis:
-            raise ValueError("measurement basis lives in a different space")
+            raise IncompatibleStatesError("measurement ket and state bases differ")
         nxt = _contract_slot(factor, mb, 0)
         stage = np.vdot(nxt, nxt).real
         if stage <= ZERO_PROB_TOL:
@@ -229,8 +232,9 @@ class LabeledState(Frozen):
     kept as its slot count ``n`` (at least one), its frame ``space`` and one
     read-only complex amplitude stack ``_stack = (coeffs (T,), amps (T, n,
     dim))``, which ``vector`` reads. ``terms`` is a view of that stack,
-    built on its first read; states compare and hash by it, and so by the
-    values of their kets.
+    built on its first read. States compare and hash by the stack
+    (``_values``), so by the values of their kets, and build no ``Ket``
+    to do it.
     """
 
     def __init__(self, terms: tuple[tuple[complex, tuple[Ket, ...]], ...]):
@@ -253,6 +257,12 @@ class LabeledState(Frozen):
         return tuple(
             (c, tuple(Ket(self.space, a) for a in kets)) for c, kets in zip(coeffs.tolist(), amps)
         )
+
+    def _values(self) -> tuple:
+        """The frame's mode names and the bytes of the coefficients and
+        amplitudes, signed zeros merged (``hilbert._value_key``)."""
+        coeffs, amps = self._stack
+        return _value_key(self.space, amps) + ((coeffs + 0.0).tobytes(),)
 
     def vector(self) -> np.ndarray:
         coeffs, amps = self._stack

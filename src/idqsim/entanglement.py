@@ -108,24 +108,20 @@ class TracePlan(Frozen):
 
 
 class BipartitionReport(Frozen):
+    """One plan's verdict and its remainders, ``rho_one`` and ``rho_two``
+    (None for a side not traced). Every number of a side (probability,
+    entropy, purity, spectrum) is read off its ``DensityMatrix``."""
+
     def __init__(
         self,
         label: str,
         mixed: bool,
-        entropy_one: Optional[float] = None,
-        entropy_two: Optional[float] = None,
-        purity_one: Optional[float] = None,
-        purity_two: Optional[float] = None,
         rho_one: Optional[DensityMatrix] = None,
         rho_two: Optional[DensityMatrix] = None,
         bipartition: bool = True,
     ):
         self._set("label", label)
         self._set("mixed", mixed)
-        self._set("entropy_one", entropy_one)
-        self._set("entropy_two", entropy_two)
-        self._set("purity_one", purity_one)
-        self._set("purity_two", purity_two)
         self._set("rho_one", rho_one)
         self._set("rho_two", rho_two)
         self._set("bipartition", bipartition)
@@ -167,10 +163,12 @@ def analyze(
     Sides run in plan order, so results and the first error are those of
     tracing each side on its own.
 
-    A bipartition counts as mixed when every entropy it produced exceeds
-    MIXED_THRESHOLD_BITS. The genuine-multipartite flag is the AND over
-    bipartition plans, or None when no plan is a bipartition. An error of a
-    trace is re-raised with the plan label and side at the head of its message.
+    A report keeps each side's remainder, and nothing read off it. A
+    bipartition counts as mixed when every remainder it produced has an
+    entropy above MIXED_THRESHOLD_BITS. The genuine-multipartite flag is
+    the AND over bipartition plans, or None when no plan is a bipartition.
+    An error of a trace is re-raised with the plan label and side at the
+    head of its message.
     """
     labels = [p.label for p in plans]
     if len(set(labels)) != len(labels):
@@ -182,8 +180,7 @@ def analyze(
     root = None
     reports = []
     for plan, sides in zip(plans, paths):
-        entries: dict[str, object] = {}
-        entropies = []
+        entries: dict[str, DensityMatrix] = {}
         for (side, stages), path in zip(plan.sides(), sides):
             try:
                 root = start(state) if root is None else root
@@ -203,10 +200,8 @@ def analyze(
                 # reworded in place: the same exception keeps its exit code
                 exc.args = (f"plan {plan.label!r}, side {side}: {exc}",)
                 raise
-            s = von_neumann_entropy(rho)
-            entropies.append(s)
-            entries |= {f"rho_{side}": rho, f"entropy_{side}": s, f"purity_{side}": purity(rho)}
-        mixed = bool(entropies) and all(s > MIXED_THRESHOLD_BITS for s in entropies)
+            entries[f"rho_{side}"] = rho
+        mixed = all(rho.entropy > MIXED_THRESHOLD_BITS for rho in entries.values())
         reports.append(
             BipartitionReport(
                 label=plan.label,

@@ -36,10 +36,10 @@ from .comparator import (
     SlotTrace,
     distinguishable_trace_iterate,  # noqa: F401 - perfbench/tracer.py wraps this name
 )
-from .entanglement import EntanglementReport, TracePlan, analyze, spectrum
+from .entanglement import BipartitionReport, EntanglementReport, TracePlan, analyze, spectrum
 from .errors import NullStateError, ScenarioError, SimulationError
 from .hilbert import CanonicalBasis, Frozen, Ket, Spin
-from .reduction import MeasurementBasis
+from .reduction import DensityMatrix, MeasurementBasis
 from .states import ElementaryState, ParticleState, Statistics, normalize
 
 QUANTITIES = (
@@ -159,14 +159,11 @@ class ScenarioReport(Frozen):
         for b in self.report.bipartitions:
             entry: dict = {"label": b.label, "bipartition": b.bipartition,
                            "mixed": b.mixed}
-            for side in ("two", "one"):
-                rho = getattr(b, f"rho_{side}")
-                if rho is None:
-                    continue
+            for side, rho in _remainders(b):
                 entry[side] = {
                     "probability": _round_float(rho.prob),
-                    "entropy_bits": _round_float(getattr(b, f"entropy_{side}")),
-                    "purity": _round_float(getattr(b, f"purity_{side}")),
+                    "entropy_bits": _round_float(rho.entropy),
+                    "purity": _round_float(rho.purity),
                     "eigenvalues": [_round_float(v) for v in spectrum(rho)],
                     "basis": list(rho.basis.labels),
                     "matrix": [
@@ -212,22 +209,12 @@ class ScenarioReport(Frozen):
             lines.append("")
             kind = "" if b.bipartition else "  (not a bipartition)"
             lines.append(f"plan {b.label}{kind}")
-            for side, word in (("two", "two-particle"), ("one", "one-particle")):
-                rho = getattr(b, f"rho_{side}")
-                if rho is None:
-                    continue
-                s = getattr(b, f"entropy_{side}")
-                p = getattr(b, f"purity_{side}")
+            for side, rho in _remainders(b):
                 lines.append(
-                    f"  {word} side: probability {_fmt(rho.prob)}, "
-                    f"entropy {_fmt(s)} bits, purity {_fmt(p)}"
+                    f"  {side}-particle side: probability {_fmt(rho.prob)}, "
+                    f"entropy {_fmt(rho.entropy)} bits, purity {_fmt(rho.purity)}"
                 )
-                ev = spectrum(rho)
-                main = [v for v in ev if v > 5e-13]
-                tail = len(ev) - len(main)
-                shown = " ".join(_fmt(v) for v in main) or "0"
-                suffix = f"  (+{tail} zeros)" if tail else ""
-                lines.append(f"    eigenvalues: {shown}{suffix}")
+                lines.append(f"    eigenvalues: {_fmt_values(spectrum(rho), '  ')}")
         if self.checks:
             lines.append("")
             lines.append("checks")
@@ -244,6 +231,12 @@ class ScenarioReport(Frozen):
                     + (f"  {c.note}" if c.note else "")
                 )
         return "\n".join(lines)
+
+
+def _remainders(b: BipartitionReport) -> list[tuple[str, DensityMatrix]]:
+    """The traced sides of ``b`` with their remainders, "two" first."""
+    sides = (("two", b.rho_two), ("one", b.rho_one))
+    return [(side, rho) for side, rho in sides if rho is not None]
 
 
 # --- number formatting -------------------------------------------------------
@@ -279,12 +272,16 @@ def _fmt_actual(v) -> str:
     if v is None:
         return "n/a"
     if isinstance(v, (tuple, list, np.ndarray)):
-        vals = [float(x) for x in v]
-        main = [x for x in vals if abs(x) > 5e-13]
-        tail = len(vals) - len(main)
-        body = " ".join(_fmt(x) for x in main) or "0"
-        return body + (f" (+{tail} zeros)" if tail else "")
+        return _fmt_values(v, " ")
     return _fmt(float(v))
+
+
+def _fmt_values(values, sep: str) -> str:
+    """The values above 5e-13 in size ("0" if none is), then ``(+N zeros)``
+    after ``sep`` for the N others."""
+    shown = [_fmt(x) for x in values if abs(x) > 5e-13]
+    tail = len(values) - len(shown)
+    return (" ".join(shown) or "0") + (f"{sep}(+{tail} zeros)" if tail else "")
 
 
 # --- running ----------------------------------------------------------------
@@ -312,20 +309,17 @@ def _evaluate(
         b = report[e.label]
     except KeyError:
         return ExpectationResult(e, tol, None, False, note="no such plan")
-    if e.quantity in ("entropy_one", "entropy_two", "purity_one", "purity_two"):
-        actual = getattr(b, e.quantity)
-        if actual is None:
-            return ExpectationResult(e, tol, None, False, note="side not traced")
-        return ExpectationResult(e, tol, actual, abs(actual - e.value) <= tol)
-    rho = getattr(b, f"rho_{e.stage}")
+    # the remainder: named by the quantity's suffix (entropy_one), else by its stage
+    quantity, _, side = e.quantity.partition("_")
+    rho = getattr(b, f"rho_{side or e.stage}")
     if rho is None:
         return ExpectationResult(e, tol, None, False, note="side not traced")
-    if e.quantity == "probability":
-        return ExpectationResult(e, tol, rho.prob, abs(rho.prob - e.value) <= tol)
-    # eigenvalues, padded with zeros to a common length
-    ev = tuple(spectrum(rho).tolist())
-    close = all(abs(h - w) <= tol for h, w in zip_longest(ev, e.value, fillvalue=0.0))
-    return ExpectationResult(e, tol, ev, close)
+    if quantity == "eigenvalues":  # padded with zeros to a common length
+        ev = tuple(spectrum(rho).tolist())
+        close = all(abs(h - w) <= tol for h, w in zip_longest(ev, e.value, fillvalue=0.0))
+        return ExpectationResult(e, tol, ev, close)
+    actual = getattr(rho, "prob" if quantity == "probability" else quantity)
+    return ExpectationResult(e, tol, actual, abs(actual - e.value) <= tol)
 
 
 # --- builtin scenarios -------------------------------------------------------

@@ -126,10 +126,9 @@ def test_criterion_2_separated_state_is_pure_under_every_cut():
     worst_purity = 0.0
     worst_entropy = 0.0
     for b in report.bipartitions:
-        for side in ("one", "two"):
-            worst_purity = max(worst_purity,
-                               abs(getattr(b, f"purity_{side}") - 1.0))
-            worst_entropy = max(worst_entropy, getattr(b, f"entropy_{side}"))
+        for rho in (b.rho_one, b.rho_two):
+            worst_purity = max(worst_purity, abs(rho.purity - 1.0))
+            worst_entropy = max(worst_entropy, rho.entropy)
     ok = (
         worst_purity <= 1e-10
         and worst_entropy <= 1e-9
@@ -181,8 +180,8 @@ def test_criterion_4_ghz_superposition_is_maximally_mixed_per_cut():
     report = analyze(phi, _three_cuts(space))
     worst = 0.0
     for b in report.bipartitions:
-        for side in ("one", "two"):
-            worst = max(worst, abs(getattr(b, f"entropy_{side}") - 1.0))
+        for rho in (b.rho_one, b.rho_two):
+            worst = max(worst, abs(rho.entropy - 1.0))
     ok = worst <= 1e-9 and report.genuine_multipartite is True
     _line(
         4,

@@ -226,6 +226,29 @@ def test_machine_output_is_byte_identical_to_the_recorded_digests(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
 
 
+# SHA-256 of the table `idqsim run <name>` prints, recorded at commit 41f7962;
+# the same by name and by `--file` on the builtin's scenario file.
+TABLE_OUTPUT_SHA256 = {
+    "separated": "491c35be7ffe013a980a11253b895552956c2ba925f7002365626d92e64e05f8",
+    "induced": "fd23c993507833efe641b2f044f45c78a4a1f0d6b553a82d9e2a7d9168021183",
+    "ghz": "861382b4486a4b277525ed9a699f4de0ba023f70a495c63413631c534d88b6fc",
+    "overlap": "fe1ab4e37afb5ac122c331437f3d1c8c3b4822bdafd7d737c428ef1adf15340f",
+    "distinguishable":
+        "591f742cd0f24882350761eec9a28927ca491ca43085f269ba01bb15c741dd9b",
+    "distinguishable-overlapped":
+        "2a0abdb6e5c58736b2931a4a69b869abee037e3bede7b60a191207c403523b89",
+}
+
+
+def test_table_output_is_byte_identical_to_the_recorded_digests(capsys):
+    assert set(TABLE_OUTPUT_SHA256) == set(builtin_names())
+    for name, digest in TABLE_OUTPUT_SHA256.items():
+        for source in ([name], ["--file", str(BUILTINS / f"{name}.json")]):
+            assert main(["run", *source]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, source
+
+
 def test_verify_reports_every_property(capsys):
     assert main(["verify"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -337,6 +337,36 @@ def test_generated_reductions_agree_with_their_dense_square_and_the_oracle(
     assert abs(rho.prob - ref.prob) < 1e-12
 
 
+def test_the_oracle_refuses_states_that_inner_refuses():
+    """Another frame, statistics or particle number: the oracle raises what
+    ``inner`` raises rather than compare coordinates over different modes."""
+    other = CanonicalBasis(("X", "Y", "Z"))
+
+    def pair(space, stats=Statistics.BOSON, n=2):
+        kets = (space.ket(space.mode_names[0], Spin.UP), space.ket(space.mode_names[1], Spin.DOWN))
+        return elementary(stats, kets[:n])
+
+    for bra, ket, message in (
+        (pair(SPACE), pair(other), "states live in different bases"),
+        (pair(SPACE), pair(SPACE, Statistics.FERMION), "statistics differ"),
+        (pair(SPACE), pair(SPACE, n=1), "particle numbers differ"),
+    ):
+        for product in (inner, oracle_inner):
+            with pytest.raises(IncompatibleStatesError, match=message):
+                product(bra, ket)
+
+
+def test_the_oracle_refuses_a_stage_from_another_frame():
+    """A stage over other modes is refused by the oracle as by the walk."""
+    phi = elementary(Statistics.BOSON, (SPACE.ket("A", Spin.UP), SPACE.ket("B", Spin.DOWN)))
+    here = MeasurementBasis.localized(SPACE, "A")
+    foreign = MeasurementBasis.localized(CanonicalBasis(("A", "B", "D")), "A")
+    for stages in ((foreign,), (here, foreign)):
+        for route in (partial_trace_iterate, oracle_trace_iterate):
+            with pytest.raises(IncompatibleStatesError, match="measurement ket and state bases"):
+                route(phi, stages)
+
+
 def test_oracle_respects_its_scale_cap():
     big = CanonicalBasis(("A", "B", "C", "D", "E"))  # dim 10 > cap
     s = elementary(Statistics.BOSON, (big.ket("A", Spin.UP),) * 2)
@@ -566,6 +596,25 @@ def test_labeled_states_compare_by_the_values_of_their_kets():
     assert coeffs.dtype == amps.dtype == np.complex128
     assert not coeffs.flags.writeable and not amps.flags.writeable
     assert a.terms == ((1.0, (SPACE.ket("A", Spin.DOWN), SPACE.ket("B", Spin.UP))),)
+
+
+def test_labeled_states_compare_and_hash_without_building_kets(monkeypatch):
+    """``==`` and ``hash`` read the stack and build no ``Ket``, for a
+    product state and a two-term state alike."""
+    down, up = (SPACE.ket(m, s) for m, s in (("A", Spin.DOWN), ("B", Spin.UP)))
+    r = 1 / math.sqrt(2)
+    a, b = product_state((down, up)), product_state((down, up))
+    c = LabeledState(((r, (down, up)), (r, (up, down))))
+    built = []
+    original = Ket.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(Ket, "__init__", counting)
+    assert a == b and hash(a) == hash(b) and a != c and len({a, b, c}) == 2
+    assert not built
 
 
 def test_labeled_trace_refuses_a_state_whose_norm_overflows_to_nan():

@@ -81,9 +81,9 @@ def test_analyze_runs_every_plan_and_aggregates_the_flag():
     plan = TracePlan("(AA)-A", one_stages=(loc_a, loc_a), two_stages=(loc_a,))
     report = analyze(overlap_state(), (plan,))
     b = report["(AA)-A"]
-    assert np.isclose(b.entropy_one, OVERLAP_ENTROPY)
-    assert np.isclose(b.entropy_two, OVERLAP_ENTROPY)
-    assert np.isclose(b.purity_one, 5.0 / 9.0)
+    assert np.isclose(b.rho_one.entropy, OVERLAP_ENTROPY)
+    assert np.isclose(b.rho_two.entropy, OVERLAP_ENTROPY)
+    assert np.isclose(b.rho_one.purity, 5.0 / 9.0)
     assert b.mixed
     assert report.genuine_multipartite is True
 
@@ -102,7 +102,7 @@ def test_pure_cuts_unset_the_flag():
     report = analyze(sep, plans)
     assert all(not b.mixed for b in report.bipartitions)
     assert report.genuine_multipartite is False
-    assert all(b.entropy_one is None for b in report.bipartitions)
+    assert all(b.rho_one is None for b in report.bipartitions)
 
 
 def test_non_bipartition_plans_do_not_vote():
@@ -126,8 +126,8 @@ def test_ghz_is_genuinely_multipartite():
     report = analyze(ghz, plans)
     assert report.genuine_multipartite is True
     for b in report.bipartitions:
-        assert np.isclose(b.entropy_two, 1.0)
-        assert np.isclose(b.purity_two, 0.5)
+        assert np.isclose(b.rho_two.entropy, 1.0)
+        assert np.isclose(b.rho_two.purity, 0.5)
 
 
 def test_plan_labels_must_be_distinct():

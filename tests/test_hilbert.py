@@ -236,8 +236,7 @@ FROZEN_TYPES = [
     ),
     pytest.param(
         lambda: BipartitionReport(label="p", mixed=False),
-        {"entropy_one": None, "entropy_two": None, "purity_one": None, "purity_two": None,
-         "rho_one": None, "rho_two": None, "bipartition": True},
+        {"rho_one": None, "rho_two": None, "bipartition": True},
         True, id="BipartitionReport",
     ),
     pytest.param(
