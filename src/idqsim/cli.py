@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -63,44 +64,54 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _cmd_list(args) -> int:
-    for name in builtin_names():
-        print(f"{name:<28} {get_builtin(name).title}")
-    return EXIT_OK
+def _cmd_list(args) -> tuple[int, str]:
+    return EXIT_OK, "".join(f"{name:<28} {get_builtin(name).title}\n" for name in builtin_names())
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[int, str]:
     if (args.name is None) == (args.file is None):
         print("error: give exactly one of a scenario name or --file", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_INPUT, ""
     if args.tolerance is not None and not 0 < args.tolerance < math.inf:
         print("error: --tolerance must be a positive finite number", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_INPUT, ""
     if args.file is not None:
         report = run_file(args.file, args.tolerance)
     else:
         report = run_spec(get_builtin(args.name), args.tolerance)
-    if args.format == "machine":
-        print(report.to_json())
-    else:
-        print(report.to_table())
-    return EXIT_OK if report.passed else EXIT_FAILED
+    text = report.to_json() if args.format == "machine" else report.to_table()
+    return (EXIT_OK if report.passed else EXIT_FAILED), text + "\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     results = run_all(args.seed)
-    for r in results:
-        mark = "pass" if r.passed else "FAIL"
-        print(f"[{mark}] {r.name}: {r.detail}")
     good = sum(r.passed for r in results)
-    print(f"verified {good}/{len(results)} properties (seed {args.seed})")
-    return EXIT_OK if good == len(results) else EXIT_FAILED
+    lines = [f"[{'pass' if r.passed else 'FAIL'}] {r.name}: {r.detail}\n" for r in results]
+    lines.append(f"verified {good}/{len(results)} properties (seed {args.seed})\n")
+    return (EXIT_OK if good == len(results) else EXIT_FAILED), "".join(lines)
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to stdout. A reader that closed the pipe early (as
+    ``| head`` does) wants no more of it: the rest is dropped without a
+    word, and stdout is pointed at the null device, so the interpreter's
+    final flush has nothing left to fail on."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code. A command computes its
+    verdict and its whole output before anything is written, so a closed
+    output pipe cannot change the verdict."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
     except NotPSDError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -110,6 +121,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ArithmeticError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    _write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -128,8 +128,9 @@ def checked_amplitudes(basis: CanonicalBasis, amps, ndim: int = 1) -> np.ndarray
     """``amps`` as a read-only C-contiguous complex copy, checked as one ket
     is checked: ``ndim - 1`` leading axes, then amplitude vectors of
     ``basis.dim`` entries (else BasisMismatchError), all of them finite
-    (else ValueError). ``Ket`` checks its vector with ``ndim=1``; the
-    ``from_arrays`` constructors check a whole stack of kets at once."""
+    (else ValueError). ``Ket`` checks its vector with ``ndim=1``;
+    ``MeasurementBasis`` and ``ParticleState.from_arrays`` check a whole
+    stack of kets at once."""
     amps = np.array(amps, dtype=complex, order="C")
     vector = amps.shape[ndim - 1 :]
     if vector != (basis.dim,):

@@ -21,8 +21,8 @@ or determinant of its Gram matrix, so the coordinate map is an isometry.
 Each sector is enumerated once, by ``_entries``, into one cached read-only
 ``(size, sector)`` integer array whose rows are the ascending entries of the
 occupations in lexicographic order. Everything else reads that array: the
-ladder tables, ``OccupationBasis`` (its size, lookups and norm factors) and
-the comparator's isometry; index tuples are made only where labels are read.
+ladder tables, ``OccupationBasis`` (its size, labels and lookups) and the
+comparator's isometry; index tuples are made only where labels are read.
 
 Ladder tables: for each sector ``n``, ``U[r, j]`` is the index of occupation
 ``r`` of sector ``n-1`` with entry ``j`` added, and
@@ -101,7 +101,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    BasisMismatchError,
     IncompatibleStatesError,
     NotPSDError,
     ZeroProbabilityError,
@@ -125,56 +124,33 @@ MOMENT_TOL = 1e-9
 
 
 class MeasurementBasis(Frozen):
-    """An orthonormal set of single-particle kets to trace onto.
+    """An orthonormal set of single-particle kets to trace onto, given as
+    the rows of one ``(K, dim)`` amplitude stack over ``space``.
 
-    Kept as one ``(K, dim)`` amplitude stack ``amps``, read-only and
-    C-contiguous, which the lowerings and stage keys read. The constructor
-    takes kets and stacks them once, to check them; ``from_arrays`` takes
-    the stack itself and builds ``kets``, through the ``Ket`` constructor,
-    only when something reads them. Both run the same checks: at least one
-    ket, no more kets than ``dim``, and orthonormality within
-    ``ORTHONORMALITY_TOL`` (``orthonormality_defect`` on the stack).
+    ``amps`` is kept as a read-only C-contiguous complex copy, which the
+    lowerings and stage keys read; ``kets`` is built from it, through the
+    ``Ket`` constructor, only when something reads it. The constructor
+    refuses an empty stack, through ``checked_amplitudes`` what ``Ket``
+    refuses in a row, more rows than ``dim``, and a stack that is not
+    orthonormal within ``ORTHONORMALITY_TOL`` (``orthonormality_defect``).
     Bases compare and hash by one value key, ``_key``, made on first use:
     their frame's mode names and the bytes of their stack with signed zeros
     merged. ``==``, ``hash``, ``repr`` and ``entanglement``'s stage keys
-    read the stack, so none of them builds the kets of a ``from_arrays``
-    basis.
+    read the stack, so none of them builds the kets.
     """
 
-    def __init__(self, kets: Sequence[Ket]):
-        kets = tuple(kets)
-        if not kets:
-            raise ValueError("measurement basis needs at least one ket")
-        space = kets[0].basis
-        for k in kets:
-            if k.basis != space:
-                raise BasisMismatchError("measurement kets live in different bases")
-        self._set("kets", kets)
-        self._set_stack(space, np.array([k.amps for k in kets]))
-
-    @classmethod
-    def from_arrays(cls, space: CanonicalBasis, amps) -> "MeasurementBasis":
-        """The basis whose kets over ``space`` are the rows of ``amps``,
-        copied C-contiguous and read-only. Refuses what the constructor
-        refuses, with its exception types and messages, and, through
-        ``checked_amplitudes``, what ``Ket`` refuses in a row."""
+    def __init__(self, space: CanonicalBasis, amps):
         if np.shape(amps)[:1] == (0,):
             raise ValueError("measurement basis needs at least one ket")
         amps = checked_amplitudes(space, amps, ndim=2)
-        basis = cls.__new__(cls)
-        basis._set_stack(space, amps)
-        return basis
-
-    def _set_stack(self, space: CanonicalBasis, amps: np.ndarray) -> None:
-        """Check the stack (size and orthonormality), then keep it."""
         if len(amps) > space.dim:
             raise ValueError("more kets than the space dimension")
-        defect, (i, j) = orthonormality_defect(amps)
-        if defect > ORTHONORMALITY_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # huge amplitudes overflow
+            defect, (i, j) = orthonormality_defect(amps)
+        if not defect <= ORTHONORMALITY_TOL:  # NaN fails too
             what = (f"ket {i} is not normalized" if i == j
                     else f"kets {i} and {j} are not orthonormal")
             raise ValueError(f"measurement {what} (deviation {defect:.3g})")
-        amps.flags.writeable = False
         self._set("space", space)
         self._set("amps", amps)
 
@@ -188,12 +164,9 @@ class MeasurementBasis(Frozen):
     def _values(self) -> tuple:
         return self._key
 
-    def __repr__(self) -> str:
-        return f"MeasurementBasis(space={self.space!r}, amps={self.amps!r})"
-
     @cached_property
     def kets(self) -> tuple[Ket, ...]:
-        """The kets of a basis built ``from_arrays``, on their first read."""
+        """The rows of ``amps`` as kets, on their first read."""
         return tuple(Ket(self.space, a) for a in self.amps)
 
     @cached_property
@@ -215,12 +188,12 @@ class MeasurementBasis(Frozen):
     def localized(cls, space: CanonicalBasis, mode: str) -> "MeasurementBasis":
         """Both spin kets of one spatial mode: the two rows of the identity
         at its up and down entries."""
-        return cls.from_arrays(space, np.eye(2, space.dim, space.index_of(mode, Spin.UP)))
+        return cls(space, np.eye(2, space.dim, space.index_of(mode, Spin.UP)))
 
     @classmethod
     def full(cls, space: CanonicalBasis) -> "MeasurementBasis":
         """The complete canonical basis: the rows of the identity."""
-        return cls.from_arrays(space, np.eye(space.dim))
+        return cls(space, np.eye(space.dim))
 
 
 @lru_cache(maxsize=None)
@@ -304,8 +277,8 @@ class OccupationBasis:
 
     ``entries`` holds the occupations as ``_entries`` enumerates them: one
     ascending row of canonical single-particle indices per basis state, rows
-    in lexicographic order; fermions exclude repeats. Sizes, labels, lookups
-    and norm factors are all read off that one array.
+    in lexicographic order; fermions exclude repeats. Sizes, labels and
+    lookups are all read off that one array.
     """
 
     def __init__(self, space: CanonicalBasis, sector: int, statistics: Statistics):
@@ -323,18 +296,6 @@ class OccupationBasis:
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    @cached_property
-    def norm_factors(self) -> np.ndarray:
-        """sqrt(prod_j n_j!) per entry: the squared norm of the canonical
-        elementary state with these entries is its square. Each position of
-        a row contributes its 1-based place within its run of equal entries;
-        the product is taken in exact Python integers."""
-        pos = np.arange(self.sector)
-        starts = np.where(np.diff(self.entries, axis=1, prepend=-1) != 0, pos, 0)
-        run = pos + 1 - np.maximum.accumulate(starts, axis=1)
-        exact = run.prod(axis=1, dtype=object)
-        return np.sqrt(exact.astype(float))
 
     @property
     def labels(self) -> tuple[str, ...]:

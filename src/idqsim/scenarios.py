@@ -339,8 +339,8 @@ def delocalized_pair(space: CanonicalBasis, left: str, right: str) -> Measuremen
             f"not {left!r} and {right!r}"
         )
     r = 1.0 / math.sqrt(2.0)
-    mk = lambda s: space.superposition([(left, s, r), (right, s, r)])
-    return MeasurementBasis((mk(Spin.DOWN), mk(Spin.UP)))
+    mk = lambda s: space.superposition([(left, s, r), (right, s, r)]).amps
+    return MeasurementBasis(space, (mk(Spin.DOWN), mk(Spin.UP)))
 
 
 _BUILTIN_DIR = Path(__file__).with_name("builtins")
@@ -578,9 +578,9 @@ def _parse_basis(v, space: CanonicalBasis, where: str, bases: dict) -> Measureme
     one basis and one ``_support``."""
     if not isinstance(v, list) or not v:
         raise ScenarioError(f"{where}: expected a nonempty list of kets")
-    kets = tuple(_parse_ket(k, space, f"{where}[{j}]") for j, k in enumerate(v))
+    rows = [_parse_ket(k, space, f"{where}[{j}]").amps for j, k in enumerate(v)]
     try:
-        basis = MeasurementBasis(kets)
+        basis = MeasurementBasis(space, rows)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
     return bases.setdefault(basis, basis)

@@ -12,8 +12,8 @@ block per random state (``random_state``), normalized row by row in one
 pass, with the state's norm read off the arrays by ``states.overlaps``. The
 numbers, and the generator's state afterwards, are those of drawing one ket
 at a time. States and bases are built from those arrays in one step
-(``ParticleState.from_arrays``, ``MeasurementBasis.from_arrays``), which
-checks the whole stack once; their terms and kets are made only if read.
+(``ParticleState.from_arrays``, ``MeasurementBasis``), which checks the
+whole stack once; their terms and kets are made only if read.
 """
 
 from __future__ import annotations
@@ -142,14 +142,14 @@ def random_measurement_basis(
     rng: np.random.Generator, space: CanonicalBasis, size: Optional[int] = None
 ) -> MeasurementBasis:
     """Orthonormal measurement set from a Haar-ish unitary: its first
-    ``size`` columns, all of them if ``size`` is None, as the rows of one
-    ``MeasurementBasis.from_arrays`` stack. A ``size`` outside ``1..dim``
-    raises ValueError before any draw."""
+    ``size`` columns, all of them if ``size`` is None, as the rows of its
+    ``MeasurementBasis`` stack. A ``size`` outside ``1..dim`` raises
+    ValueError before any draw."""
     if size is not None and not 1 <= size <= space.dim:
         raise ValueError(f"size must be between 1 and {space.dim}, got {size}")
     u = random_unitary(rng, space.dim)
     k = space.dim if size is None else size
-    return MeasurementBasis.from_arrays(space, u[:, :k].T)
+    return MeasurementBasis(space, u[:, :k].T)
 
 
 def random_product_labeled(
@@ -364,8 +364,8 @@ def _prop_probability_additivity(rng) -> str:
             phi = random_state(rng, space, int(rng.integers(1, 4)), stats)
             mb = random_measurement_basis(rng, space)
             cut = int(rng.integers(1, space.dim))
-            left = MeasurementBasis(mb.kets[:cut])
-            right = MeasurementBasis(mb.kets[cut:])
+            left = MeasurementBasis(space, mb.amps[:cut])
+            right = MeasurementBasis(space, mb.amps[cut:])
             split = probability_of(phi, left) + probability_of(phi, right)
             worst = max(worst, abs(split - probability_of(phi, mb)))
     _ensure(worst < 1e-10, f"additivity violated by {worst:.3g}")
@@ -381,9 +381,7 @@ def _prop_trace_unitary_invariance(rng) -> str:
             base = random_measurement_basis(rng, space)
             u = random_unitary(rng, space.dim)
             # ket i is sum_j u[j, i] base_j, summed over j in order
-            remixed = MeasurementBasis.from_arrays(
-                space, (u[:, :, None] * base.amps[:, None]).sum(axis=0)
-            )
+            remixed = MeasurementBasis(space, (u[:, :, None] * base.amps[:, None]).sum(axis=0))
             r1 = partial_trace_one(phi, base)
             r2 = partial_trace_one(phi, remixed)
             worst = max(worst, float(np.abs(r1.mat - r2.mat).max()))

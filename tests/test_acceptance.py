@@ -308,8 +308,8 @@ def test_criterion_8_probabilities_are_a_measure():
             total = probability_of(phi, full)
             worst_total = max(worst_total, abs(total - 1.0))
             cut = int(rng.integers(1, space.dim))
-            part_a = MeasurementBasis(full.kets[:cut])
-            part_b = MeasurementBasis(full.kets[cut:])
+            part_a = MeasurementBasis(space, full.amps[:cut])
+            part_b = MeasurementBasis(space, full.amps[cut:])
             p_union = probability_of(phi, full)
             p_split = probability_of(phi, part_a) + probability_of(phi, part_b)
             worst_add = max(worst_add, abs(p_union - p_split))

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ import idqsim.cli as cli
 from idqsim import NotPSDError, builtin_names
 from idqsim.cli import EXIT_FAILED, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 
-BUILTINS = Path(__file__).resolve().parents[1] / "src" / "idqsim" / "builtins"
+SRC = Path(__file__).resolve().parents[1] / "src"
+BUILTINS = SRC / "idqsim" / "builtins"
 
 
 def test_list_names_every_builtin(capsys):
@@ -62,8 +66,9 @@ def test_machine_output_is_json_and_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_failed_expectation_exits_one(tmp_path, capsys):
-    payload = {
+def wrong_number_payload():
+    """A scenario whose one expectation fails: its verdict is exit 1."""
+    return {
         "name": "wrong-number",
         "kind": "identical",
         "statistics": "boson",
@@ -83,8 +88,11 @@ def test_failed_expectation_exits_one(tmp_path, capsys):
              "tolerance": 1e-10}
         ],
     }
+
+
+def test_failed_expectation_exits_one(tmp_path, capsys):
     path = tmp_path / "wrong.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(wrong_number_payload()))
     assert main(["run", "--file", str(path)]) == EXIT_FAILED
     out = capsys.readouterr().out
     assert "status: FAIL" in out
@@ -247,6 +255,42 @@ def test_table_output_is_byte_identical_to_the_recorded_digests(capsys):
             assert main(["run", *source]) == EXIT_OK
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, source
+
+
+@pytest.mark.parametrize(
+    "args, verdict",
+    [
+        (["list"], EXIT_OK),
+        (["run", "separated"], EXIT_OK),
+        (["run", "ghz", "--format", "machine"], EXIT_OK),
+        (["run", "--file", "WRONG"], EXIT_FAILED),
+        (["verify", "--seed", "0"], EXIT_OK),
+    ],
+    ids=["list", "run table", "run machine", "run failing", "verify"],
+)
+def test_a_closed_output_pipe_keeps_the_verdict_and_prints_nothing(tmp_path, args, verdict):
+    """As ``idqsim ... | head -n 1`` when head has already exited: stdout is
+    a pipe whose reader is gone before the command writes. No traceback, no
+    "Exception ignored" line from the final flush, and the command's own
+    exit code."""
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(json.dumps(wrong_number_payload()))
+    args = [str(wrong) if a == "WRONG" else a for a in args]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the child's first write meets a closed pipe
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "idqsim.cli", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == verdict
 
 
 def test_verify_reports_every_property(capsys):

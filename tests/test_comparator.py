@@ -47,6 +47,8 @@ from idqsim.verification import (
     random_state,
 )
 
+from test_reduction import loop_norm_factors
+
 SPACE = CanonicalBasis(("A", "B", "C"))
 
 
@@ -99,10 +101,11 @@ def kron_symmetrize(term, statistics):
 
 def kron_isometry(occ):
     kets = MeasurementBasis.full(SPACE).kets
+    entries = occ.entries.tolist()
     cols = [
         kron_symmetrize(ElementaryState(1.0, tuple(kets[j] for j in entry)), occ.statistics)
-        / (math.sqrt(math.factorial(occ.sector)) * occ.norm_factors[i])
-        for i, entry in enumerate(occ.entries.tolist())
+        / (math.sqrt(math.factorial(occ.sector)) * norm)
+        for entry, norm in zip(entries, loop_norm_factors(entries))
     ]
     return np.column_stack(cols)
 

@@ -9,7 +9,6 @@ import idqsim.comparator
 import idqsim.reduction
 from idqsim import (
     CanonicalBasis,
-    Ket,
     LabeledState,
     MeasurementBasis,
     NotPSDError,
@@ -200,7 +199,7 @@ def first_side_error(state, plans):
 
 def copied(basis):
     """A basis equal in value to ``basis`` that shares no object with it."""
-    return MeasurementBasis(tuple(Ket(k.basis, k.amps.copy()) for k in basis.kets))
+    return MeasurementBasis(basis.space, basis.amps.copy())
 
 
 def counted(monkeypatch, owner, name):
@@ -306,8 +305,8 @@ def test_bases_differing_only_in_signed_zeros_share_one_lowering(monkeypatch):
     lowerings = counted(monkeypatch, idqsim.reduction.OccupationBasis, "lower")
     eye = np.eye(SPACE.dim, dtype=complex)[:2]
     signed = np.where(eye == 0, complex(-0.0, -0.0), eye)
-    plus = MeasurementBasis.from_arrays(SPACE, eye)
-    minus = MeasurementBasis.from_arrays(SPACE, signed)
+    plus = MeasurementBasis(SPACE, eye)
+    minus = MeasurementBasis(SPACE, signed)
     assert plus.amps.tobytes() != minus.amps.tobytes()
     assert plus == minus
     plans = [

@@ -622,13 +622,19 @@ def test_bad_files_fail_with_field_paths(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "where, value",
+    "where, value, error",
     [
-        (("state", 0, "coeff"), [1e300, 1e300]),  # the squared norm overflows
-        (("state", 0, "kets", 0), [["A", "down", 1e308, 0], ["A", "down", 1e308, 0]]),
+        # the squared norm overflows
+        (("state", 0, "coeff"), [1e300, 1e300], "error: scenario.state"),
+        (("state", 0, "kets", 0), [["A", "down", 1e308, 0], ["A", "down", 1e308, 0]],
+         "error: scenario.state"),
+        # a stage ket: the Gram matrix of the basis overflows
+        (("plans", 0, "two", 0, 0), [["B", "down", 1e200, 0], ["C", "down", 1e200, 0]],
+         "error: scenario.plans[0].two[0]: measurement ket 0 is not normalized"),
     ],
+    ids=["state coefficient", "state ket", "stage ket"],
 )
-def test_huge_amplitudes_print_only_the_error_line(tmp_path, where, value):
+def test_huge_amplitudes_print_only_the_error_line(tmp_path, where, value, error):
     # in a fresh process: pytest would swallow numpy's RuntimeWarnings
     payload = induced_file_payload()
     target = payload
@@ -645,7 +651,7 @@ def test_huge_amplitudes_print_only_the_error_line(tmp_path, where, value):
         timeout=60,
     )
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: scenario.state")
+    assert proc.stderr.startswith(error)
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 

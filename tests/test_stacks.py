@@ -1,6 +1,7 @@
-"""States and measurement bases built from amplitude stacks (``from_arrays``)
-against the same objects built ket by ket: equal bit for bit, refused alike,
-and no ``Ket`` made unless one is read."""
+"""States and measurement bases built from amplitude stacks
+(``ParticleState.from_arrays``, ``MeasurementBasis``) against the same
+objects built ket by ket: equal bit for bit, refused alike or with the
+stated errors, and no ``Ket`` made unless one is read."""
 
 import math
 
@@ -46,7 +47,8 @@ def per_object_state(statistics, space, coeffs, amps):
 
 
 def per_object_basis(space, amps):
-    return MeasurementBasis(tuple(Ket(space, a) for a in amps))
+    """The basis of checked kets' rows, as the scenario parser builds it."""
+    return MeasurementBasis(space, [Ket(space, a).amps for a in amps])
 
 
 def bits(x) -> bytes:
@@ -147,8 +149,8 @@ BASIS_CASES = _basis_cases()
 
 
 @pytest.mark.parametrize("name, amps", BASIS_CASES, ids=[c[0] for c in BASIS_CASES])
-def test_bases_from_arrays_equal_the_per_object_bases_bit_for_bit(name, amps):
-    ours = MeasurementBasis.from_arrays(SPACE, amps)
+def test_bases_from_a_stack_equal_the_bases_from_ket_rows_bit_for_bit(name, amps):
+    ours = MeasurementBasis(SPACE, amps)
     theirs = per_object_basis(SPACE, amps)
     assert ours.space == theirs.space == SPACE
     assert ours.amps.flags.c_contiguous and not ours.amps.flags.writeable
@@ -245,40 +247,42 @@ def test_term_lists_are_refused_alike_by_both_particle_kinds(name, terms):
 
 
 def _bad_basis_stacks():
+    """``(name, stack, exception type, message)``: each stack and the
+    refusal it must meet, word for word."""
     u = random_unitary(np.random.default_rng(24), SPACE.dim)
     rows = u.T.copy()
     cases = []
     for bad in (np.nan, np.inf, complex(np.nan, 1.0)):
         a = rows[:3].copy()
         a[2, 0] = bad
-        cases.append((f"amplitude {bad}", a))
-    cases.append(("a dimension too large", np.eye(SPACE.dim + 2)[:3]))
-    cases.append(("a dimension too small", rows[:2, :-1]))
-    cases.append(("no rows", rows[:0]))
-    cases.append(("an empty list", []))
-    cases.append(("more rows than dim", np.vstack([rows, rows[:1]])))
+        cases.append((f"amplitude {bad}", a, ValueError, "amplitudes must be finite"))
+    cases.append(("a dimension too large", np.eye(SPACE.dim + 2)[:3],
+                  BasisMismatchError, "amplitude vector has shape (8,), basis dim is 6"))
+    cases.append(("a dimension too small", rows[:2, :-1],
+                  BasisMismatchError, "amplitude vector has shape (5,), basis dim is 6"))
+    empty = (ValueError, "measurement basis needs at least one ket")
+    cases.append(("no rows", rows[:0], *empty))
+    cases.append(("an empty list", [], *empty))
+    cases.append(("more rows than dim", np.vstack([rows, rows[:1]]),
+                  ValueError, "more kets than the space dimension"))
     scaled = rows[:4].copy()
     scaled[2] *= 1.0 + 1e-6
-    cases.append(("an unnormalized row", scaled))
+    cases.append(("an unnormalized row", scaled,
+                  ValueError, "measurement ket 2 is not normalized (deviation 2e-06)"))
     leaning = rows[:4].copy()
     leaning[3] = (rows[3] + 1e-6 * rows[1]) / math.sqrt(1 + 1e-12)
-    cases.append(("a non-orthogonal pair", leaning))
+    cases.append(("a non-orthogonal pair", leaning,
+                  ValueError, "measurement kets 1 and 3 are not orthonormal (deviation 1e-06)"))
     return cases
 
 
 BAD_BASIS_STACKS = _bad_basis_stacks()
 
 
-@pytest.mark.parametrize("name, amps", BAD_BASIS_STACKS, ids=[c[0] for c in BAD_BASIS_STACKS])
-def test_basis_stacks_are_refused_as_the_per_object_path_refuses_them(name, amps):
-    got = refusal(lambda: MeasurementBasis.from_arrays(SPACE, amps))
-    assert got == refusal(lambda: per_object_basis(SPACE, amps))
-    if "dimension" in name:
-        assert got[0] is BasisMismatchError
-    if name == "an unnormalized row":
-        assert got[1].startswith("measurement ket 2 is not normalized")
-    if name == "a non-orthogonal pair":
-        assert got[1].startswith("measurement kets 1 and 3 are not orthonormal")
+@pytest.mark.parametrize("name, amps, kind, message", BAD_BASIS_STACKS,
+                         ids=[c[0] for c in BAD_BASIS_STACKS])
+def test_basis_stacks_are_refused_with_the_stated_errors(name, amps, kind, message):
+    assert refusal(lambda: MeasurementBasis(SPACE, amps)) == (kind, message)
 
 
 def test_stacks_of_the_wrong_rank_are_refused():
@@ -291,13 +295,13 @@ def test_stacks_of_the_wrong_rank_are_refused():
     with pytest.raises(ValueError, match=r"coefficients \(1, 1\) do not fit"):
         ParticleState.from_arrays(B, SPACE, [[1.0]], np.zeros((1, 2, SPACE.dim)))
     with pytest.raises(BasisMismatchError, match=r"shape \(\)"):
-        MeasurementBasis.from_arrays(SPACE, np.eye(SPACE.dim)[0])
+        MeasurementBasis(SPACE, np.eye(SPACE.dim)[0])
 
 
 def test_from_arrays_keeps_a_copy_of_its_input():
     coeffs, amps = np.array([1.0 + 0j]), np.eye(SPACE.dim, dtype=complex)[None, :2]
     phi = ParticleState.from_arrays(B, SPACE, coeffs, amps)
-    mb = MeasurementBasis.from_arrays(SPACE, amps[0])
+    mb = MeasurementBasis(SPACE, amps[0])
     amps[0, 0, 0] = coeffs[0] = 5.0
     assert phi._stack[0][0] == 1.0 and phi.terms[0].kets[0].amps[0] == 1.0
     assert mb.amps[0, 0] == 1.0 and amps.flags.writeable
@@ -397,15 +401,15 @@ def test_bases_compare_and_hash_by_value(built_kets):
     signed = eye.copy()
     signed[eye == 0] = complex(-0.0, -0.0)
     built = len(built_kets)
-    ours = MeasurementBasis.from_arrays(SPACE, amps)
-    twin = MeasurementBasis.from_arrays(CanonicalBasis(("A", "B", "C")), amps.copy())
-    plus = MeasurementBasis.from_arrays(SPACE, eye)
-    minus = MeasurementBasis.from_arrays(SPACE, signed)
+    ours = MeasurementBasis(SPACE, amps)
+    twin = MeasurementBasis(CanonicalBasis(("A", "B", "C")), amps.copy())
+    plus = MeasurementBasis(SPACE, eye)
+    minus = MeasurementBasis(SPACE, signed)
     others = (  # unequal kets: another phase, order, subset or space
-        MeasurementBasis.from_arrays(SPACE, amps * 1j),
-        MeasurementBasis.from_arrays(SPACE, amps[::-1]),
-        MeasurementBasis.from_arrays(SPACE, amps[:2]),
-        MeasurementBasis.from_arrays(CanonicalBasis(("A", "B", "D")), amps),
+        MeasurementBasis(SPACE, amps * 1j),
+        MeasurementBasis(SPACE, amps[::-1]),
+        MeasurementBasis(SPACE, amps[:2]),
+        MeasurementBasis(CanonicalBasis(("A", "B", "D")), amps),
     )
     assert same(loc_a, loc_a2) and loc_a != loc_b
     assert same(ours, theirs) and same(ours, twin)
@@ -420,5 +424,10 @@ def test_bases_compare_and_hash_by_value(built_kets):
     text = repr(SlotTrace(1, ours))
     assert text.startswith("SlotTrace(slot=1, basis=MeasurementBasis(space=CanonicalBasis(")
     assert "amps=array(" in text and "|" not in text
+    # the whole text of a small basis: its fields, as Frozen prints them
+    assert repr(MeasurementBasis(CanonicalBasis(("A",)), [[1, 0], [0, 1j]])) == (
+        "MeasurementBasis(space=CanonicalBasis(modes=('A',)), amps=array([[1.+0.j, 0.+0.j],\n"
+        "       [0.+0.j, 0.+1.j]]))"
+    )
     assert len(built_kets) == built
     assert all("kets" not in vars(b) for b in (ours, twin, plus, minus) + others)
