@@ -2,7 +2,8 @@
 
 Exit codes: 0 all good, 1 an expectation or property failed, 2 bad input
 (unknown scenario, malformed file, non-finite number, plan that does not fit
-the state, measurement that cannot fire), 3 numerical trouble (a matrix that
+the state, measurement that cannot fire) or a broken install (a builtin
+scenario file missing from the package), 3 numerical trouble (a matrix that
 should be a state is not).
 """
 

@@ -65,7 +65,14 @@ from .reduction import (
     start_walk,
     trace_walk,
 )
-from .states import ElementaryState, ParticleState, Statistics, _require_compatible, _stack_terms
+from .states import (
+    ElementaryState,
+    ParticleState,
+    Statistics,
+    _require_compatible,
+    _stack_terms,
+    elementary,
+)
 
 MAX_PARTICLES = 5
 MAX_DIM = 8
@@ -115,7 +122,7 @@ def _symmetrized(tensors: np.ndarray, n: int, statistics: Statistics) -> np.ndar
 
 def symmetrize(term: ElementaryState, statistics: Statistics) -> np.ndarray:
     """Sum of signed slot permutations of the term's product vector."""
-    return symmetrize_state(ParticleState(statistics, (term,)))
+    return symmetrize_state(elementary(statistics, term.kets, term.coeff))
 
 
 def symmetrize_state(phi: ParticleState) -> np.ndarray:
@@ -227,8 +234,9 @@ class LabeledState(Frozen):
     """Superposition of labeled product terms; no exchange symmetry.
     Coefficients must be finite.
 
-    Built from ``(coeff, kets)`` terms by ``states._stack_terms``, the
-    stacker of ``ParticleState``, so both refuse malformed terms alike, and
+    Built from ``(coeff, kets)`` terms by ``states._stack_terms``, which
+    also stacks the terms of identical-particle states (``elementary``, the
+    scenario parser), so both refuse malformed terms alike, and
     kept as its slot count ``n`` (at least one), its frame ``space`` and one
     read-only complex amplitude stack ``_stack = (coeffs (T,), amps (T, n,
     dim))``, which ``vector`` reads. ``terms`` is a view of that stack,

@@ -124,19 +124,19 @@ class CanonicalBasis:
         return f"CanonicalBasis(modes={self.mode_names!r})"
 
 
-def checked_amplitudes(basis: CanonicalBasis, amps, ndim: int = 1) -> np.ndarray:
+def checked_amplitudes(basis: CanonicalBasis | None, amps, ndim: int = 1) -> np.ndarray:
     """``amps`` as a read-only C-contiguous complex copy, checked as one ket
     is checked: ``ndim - 1`` leading axes, then amplitude vectors of
     ``basis.dim`` entries (else BasisMismatchError), all of them finite
     (else ValueError). ``Ket`` checks its vector with ``ndim=1``;
-    ``MeasurementBasis`` and ``ParticleState.from_arrays`` check a whole
-    stack of kets at once."""
+    ``MeasurementBasis`` and ``ParticleState`` check a whole stack of kets
+    at once. No basis (None) is the frame of a zero-particle state built
+    from no kets: its vectors have no entries."""
     amps = np.array(amps, dtype=complex, order="C")
     vector = amps.shape[ndim - 1 :]
-    if vector != (basis.dim,):
-        raise BasisMismatchError(
-            f"amplitude vector has shape {vector}, basis dim is {basis.dim}"
-        )
+    dim = 0 if basis is None else basis.dim
+    if vector != (dim,):
+        raise BasisMismatchError(f"amplitude vector has shape {vector}, basis dim is {dim}")
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite")
     amps.flags.writeable = False

@@ -40,7 +40,7 @@ from .entanglement import BipartitionReport, EntanglementReport, TracePlan, anal
 from .errors import NullStateError, ScenarioError, SimulationError
 from .hilbert import CanonicalBasis, Frozen, Ket, Spin
 from .reduction import DensityMatrix, MeasurementBasis
-from .states import ElementaryState, ParticleState, Statistics, normalize
+from .states import ParticleState, Statistics, _stack_terms, normalize
 
 QUANTITIES = (
     "entropy_one",
@@ -365,7 +365,8 @@ def get_builtin(name: str) -> ScenarioSpec:
     read-only ``Ket`` amplitudes), so no caller can change what another one
     runs, and its bases keep their supports from one run to the next. An
     unknown name, hashable or not, is a ``ScenarioError`` and is not
-    remembered."""
+    remembered; so is a builtin whose file is missing from the installed
+    package, which is a broken install, not bad input."""
     if name not in _BUILTIN_NAMES:  # a tuple: an unhashable name is just absent
         raise ScenarioError(
             f"no builtin scenario {name!r}; available: {', '.join(_BUILTIN_NAMES)}"
@@ -375,7 +376,13 @@ def get_builtin(name: str) -> ScenarioSpec:
 
 @cache
 def _load_builtin(name: str) -> ScenarioSpec:
-    return load_scenario(_BUILTIN_DIR / f"{name}.json")
+    path = _BUILTIN_DIR / f"{name}.json"
+    if not path.is_file():
+        raise ScenarioError(
+            f"builtin scenario {name!r}: {path} is missing from the installed package; "
+            "reinstall idqsim"
+        )
+    return load_scenario(path)
 
 
 def run_builtin(name: str, tolerance: Optional[float] = None) -> ScenarioReport:
@@ -543,9 +550,7 @@ def _parse_identical_state(
 ) -> ParticleState:
     terms = _parse_terms(raw, space)
     try:
-        state = ParticleState(
-            statistics, tuple(ElementaryState(c, kets) for c, kets in terms)
-        )
+        state = ParticleState(statistics, *_stack_terms(terms))
         with np.errstate(over="ignore", invalid="ignore"):
             return normalize(state)
     except NullStateError:

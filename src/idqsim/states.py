@@ -11,19 +11,18 @@ label-symmetrized tensors (see ``idqsim.comparator`` for that cross-check).
 A state is stored as one amplitude stack and nothing else, ``_stack =
 (coeffs, amps)``: the coefficients ``(T,)`` and the kets ``(T, N, dim)``,
 row ``[t, i]`` being ket ``i`` of term ``t``, both read-only and
-C-contiguous. ``ParticleState(statistics, terms)`` checks each ket and term
-as it is built and stacks them once, through ``_stack_terms``, the term
-stacker that the comparator's ``LabeledState`` shares;
-``ParticleState.from_arrays`` checks a whole stack at once (shape,
-dimension, finite values). Both, and every step of the algebra (``+``,
-``-``, ``*``, ``normalize``, ``project_single``), end in
-``ParticleState._keep``, which refuses a non-finite coefficient and keeps
-the stack. ``terms`` are a view, built through the ``ElementaryState`` and
-``Ket`` constructors only when something reads them. The array kernel
-``overlaps`` forms the Gram matrices of all term pairs of a stack in one
-``einsum`` and evaluates per/det on the whole block; ``inner`` runs it on
-the two states' stacks, and ``verification.random_state`` on freshly drawn
-arrays.
+C-contiguous. ``ParticleState(statistics, space, coeffs, amps)`` is the one
+constructor: it takes such a stack and checks it as a whole (shape,
+dimension, finite values). Every state passes through it, those that the
+algebra (``+``, ``-``, ``*``, ``normalize``, ``project_single``) makes
+included. A term list reaches it through ``_stack_terms``, the term stacker
+that the comparator's ``LabeledState`` shares: ``elementary`` stacks one
+term, the scenario parser a file's terms. ``terms`` are a view, built
+through the ``ElementaryState`` and ``Ket`` constructors only when something
+reads them. The array kernel ``overlaps`` forms the Gram matrices of all
+term pairs of a stack in one ``einsum`` and evaluates per/det on the whole
+block; ``inner`` runs it on the two states' stacks, and
+``verification.random_state`` on freshly drawn arrays.
 
 Removing one particle against a measurement ket ``psi`` maps
 ``|chi_1,...,chi_N>`` to ``sum_i eta^(i-1) <psi|chi_i> |...without chi_i...>``,
@@ -74,15 +73,10 @@ class Statistics(Enum):
 
 
 class ElementaryState(Frozen, eq=False):
-    """One term ``coeff * |kets[0], ..., kets[N-1]>`` over a shared basis."""
+    """One term ``coeff * |kets[0], ..., kets[N-1]>`` of a state's ``terms``
+    view."""
 
-    def __init__(self, coeff: complex, kets: Sequence[Ket]):
-        coeff, kets = complex(coeff), tuple(kets)
-        if not np.isfinite(coeff.real) or not np.isfinite(coeff.imag):
-            raise ValueError("coefficient must be finite")
-        bases = {k.basis for k in kets}
-        if len(bases) > 1:
-            raise IncompatibleStatesError("all kets of a term must share one basis")
+    def __init__(self, coeff: complex, kets: tuple[Ket, ...]):
         self._set("coeff", coeff)
         self._set("kets", kets)
 
@@ -92,54 +86,37 @@ class ElementaryState(Frozen, eq=False):
 
 
 class ParticleState(Frozen, eq=False):
-    """Linear combination of elementary states sharing particle number and statistics.
+    """The state ``sum_t coeffs[t] |amps[t, 0], ..., amps[t, N-1]>`` of
+    identical particles of one statistics, over the frame ``space``.
 
-    Stored as one amplitude stack (see the module docstring): stacked from
-    ``terms`` here, or given whole to ``from_arrays``.
+    Takes a ``(T,)`` coefficient array and a ``(T, N, dim)`` amplitude stack,
+    copies both C-contiguous and read-only, and checks them as a whole: no
+    terms (ValueError), a ket dimension other than ``space.dim``
+    (BasisMismatchError, from ``checked_amplitudes``), a NaN or infinite
+    amplitude or coefficient (ValueError), a coefficient count other than
+    ``T`` (ValueError). A zero-particle stack is ``(T, 0, dim)``, or
+    ``(T, 0, 0)`` over no frame (``space`` None), as ``elementary`` of no
+    kets builds it.
     """
 
-    def __init__(self, statistics: Statistics, terms: Sequence[ElementaryState]):
-        self._keep(statistics, *_stack_terms((t.coeff, t.kets) for t in terms))
-
-    @classmethod
-    def from_arrays(
-        cls, statistics: Statistics, space: CanonicalBasis, coeffs, amps
-    ) -> "ParticleState":
-        """The state ``sum_t coeffs[t] |amps[t, 0], ..., amps[t, N-1]>`` over
-        ``space``, from a ``(T,)`` coefficient array and a ``(T, N, dim)``
-        amplitude stack, both copied C-contiguous and read-only.
-
-        The stack is checked as a whole, with the exception types and
-        messages of the per-object path: a ket dimension other than
-        ``space.dim`` (BasisMismatchError, from ``checked_amplitudes``),
-        a NaN or infinite amplitude or coefficient, no terms.
-        """
+    def __init__(self, statistics: Statistics, space: CanonicalBasis | None, coeffs, amps):
         if np.shape(amps)[:1] == (0,):
             raise ValueError("state needs at least one term")
         amps = checked_amplitudes(space, amps, ndim=3)
         coeffs = np.array(coeffs, dtype=complex)
         if coeffs.shape != amps.shape[:1]:
             raise ValueError(f"coefficients {coeffs.shape} do not fit amplitudes {amps.shape}")
-        return cls.__new__(cls)._keep(statistics, space, coeffs, amps)
-
-    def _keep(self, statistics, space, coeffs: np.ndarray, amps: np.ndarray) -> "ParticleState":
-        """The last step of every constructor and of the algebra: refuse a
-        non-finite coefficient, then keep ``(coeffs, amps)``, read-only, as
-        the state's stack."""
         if not np.isfinite(coeffs).all():
             raise ValueError("coefficient must be finite")
         coeffs.flags.writeable = False
-        amps.flags.writeable = False
         self._set("statistics", statistics)
         self._set("n", amps.shape[1])
         self._set("_space", space)
         self._set("_stack", (coeffs, amps))
-        return self
 
     def _with(self, coeffs: np.ndarray, amps: np.ndarray) -> "ParticleState":
         """A state of the same statistics and frame with another stack."""
-        state = ParticleState.__new__(ParticleState)
-        return state._keep(self.statistics, self._space, coeffs, amps)
+        return ParticleState(self.statistics, self._space, coeffs, amps)
 
     @cached_property
     def terms(self) -> tuple[ElementaryState, ...]:
@@ -161,7 +138,7 @@ class ParticleState(Frozen, eq=False):
     def __add__(self, other: "ParticleState") -> "ParticleState":
         _require_compatible(self, other)
         (ca, aa), (cb, ab) = self._stack, other._stack
-        # a zero-particle stack is (T, 0, dim), or (T, 0, 0) when built from terms
+        # a zero-particle stack is (T, 0, dim), or (T, 0, 0) over no frame
         amps = np.concatenate((aa, ab.reshape(ab.shape[:2] + aa.shape[2:])))
         return self._with(np.concatenate((ca, cb)), amps)
 
@@ -171,7 +148,7 @@ class ParticleState(Frozen, eq=False):
     def __mul__(self, scalar) -> "ParticleState":
         c = complex(scalar)
         coeffs, amps = self._stack
-        with np.errstate(over="ignore", invalid="ignore"):  # _keep refuses inf and nan
+        with np.errstate(over="ignore", invalid="ignore"):  # the constructor refuses inf and nan
             return self._with(coeffs * c, amps)
 
     __rmul__ = __mul__
@@ -196,8 +173,8 @@ def _stack_terms(pairs) -> tuple[CanonicalBasis | None, np.ndarray, np.ndarray]:
     frame (None when no term holds a ket) and the complex stacks ``(T,)``
     and ``(T, N, dim)`` (``(T, 0, 0)`` without kets). Refuses no terms
     (ValueError), terms of different ket counts and kets of different
-    frames (IncompatibleStatesError). The term stacker of ``ParticleState``
-    and of the comparator's ``LabeledState``."""
+    frames (IncompatibleStatesError). The term stacker of ``elementary``,
+    of the scenario parser and of the comparator's ``LabeledState``."""
     pairs = tuple(pairs)
     if not pairs:
         raise ValueError("state needs at least one term")
@@ -217,8 +194,12 @@ def _stack_terms(pairs) -> tuple[CanonicalBasis | None, np.ndarray, np.ndarray]:
 def elementary(
     statistics: Statistics, kets: Sequence[Ket], coeff: complex = 1.0
 ) -> ParticleState:
-    """Single-term state ``coeff |kets...>``."""
-    return ParticleState(statistics, (ElementaryState(coeff, tuple(kets)),))
+    """Single-term state ``coeff |kets...>``; kets of two frames are refused
+    (IncompatibleStatesError)."""
+    kets = tuple(kets)
+    if len({k.basis for k in kets}) > 1:
+        raise IncompatibleStatesError("all kets of a term must share one basis")
+    return ParticleState(statistics, *_stack_terms([(coeff, kets)]))
 
 
 def _require_compatible(a: ParticleState, b: ParticleState) -> None:
@@ -278,9 +259,9 @@ def overlap_elementary(
     bra: ElementaryState, ket: ElementaryState, statistics: Statistics
 ) -> complex:
     """Overlap of two elementary states: conj(c_bra) c_ket per/det of the Gram matrix."""
-    if bra.n != ket.n:
-        raise IncompatibleStatesError(f"particle numbers differ: {bra.n} vs {ket.n}")
-    return inner(ParticleState(statistics, (bra,)), ParticleState(statistics, (ket,)))
+    return inner(
+        elementary(statistics, bra.kets, bra.coeff), elementary(statistics, ket.kets, ket.coeff)
+    )
 
 
 def inner(psi: ParticleState, phi: ParticleState) -> complex:

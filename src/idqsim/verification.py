@@ -12,7 +12,7 @@ block per random state (``random_state``), normalized row by row in one
 pass, with the state's norm read off the arrays by ``states.overlaps``. The
 numbers, and the generator's state afterwards, are those of drawing one ket
 at a time. States and bases are built from those arrays in one step
-(``ParticleState.from_arrays``, ``MeasurementBasis``), which checks the
+(``ParticleState``, ``MeasurementBasis``), each of which checks the
 whole stack once; their terms and kets are made only if read.
 """
 
@@ -49,7 +49,6 @@ from .reduction import (
 )
 from .scenarios import delocalized_pair, get_builtin, standard_space
 from .states import (
-    ElementaryState,
     ParticleState,
     Statistics,
     elementary,
@@ -117,8 +116,8 @@ def random_state(
     of drawing ket by ket with ``random_ket``, and the kets, the squared norm
     (``states.overlaps`` on the arrays) and the coefficients, scaled by
     ``1 / sqrt(norm^2)`` as ``normalize`` scales them, come out the same bit
-    for bit. The state is built once, already normalized, by
-    ``ParticleState.from_arrays`` on those arrays.
+    for bit. The state is built once, already normalized, by the
+    ``ParticleState`` constructor on those arrays.
 
     Raises ValueError, before any draw, when ``n_terms < 1`` or the sector is
     empty (more fermions than single-particle states), and ArithmeticError if
@@ -134,7 +133,7 @@ def random_state(
         coeffs = draw[:, -2] + 1j * draw[:, -1]
         n2 = overlaps(coeffs, coeffs, amps, statistics).sum().real
         if n2 > 1e-6:
-            return ParticleState.from_arrays(statistics, space, coeffs * (1.0 / np.sqrt(n2)), amps)
+            return ParticleState(statistics, space, coeffs * (1.0 / np.sqrt(n2)), amps)
     raise ArithmeticError(f"100 draws of {n} {statistics.value}s all had squared norm <= 1e-6")
 
 
@@ -199,9 +198,7 @@ def _prop_exchange_symmetry(rng) -> str:
             i, j = sorted(rng.choice(n, size=2, replace=False))
             swapped = list(kets)
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            bra = ParticleState(
-                stats, (ElementaryState(1.0, tuple(random_ket(rng, space) for _ in range(n))),)
-            )
+            bra = elementary(stats, [random_ket(rng, space) for _ in range(n)])
             lhs = inner(bra, elementary(stats, swapped))
             rhs = stats.eta * inner(bra, elementary(stats, kets))
             worst = max(worst, abs(lhs - rhs))

@@ -11,10 +11,8 @@ import pytest
 
 from idqsim import (
     CanonicalBasis,
-    ElementaryState,
     MeasurementBasis,
     NullStateError,
-    ParticleState,
     Spin,
     Statistics,
     TracePlan,
@@ -280,9 +278,7 @@ def test_criterion_7_exclusion_principle_is_exact():
         )
         kets = [chi, twin, other]
         rng.shuffle(kets)
-        phi = ParticleState(
-            Statistics.FERMION, (ElementaryState(1.0, tuple(kets)),)
-        )
+        phi = elementary(Statistics.FERMION, kets)
         worst = max(worst, norm(phi))
         with pytest.raises(NullStateError):
             normalize(phi)

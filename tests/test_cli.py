@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import idqsim.cli as cli
-from idqsim import NotPSDError, builtin_names
+from idqsim import NotPSDError, builtin_names, scenarios
 from idqsim.cli import EXIT_FAILED, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -53,6 +54,33 @@ def test_nonpositive_tolerance_is_input_error(capsys):
 def test_missing_file_is_input_error(tmp_path, capsys):
     assert main(["run", "--file", str(tmp_path / "absent.json")]) == EXIT_INPUT
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.fixture
+def install_without_ghz(tmp_path, monkeypatch):
+    """The builtins of an install that lost ``ghz.json``; yields that path."""
+    broken = tmp_path / "builtins"
+    shutil.copytree(BUILTINS, broken)
+    (broken / "ghz.json").unlink()
+    monkeypatch.setattr(scenarios, "_BUILTIN_DIR", broken)
+    scenarios._load_builtin.cache_clear()
+    yield broken / "ghz.json"
+    scenarios._load_builtin.cache_clear()
+
+
+@pytest.mark.parametrize("args", [["run", "ghz"], ["list"]], ids=["run", "list"])
+def test_a_builtin_file_missing_from_the_install_is_a_broken_install(
+    install_without_ghz, capsys, args
+):
+    assert main(args) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: builtin scenario 'ghz': {install_without_ghz} is missing from the "
+        "installed package; reinstall idqsim\n"
+    )
+    # the builtins still installed run as before
+    assert main(["run", "overlap"]) == EXIT_OK
 
 
 def test_machine_output_is_json_and_deterministic(capsys):

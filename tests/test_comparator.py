@@ -39,7 +39,7 @@ from idqsim import (
 from idqsim import comparator
 from idqsim.comparator import _products, _symmetrized, symmetrize
 from idqsim.permanents import permutation_parity
-from idqsim.states import ElementaryState, ParticleState
+from idqsim.states import ElementaryState
 from idqsim.verification import (
     random_ket,
     random_measurement_basis,
@@ -48,6 +48,7 @@ from idqsim.verification import (
 )
 
 from test_reduction import loop_norm_factors
+from test_states import from_terms
 
 SPACE = CanonicalBasis(("A", "B", "C"))
 
@@ -126,7 +127,7 @@ def test_product_tensor_symmetrizer_matches_the_kron_permutation_sum(stats, n):
         want = [kron_symmetrize(t, stats) for t in terms]
         for t, w in zip(terms, want):
             assert np.abs(symmetrize(t, stats) - w).max() < tol
-        state = symmetrize_state(ParticleState(stats, terms))
+        state = symmetrize_state(from_terms(stats, terms))
         assert np.abs(state - np.sum(want, axis=0)).max() < tol
     occ = OccupationBasis(SPACE, n, stats)
     t = occupation_isometry(occ)
@@ -572,7 +573,7 @@ def test_a_labeled_state_needs_at_least_one_slot():
         product_state([])
     with pytest.raises(ValueError, match="labeled state needs at least one slot"):
         LabeledState(((1.0, ()), (0.5, ())))
-    # the terms are stacked as ParticleState stacks them, with its refusals
+    # the terms are stacked as the scenario parser stacks a state's, with its refusals
     ket = random_ket(np.random.default_rng(0), SPACE)
     with pytest.raises(IncompatibleStatesError, match=r"^terms mix particle numbers \[0, 1\]$"):
         LabeledState(((1.0, ()), (1.0, (ket,))))

@@ -193,8 +193,7 @@ def test_kets_copy_their_amplitudes_even_from_a_strided_column():
 
 SPACE = CanonicalBasis(("A", "B"))
 UP, DOWN = SPACE.ket("A", Spin.UP), SPACE.ket("A", Spin.DOWN)
-TERM = ElementaryState(coeff=1.0, kets=(UP,))
-STATE = ParticleState(statistics=Statistics.BOSON, terms=(TERM,))
+STATE = ParticleState(statistics=Statistics.BOSON, space=SPACE, coeffs=[1.0], amps=[[UP.amps]])
 BASIS = MeasurementBasis(space=SPACE, amps=(UP.amps, DOWN.amps))
 PLAN = TracePlan("p", one_stages=(BASIS,))
 EXPECTATION = Expectation(quantity="entropy_one", value=0.0, label="p")
@@ -211,8 +210,10 @@ FROZEN_TYPES = [
     pytest.param(lambda: Ket(basis=SPACE, amps=[1, 0, 0, 0]), {}, True, id="Ket"),
     pytest.param(lambda: ElementaryState(coeff=2, kets=[UP]), {}, False, id="ElementaryState"),
     pytest.param(
-        lambda: ParticleState(statistics=Statistics.BOSON, terms=[TERM]), {}, False,
-        id="ParticleState",
+        lambda: ParticleState(
+            statistics=Statistics.BOSON, space=SPACE, coeffs=[1.0], amps=[[UP.amps]]
+        ),
+        {}, False, id="ParticleState",
     ),
     pytest.param(
         lambda: MeasurementBasis(space=SPACE, amps=[UP.amps, DOWN.amps]), {}, True,

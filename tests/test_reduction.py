@@ -19,7 +19,6 @@ from idqsim import (
     MeasurementBasis,
     NotPSDError,
     OccupationBasis,
-    ParticleState,
     SlotTrace,
     Spin,
     Statistics,
@@ -51,6 +50,8 @@ from idqsim.reduction import (
     trace_start,
 )
 from idqsim.verification import random_ket, random_measurement_basis, random_state, random_unitary
+
+from test_states import from_terms
 
 SPACE = CanonicalBasis(("A", "B", "C"))
 
@@ -203,7 +204,7 @@ def test_coords_match_the_product_expansion(stats):
                 )
                 for _ in range(n_terms)
             )
-            phi = ParticleState(stats, terms)
+            phi = from_terms(stats, terms)
             want = coords_by_products(phi, occ)
             assert np.allclose(coords(phi, occ), want, rtol=0, atol=1e-12 * occ.size)
         if n >= 2:  # a ket repeated, and sparse canonical kets
@@ -702,7 +703,7 @@ def test_nan_norms_and_probabilities_fail_their_checks():
 def test_trace_refuses_a_state_whose_coordinates_overflow(stats):
     # the squared norm comes out NaN; it must fail the start, not the finish
     big = Ket(SPACE, np.full(SPACE.dim, 1e200))
-    phi = ParticleState(stats, (ElementaryState(1e200, (big, big)),))
+    phi = elementary(stats, (big, big), 1e200)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="state must be normalized"):
             trace_start(phi)
@@ -740,7 +741,7 @@ def test_coords_equal_the_two_dimensional_scatter_bit_for_bit(stats):
                 continue
             occ = OccupationBasis(space, n, stats)
             for n_terms in (1, 2, 3):
-                phi = ParticleState(
+                phi = from_terms(
                     stats,
                     tuple(
                         ElementaryState(

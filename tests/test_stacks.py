@@ -1,8 +1,9 @@
 """States and measurement bases built from amplitude stacks
-(``ParticleState.from_arrays``, ``MeasurementBasis``) against the same
-objects built ket by ket: equal bit for bit, refused alike or with the
-stated errors, and no ``Ket`` made unless one is read."""
+(``ParticleState``, ``MeasurementBasis``) against the same objects built
+ket by ket: equal bit for bit, refused with the stated errors, and no
+``Ket`` made unless one is read."""
 
+import json
 import math
 
 import numpy as np
@@ -20,10 +21,12 @@ from idqsim import (
     OccupationBasis,
     ParticleState,
     SlotTrace,
+    Spin,
     Statistics,
     coords,
     delocalized_pair,
     inner,
+    elementary,
     normalize,
     partial_trace_iterate,
     project_single,
@@ -33,7 +36,10 @@ from idqsim.comparator import (
     _contract_slot, oracle_inner, oracle_trace_iterate, symmetrize_state
 )
 from idqsim.entanglement import _stage_key
+from idqsim.errors import ScenarioError
 from idqsim.reduction import annihilate
+from idqsim.scenarios import _BUILTIN_DIR, parse_scenario
+from idqsim.states import _stack_terms
 from idqsim.verification import random_measurement_basis, random_state, random_unitary
 
 SPACE = CanonicalBasis(("A", "B", "C"))
@@ -41,8 +47,10 @@ B, F = Statistics.BOSON, Statistics.FERMION
 
 
 def per_object_state(statistics, space, coeffs, amps):
-    return ParticleState(statistics, tuple(
-        ElementaryState(c, tuple(Ket(space, a) for a in kets)) for c, kets in zip(coeffs, amps)
+    """The state of checked kets' terms, stacked as the scenario parser
+    stacks a file's terms."""
+    return ParticleState(statistics, *_stack_terms(
+        (c, tuple(Ket(space, a) for a in kets)) for c, kets in zip(coeffs, amps)
     ))
 
 
@@ -91,10 +99,10 @@ STATE_CASES = _state_cases()
 
 @pytest.mark.parametrize("name, statistics, coeffs, amps", STATE_CASES,
                          ids=[c[0] for c in STATE_CASES])
-def test_states_from_arrays_equal_the_per_object_states_bit_for_bit(
+def test_states_from_a_stack_equal_the_states_from_ket_terms_bit_for_bit(
     name, statistics, coeffs, amps
 ):
-    ours = ParticleState.from_arrays(statistics, SPACE, coeffs, amps)
+    ours = ParticleState(statistics, SPACE, coeffs, amps)
     theirs = per_object_state(statistics, SPACE, coeffs, amps)
     n = amps.shape[1]
     assert ours.n == theirs.n == n and ours.statistics is theirs.statistics
@@ -114,11 +122,11 @@ def test_states_from_arrays_equal_the_per_object_states_bit_for_bit(
     (c, a), (want_c, want_a) = ours._stack, theirs._stack
     assert bits(c) == bits(want_c)
     assert a.flags.c_contiguous and not a.flags.writeable and not c.flags.writeable
-    if n:  # a zero-particle stack built from terms has no dimension to take
+    if n:  # a zero-particle stack built from no kets has no frame and no dimension
         assert a.shape == want_a.shape and bits(a) == bits(want_a)
     # the kernels read the stacks: same numbers from either state, with
     # itself, with the other kind and with an independent partner
-    partner = ParticleState.from_arrays(
+    partner = ParticleState(
         statistics, SPACE, np.array([0.2, 1.0j]), np.roll(np.resize(amps, (2,) + amps.shape[1:]), 1)
     )
     assert bits(inner(ours, ours)) == bits(inner(theirs, theirs))
@@ -182,68 +190,161 @@ def refusal(build):
     return info.type, str(info.value)
 
 
-def _bad_state_stacks():
+def scenario_payload(statistics, terms):
+    """A scenario file's object whose state holds ``terms``, ``(coeff,
+    kets)`` pairs with each ket written as a list of ``[mode, spin, re,
+    im]`` components, and one plan that a state of any particle number fits."""
+    raw = json.loads((_BUILTIN_DIR / "separated.json").read_text(encoding="utf-8"))
+    raw["statistics"] = statistics.value
+    raw["state"] = [{"coeff": [c.real, c.imag], "kets": kets} for c, kets in terms]
+    raw["plans"] = [{"label": "A", "one": raw["plans"][0]["one"][:1]}]
+    raw["expectations"] = []
+    return raw
+
+
+def _state_refusals():
+    """``(name, build, exception type, message)``: ``build(statistics)``
+    makes a malformed state through the constructor, ``elementary`` or
+    ``parse_scenario``, or makes a malformed term list into a
+    ``LabeledState``, which stacks terms as they do. Each must meet the
+    refusal written here, word for word."""
     rng = np.random.default_rng(23)
     coeffs, amps = np.array([1.0, 0.5j]), unit_rows(rng, (2, 3, SPACE.dim))
+    kets = tuple(Ket(SPACE, r) for r in amps[0])
+    other_frame = CanonicalBasis(("A", "B", "D"))
+    coefficient = (ValueError, "coefficient must be finite")
+    no_terms = (ValueError, "state needs at least one term")
     cases = []
     for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
         a = amps.copy()
         a[1, 2, 4] = bad
-        cases.append((f"amplitude {bad}", coeffs, a))
+        cases.append((f"amplitude {bad}", lambda st, a=a: ParticleState(st, SPACE, coeffs, a),
+                      ValueError, "amplitudes must be finite"))
         c = coeffs.copy()
         c[1] = bad
-        cases.append((f"coefficient {bad}", c, amps))
-    cases.append(("a dimension too large", coeffs, unit_rows(rng, (2, 3, SPACE.dim + 2))))
-    cases.append(("a dimension too small", coeffs, amps[..., :-1]))
-    cases.append(("no terms", coeffs[:0], amps[:0]))
-    cases.append(("empty lists", [], []))
+        cases.append((f"coefficient {bad}", lambda st, c=c: ParticleState(st, SPACE, c, amps),
+                      *coefficient))
+        cases.append((f"elementary coefficient {bad}",
+                      lambda st, bad=bad: elementary(st, kets, bad), *coefficient))
+    big, small = unit_rows(rng, (2, 3, SPACE.dim + 2)), amps[..., :-1]
+    cases += [
+        ("a dimension too large", lambda st: ParticleState(st, SPACE, coeffs, big),
+         BasisMismatchError, "amplitude vector has shape (8,), basis dim is 6"),
+        ("a dimension too small", lambda st: ParticleState(st, SPACE, coeffs, small),
+         BasisMismatchError, "amplitude vector has shape (5,), basis dim is 6"),
+        ("no terms", lambda st: ParticleState(st, SPACE, coeffs[:0], amps[:0]), *no_terms),
+        ("empty lists", lambda st: ParticleState(st, SPACE, [], []), *no_terms),
+        ("kets without a term axis",
+         lambda st: ParticleState(st, SPACE, [1.0], np.zeros((1, SPACE.dim))),
+         BasisMismatchError, "amplitude vector has shape (), basis dim is 6"),
+        ("an axis too many",
+         lambda st: ParticleState(st, SPACE, [1.0], np.zeros((1, 1, 2, SPACE.dim))),
+         BasisMismatchError, "amplitude vector has shape (2, 6), basis dim is 6"),
+        ("more coefficients than terms",
+         lambda st: ParticleState(st, SPACE, [1.0, 1.0], np.zeros((1, 2, SPACE.dim))),
+         ValueError, "coefficients (2,) do not fit amplitudes (1, 2, 6)"),
+        ("a coefficient matrix",
+         lambda st: ParticleState(st, SPACE, [[1.0]], np.zeros((1, 2, SPACE.dim))),
+         ValueError, "coefficients (1, 1) do not fit amplitudes (1, 2, 6)"),
+        ("elementary kets of two frames",
+         lambda st: elementary(st, kets[:2] + (Ket(other_frame, amps[1, 0]),)),
+         IncompatibleStatesError, "all kets of a term must share one basis"),
+    ]
+    # term lists that no stack can hold: ket counts or frames that differ
+    one_up = [["A", "up", 1.0, 0.0]]
+    uneven = [(1.0 + 0j, [one_up, [["B", "up", 1.0, 0.0]]]), (0.5j, [one_up] * 3)]
+    cases.append(("scenario terms of different ket counts",
+                  lambda st: parse_scenario(scenario_payload(st, uneven)),
+                  ScenarioError, "scenario.state: terms mix particle numbers [2, 3]"))
+    first = (1.0, kets)
+    labeled = [
+        ("no terms", (), *no_terms),
+        ("a coefficient nan", ((np.nan, kets),), *coefficient),
+        ("different ket counts", (first, (0.5j, kets[:2])),
+         IncompatibleStatesError, "terms mix particle numbers [2, 3]"),
+        ("a term over another frame",
+         (first, (0.5j, tuple(Ket(other_frame, r) for r in amps[1]))),
+         IncompatibleStatesError, "kets live in different bases"),
+    ]
+    for name, terms, kind, message in labeled:
+        cases.append((f"labeled {name}", lambda st, terms=terms: LabeledState(terms),
+                      kind, message))
     return cases
 
 
-BAD_STATE_STACKS = _bad_state_stacks()
+STATE_REFUSALS = _state_refusals()
 
 
-def labeled_state(space, coeffs, amps):
-    return LabeledState(tuple(
-        (c, tuple(Ket(space, a) for a in kets)) for c, kets in zip(coeffs, amps)
-    ))
-
-
-# None: a LabeledState, which must refuse what a boson state refuses
-@pytest.mark.parametrize("statistics", [B, F, None], ids=["boson", "fermion", "labeled"])
-@pytest.mark.parametrize("name, coeffs, amps", BAD_STATE_STACKS,
-                         ids=[c[0] for c in BAD_STATE_STACKS])
-def test_state_stacks_are_refused_as_the_per_object_path_refuses_them(
-    statistics, name, coeffs, amps
+@pytest.mark.parametrize("statistics", [B, F], ids=["boson", "fermion"])
+@pytest.mark.parametrize("name, build, kind, message", STATE_REFUSALS,
+                         ids=[c[0] for c in STATE_REFUSALS])
+def test_malformed_stacks_and_term_lists_are_refused_with_the_stated_errors(
+    statistics, name, build, kind, message
 ):
-    if statistics is None:
-        got, statistics = refusal(lambda: labeled_state(SPACE, coeffs, amps)), B
-    else:
-        got = refusal(lambda: ParticleState.from_arrays(statistics, SPACE, coeffs, amps))
-    assert got == refusal(lambda: per_object_state(statistics, SPACE, coeffs, amps))
-    if "dimension" in name:
-        assert got[0] is BasisMismatchError
+    assert refusal(lambda: build(statistics)) == (kind, message)
 
 
-def _bad_term_lists():
-    """Term lists that no stack can hold: ket counts or frames that differ."""
-    amps = unit_rows(np.random.default_rng(26), (2, 3, SPACE.dim))
-    first = (1.0, tuple(Ket(SPACE, r) for r in amps[0]))
-    return [
-        ("different ket counts", (first, (0.5j, tuple(Ket(SPACE, r) for r in amps[1, :2])))),
-        ("a term over another frame",
-         (first, (0.5j, tuple(Ket(CanonicalBasis(("A", "B", "D")), r) for r in amps[1])))),
-    ]
+def old_term_stack(terms):
+    """The stack that the term-taking ``ParticleState`` constructor of
+    earlier versions built from ``(coeff, kets)`` terms: each coefficient as
+    a Python complex and the kets' rows as one array, reshaped to ``(T, N,
+    dim)``, or ``(T, 0, 0)`` for terms without kets. The reference for
+    ``elementary`` and the parser."""
+    coeffs = np.array([complex(c) for c, _ in terms], dtype=complex)
+    amps = np.array([[k.amps for k in kets] for _, kets in terms], dtype=complex)
+    n = len(terms[0][1])
+    return coeffs, amps.reshape(len(terms), n, terms[0][1][0].basis.dim if n else 0)
 
 
-BAD_TERM_LISTS = _bad_term_lists()
+def assert_same_stack(state, coeffs, amps):
+    c, a = state._stack
+    assert c.shape == coeffs.shape and bits(c) == bits(coeffs)
+    assert a.shape == amps.shape and bits(a) == bits(amps)
+    assert a.flags.c_contiguous and not a.flags.writeable and not c.flags.writeable
 
 
-@pytest.mark.parametrize("name, terms", BAD_TERM_LISTS, ids=[c[0] for c in BAD_TERM_LISTS])
-def test_term_lists_are_refused_alike_by_both_particle_kinds(name, terms):
-    theirs = refusal(lambda: ParticleState(B, tuple(ElementaryState(*t) for t in terms)))
-    assert refusal(lambda: LabeledState(terms)) == theirs
-    assert theirs[0] is IncompatibleStatesError
+@pytest.mark.parametrize("statistics", [B, F], ids=["boson", "fermion"])
+def test_a_state_rebuilt_from_its_stack_is_bit_identical(statistics):
+    rng = np.random.default_rng(27)
+    states = [random_state(rng, SPACE, n, statistics, n_terms)
+              for n in range(5) for n_terms in (1, 2, 3)]
+    # the zero-particle states without a frame and with one
+    vacuum = elementary(statistics, (), 0.8j)
+    states += [vacuum, project_single(SPACE.ket("A", Spin.UP), states[3])]
+    for s in states:
+        again = ParticleState(s.statistics, s._space, *s._stack)
+        assert again.statistics is s.statistics and again.n == s.n and again._space == s._space
+        assert_same_stack(again, *s._stack)
+    # a stack over no frame holds no kets
+    assert vacuum._space is None and vacuum._stack[1].shape == (1, 0, 0)
+    assert refusal(lambda: ParticleState(statistics, None, [1.0], np.zeros((1, 2, 6)))) == (
+        BasisMismatchError, "amplitude vector has shape (6,), basis dim is 0"
+    )
+
+
+@pytest.mark.parametrize("statistics", [B, F], ids=["boson", "fermion"])
+def test_elementary_and_the_parser_stack_terms_as_the_term_constructor_did(statistics):
+    rng = np.random.default_rng(28)
+    entries = [(m, s) for m in SPACE.mode_names for s in ("up", "down")]
+    for n in range(5):
+        for n_terms in (1, 2, 3):
+            written = [  # each ket as a scenario file writes it
+                (complex(*rng.normal(size=2).tolist()),
+                 [[[m, s, *rng.normal(size=2).tolist()] for m, s in entries] for _ in range(n)])
+                for _ in range(n_terms)
+            ]
+            terms = [
+                (c, tuple(SPACE.superposition((m, Spin(s), complex(re, im)) for m, s, re, im in ket)
+                          for ket in kets))
+                for c, kets in written
+            ]
+            one = elementary(statistics, terms[0][1], terms[0][0])
+            assert one._space == (SPACE if n else None)
+            assert_same_stack(one, *old_term_stack(terms[:1]))
+            if n:  # the parser refuses a term without kets
+                parsed = parse_scenario(scenario_payload(statistics, written)).state
+                want = normalize(ParticleState(statistics, SPACE, *old_term_stack(terms)))
+                assert_same_stack(parsed, *want._stack)
 
 
 def _bad_basis_stacks():
@@ -260,6 +361,8 @@ def _bad_basis_stacks():
                   BasisMismatchError, "amplitude vector has shape (8,), basis dim is 6"))
     cases.append(("a dimension too small", rows[:2, :-1],
                   BasisMismatchError, "amplitude vector has shape (5,), basis dim is 6"))
+    cases.append(("one row without a row axis", np.eye(SPACE.dim)[0],
+                  BasisMismatchError, "amplitude vector has shape (), basis dim is 6"))
     empty = (ValueError, "measurement basis needs at least one ket")
     cases.append(("no rows", rows[:0], *empty))
     cases.append(("an empty list", [], *empty))
@@ -285,22 +388,9 @@ def test_basis_stacks_are_refused_with_the_stated_errors(name, amps, kind, messa
     assert refusal(lambda: MeasurementBasis(SPACE, amps)) == (kind, message)
 
 
-def test_stacks_of_the_wrong_rank_are_refused():
-    with pytest.raises(BasisMismatchError, match=r"shape \(\)"):
-        ParticleState.from_arrays(B, SPACE, [1.0], np.zeros((1, SPACE.dim)))
-    with pytest.raises(BasisMismatchError, match=r"shape \(2, 6\)"):
-        ParticleState.from_arrays(B, SPACE, [1.0], np.zeros((1, 1, 2, SPACE.dim)))
-    with pytest.raises(ValueError, match=r"coefficients \(2,\) do not fit"):
-        ParticleState.from_arrays(B, SPACE, [1.0, 1.0], np.zeros((1, 2, SPACE.dim)))
-    with pytest.raises(ValueError, match=r"coefficients \(1, 1\) do not fit"):
-        ParticleState.from_arrays(B, SPACE, [[1.0]], np.zeros((1, 2, SPACE.dim)))
-    with pytest.raises(BasisMismatchError, match=r"shape \(\)"):
-        MeasurementBasis(SPACE, np.eye(SPACE.dim)[0])
-
-
-def test_from_arrays_keeps_a_copy_of_its_input():
+def test_a_state_and_a_basis_keep_a_copy_of_their_input():
     coeffs, amps = np.array([1.0 + 0j]), np.eye(SPACE.dim, dtype=complex)[None, :2]
-    phi = ParticleState.from_arrays(B, SPACE, coeffs, amps)
+    phi = ParticleState(B, SPACE, coeffs, amps)
     mb = MeasurementBasis(SPACE, amps[0])
     amps[0, 0, 0] = coeffs[0] = 5.0
     assert phi._stack[0][0] == 1.0 and phi.terms[0].kets[0].amps[0] == 1.0
@@ -369,8 +459,8 @@ def test_the_algebra_on_stacks_builds_no_ket_and_no_term(statistics, built_kets,
     meas = Ket(SPACE, unit_rows(rng, (SPACE.dim,)))
     built_kets.clear()
     coeffs, amps = np.array([1.0, 0.5j, -0.3]), unit_rows(rng, (3, 3, SPACE.dim))
-    phi = ParticleState.from_arrays(statistics, SPACE, coeffs, amps)
-    other = ParticleState.from_arrays(statistics, SPACE, coeffs[::-1], amps[::-1])
+    phi = ParticleState(statistics, SPACE, coeffs, amps)
+    other = ParticleState(statistics, SPACE, coeffs[::-1], amps[::-1])
     unit = normalize(phi)
     results = [unit, phi + other, phi - other, 2.0 * phi, -phi, project_single(meas, unit)]
     results.append(project_single(meas, results[-1]))

@@ -23,11 +23,17 @@ from idqsim import (
 )
 from idqsim.permanents import permanent_naive
 from idqsim.reduction import _ladder
-from idqsim.states import overlap_elementary
+from idqsim.states import _stack_terms, overlap_elementary
 
 
 def three_modes():
     return CanonicalBasis(("A", "B", "C"))
+
+
+def from_terms(statistics, terms):
+    """The state of several ``ElementaryState`` terms, stacked as the
+    scenario parser stacks a file's terms."""
+    return ParticleState(statistics, *_stack_terms((t.coeff, t.kets) for t in terms))
 
 
 def test_bosonic_overlap_with_repeated_ket_is_two():
@@ -186,10 +192,7 @@ def test_merge_joins_kets_that_differ_only_in_negative_zeros():
     a, b = space.ket("A", Spin.DOWN), space.ket("B", Spin.UP)
     b_neg = negative_zeros(b)
     assert b_neg.amps.tobytes() != b.amps.tobytes()
-    s = ParticleState(
-        Statistics.BOSON,
-        (ElementaryState(0.6, (a, b)), ElementaryState(0.8, (a, b_neg))),
-    )
+    s = elementary(Statistics.BOSON, (a, b), 0.6) + elementary(Statistics.BOSON, (a, b_neg), 0.8)
     out = project_single(a, s)  # the remainders |b> and |b'> are one ket
     assert len(out.terms) == 1
     assert np.isclose(out.terms[0].coeff, 1.4)
@@ -198,7 +201,7 @@ def test_merge_joins_kets_that_differ_only_in_negative_zeros():
 def test_fermion_remainder_holding_a_ket_twice_up_to_negative_zeros_is_null():
     space = three_modes()
     a, b = space.ket("A", Spin.DOWN), space.ket("B", Spin.UP)
-    f = ParticleState(Statistics.FERMION, (ElementaryState(1.0, (a, b, negative_zeros(b))),))
+    f = elementary(Statistics.FERMION, (a, b, negative_zeros(b)))
     out = project_single(a, f)
     assert all(t.coeff == 0 for t in out.terms)
 
@@ -264,8 +267,8 @@ def test_batched_inner_is_the_sum_of_pairwise_overlaps(stats, n):
     rng = np.random.default_rng([51, n, stats is Statistics.FERMION])
     for bra_terms in (1, 2, 3):
         for ket_terms in (1, 2, 3):
-            psi = ParticleState(stats, random_terms(rng, space, n, bra_terms))
-            phi = ParticleState(stats, random_terms(rng, space, n, ket_terms))
+            psi = from_terms(stats, random_terms(rng, space, n, bra_terms))
+            phi = from_terms(stats, random_terms(rng, space, n, ket_terms))
             pairs = [(b, k) for b in psi.terms for k in phi.terms]
             scale = max(1.0, sum(abs(overlap_elementary(b, k, stats)) for b, k in pairs))
             tol = 1e-12 * scale
@@ -286,14 +289,14 @@ def test_a_fermion_term_with_a_proportional_pair_has_exactly_zero_overlaps():
     k, other = random_terms(rng, space, 2, 1)[0].kets
     doubled = ElementaryState(0.7 - 0.2j, (k, other, np.exp(1.1j) * 2.0 * k))
     for n_terms in (1, 2, 3):
-        clean = ParticleState(Statistics.FERMION, random_terms(rng, space, 3, n_terms))
-        null = ParticleState(Statistics.FERMION, (doubled,) * n_terms)
+        clean = from_terms(Statistics.FERMION, random_terms(rng, space, 3, n_terms))
+        null = from_terms(Statistics.FERMION, (doubled,) * n_terms)
         assert inner(null, clean) == 0j
         assert inner(clean, null) == 0j
         assert inner(null, null) == 0j
         assert overlap_elementary(doubled, clean.terms[0], Statistics.FERMION) == 0j
         # next to clean terms, the null term adds nothing
-        mixed = ParticleState(Statistics.FERMION, clean.terms + (doubled,))
+        mixed = from_terms(Statistics.FERMION, clean.terms + (doubled,))
         want = inner(clean, clean)
         assert abs(inner(mixed, clean) - want) < 1e-12 * abs(want)
 

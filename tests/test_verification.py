@@ -14,7 +14,7 @@ import idqsim.states
 import idqsim.verification
 from idqsim.errors import ZeroProbabilityError
 from idqsim.hilbert import CanonicalBasis, Ket
-from idqsim.states import ElementaryState, ParticleState, Statistics, inner, normalize
+from idqsim.states import ElementaryState, Statistics, inner, normalize
 from idqsim.verification import (
     PROPERTY_NAMES,
     _unit_rows,
@@ -24,6 +24,8 @@ from idqsim.verification import (
     random_state,
     run_all,
 )
+
+from test_states import from_terms
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -193,7 +195,7 @@ def _per_ket_state(rng, space, n, statistics, n_terms):
         for _ in range(n_terms):
             kets = tuple(Ket(space, _per_ket_amps(rng, space.dim)) for _ in range(n))
             terms.append(ElementaryState(complex(rng.normal(), rng.normal()), kets))
-        psi = ParticleState(statistics, tuple(terms))
+        psi = from_terms(statistics, terms)
         if inner(psi, psi).real > 1e-6:
             return normalize(psi)
     raise ArithmeticError("null draws")
