@@ -2,9 +2,10 @@
 
 Exit codes: 0 all good, 1 an expectation or property failed, 2 bad input
 (unknown scenario, malformed file, non-finite number, plan that does not fit
-the state, measurement that cannot fire) or a broken install (a builtin
-scenario file missing from the package), 3 numerical trouble (a matrix that
-should be a state is not).
+the state, measurement that cannot fire), a broken install (a builtin
+scenario file missing from the package) or a problem too large for memory
+(reported as ``error: out of memory: ...``, without a traceback), 3
+numerical trouble (a matrix that should be a state is not).
 """
 
 from __future__ import annotations
@@ -118,6 +119,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_NUMERICAL
     except SimulationError as exc:  # ScenarioError, ZeroProbabilityError and the rest
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # numpy's "Unable to allocate ..." among them
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ArithmeticError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

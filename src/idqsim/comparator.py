@@ -28,7 +28,7 @@ The oracle traces the symmetrized vector on its leading slot and maps the
 end result to the occupation basis as ``T^dagger V``. The isometry ``T``
 (``occupation_isometry``) symmetrizes the canonical product tensors of every
 occupation entry as one stack; it is built on first use, once per
-``(dim, sector, statistics)``, and returned read-only. Only the eight
+``(dim, sector, statistics)``, and returned read-only. Only the sixteen
 tables used last are kept: the boson one of 4 particles over dimension 8
 alone is 21.6 MB. The oracle never compresses its factor: it is the
 reference that the ladder route's compression is checked against. It uses
@@ -156,8 +156,10 @@ def occupation_isometry(occ: OccupationBasis) -> np.ndarray:
     return _isometry(occ.space.dim, occ.sector, occ.statistics)
 
 
-# a verify round uses 4 tables and run_all(0) 6, so neither evicts one
-@lru_cache(maxsize=8)
+# run_all builds 10 tables on any seed (sectors 1-3 over dim 6 and 2-3 over dim 8,
+# for both statistics; the largest, 3 bosons over dim 8, is 120 x 512) and a
+# verify round 4 of those, so one run_all evicts none (8 entries evicted 2)
+@lru_cache(maxsize=16)
 def _isometry(dim: int, sector: int, statistics: Statistics) -> np.ndarray:
     """``occupation_isometry`` per ``(dim, sector, statistics)``: the product
     tensors of every entry's canonical kets, symmetrized as one stack."""

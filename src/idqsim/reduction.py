@@ -115,7 +115,7 @@ from .hilbert import (
     orthonormality_defect,
     ORTHONORMALITY_TOL,
 )
-from .states import ParticleState, Statistics, inner, project_single
+from .states import ParticleState, Statistics, inner, project_single, require_statistics
 
 TRACE_TOL = 1e-10
 ZERO_PROB_TOL = 1e-12
@@ -278,10 +278,12 @@ class OccupationBasis:
     ``entries`` holds the occupations as ``_entries`` enumerates them: one
     ascending row of canonical single-particle indices per basis state, rows
     in lexicographic order; fermions exclude repeats. Sizes, labels and
-    lookups are all read off that one array.
+    lookups are all read off that one array. A ``statistics`` that is not a
+    ``Statistics`` member is refused (TypeError).
     """
 
     def __init__(self, space: CanonicalBasis, sector: int, statistics: Statistics):
+        require_statistics(statistics)
         if sector < 0:
             raise ValueError("sector must be >= 0")
         self.space = space

@@ -72,6 +72,14 @@ class Statistics(Enum):
         return 1 if self is Statistics.BOSON else -1
 
 
+def require_statistics(statistics) -> None:
+    """Refuse anything but a ``Statistics`` member (TypeError): every table
+    and kernel tests ``statistics is Statistics.BOSON``, so the string
+    ``"boson"`` would be taken for a fermion."""
+    if not isinstance(statistics, Statistics):
+        raise TypeError(f"statistics must be a Statistics member, not {statistics!r}")
+
+
 class ElementaryState(Frozen, eq=False):
     """One term ``coeff * |kets[0], ..., kets[N-1]>`` of a state's ``terms``
     view."""
@@ -90,7 +98,8 @@ class ParticleState(Frozen, eq=False):
     identical particles of one statistics, over the frame ``space``.
 
     Takes a ``(T,)`` coefficient array and a ``(T, N, dim)`` amplitude stack,
-    copies both C-contiguous and read-only, and checks them as a whole: no
+    copies both C-contiguous and read-only, and checks them as a whole: a
+    ``statistics`` that is not a ``Statistics`` member (TypeError), no
     terms (ValueError), a ket dimension other than ``space.dim``
     (BasisMismatchError, from ``checked_amplitudes``), a NaN or infinite
     amplitude or coefficient (ValueError), a coefficient count other than
@@ -100,6 +109,7 @@ class ParticleState(Frozen, eq=False):
     """
 
     def __init__(self, statistics: Statistics, space: CanonicalBasis | None, coeffs, amps):
+        require_statistics(statistics)
         if np.shape(amps)[:1] == (0,):
             raise ValueError("state needs at least one term")
         amps = checked_amplitudes(space, amps, ndim=3)

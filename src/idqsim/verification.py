@@ -5,6 +5,17 @@ Each property draws its own `numpy` generator from ``default_rng([seed, k])``
 exact same states and bases. ``run_all`` never raises: a property that throws
 is reported as failed with the exception text.
 
+The properties that compare two or more routes (the labeled oracle, the
+projected states, the ladder, the occupation coordinates, closed forms) draw
+over one shape schedule, ``SHAPES``: 1-3 bosons or fermions over three
+sites and 4 over four sites (dim 8), and run each draw's routes through one
+comparer, ``_compare``, which compares every later route with the first. A
+draw is skipped only when its first route meets a measurement that never
+fires, and a property fails below its minimum count of compared draws. Each
+detail line gives the worst deviation, that deviation as a fraction of the
+tolerance, and the shape that set it: ``B4/M4`` is 4 bosons over 4 sites,
+``6x6`` a matrix size and ``d=6`` a spectrum's length.
+
 The random builders at the top are public on purpose — the test suite
 reuses them so that "the tests" and "the verifier" disagree only if the
 library itself is inconsistent. They draw an array at a time: one normal
@@ -19,6 +30,7 @@ whole stack once; their terms and kets are made only if read.
 from __future__ import annotations
 
 import math
+from itertools import chain, combinations, cycle
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,6 +68,7 @@ from .states import (
     normalize,
     overlaps,
     project_single,
+    require_statistics,
 )
 
 BOTH = (Statistics.BOSON, Statistics.FERMION)
@@ -71,6 +84,97 @@ class PropertyResult(Frozen):
 def _ensure(cond: bool, msg: str) -> None:
     if not cond:
         raise AssertionError(msg)
+
+
+# --- the shape schedule and the route comparer ------------------------------
+
+# (statistics, N, sites): N = 1-3 over three sites and N = 4 over four (dim 8,
+# inside the oracle's cap). N = 5 over four sites fits the cap too, but its
+# one-stage oracle trace builds the 4-boson isometry over dim 8, 21.6 MB.
+SHAPES: tuple[tuple[Statistics, int, int], ...] = tuple(
+    (stats, n, 3 if n < 4 else 4) for stats in BOTH for n in (1, 2, 3, 4)
+)
+
+
+def _label(stats: Statistics, n: int, sites: int) -> str:
+    """``B4/M4``: 4 bosons over 4 sites."""
+    return f"{stats.value[0].upper()}{n}/M{sites}"
+
+
+def _shapes(low: int = 1, each: int = 1):
+    """``(statistics, n, frame, label)`` of every scheduled shape with at
+    least ``low`` particles, ``each`` times in a row."""
+    for stats, n, sites in SHAPES:
+        if n >= low:
+            space = CanonicalBasis("ABCD"[:sites])
+            for _ in range(each):
+                yield stats, n, space, _label(stats, n, sites)
+
+
+def _state_draws(rng, routes: Callable, low: int = 1, each: int = 1):
+    """``(label, routes(phi))`` for a ``random_state`` ``phi`` of each shape
+    that ``_shapes(low, each)`` yields."""
+    for stats, n, space, where in _shapes(low, each):
+        yield where, routes(random_state(rng, space, n, stats))
+
+
+class Comparison(Frozen):
+    """What ``_compare`` found: how many draws it compared, the worst
+    deviation, that deviation as a fraction of the tolerance, and the label
+    of the draw that set it."""
+
+    def __init__(self, compared: int, worst: float, fraction: float, where: str):
+        self._set("compared", compared)
+        self._set("worst", worst)
+        self._set("fraction", fraction)
+        self._set("where", where)
+
+    def __str__(self) -> str:
+        return f"{self.worst:.3g} ({self.fraction:.2g} of tolerance) at {self.where}"
+
+
+def _values(value) -> tuple:
+    """A route's value as the tuple that is compared; a reduced state gives
+    its matrix and its probability."""
+    if isinstance(value, DensityMatrix):
+        return value.mat, value.prob
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _compare(draws, tol: float, failure: str, minimum: int = 1, relative: bool = False):
+    """Run the routes of every draw and compare each later route with the first.
+
+    ``draws`` yields ``(label, routes)``: the label of the draw's shape and
+    zero-argument callables that each return a value or a tuple of values (see ``_values``). The routes look up the module's functions when
+    they are called, so a patched or traced name is the one they run. A
+    later route is compared with the first on the values it returns, which
+    may be the leading part of the first route's. A deviation is the largest
+    absolute entry difference, over ``max(|first|, 1)`` when ``relative``;
+    NaN counts as infinite.
+
+    A draw is skipped only when its first route raises ZeroProbabilityError,
+    a measurement that never fires; any other exception, and that one from a
+    later route, reaches ``run_all``. Fails when fewer than ``minimum`` draws
+    were compared, and with ``failure`` when the worst deviation is not
+    below ``tol``. Returns a ``Comparison``.
+    """
+    compared, worst, where = 0, -math.inf, None
+    for label, (first, *rest) in draws:
+        try:
+            want = _values(first())
+        except ZeroProbabilityError:
+            continue
+        compared += 1
+        scale = max(max(float(np.abs(v).max()) for v in want), 1.0) if relative else 1.0
+        for route in rest:
+            gaps = [np.abs(np.subtract(got, ref)).max() for got, ref in zip(_values(route()), want)]
+            dev = float(np.nan_to_num(np.max(gaps), nan=np.inf)) / scale
+            if dev > worst:
+                worst, where = dev, label
+    _ensure(compared >= minimum, f"only {compared} comparable draws, need {minimum}")
+    found = Comparison(compared, worst, worst / tol, where)
+    _ensure(worst < tol, f"{failure} by {found}")
+    return found
 
 
 # --- random builders (public; reused by the test suite) -------------------
@@ -119,10 +223,12 @@ def random_state(
     for bit. The state is built once, already normalized, by the
     ``ParticleState`` constructor on those arrays.
 
-    Raises ValueError, before any draw, when ``n_terms < 1`` or the sector is
-    empty (more fermions than single-particle states), and ArithmeticError if
-    100 draws in a row have a squared norm of at most 1e-6.
+    Raises, before any draw, TypeError when ``statistics`` is not a
+    ``Statistics`` member and ValueError when ``n_terms < 1`` or the sector is
+    empty (more fermions than single-particle states); raises ArithmeticError
+    if 100 draws in a row have a squared norm of at most 1e-6.
     """
+    require_statistics(statistics)
     if n_terms < 1:
         raise ValueError(f"n_terms must be at least 1, got {n_terms}")
     if statistics is Statistics.FERMION and n > space.dim:
@@ -179,31 +285,26 @@ def _prop_canonical_orthonormality(rng) -> str:
     space = standard_space()
     defect, pair = orthonormality_defect(MeasurementBasis.full(space).amps)
     _ensure(defect == 0.0, f"canonical defect {defect:.3g} at {pair}")
-    worst = 0.0
-    for _ in range(5):
-        mb = random_measurement_basis(rng, space)
-        d, _ = orthonormality_defect(mb.amps)
-        worst = max(worst, d)
+    worst = max(orthonormality_defect(random_measurement_basis(rng, space).amps)[0] for _ in range(5))
     _ensure(worst <= 1e-10, f"remixed basis defect {worst:.3g}")
     return f"canonical defect 0, remixed worst {worst:.3g}"
 
 
 def _prop_exchange_symmetry(rng) -> str:
-    space = standard_space()
-    worst = 0.0
-    for stats in BOTH:
-        for _ in range(15):
-            n = int(rng.integers(2, 4))
+    def draws():
+        for stats, n, space, where in _shapes(low=2, each=5):
             kets = [random_ket(rng, space) for _ in range(n)]
             i, j = sorted(rng.choice(n, size=2, replace=False))
             swapped = list(kets)
             swapped[i], swapped[j] = swapped[j], swapped[i]
             bra = elementary(stats, [random_ket(rng, space) for _ in range(n)])
-            lhs = inner(bra, elementary(stats, swapped))
-            rhs = stats.eta * inner(bra, elementary(stats, kets))
-            worst = max(worst, abs(lhs - rhs))
-    _ensure(worst < 1e-10, f"exchange sign violated by {worst:.3g}")
-    return f"30 random transpositions, worst deviation {worst:.3g}"
+            yield where, (
+                lambda: stats.eta * inner(bra, elementary(stats, kets)),
+                lambda: inner(bra, elementary(stats, swapped)),
+            )
+
+    c = _compare(draws(), 1e-10, "exchange sign violated")
+    return f"{c.compared} random transpositions, worst deviation {c}"
 
 
 def _prop_pauli_exclusion(rng) -> str:
@@ -222,169 +323,136 @@ def _prop_pauli_exclusion(rng) -> str:
 
 
 def _prop_permanent_consistency(rng) -> str:
-    worst = 0.0
-    for n in range(1, 7):
-        for _ in range(4):
-            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            a, b = permanent_ryser(m), permanent_naive(m)
-            worst = max(worst, abs(a - b) / max(abs(b), 1.0))
+    def draws():
+        for n in range(1, 7):
+            for _ in range(4):
+                m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                yield f"{n}x{n}", (lambda: permanent_naive(m), lambda: permanent_ryser(m))
+
+    c = _compare(draws(), 1e-10, "Ryser disagrees with the definition", relative=True)
     for n in range(1, 6):
-        _ensure(
-            abs(permanent(np.eye(n)) - 1.0) < 1e-12, f"per(I_{n}) != 1"
-        )
-        _ensure(
-            abs(permanent(np.ones((n, n))) - math.factorial(n)) < 1e-9,
-            f"per(ones_{n}) != {n}!",
-        )
-    _ensure(worst < 1e-10, f"Ryser disagrees with the definition by {worst:.3g}")
-    return f"n=1..6 random matrices, worst relative deviation {worst:.3g}"
+        _ensure(abs(permanent(np.eye(n)) - 1.0) < 1e-12, f"per(I_{n}) != 1")
+        ones = permanent(np.ones((n, n)))
+        _ensure(abs(ones - math.factorial(n)) < 1e-9, f"per(ones_{n}) != {n}!")
+    return f"n=1..6 random matrices, worst relative deviation {c}"
 
 
 def _prop_oracle_inner_factorial(rng) -> str:
-    space = standard_space()
-    checked, worst = 0, 0.0
-    for stats in BOTH:
-        for _ in range(30):
-            n = int(rng.integers(2, 4))
-            a = random_state(rng, space, n, stats)
-            b = random_state(rng, space, n, stats)
-            lhs = oracle_inner(a, b)
-            rhs = math.factorial(n) * inner(a, b)
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-            checked += 1
-    # elementary pairs too, unnormalized on purpose
-    for stats in BOTH:
-        for _ in range(25):
-            n = int(rng.integers(1, 4))
+    def routes(a, b):
+        return lambda: math.factorial(a.n) * inner(a, b), lambda: oracle_inner(a, b)
+
+    def state_pair(a):
+        return routes(a, random_state(rng, a.basis, a.n, a.statistics))
+
+    def elementary_pairs():  # unnormalized on purpose
+        for stats, n, space, where in _shapes(each=6):
             a = elementary(stats, [random_ket(rng, space) for _ in range(n)], 1.3 - 0.4j)
             b = elementary(stats, [random_ket(rng, space) for _ in range(n)], -0.7 + 2.1j)
-            lhs = oracle_inner(a, b)
-            rhs = math.factorial(n) * inner(a, b)
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-            checked += 1
-    _ensure(worst < 1e-10, f"labeled/label-free ratio off by {worst:.3g}")
-    return f"{checked} state pairs, worst relative deviation {worst:.3g}"
+            yield where, routes(a, b)
+
+    draws = chain(_state_draws(rng, state_pair, low=2, each=10), elementary_pairs())
+    c = _compare(draws, 1e-10, "labeled/label-free ratio off", relative=True)
+    return f"{c.compared} state pairs, worst relative deviation {c}"
+
+
+def _ladder(phi: ParticleState, mb: MeasurementBasis) -> tuple:
+    """The one-stage trace and the lowered coordinates ``a(psi) coords(phi)``
+    of the ladder route."""
+    rho = partial_trace_one(phi, mb)
+    upper = OccupationBasis(phi.basis, phi.n, phi.statistics)
+    return rho.mat, rho.prob, annihilate(mb, coords(phi, upper)[:, None], upper)
+
+
+def _projected(phi: ParticleState, mb: MeasurementBasis) -> tuple:
+    """The paper's algebra, from the projected states themselves: the
+    trace-one Gram matrix of their coordinates, its trace over N (the
+    probability), and the coordinates, one column per ket."""
+    lower = OccupationBasis(phi.basis, phi.n - 1, phi.statistics)
+    projected = np.column_stack([coords(project_single(psi, phi), lower) for psi in mb.kets])
+    paper = projected @ projected.conj().T
+    trace = paper.trace().real
+    return paper / trace, trace / phi.n, projected
 
 
 def _prop_oracle_trace_agreement(rng) -> str:
-    space = standard_space()
-    checked, worst = 0, 0.0
-    for stats in BOTH:
-        for _ in range(12):
-            n = int(rng.integers(2, 4))
-            phi = random_state(rng, space, n, stats)
-            size = None if rng.random() < 0.5 else int(rng.integers(1, space.dim))
-            mb = random_measurement_basis(rng, space, size)
-            try:
-                ours = partial_trace_one(phi, mb)
-            except ZeroProbabilityError:
-                continue  # a basis that never fires is a legitimate skip
-            ref = oracle_trace(phi, mb)
-            worst = max(worst, float(np.abs(ours.mat - ref.mat).max()))
-            worst = max(worst, abs(ours.prob - ref.prob))
-            # the paper's algebra, from the projected states themselves ...
-            upper = OccupationBasis(space, n, stats)
-            lower = OccupationBasis(space, n - 1, stats)
-            projected = np.column_stack(
-                [coords(project_single(psi, phi), lower) for psi in mb.kets]
-            )
-            paper = projected @ projected.conj().T
-            worst = max(worst, float(np.abs(paper / paper.trace().real - ref.mat).max()))
-            # ... and tied to the ladder route: coords(P_psi phi) = a(psi) coords(phi)
-            ladder = annihilate(mb, coords(phi, upper)[:, None], upper)
-            worst = max(worst, float(np.abs(projected - ladder).max()))
-            checked += 1
-    # iterated traces through random bases, then through the paper's bases,
-    # which lower through a sparse support: one site, or a pair of sites
-    sparse = [MeasurementBasis.localized(space, m) for m in "ABC"]
-    sparse += [delocalized_pair(space, a, b) for a, b in ("AB", "AC", "BC")]
-    schedule = [(stats, 2, None) for stats in BOTH for _ in range(6)]
-    schedule += [(stats, depth, sparse) for stats in BOTH for depth in (1, 2) * 4]
-    through_sparse = 0
-    for stats, depth, pool in schedule:
-        phi = random_state(rng, space, 3, stats)
-        stages = tuple(
-            random_measurement_basis(rng, space, int(rng.integers(2, space.dim)))
-            if pool is None else pool[int(rng.integers(len(pool)))]
-            for _ in range(depth)
-        )
-        try:
-            ours = partial_trace_iterate(phi, stages)
-        except ZeroProbabilityError:
-            continue
-        ref = oracle_trace_iterate(phi, stages)
-        worst = max(worst, float(np.abs(ours.mat - ref.mat).max()), abs(ours.prob - ref.prob))
-        checked += 1
-        through_sparse += pool is not None
-    _ensure(checked - through_sparse >= 20, f"only {checked - through_sparse} comparable draws")
-    _ensure(through_sparse >= 8, f"only {through_sparse} comparable draws through sparse bases")
-    _ensure(worst < 1e-10, f"labeled and label-free traces differ by {worst:.3g}")
-    return (f"{checked} reductions compared ({through_sparse} through localized or delocalized "
-            f"bases), worst entry deviation {worst:.3g}")
+    def one_stage(phi):
+        size = None if rng.random() < 0.5 else int(rng.integers(1, phi.basis.dim))
+        mb = random_measurement_basis(rng, phi.basis, size)
+        return lambda: _ladder(phi, mb), lambda: oracle_trace(phi, mb), lambda: _projected(phi, mb)
+
+    def iterated(phi, stages):
+        return lambda: partial_trace_iterate(phi, stages), lambda: oracle_trace_iterate(phi, stages)
+
+    def two_random(phi):
+        space = phi.basis
+        sizes = (int(rng.integers(2, space.dim)) for _ in range(2))
+        return iterated(phi, tuple(random_measurement_basis(rng, space, k) for k in sizes))
+
+    depths = cycle((1, 2))
+
+    def sparse(phi):
+        # the paper's bases lower through a sparse support: one site, or a pair
+        space, names = phi.basis, phi.basis.mode_names
+        pool = [MeasurementBasis.localized(space, m) for m in names]
+        pool += [delocalized_pair(space, a, b) for a, b in combinations(names, 2)]
+        return iterated(phi, tuple(pool[int(rng.integers(len(pool)))] for _ in range(next(depths))))
+
+    failure = "labeled and label-free traces differ"
+    random_bases = chain(
+        _state_draws(rng, one_stage, low=2, each=4), _state_draws(rng, two_random, low=3, each=3)
+    )
+    ran = _compare(random_bases, 1e-10, failure, minimum=20)
+    sparse_bases = _state_draws(rng, sparse, low=3, each=4)
+    through = _compare(sparse_bases, 1e-10, failure + " through sparse bases", minimum=8)
+    return (f"{ran.compared} reductions through random bases, worst entry deviation {ran}; "
+            f"{through.compared} through localized or delocalized bases, worst {through}")
 
 
 def _prop_projection_completeness(rng) -> str:
-    space = standard_space()
-    worst = 0.0
-    for stats in BOTH:
-        for _ in range(8):
-            n = int(rng.integers(1, 4))
-            phi = random_state(rng, space, n, stats)
-            for mb in (MeasurementBasis.full(space), random_measurement_basis(rng, space)):
-                total = sum(
-                    inner(p, p).real
-                    for p in (project_single(k, phi) for k in mb.kets)
-                )
-                worst = max(worst, abs(total - n * inner(phi, phi).real))
-    _ensure(worst < 1e-10, f"projection completeness violated by {worst:.3g}")
-    return f"complete bases reproduce N times the squared norm, worst {worst:.3g}"
+    def projected_total(phi, mb):
+        return sum(inner(p, p).real for p in (project_single(k, phi) for k in mb.kets))
+
+    def routes(phi):
+        bases = (MeasurementBasis.full(phi.basis), random_measurement_basis(rng, phi.basis))
+        return (lambda: (phi.n * inner(phi, phi).real,) * 2,
+                lambda: tuple(projected_total(phi, mb) for mb in bases))
+
+    c = _compare(_state_draws(rng, routes, each=2), 1e-10, "projection completeness violated")
+    return f"{2 * c.compared} complete bases reproduce N times the squared norm, worst {c}"
 
 
 def _prop_probability_complete(rng) -> str:
-    space = standard_space()
-    worst = 0.0
-    for stats in BOTH:
-        for _ in range(8):
-            n = int(rng.integers(1, 4))
-            phi = random_state(rng, space, n, stats)
-            for mb in (MeasurementBasis.full(space), random_measurement_basis(rng, space)):
-                worst = max(worst, abs(probability_of(phi, mb) - 1.0))
-    _ensure(worst < 1e-10, f"complete-basis probability off by {worst:.3g}")
-    return f"32 complete-basis probabilities equal 1, worst deviation {worst:.3g}"
+    def routes(phi):
+        bases = (MeasurementBasis.full(phi.basis), random_measurement_basis(rng, phi.basis))
+        return lambda: (1.0, 1.0), lambda: tuple(probability_of(phi, mb) for mb in bases)
+
+    c = _compare(_state_draws(rng, routes, each=2), 1e-10, "complete-basis probability off")
+    return f"{2 * c.compared} complete-basis probabilities equal 1, worst deviation {c}"
 
 
 def _prop_probability_additivity(rng) -> str:
-    space = standard_space()
-    worst = 0.0
-    for stats in BOTH:
-        for _ in range(8):
-            phi = random_state(rng, space, int(rng.integers(1, 4)), stats)
-            mb = random_measurement_basis(rng, space)
-            cut = int(rng.integers(1, space.dim))
-            left = MeasurementBasis(space, mb.amps[:cut])
-            right = MeasurementBasis(space, mb.amps[cut:])
-            split = probability_of(phi, left) + probability_of(phi, right)
-            worst = max(worst, abs(split - probability_of(phi, mb)))
-    _ensure(worst < 1e-10, f"additivity violated by {worst:.3g}")
-    return f"16 random partitions, worst deviation {worst:.3g}"
+    def routes(phi):
+        mb = random_measurement_basis(rng, phi.basis)
+        cut = int(rng.integers(1, phi.basis.dim))
+        left, right = (MeasurementBasis(phi.basis, part) for part in np.split(mb.amps, [cut]))
+        return (lambda: probability_of(phi, mb),
+                lambda: probability_of(phi, left) + probability_of(phi, right))
+
+    c = _compare(_state_draws(rng, routes, each=2), 1e-10, "additivity violated")
+    return f"{c.compared} random partitions, worst deviation {c}"
 
 
 def _prop_trace_unitary_invariance(rng) -> str:
-    space = standard_space()
-    worst = 0.0
-    for stats in BOTH:
-        for _ in range(6):
-            phi = random_state(rng, space, int(rng.integers(2, 4)), stats)
-            base = random_measurement_basis(rng, space)
-            u = random_unitary(rng, space.dim)
-            # ket i is sum_j u[j, i] base_j, summed over j in order
-            remixed = MeasurementBasis(space, (u[:, :, None] * base.amps[:, None]).sum(axis=0))
-            r1 = partial_trace_one(phi, base)
-            r2 = partial_trace_one(phi, remixed)
-            worst = max(worst, float(np.abs(r1.mat - r2.mat).max()))
-            worst = max(worst, abs(r1.prob - r2.prob))
-    _ensure(worst < 1e-10, f"complete-basis trace moved under remix by {worst:.3g}")
-    return f"12 unitary remixes leave the reduced state fixed, worst {worst:.3g}"
+    def routes(phi):
+        base = random_measurement_basis(rng, phi.basis)
+        u = random_unitary(rng, phi.basis.dim)
+        # ket i is sum_j u[j, i] base_j, summed over j in order
+        remixed = MeasurementBasis(phi.basis, (u[:, :, None] * base.amps[:, None]).sum(axis=0))
+        return lambda: partial_trace_one(phi, base), lambda: partial_trace_one(phi, remixed)
+
+    draws = _state_draws(rng, routes, low=2, each=2)
+    c = _compare(draws, 1e-10, "complete-basis trace moved under remix")
+    return f"{c.compared} unitary remixes leave the reduced state fixed, worst {c}"
 
 
 def _prop_density_matrix_contracts(rng) -> str:
@@ -468,17 +536,19 @@ def _entropy_of_factor(factor: np.ndarray) -> float:
 
 
 def _prop_entropy_unitary_invariance(rng) -> str:
-    worst = 0.0
-    for d in (2, 3, 6):
-        for _ in range(5):
-            evals = rng.random(d)
-            evals /= evals.sum()
-            u = random_unitary(rng, d)
-            s_direct = -(evals * np.log2(evals)).sum()
-            s_via = _entropy_of_factor(u * np.sqrt(evals))
-            worst = max(worst, abs(s_direct - s_via))
-    _ensure(worst < 1e-9, f"entropy moved under conjugation by {worst:.3g}")
-    return f"15 spectra survive unitary conjugation, worst deviation {worst:.3g}"
+    def draws():
+        for d in (2, 3, 6):
+            for _ in range(5):
+                evals = rng.random(d)
+                evals /= evals.sum()
+                u = random_unitary(rng, d)
+                yield f"d={d}", (
+                    lambda: -(evals * np.log2(evals)).sum(),
+                    lambda: _entropy_of_factor(u * np.sqrt(evals)),
+                )
+
+    c = _compare(draws(), 1e-9, "entropy moved under conjugation")
+    return f"{c.compared} spectra survive unitary conjugation, worst deviation {c}"
 
 
 def _prop_entropy_purity_consistency(rng) -> str:
@@ -519,25 +589,22 @@ def _prop_entropy_concavity(rng) -> str:
 
 
 def _prop_coords_isometry(rng) -> str:
-    space = standard_space()
-    worst = 0.0
-    for stats in BOTH:
-        for _ in range(10):
-            n = int(rng.integers(1, 4))
-            a = random_state(rng, space, n, stats)
-            b = random_state(rng, space, n, stats)
-            occ = OccupationBasis(space, n, stats)
-            lhs = np.vdot(coords(a, occ), coords(b, occ))
-            worst = max(worst, abs(lhs - inner(a, b)))
-        for sector in (1, 2, 3):
-            occ = OccupationBasis(space, sector, stats)
+    def pair(a):
+        b = random_state(rng, a.basis, a.n, a.statistics)
+        occ = OccupationBasis(a.basis, a.n, a.statistics)
+        return lambda: inner(a, b), lambda: np.vdot(coords(a, occ), coords(b, occ))
+
+    def isometries():  # at most 3 particles: the 4-boson table over dim 8 alone is 21.6 MB
+        for stats, n, space, _ in _shapes():
+            occ = OccupationBasis(space, min(n, 3), stats)
             t = occupation_isometry(occ)
-            worst = max(
-                worst,
-                float(np.abs(t.conj().T @ t - np.eye(occ.size)).max()),
+            yield _label(stats, occ.sector, len(space.mode_names)), (
+                lambda: np.eye(occ.size), lambda: t.conj().T @ t
             )
-    _ensure(worst < 1e-10, f"occupation coordinates distort overlaps by {worst:.3g}")
-    return f"coordinate map preserves inner products, worst deviation {worst:.3g}"
+
+    c = _compare(chain(_state_draws(rng, pair, each=3), isometries()), 1e-10,
+                 "occupation coordinates distort overlaps")
+    return f"coordinate map preserves inner products, worst deviation {c}"
 
 
 def _expected(spec, quantity: str, label: str, stage=None):

@@ -356,3 +356,31 @@ def test_every_builtin_passes_through_the_cli(capsys):
     for name in builtin_names():
         assert main(["run", name]) == EXIT_OK, name
     capsys.readouterr()
+
+
+def test_a_problem_too_large_for_memory_is_input_error(tmp_path, monkeypatch, capsys):
+    # a valid file whose 4-boson sector over 400 modes would take 512 GiB;
+    # the patched table raises as numpy does, without allocating anything
+    import idqsim.reduction
+
+    def unable(dim, sector, statistics):
+        raise MemoryError(f"Unable to allocate the sector of {sector} over dim {dim}")
+
+    monkeypatch.setattr(idqsim.reduction, "_entries", unable)
+    modes = [f"M{i}" for i in range(400)]
+    ket = lambda mode, spin: [[mode, spin, 1.0, 0.0]]
+    spec = {
+        "name": "wide",
+        "title": "four bosons over 400 modes",
+        "kind": "identical",
+        "statistics": "boson",
+        "modes": modes,
+        "state": [{"coeff": [1.0, 0.0], "kets": [ket(m, "up") for m in modes[:4]]}],
+        "plans": [{"label": "p", "two": [[ket("M0", "up"), ket("M0", "down")]]}],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--file", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in captured.err and captured.out == ""

@@ -1117,3 +1117,12 @@ def test_canonical_products_leave_binomial_weights(case):
     tol = 1e-12 * rho.basis.size
     assert np.abs(rho.spectrum - want).max() <= tol
     assert abs(rho.prob - prob) <= tol
+
+
+@pytest.mark.parametrize("statistics", ["boson", "fermion", None])
+def test_an_occupation_basis_refuses_a_statistics_that_is_not_a_member(statistics):
+    # "boson" used to give the fermion sector: 15 entries over three sites
+    with pytest.raises(TypeError, match="statistics must be a Statistics member"):
+        OccupationBasis(SPACE, 2, statistics)
+    assert OccupationBasis(SPACE, 2, Statistics.BOSON).size == 21
+    assert OccupationBasis(SPACE, 2, Statistics.FERMION).size == 15

@@ -352,3 +352,16 @@ def test_statistics_looked_up_by_value_hit_the_same_table_entry():
     assert _ladder(4, 2, Statistics("boson")) is table
     assert _ladder.cache_info().hits == hits + 1
     assert {Statistics.FERMION: 1}[Statistics("fermion")] == 1
+
+
+@pytest.mark.parametrize("statistics", ["boson", "fermion", None, 1])
+def test_a_statistics_that_is_not_a_member_is_refused(statistics):
+    # the string "boson" used to pass every `is Statistics.BOSON` test as a
+    # fermion: two bosons in one ket had overlap 0 instead of 2
+    a = three_modes().ket("A", Spin.UP)
+    with pytest.raises(TypeError, match="statistics must be a Statistics member"):
+        elementary(statistics, (a, a))
+    with pytest.raises(TypeError, match="statistics must be a Statistics member"):
+        ParticleState(statistics, a.basis, [1.0], [[a.amps, a.amps]])
+    pair = elementary(Statistics.BOSON, (a, a))
+    assert inner(pair, pair) == 2.0

@@ -254,3 +254,43 @@ def test_stacked_row_norms_round_as_linalg_norm_does():
         v = draws[..., 0, :] + 1j * draws[..., 1, :]
         want = np.array([[row / np.linalg.norm(row) for row in term] for term in v])
         assert np.array_equal(units, want), dim
+
+
+@pytest.mark.parametrize("statistics", ["boson", "fermion"])
+def test_random_state_refuses_a_statistics_that_is_not_a_member_before_drawing(statistics):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(TypeError, match="statistics must be a Statistics member"):
+        random_state(rng, CanonicalBasis(("A", "B", "C")), 2, statistics)
+    assert rng.bit_generator.state == before
+
+
+# the cross-route properties that draw their states through random_state
+STATE_DRAWING_PROPERTIES = (
+    "oracle-inner-factorial",
+    "oracle-trace-agreement",
+    "projection-completeness",
+    "probability-complete-basis",
+    "probability-additivity",
+    "trace-unitary-invariance",
+    "coords-isometry",
+)
+
+
+@pytest.mark.parametrize("name", STATE_DRAWING_PROPERTIES)
+def test_each_cross_route_property_draws_four_particles_over_four_sites(monkeypatch, name):
+    # the shapes that the wide sweep runs: 4 bosons and 4 fermions over
+    # four sites (dim 8), beside N = 1-3 over three sites
+    drawn = set()
+    draw = idqsim.verification.random_state
+
+    def recording(rng, space, n, statistics, *args, **kwargs):
+        drawn.add((statistics, n, space.dim))
+        return draw(rng, space, n, statistics, *args, **kwargs)
+
+    monkeypatch.setattr(idqsim.verification, "random_state", recording)
+    k = PROPERTY_NAMES.index(name)
+    prop = dict(idqsim.verification._PROPERTIES)[name]
+    prop(np.random.default_rng([0, k]))
+    assert {(Statistics.BOSON, 4, 8), (Statistics.FERMION, 4, 8)} <= drawn, drawn
+    assert any(dim == 6 for _, _, dim in drawn)
