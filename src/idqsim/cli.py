@@ -2,16 +2,17 @@
 
 Exit codes: 0 all good, 1 an expectation or property failed, 2 bad input
 (unknown scenario, malformed file, non-finite number, plan that does not fit
-the state, measurement that cannot fire), a broken install (a builtin
-scenario file missing from the package) or a problem too large for memory
-(reported as ``error: out of memory: ...``, without a traceback), 3
-numerical trouble (a matrix that should be a state is not).
+the state, expectation on a side its plan does not trace, measurement that
+cannot fire, tolerance override that is not positive and finite, which
+``run_spec`` refuses), a broken install (a builtin scenario file missing
+from the package) or a problem too large for memory (reported as ``error:
+out of memory: ...``, without a traceback), 3 numerical trouble (a matrix
+that should be a state is not).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -73,9 +74,6 @@ def _cmd_list(args) -> tuple[int, str]:
 def _cmd_run(args) -> tuple[int, str]:
     if (args.name is None) == (args.file is None):
         print("error: give exactly one of a scenario name or --file", file=sys.stderr)
-        return EXIT_INPUT, ""
-    if args.tolerance is not None and not 0 < args.tolerance < math.inf:
-        print("error: --tolerance must be a positive finite number", file=sys.stderr)
         return EXIT_INPUT, ""
     if args.file is not None:
         report = run_file(args.file, args.tolerance)

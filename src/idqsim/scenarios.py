@@ -18,6 +18,17 @@ every later call. Sharing is safe because a spec is immutable all the way
 down: the records are ``Frozen`` and every ``Ket``'s amplitudes are read-only.
 The measurement bases therefore keep the supports found on their first
 lowering. Only inputs are shared; every run computes and returns a new report.
+
+The file parser has one reader per JSON shape, ``_object`` (an object holding
+only known fields) and ``_items`` (a nonempty list), and checks each rule in
+one place. A record's own rules belong to its constructor: ``Expectation``
+checks the quantity, the flag's type, which quantities take a plan label or a
+stage and the stage's domain, ``TracePlan`` that a plan traces a side, and the
+parser prefixes their messages with the field path. The parser itself checks
+only what needs a path or the whole file: JSON types and finite numbers,
+stage counts against the particle number, labeled slots, distinct plan labels,
+and that an expectation's label names a plan that traces the side it reads.
+``run_spec`` refuses a tolerance override that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ import math
 from functools import cache
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -291,8 +302,13 @@ def run_spec(spec: ScenarioSpec, tolerance: Optional[float] = None) -> ScenarioR
     """Run every plan and evaluate the expectations.
 
     ``tolerance`` can only tighten: the effective tolerance of each check is
-    the minimum of its own and the override.
+    the minimum of its own and the override, which must be positive and
+    finite (else ``ScenarioError``).
     """
+    if tolerance is not None and not 0 < tolerance < math.inf:
+        raise ScenarioError(
+            f"the tolerance override must be a positive finite number, not {tolerance!r}"
+        )
     report = analyze(spec.state, spec.plans)
     checks = tuple(_evaluate(e, report, tolerance) for e in spec.expectations)
     return ScenarioReport(spec.name, spec.title, report, checks)
@@ -309,17 +325,22 @@ def _evaluate(
         b = report[e.label]
     except KeyError:
         return ExpectationResult(e, tol, None, False, note="no such plan")
-    # the remainder: named by the quantity's suffix (entropy_one), else by its stage
-    quantity, _, side = e.quantity.partition("_")
-    rho = getattr(b, f"rho_{side or e.stage}")
-    if rho is None:
+    rho = getattr(b, f"rho_{_side(e)}")
+    if rho is None:  # a spec built through the API; a file's is refused when parsed
         return ExpectationResult(e, tol, None, False, note="side not traced")
+    quantity = e.quantity.partition("_")[0]
     if quantity == "eigenvalues":  # padded with zeros to a common length
         ev = tuple(spectrum(rho).tolist())
         close = all(abs(h - w) <= tol for h, w in zip_longest(ev, e.value, fillvalue=0.0))
         return ExpectationResult(e, tol, ev, close)
     actual = getattr(rho, "prob" if quantity == "probability" else quantity)
     return ExpectationResult(e, tol, actual, abs(actual - e.value) <= tol)
+
+
+def _side(e: Expectation) -> str:
+    """The remainder a check with a plan label reads, "one" or "two": named
+    by the quantity's suffix (entropy_one), else by its stage."""
+    return e.quantity.partition("_")[2] or e.stage
 
 
 # --- builtin scenarios -------------------------------------------------------
@@ -411,33 +432,25 @@ def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
 
 
 def parse_scenario(raw: dict) -> ScenarioSpec:
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario: expected a JSON object")
+    fields = ("name", "title", "kind", "modes", "state", "plans", "expectations")
+    labeled = isinstance(raw, dict) and raw.get("kind") == "distinguishable"
+    _object(raw, "scenario", fields if labeled else fields + ("statistics",))
     name = _need_str(raw, "name", "scenario")
     title = raw.get("title", name)
     if not isinstance(title, str):
         raise ScenarioError("scenario.title: expected a string")
     kind = raw.get("kind", "identical")
     if kind not in ("identical", "distinguishable"):
-        raise ScenarioError(
-            f"scenario.kind: {kind!r} is not 'identical' or 'distinguishable'"
-        )
-    known = ("name", "title", "kind", "modes", "state", "plans", "expectations")
-    _refuse_unknown(raw, "scenario", known + (("statistics",) if kind == "identical" else ()))
-    modes = raw.get("modes")
-    if (
-        not isinstance(modes, list)
-        or not modes
-        or not all(isinstance(m, str) for m in modes)
-    ):
+        raise ScenarioError(f"scenario.kind: {kind!r} is not 'identical' or 'distinguishable'")
+    modes = _items(raw.get("modes"), "scenario.modes", "strings")
+    if not all(isinstance(m, str) for m in modes):
         raise ScenarioError("scenario.modes: expected a nonempty list of strings")
     try:
         space = CanonicalBasis(modes)
     except ValueError as exc:
         raise ScenarioError(f"scenario.modes: {exc}") from None
-
-    bases: dict = {}  # every basis parsed so far, so that equal stages share one
-    if kind == "identical":
+    statistics = None  # labeled particles
+    if not labeled:
         stats_name = _need_str(raw, "statistics", "scenario")
         try:
             statistics = Statistics(stats_name)
@@ -445,28 +458,27 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
             raise ScenarioError(
                 f"scenario.statistics: {stats_name!r} is not 'boson' or 'fermion'"
             ) from None
-        state = _parse_identical_state(raw, space, statistics, name)
-
-        def parse_stage(v, where: str, earlier) -> MeasurementBasis:
-            return _parse_basis(v, space, where, bases)
-
-    else:
-        state = _parse_labeled_state(raw, space, name)
-
-        def parse_stage(v, where: str, earlier) -> SlotTrace:
-            return _parse_slot_trace(v, space, state.n, where, earlier, bases)
-
-    plans = _parse_plans(raw, state.n, parse_stage)
-    expectations = _parse_expectations(raw, [p.label for p in plans])
-    return ScenarioSpec(name, title, state, plans, expectations)
+    state = _parse_state(raw, space, statistics, name)
+    plans = _parse_plans(raw, space, state.n, labeled)
+    return ScenarioSpec(name, title, state, plans, _parse_expectations(raw, plans))
 
 
-def _refuse_unknown(obj: dict, where: str, fields: Sequence[str]) -> None:
-    """Refuse a field of ``obj`` that the parser would not read, such as a
-    misspelled ``expectations``, rather than silently ignore it."""
-    for key in obj:
+def _object(v, where: str, fields: Sequence[str]) -> None:
+    """Refuse ``v`` unless it is a JSON object with no field outside
+    ``fields``, so that a field the parser would not read, such as a
+    misspelled ``expectations``, is an error rather than silently ignored."""
+    if not isinstance(v, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    for key in v:
         if key not in fields:
             raise ScenarioError(f"{where}.{key}: unknown field")
+
+
+def _items(v, where: str, what: str) -> list:
+    """``v``, which must be a nonempty JSON list (of ``what``, for the message)."""
+    if not isinstance(v, list) or not v:
+        raise ScenarioError(f"{where}: expected a nonempty list of {what}")
+    return v
 
 
 def _need_str(obj: dict, key: str, where: str) -> str:
@@ -476,43 +488,27 @@ def _need_str(obj: dict, key: str, where: str) -> str:
     return v
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _is_finite_number(x) -> bool:
-    """A JSON number with a finite float value; integers too large for a
-    float (JSON sets no size limit) are not."""
+    """A JSON number, not a boolean, with a finite float value; integers too
+    large for a float (JSON sets no size limit) are not."""
     try:
-        return _is_number(x) and math.isfinite(x)
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
     except OverflowError:
         return False
 
 
-def _parse_complex(v, where: str) -> complex:
-    if not isinstance(v, list) or len(v) != 2 or not all(_is_number(x) for x in v):
-        raise ScenarioError(f"{where}: expected [re, im]")
-    if not all(_is_finite_number(x) for x in v):
-        raise ScenarioError(f"{where}: numbers must be finite")
-    return complex(v[0], v[1])
-
-
 def _parse_ket(v, space: CanonicalBasis, where: str) -> Ket:
-    if not isinstance(v, list) or not v:
-        raise ScenarioError(f"{where}: expected a nonempty list of components")
     comps = []
-    for j, rec in enumerate(v):
+    for j, rec in enumerate(_items(v, where, "components")):
         here = f"{where}[{j}]"
         if not isinstance(rec, list) or len(rec) != 4:
             raise ScenarioError(f"{here}: expected [mode, spin, re, im]")
         mode, spin_name, re, im = rec
-        if not isinstance(mode, str):
-            raise ScenarioError(f"{here}: mode must be a string")
         if spin_name not in ("up", "down"):
             raise ScenarioError(f"{here}: spin must be 'up' or 'down'")
         if not (_is_finite_number(re) and _is_finite_number(im)):
             raise ScenarioError(f"{here}: amplitude must be two finite numbers")
-        if mode not in space.mode_names:
+        if mode not in space.mode_names:  # modes are strings: this refuses any other value
             raise ScenarioError(f"{here}: unknown mode {mode!r}")
         comps.append((mode, Spin(spin_name), complex(re, im)))
     try:
@@ -522,68 +518,44 @@ def _parse_ket(v, space: CanonicalBasis, where: str) -> Ket:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
-def _parse_terms(raw: dict, space: CanonicalBasis):
-    terms_raw = raw.get("state")
-    if not isinstance(terms_raw, list) or not terms_raw:
-        raise ScenarioError("scenario.state: expected a nonempty list of terms")
-    parsed = []
-    for i, t in enumerate(terms_raw):
+def _parse_state(
+    raw: dict, space: CanonicalBasis, statistics: Optional[Statistics], name: str
+) -> Union[ParticleState, LabeledState]:
+    """The normalized ``scenario.state``: of identical particles with
+    ``statistics``, or of labeled ones when it is None."""
+    terms = []
+    for i, t in enumerate(_items(raw.get("state"), "scenario.state", "terms")):
         where = f"scenario.state[{i}]"
-        if not isinstance(t, dict):
-            raise ScenarioError(f"{where}: expected an object")
-        _refuse_unknown(t, where, ("coeff", "kets"))
-        coeff = (
-            _parse_complex(t["coeff"], f"{where}.coeff") if "coeff" in t else 1.0 + 0j
-        )
-        kets_raw = t.get("kets")
-        if not isinstance(kets_raw, list) or not kets_raw:
-            raise ScenarioError(f"{where}.kets: expected a nonempty list")
-        kets = tuple(
-            _parse_ket(k, space, f"{where}.kets[{j}]") for j, k in enumerate(kets_raw)
-        )
-        parsed.append((coeff, kets))
-    return parsed
-
-
-def _parse_identical_state(
-    raw: dict, space: CanonicalBasis, statistics: Statistics, name: str
-) -> ParticleState:
-    terms = _parse_terms(raw, space)
+        _object(t, where, ("coeff", "kets"))
+        coeff = t.get("coeff", [1.0, 0.0])
+        if not (isinstance(coeff, list) and len(coeff) == 2 and all(map(_is_finite_number, coeff))):
+            raise ScenarioError(f"{where}.coeff: expected [re, im], two finite numbers")
+        kets_raw = _items(t.get("kets"), f"{where}.kets", "kets")
+        kets = tuple(_parse_ket(k, space, f"{where}.kets[{j}]") for j, k in enumerate(kets_raw))
+        terms.append((complex(*coeff), kets))
     try:
-        state = ParticleState(statistics, *_stack_terms(terms))
-        with np.errstate(over="ignore", invalid="ignore"):
-            return normalize(state)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge amplitudes overflow
+            if statistics is not None:
+                return normalize(ParticleState(statistics, *_stack_terms(terms)))
+            nrm = float(np.linalg.norm(LabeledState(terms).vector()))
+        if not math.isfinite(nrm):
+            raise ValueError(f"the norm is {nrm} (amplitudes too large)")
+        if nrm < 1e-12:
+            raise NullStateError("state has zero norm")
+        return LabeledState([(c / nrm, kets) for c, kets in terms])
     except NullStateError:
-        raise ScenarioError(
-            f"scenario {name!r}: the state has zero norm "
-            "(for fermions, check for repeated kets)"
-        ) from None
+        hint = "" if statistics is None else " (for fermions, check for repeated kets)"
+        raise ScenarioError(f"scenario {name!r}: the state has zero norm{hint}") from None
     except (SimulationError, ValueError) as exc:
         raise ScenarioError(f"scenario.state: {exc}") from None
-
-
-def _parse_labeled_state(raw: dict, space: CanonicalBasis, name: str) -> LabeledState:
-    terms = _parse_terms(raw, space)
-    try:
-        state = LabeledState(terms)
-    except (SimulationError, ValueError) as exc:
-        raise ScenarioError(f"scenario.state: {exc}") from None
-    with np.errstate(over="ignore", invalid="ignore"):  # huge amplitudes overflow
-        nrm = float(np.linalg.norm(state.vector()))
-    if not math.isfinite(nrm):
-        raise ScenarioError(f"scenario.state: the norm is {nrm} (amplitudes too large)")
-    if nrm < 1e-12:
-        raise ScenarioError(f"scenario {name!r}: the state has zero norm")
-    return LabeledState([(c / nrm, kets) for c, kets in terms])
 
 
 def _parse_basis(v, space: CanonicalBasis, where: str, bases: dict) -> MeasurementBasis:
     """The basis of one stage entry; a value already in ``bases`` (the
     file's earlier stages) is returned as that object, so equal stages share
     one basis and one ``_support``."""
-    if not isinstance(v, list) or not v:
-        raise ScenarioError(f"{where}: expected a nonempty list of kets")
-    rows = [_parse_ket(k, space, f"{where}[{j}]").amps for j, k in enumerate(v)]
+    kets = _items(v, where, "kets")
+    rows = [_parse_ket(k, space, f"{where}[{j}]").amps for j, k in enumerate(kets)]
     try:
         basis = MeasurementBasis(space, rows)
     except ValueError as exc:
@@ -594,9 +566,7 @@ def _parse_basis(v, space: CanonicalBasis, where: str, bases: dict) -> Measureme
 def _parse_slot_trace(
     v, space: CanonicalBasis, n: int, where: str, earlier: Sequence[SlotTrace], bases: dict
 ) -> SlotTrace:
-    if not isinstance(v, dict):
-        raise ScenarioError(f"{where}: expected an object")
-    _refuse_unknown(v, where, ("slot", "kets"))
+    _object(v, where, ("slot", "kets"))
     slot = v.get("slot")
     if not isinstance(slot, int) or isinstance(slot, bool):
         raise ScenarioError(f"{where}.slot: expected an integer")
@@ -607,31 +577,23 @@ def _parse_slot_trace(
     return SlotTrace(slot, _parse_basis(v.get("kets"), space, f"{where}.kets", bases))
 
 
-def _parse_plans(
-    raw: dict, n: int, parse_stage: Callable[[object, str, list], object]
-) -> tuple[TracePlan, ...]:
-    """Parse ``scenario.plans`` for a state of ``n`` particles.
-
-    ``parse_stage(value, where, earlier)`` turns one stage entry into a stage;
-    ``earlier`` holds the stages already parsed on the same side.
-    """
-    plans_raw = raw.get("plans")
-    if not isinstance(plans_raw, list) or not plans_raw:
-        raise ScenarioError("scenario.plans: expected a nonempty list")
+def _parse_plans(raw: dict, space: CanonicalBasis, n: int, labeled: bool) -> tuple[TracePlan, ...]:
+    """``scenario.plans`` for a state of ``n`` particles, whose stages are
+    ``SlotTrace`` entries for labeled particles and ``MeasurementBasis``
+    entries for identical ones."""
+    bases: dict = {}  # every basis parsed so far, so that equal stages share one
     plans = []
-    for i, p in enumerate(plans_raw):
+    for i, p in enumerate(_items(raw.get("plans"), "scenario.plans", "plans")):
         where = f"scenario.plans[{i}]"
-        if not isinstance(p, dict):
-            raise ScenarioError(f"{where}: expected an object")
-        _refuse_unknown(p, where, ("label", "one", "two", "bipartition"))
+        _object(p, where, ("label", "one", "two", "bipartition"))
         label = _need_str(p, "label", where)
+        if any(q.label == label for q in plans):
+            raise ScenarioError(f"{where}.label: {label!r} already labels an earlier plan")
         sides: dict = {}
         for side in ("one", "two"):
             if side not in p:
                 continue
-            stages_raw = p[side]
-            if not isinstance(stages_raw, list) or not stages_raw:
-                raise ScenarioError(f"{where}.{side}: expected a nonempty list")
+            stages_raw = _items(p[side], f"{where}.{side}", "stages")
             if len(stages_raw) > n:
                 raise ScenarioError(
                     f"{where}.{side}: {len(stages_raw)} stages, but the state has "
@@ -639,60 +601,58 @@ def _parse_plans(
                 )
             stages: list = []
             for j, s in enumerate(stages_raw):
-                stages.append(parse_stage(s, f"{where}.{side}[{j}]", stages))
+                here = f"{where}.{side}[{j}]"
+                stages.append(
+                    _parse_slot_trace(s, space, n, here, stages, bases)
+                    if labeled
+                    else _parse_basis(s, space, here, bases)
+                )
             sides[f"{side}_stages"] = tuple(stages)
-        if not sides:
-            raise ScenarioError(f"{where}: needs a 'one' or 'two' side")
         bip = p.get("bipartition", True)
         if not isinstance(bip, bool):
             raise ScenarioError(f"{where}.bipartition: expected true/false")
-        plans.append(TracePlan(label, bipartition=bip, **sides))
-    labels = [p.label for p in plans]
-    if len(set(labels)) != len(labels):
-        raise ScenarioError("scenario.plans: labels must be distinct")
+        try:
+            plans.append(TracePlan(label, bipartition=bip, **sides))
+        except ValueError as exc:  # a plan with neither side
+            raise ScenarioError(f"{where}: {exc}") from None
     return tuple(plans)
 
 
-def _parse_expectations(raw: dict, labels: Sequence[str]) -> tuple[Expectation, ...]:
+def _parse_expectations(raw: dict, plans: Sequence[TracePlan]) -> tuple[Expectation, ...]:
+    """``scenario.expectations``. ``Expectation`` checks each one's rules
+    (the quantity, the flag's type, which quantities take a label or a
+    stage, the stage's domain); read here, with a field path, are only the
+    numbers, a label naming a plan and that plan tracing the side read."""
     exp_raw = raw.get("expectations", [])
     if not isinstance(exp_raw, list):
         raise ScenarioError("scenario.expectations: expected a list")
     out = []
     for i, e in enumerate(exp_raw):
         where = f"scenario.expectations[{i}]"
-        if not isinstance(e, dict):
-            raise ScenarioError(f"{where}: expected an object")
-        _refuse_unknown(e, where, ("quantity", "value", "label", "stage", "tolerance"))
+        _object(e, where, Expectation._fields)
         quantity = _need_str(e, "quantity", where)
         value = e.get("value")
-        if quantity == "genuine_multipartite":
-            if not isinstance(value, bool):
-                raise ScenarioError(f"{where}.value: expected true/false")
-        elif quantity == "eigenvalues":
-            if not isinstance(value, list) or not value or not all(
-                _is_finite_number(x) for x in value
-            ):
-                raise ScenarioError(f"{where}.value: expected a list of finite numbers")
-            value = tuple(float(x) for x in value)
-        else:
+        if quantity == "eigenvalues":
+            value = _items(value, f"{where}.value", "finite numbers")
+            if not all(_is_finite_number(x) for x in value):
+                raise ScenarioError(f"{where}.value: expected a nonempty list of finite numbers")
+        elif quantity != "genuine_multipartite":
             if not _is_finite_number(value):
                 raise ScenarioError(f"{where}.value: expected a finite number")
             value = float(value)
         label = e.get("label")
-        if label is not None and label not in labels:
+        plan = next((p for p in plans if p.label == label), None)
+        if label is not None and plan is None:
             raise ScenarioError(f"{where}.label: no plan named {label!r}")
-        stage = e.get("stage")
-        if stage is not None and stage not in ("one", "two"):
-            raise ScenarioError(f"{where}.stage: expected 'one' or 'two'")
         tol = e.get("tolerance", 1e-10)
         if not _is_finite_number(tol) or tol < 0:
-            raise ScenarioError(
-                f"{where}.tolerance: expected a finite nonnegative number"
-            )
+            raise ScenarioError(f"{where}.tolerance: expected a finite nonnegative number")
         try:
-            out.append(Expectation(quantity, value, label, stage, float(tol)))
+            out.append(Expectation(quantity, value, label, e.get("stage"), float(tol)))
         except ScenarioError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
+        if plan is not None and (side := _side(out[-1])) not in dict(plan.sides()):
+            raise ScenarioError(f"{where}: plan {label!r} does not trace side {side!r}")
     return tuple(out)
 
 

@@ -51,6 +51,17 @@ def test_nonpositive_tolerance_is_input_error(capsys):
     assert main(["run", "overlap", "--tolerance", "inf"]) == EXIT_INPUT
 
 
+def test_labeled_state_of_zero_norm_is_input_error_without_the_fermion_hint(tmp_path, capsys):
+    payload = json.loads((BUILTINS / "distinguishable.json").read_text(encoding="utf-8"))
+    payload["state"][0]["coeff"] = [0, 0]
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(payload))
+    assert main(["run", "--file", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scenario 'distinguishable': the state has zero norm\n"
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     assert main(["run", "--file", str(tmp_path / "absent.json")]) == EXIT_INPUT
     assert "not found" in capsys.readouterr().err

@@ -252,6 +252,31 @@ def test_a_check_on_a_missing_plan_reads_no_such_plan():
     assert entanglement.EntanglementReport((first, second), None)["x"] is first
 
 
+def test_a_check_on_a_side_its_plan_does_not_trace_is_refused_when_parsed(tmp_path):
+    # induced's one plan traces only the two-particle side
+    payload = json.loads((BUILTINS / "induced.json").read_text(encoding="utf-8"))
+    payload["expectations"].append(
+        {"quantity": "entropy_one", "label": "(BC)-delocalized", "value": 0.0}
+    )
+    path = tmp_path / "untraced.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ScenarioError) as info:
+        run_file(path)
+    assert str(info.value) == (
+        "scenario.expectations[4]: plan '(BC)-delocalized' does not trace side 'one'"
+    )
+    # a spec built through the API still runs, and the check reads the note
+    spec = get_builtin("induced")
+    untraced = (
+        Expectation("entropy_one", 0.0, "(BC)-delocalized"),
+        Expectation("probability", 1.0, "(BC)-delocalized", "one"),
+    )
+    report = run_spec(scenarios.ScenarioSpec("api", "api", spec.state, spec.plans, untraced))
+    assert [(c.actual, c.passed, c.note) for c in report.checks] == [
+        (None, False, "side not traced")
+    ] * 2
+
+
 def test_eigenvalue_checks_pad_with_zeros_and_fail_on_nan():
     spec = get_builtin("overlap")
     report = entanglement.analyze(spec.state, spec.plans)
@@ -535,6 +560,15 @@ def test_tolerance_override_only_tightens(tmp_path):
     assert run_spec(spec, tolerance=1.0).checks[0].tolerance == 1e-3
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_a_tolerance_override_must_be_positive_and_finite(tolerance):
+    # a NaN override kept every stated tolerance; a negative one failed every check
+    with pytest.raises(ScenarioError, match="tolerance override must be a positive finite"):
+        run_spec(get_builtin("induced"), tolerance=tolerance)
+    with pytest.raises(ScenarioError, match="tolerance override"):
+        run_builtin("overlap", tolerance=tolerance)
+
+
 def test_bad_files_fail_with_field_paths(tmp_path):
     base = induced_file_payload()
 
@@ -619,6 +653,45 @@ def test_bad_files_fail_with_field_paths(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(ScenarioError, match="(?i)" + fragment.replace("[", r"\[")):
             run_file(path)
+
+
+# each position the parser reads as a JSON object or as a nonempty list, with
+# the field path its refusal names
+OBJECT_POSITIONS = [
+    (induced_file_payload, (), "scenario"),
+    (induced_file_payload, ("state", 0), "scenario.state[0]"),
+    (labeled_file_payload, ("plans", 0, "two", 0), "scenario.plans[0].two[0]"),
+    (induced_file_payload, ("plans", 0), "scenario.plans[0]"),
+    (induced_file_payload, ("expectations", 0), "scenario.expectations[0]"),
+]
+LIST_POSITIONS = [
+    (induced_file_payload, ("modes",), "scenario.modes"),
+    (induced_file_payload, ("state",), "scenario.state"),
+    (induced_file_payload, ("state", 0, "kets"), "scenario.state[0].kets"),
+    (induced_file_payload, ("state", 0, "kets", 0), "scenario.state[0].kets[0]"),
+    (induced_file_payload, ("plans", 0, "two", 0), "scenario.plans[0].two[0]"),
+    (induced_file_payload, ("plans",), "scenario.plans"),
+    (induced_file_payload, ("plans", 0, "two"), "scenario.plans[0].two"),
+]
+
+
+@pytest.mark.parametrize(
+    "payload, at, where, wrong",
+    [(*pos, wrong) for pos in OBJECT_POSITIONS for wrong in ("x", 7, None, [], [{}])]
+    + [(*pos, wrong) for pos in LIST_POSITIONS for wrong in ("x", 7, None, {}, [])],
+)
+def test_a_wrong_json_type_is_refused_with_its_field_path(payload, at, where, wrong):
+    raw = payload()
+    if at:
+        parent = raw
+        for key in at[:-1]:
+            parent = parent[key]
+        parent[at[-1]] = wrong
+    else:
+        raw = wrong
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(raw)
+    assert str(info.value).startswith(f"{where}: expected "), str(info.value)
 
 
 @pytest.mark.parametrize(
@@ -879,10 +952,12 @@ def _paths(node, path=()):
 
 
 def _parse_or_reject(raw) -> None:
+    """Parse ``raw``; a refusal must name where in the file it is, so its
+    message starts at the scenario."""
     try:
         parse_scenario(raw)
-    except ScenarioError:
-        pass
+    except ScenarioError as exc:
+        assert str(exc).startswith("scenario"), str(exc)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
