@@ -368,7 +368,8 @@ def coords(phi: ParticleState, basis: OccupationBasis) -> np.ndarray:
     |vac>`` in its own row, from the one-particle coordinates ``c chi_N``
     (``a^dagger(chi) |vac> = chi``): each further creation is one flat
     scatter of that row's hops through the ladder table. The rows are summed
-    at the end; the zero-particle state is ``[sum c]``.
+    at the end; the zero-particle state is ``[sum c]``. A basis of another
+    sector, statistics or frame is refused with IncompatibleStatesError.
     """
     if basis.sector != phi.n:
         raise IncompatibleStatesError(
@@ -378,8 +379,10 @@ def coords(phi: ParticleState, basis: OccupationBasis) -> np.ndarray:
         raise IncompatibleStatesError("statistics of state and basis differ")
     dim = basis.space.dim
     coeffs, amps = phi._stack
-    if phi.n == 0:
+    if phi.n == 0:  # no kets, so no frame to match
         return np.array([coeffs.sum()])
+    if basis.space != phi.basis:
+        raise IncompatibleStatesError("state and basis frames differ")
     terms = amps[:, -1] * coeffs[:, None]
     for k in range(phi.n - 2, -1, -1):  # then a^dagger(chi_{N-1}), ..., a^dagger(chi_1)
         sector = phi.n - k

@@ -26,7 +26,8 @@ checks the quantity, the flag's type, which quantities take a plan label or a
 stage and the stage's domain, ``TracePlan`` that a plan traces a side, and the
 parser prefixes their messages with the field path. The parser itself checks
 only what needs a path or the whole file: JSON types and finite numbers,
-stage counts against the particle number, labeled slots, distinct plan labels,
+free text (name, title, modes, plan labels) that UTF-8 can write, stage
+counts against the particle number, labeled slots, distinct plan labels,
 and that an expectation's label names a plan that traces the side it reads.
 ``run_spec`` refuses a tolerance override that is not positive and finite.
 """
@@ -426,6 +427,9 @@ def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
         raise ScenarioError(f"{p}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{p}: not valid JSON ({exc})") from None
+    except ValueError as exc:  # an integer literal over Python's digit limit
+        limit = str(exc).partition(";")[0]  # not the advice to raise the limit
+        raise ScenarioError(f"{p}: a number is too long to read ({limit})") from None
     except RecursionError:
         raise ScenarioError(f"{p}: JSON nested too deeply") from None
     return parse_scenario(raw)
@@ -439,12 +443,15 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
     title = raw.get("title", name)
     if not isinstance(title, str):
         raise ScenarioError("scenario.title: expected a string")
+    _utf8(title, "scenario.title")
     kind = raw.get("kind", "identical")
     if kind not in ("identical", "distinguishable"):
         raise ScenarioError(f"scenario.kind: {kind!r} is not 'identical' or 'distinguishable'")
     modes = _items(raw.get("modes"), "scenario.modes", "strings")
     if not all(isinstance(m, str) for m in modes):
         raise ScenarioError("scenario.modes: expected a nonempty list of strings")
+    for j, m in enumerate(modes):
+        _utf8(m, f"scenario.modes[{j}]")
     try:
         space = CanonicalBasis(modes)
     except ValueError as exc:
@@ -485,6 +492,19 @@ def _need_str(obj: dict, key: str, where: str) -> str:
     v = obj.get(key)
     if not isinstance(v, str) or not v:
         raise ScenarioError(f"{where}.{key}: expected a nonempty string")
+    return _utf8(v, f"{where}.{key}")
+
+
+def _utf8(v: str, where: str) -> str:
+    """``v``, unless UTF-8 cannot write it: JSON admits a lone surrogate such
+    as ``"\\ud800"``, which no UTF-8 output can hold."""
+    try:
+        v.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ScenarioError(
+            f"{where}: lone surrogate {v[exc.start]!r} at character {exc.start}, "
+            "which UTF-8 cannot write"
+        ) from None
     return v
 
 

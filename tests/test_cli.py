@@ -201,6 +201,71 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python reads integers of any length"
+)
+def test_an_integer_literal_over_the_digit_limit_is_input_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError here, not a JSONDecodeError
+    payload = json.loads((BUILTINS / "overlap.json").read_text(encoding="utf-8"))
+    payload["expectations"][0]["tolerance"] = 0
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(payload).replace('"tolerance": 0', '"tolerance": ' + "7" * 5000, 1))
+    assert main(["run", "--file", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: a number is too long to read (")
+    assert "set_int_max_str_digits" not in captured.err
+
+
+def surrogate_payload(field: str) -> dict:
+    """The ``overlap`` builtin with a lone surrogate in one free-text field."""
+    payload = json.loads((BUILTINS / "overlap.json").read_text(encoding="utf-8"))
+    if field == "modes":
+        payload["modes"][1] = "B\ud800"
+    elif field == "label":
+        payload["plans"][0]["label"] = "(AA)-A \ud800"
+    else:
+        payload[field] = f"bad \ud800 {field}"
+    return payload
+
+
+@pytest.mark.parametrize(
+    "field, where",
+    [
+        ("name", "scenario.name: lone surrogate '\\ud800' at character 4"),
+        ("title", "scenario.title: lone surrogate '\\ud800' at character 4"),
+        ("modes", "scenario.modes[1]: lone surrogate '\\ud800' at character 1"),
+        ("label", "scenario.plans[0].label: lone surrogate '\\ud800' at character 7"),
+    ],
+    ids=["name", "title", "modes", "label"],
+)
+def test_a_lone_surrogate_in_a_free_text_field_is_input_error(tmp_path, capsys, field, where):
+    # valid JSON (the file holds the escape), but no UTF-8 output can print it
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(surrogate_payload(field)))
+    assert main(["run", "--file", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}, which UTF-8 cannot write\n"
+
+
+def test_a_lone_surrogate_title_exits_two_without_a_traceback_on_real_stdout(tmp_path):
+    # pytest's capture is not the interpreter's UTF-8 stdout: only a child
+    # process shows the crash that writing the table used to end in
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(surrogate_payload("title")))
+    proc = subprocess.run(
+        [sys.executable, "-m", "idqsim.cli", "run", "--file", str(path)],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8"),
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_INPUT
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: scenario.title: lone surrogate")
+
+
 def test_directory_in_place_of_a_file_is_input_error(tmp_path, capsys):
     assert main(["run", "--file", str(tmp_path)]) == EXIT_INPUT
     err = capsys.readouterr().err

@@ -15,6 +15,7 @@ from idqsim import (
     Ket,
     DensityMatrix,
     ElementaryState,
+    IncompatibleStatesError,
     LabeledState,
     MeasurementBasis,
     NotPSDError,
@@ -221,6 +222,17 @@ def test_coords_of_proportional_fermion_kets_vanish():
     phi = elementary(Statistics.FERMION, (a, b, a * (0.5 - 2j)))
     v = coords(phi, OccupationBasis(SPACE, 3, Statistics.FERMION))
     assert np.abs(v).max() < 1e-12 * v.size
+
+
+@pytest.mark.parametrize("modes", [("X", "Y", "Z"), ("A", "B")], ids=["same-dim", "other-dim"])
+def test_coords_refuse_a_basis_over_another_frame(modes):
+    # as trace_stage and inner do: a frame of the same dimension used to give
+    # phi's coordinates as if they were over it, another dimension a numpy
+    # broadcast error
+    phi = random_state(np.random.default_rng(24), SPACE, 2, Statistics.BOSON)
+    other = OccupationBasis(CanonicalBasis(modes), 2, Statistics.BOSON)
+    with pytest.raises(IncompatibleStatesError, match="state and basis frames differ"):
+        coords(phi, other)
 
 
 @pytest.mark.parametrize("stats", [Statistics.BOSON, Statistics.FERMION])

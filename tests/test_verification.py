@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import idqsim.entanglement
 import idqsim.reduction
+import idqsim.scenarios
 import idqsim.states
 import idqsim.verification
 from idqsim.errors import ZeroProbabilityError
@@ -265,7 +267,7 @@ def test_random_state_refuses_a_statistics_that_is_not_a_member_before_drawing(s
     assert rng.bit_generator.state == before
 
 
-# the cross-route properties that draw their states through random_state
+# the properties that draw their states of both statistics through random_state
 STATE_DRAWING_PROPERTIES = (
     "oracle-inner-factorial",
     "oracle-trace-agreement",
@@ -273,6 +275,8 @@ STATE_DRAWING_PROPERTIES = (
     "probability-complete-basis",
     "probability-additivity",
     "trace-unitary-invariance",
+    "density-matrix-contracts",
+    "entropy-purity-consistency",
     "coords-isometry",
 )
 
@@ -294,3 +298,69 @@ def test_each_cross_route_property_draws_four_particles_over_four_sites(monkeypa
     prop(np.random.default_rng([0, k]))
     assert {(Statistics.BOSON, 4, 8), (Statistics.FERMION, 4, 8)} <= drawn, drawn
     assert any(dim == 6 for _, _, dim in drawn)
+
+
+# the frame each random builder draws on, and the state's frame of a reduction
+FRAME_OF = {
+    "random_state": lambda args: args[1],
+    "random_ket": lambda args: args[1],
+    "random_product_labeled": lambda args: args[1],
+    "random_measurement_basis": lambda args: args[1],
+    "partial_trace_one": lambda args: args[0].basis,
+}
+
+
+def test_every_property_that_draws_reaches_dimension_eight(monkeypatch):
+    # every property on the shape schedule: what it draws or traces reaches
+    # the four-site frame (dim 8) as well as the three-site one (dim 6)
+    seen = []
+    for name, frame_of in FRAME_OF.items():
+        original = getattr(idqsim.verification, name)
+
+        def recording(*args, _original=original, _frame_of=frame_of, **kwargs):
+            seen.append(_frame_of(args).dim)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(idqsim.verification, name, recording)
+    dims = {}
+    for k, (name, prop) in enumerate(idqsim.verification._PROPERTIES):
+        seen.clear()
+        prop(np.random.default_rng([0, k]))
+        dims[name] = set(seen)
+    drawless = {name for name, found in dims.items() if not found}
+    assert drawless == {
+        "permanent-consistency",  # random matrices
+        "entropy-unitary-invariance",  # random spectra
+        "entropy-concavity",
+        "benchmark-reductions",  # the builtin files
+    }
+    short = {name: found for name, found in dims.items() if found and found != {6, 8}}
+    assert not short, short
+
+
+def test_a_stage_key_of_the_frame_alone_fails_benchmark_reductions(monkeypatch):
+    # every stage of a frame shares one memo key, so analyze hands a side the
+    # walk of another stage; verify sees it only by running the builtins
+    monkeypatch.setattr(idqsim.entanglement, "_stage_key", lambda stage: stage.space.mode_names)
+    idqsim.scenarios._load_builtin.cache_clear()  # the shared specs re-key their plans
+    try:
+        results = {r.name: r for r in run_all(0)}
+    finally:
+        idqsim.scenarios._load_builtin.cache_clear()
+    assert not results["benchmark-reductions"].passed
+    assert [name for name, r in results.items() if not r.passed] == ["benchmark-reductions"]
+
+
+def test_benchmark_reductions_compares_each_remainder_with_its_side_traced_alone(monkeypatch):
+    # a remainder of analyze that the files' checks do not read: the
+    # sequential trace of the same side must still match it entry by entry
+    trace = idqsim.verification.partial_trace_iterate
+
+    def shifted(state, stages):
+        rho = trace(state, stages)
+        return idqsim.reduction.DensityMatrix(rho.basis, rho.factor, rho.prob * (1 + 1e-9))
+
+    monkeypatch.setattr(idqsim.verification, "partial_trace_iterate", shifted)
+    result = dict((r.name, r) for r in run_all(0))["benchmark-reductions"]
+    assert not result.passed
+    assert "a remainder of analyze differs from its side traced alone by" in result.detail
