@@ -350,8 +350,11 @@ def annihilate(
     ``a(psi) = sum_j conj(psi_j) a_j``; the result has one row per occupation
     of the sector below and ``K`` times as many columns as ``V``. Only the
     entries ``j`` of the kets' support are gathered (see the module
-    docstring).
+    docstring). Kets over another frame than ``basis`` are refused with
+    IncompatibleStatesError.
     """
+    if mb.space != basis.space:
+        raise IncompatibleStatesError("measurement ket and state bases differ")
     support, conj = mb._support
     up, g = _support_ladder(basis.space.dim, basis.sector, basis.statistics, support)
     if conj is None:

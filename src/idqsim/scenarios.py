@@ -1,10 +1,12 @@
 """Named measurement scenarios with frozen expected outcomes.
 
 A scenario bundles a state, a set of trace plans, and a list of numeric
-expectations. Running one produces a :class:`ScenarioReport` that can render
-itself as a human table or as deterministic machine JSON (stable key order,
-floats rounded to 12 significant digits, ``ensure_ascii``), so repeated runs
-are byte-identical.
+expectations. Running one produces a :class:`ScenarioReport`, whose one
+report document rounds every number once, to 12 significant digits with
+negative zero flattened. Both output formats print that document: the human
+table, and the machine JSON (stable key order, ``ensure_ascii``), which adds
+each remainder's basis labels and matrix. Repeated runs are byte-identical,
+and the two formats show the same numbers.
 
 The builtin scenarios freeze the reference numbers for three qubits in three
 sites: a fully separated product, the delocalized-measurement reduction that
@@ -26,9 +28,10 @@ checks the quantity, the flag's type, which quantities take a plan label or a
 stage and the stage's domain, ``TracePlan`` that a plan traces a side, and the
 parser prefixes their messages with the field path. The parser itself checks
 only what needs a path or the whole file: JSON types and finite numbers,
-free text (name, title, modes, plan labels) that UTF-8 can write, stage
-counts against the particle number, labeled slots, distinct plan labels,
-and that an expectation's label names a plan that traces the side it reads.
+free text (name, title, modes, plan labels) that UTF-8 can write and that
+holds no control character, stage counts against the particle number,
+labeled slots, distinct plan labels, and that an expectation's label names
+a plan that traces the side it reads.
 ``run_spec`` refuses a tolerance override that is not positive and finite.
 """
 
@@ -52,7 +55,7 @@ from .entanglement import BipartitionReport, EntanglementReport, TracePlan, anal
 from .errors import NullStateError, ScenarioError, SimulationError
 from .hilbert import CanonicalBasis, Frozen, Ket, Spin
 from .reduction import DensityMatrix, MeasurementBasis
-from .states import ParticleState, Statistics, _stack_terms, normalize
+from .states import ParticleState, Statistics, _is_null, _stack_terms, normalize
 
 QUANTITIES = (
     "entropy_one",
@@ -166,7 +169,10 @@ class ScenarioReport(Frozen):
 
     # -- rendering ---------------------------------------------------------
 
-    def to_dict(self) -> dict:
+    def _document(self) -> dict:
+        """The report as the machine JSON holds it, every number rounded once
+        to 12 significant digits, without each remainder's ``basis`` labels
+        and dense ``matrix``: what both output formats print."""
         bips = []
         for b in self.report.bipartitions:
             entry: dict = {"label": b.label, "bipartition": b.bipartition,
@@ -177,18 +183,13 @@ class ScenarioReport(Frozen):
                     "entropy_bits": _round_float(rho.entropy),
                     "purity": _round_float(rho.purity),
                     "eigenvalues": [_round_float(v) for v in spectrum(rho)],
-                    "basis": list(rho.basis.labels),
-                    "matrix": [
-                        [_round_complex(z) for z in row] for row in rho.mat
-                    ],
                 }
             bips.append(entry)
-        genuine = self.report.genuine_multipartite
         return {
             "scenario": self.name,
             "title": self.title,
             "status": "pass" if self.passed else "fail",
-            "genuine_multipartite": genuine,
+            "genuine_multipartite": self.report.genuine_multipartite,
             "bipartitions": bips,
             "checks": [
                 {
@@ -204,44 +205,47 @@ class ScenarioReport(Frozen):
             ],
         }
 
+    def to_dict(self) -> dict:
+        """The document with each remainder's basis labels and matrix."""
+        doc = self._document()
+        for b, entry in zip(self.report.bipartitions, doc["bipartitions"]):
+            for side, rho in _remainders(b):
+                entry[side]["basis"] = list(rho.basis.labels)
+                entry[side]["matrix"] = [[_round_complex(z) for z in row] for row in rho.mat]
+        return doc
+
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, ensure_ascii=True)
 
     def to_table(self) -> str:
-        lines = [f"scenario: {self.name} — {self.title}"]
-        n_pass = sum(c.passed for c in self.checks)
-        verdict = "PASS" if self.passed else "FAIL"
-        lines.append(f"status: {verdict} ({n_pass}/{len(self.checks)} checks)")
-        genuine = self.report.genuine_multipartite
-        lines.append(
-            "genuine multipartite: "
-            + ("n/a" if genuine is None else ("yes" if genuine else "no"))
-        )
-        for b in self.report.bipartitions:
-            lines.append("")
-            kind = "" if b.bipartition else "  (not a bipartition)"
-            lines.append(f"plan {b.label}{kind}")
-            for side, rho in _remainders(b):
-                lines.append(
-                    f"  {side}-particle side: probability {_fmt(rho.prob)}, "
-                    f"entropy {_fmt(rho.entropy)} bits, purity {_fmt(rho.purity)}"
-                )
-                lines.append(f"    eigenvalues: {_fmt_values(spectrum(rho), '  ')}")
-        if self.checks:
-            lines.append("")
-            lines.append("checks")
-            for c in self.checks:
-                mark = "pass" if c.passed else "FAIL"
-                tol = (
-                    ""
-                    if isinstance(c.expectation.value, bool)
-                    else f" ± {c.tolerance:g}"
-                )
-                lines.append(
-                    f"  [{mark}] {c.expectation.describe()}: {_fmt_actual(c.actual)}"
-                    f" (expected {_fmt_actual(c.expectation.value)}{tol})"
-                    + (f"  {c.note}" if c.note else "")
-                )
+        doc = self._document()
+        checks = doc["checks"]
+        n_pass = sum(c["passed"] for c in checks)
+        lines = [
+            f"scenario: {doc['scenario']} — {doc['title']}",
+            f"status: {doc['status'].upper()} ({n_pass}/{len(checks)} checks)",
+            f"genuine multipartite: {_show(doc['genuine_multipartite'])}",
+        ]
+        for b in doc["bipartitions"]:
+            kind = "" if b["bipartition"] else "  (not a bipartition)"
+            lines += ["", f"plan {b['label']}{kind}"]
+            for side in ("two", "one"):
+                if side in b:
+                    r = b[side]
+                    lines.append(
+                        f"  {side}-particle side: probability {_show(r['probability'])}, "
+                        f"entropy {_show(r['entropy_bits'])} bits, purity {_show(r['purity'])}"
+                    )
+                    lines.append(f"    eigenvalues: {_show(r['eigenvalues'], '  ')}")
+        if checks:
+            lines += ["", "checks"]
+        for result, c in zip(self.checks, checks):
+            tol = "" if isinstance(c["expected"], bool) else f" ± {c['tolerance']:g}"
+            lines.append(
+                f"  [{'pass' if c['passed'] else 'FAIL'}] {result.expectation.describe()}: "
+                f"{_show(c['actual'])} (expected {_show(c['expected'])}{tol})"
+                + (f"  {result.note}" if result.note else "")
+            )
         return "\n".join(lines)
 
 
@@ -274,26 +278,20 @@ def _jsonable(v):
     return str(v)
 
 
-def _fmt(x: float) -> str:
-    return f"{_round_float(x):.12g}"
-
-
-def _fmt_actual(v) -> str:
+def _show(v, sep: str = " ") -> str:
+    """A rounded value of the document as the table prints it: a flag as
+    yes/no, None as n/a, a number to 12 significant digits, and a list of
+    eigenvalues as those above 5e-13 in size ("0" if none is), then
+    ``(+N zeros)`` after ``sep`` for the N others."""
     if isinstance(v, bool):
         return "yes" if v else "no"
     if v is None:
         return "n/a"
-    if isinstance(v, (tuple, list, np.ndarray)):
-        return _fmt_values(v, " ")
-    return _fmt(float(v))
-
-
-def _fmt_values(values, sep: str) -> str:
-    """The values above 5e-13 in size ("0" if none is), then ``(+N zeros)``
-    after ``sep`` for the N others."""
-    shown = [_fmt(x) for x in values if abs(x) > 5e-13]
-    tail = len(values) - len(shown)
-    return (" ".join(shown) or "0") + (f"{sep}(+{tail} zeros)" if tail else "")
+    if isinstance(v, list):
+        shown = [_show(x) for x in v if abs(x) > 5e-13]
+        tail = len(v) - len(shown)
+        return (" ".join(shown) or "0") + (f"{sep}(+{tail} zeros)" if tail else "")
+    return f"{v:.12g}"
 
 
 # --- running ----------------------------------------------------------------
@@ -443,7 +441,7 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
     title = raw.get("title", name)
     if not isinstance(title, str):
         raise ScenarioError("scenario.title: expected a string")
-    _utf8(title, "scenario.title")
+    _printable(title, "scenario.title")
     kind = raw.get("kind", "identical")
     if kind not in ("identical", "distinguishable"):
         raise ScenarioError(f"scenario.kind: {kind!r} is not 'identical' or 'distinguishable'")
@@ -451,7 +449,7 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
     if not all(isinstance(m, str) for m in modes):
         raise ScenarioError("scenario.modes: expected a nonempty list of strings")
     for j, m in enumerate(modes):
-        _utf8(m, f"scenario.modes[{j}]")
+        _printable(m, f"scenario.modes[{j}]")
     try:
         space = CanonicalBasis(modes)
     except ValueError as exc:
@@ -492,12 +490,15 @@ def _need_str(obj: dict, key: str, where: str) -> str:
     v = obj.get(key)
     if not isinstance(v, str) or not v:
         raise ScenarioError(f"{where}.{key}: expected a nonempty string")
-    return _utf8(v, f"{where}.{key}")
+    return _printable(v, f"{where}.{key}")
 
 
-def _utf8(v: str, where: str) -> str:
-    """``v``, unless UTF-8 cannot write it: JSON admits a lone surrogate such
-    as ``"\\ud800"``, which no UTF-8 output can hold."""
+def _printable(v: str, where: str) -> str:
+    """``v``, unless the table cannot print it as it stands: JSON admits a
+    lone surrogate such as ``"\\ud800"``, which no UTF-8 output can hold,
+    and control characters (Unicode category Cc: U+0000-U+001F and
+    U+007F-U+009F), such as a newline that splits a line of the table or
+    an escape that restyles the terminal."""
     try:
         v.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -505,6 +506,9 @@ def _utf8(v: str, where: str) -> str:
             f"{where}: lone surrogate {v[exc.start]!r} at character {exc.start}, "
             "which UTF-8 cannot write"
         ) from None
+    for j, ch in enumerate(v):
+        if ch < " " or "\x7f" <= ch <= "\x9f":
+            raise ScenarioError(f"{where}: control character {ch!r} at character {j}")
     return v
 
 
@@ -557,11 +561,12 @@ def _parse_state(
         with np.errstate(over="ignore", invalid="ignore"):  # huge amplitudes overflow
             if statistics is not None:
                 return normalize(ParticleState(statistics, *_stack_terms(terms)))
-            nrm = float(np.linalg.norm(LabeledState(terms).vector()))
-        if not math.isfinite(nrm):
-            raise ValueError(f"the norm is {nrm} (amplitudes too large)")
-        if nrm < 1e-12:
-            raise NullStateError("state has zero norm")
+            state = LabeledState(terms)
+            nrm = float(np.linalg.norm(state.vector()))
+            if not math.isfinite(nrm * nrm):
+                raise ValueError(f"the squared norm is {nrm * nrm} (amplitudes too large)")
+            if _is_null(state, nrm * nrm):  # the rule normalize applies
+                raise NullStateError("state has zero norm")
         return LabeledState([(c / nrm, kets) for c, kets in terms])
     except NullStateError:
         hint = "" if statistics is None else " (for fermions, check for repeated kets)"

@@ -48,7 +48,8 @@ from .errors import (
 from .hilbert import CanonicalBasis, Frozen, Ket, _value_key, checked_amplitudes, sp_inner  # noqa: F401
 from .permanents import determinant, permanent, permutation_parity
 
-# States with squared norm at or below this are treated as the null vector.
+# States whose squared norm is at most this fraction of their own scale
+# (see ``_is_null``) are treated as the null vector.
 NULL_NORM_SQ = 1e-24
 
 # Relative tolerance for detecting proportional single-particle kets; a
@@ -299,9 +300,20 @@ def norm(psi: ParticleState) -> float:
     return float(np.sqrt(_norm2(psi)))
 
 
+def _is_null(state, norm2: float) -> bool:
+    """Whether ``state`` (identical or labeled), of squared norm ``norm2``,
+    is the null vector: ``norm2`` is at most ``NULL_NORM_SQ`` times the
+    state's scale ``sum_t |c_t|^2 prod_i ||chi_ti||^2``, its terms' squared
+    norms as labeled products, so that scaling every amplitude keeps the
+    verdict. A zero ket or an exact cancellation is null at any scale."""
+    coeffs, amps = state._stack
+    scale = np.abs(coeffs) ** 2 @ np.prod(np.linalg.norm(amps, axis=-1) ** 2, axis=-1)
+    return norm2 <= NULL_NORM_SQ * scale
+
+
 def normalize(psi: ParticleState) -> ParticleState:
     n2 = _norm2(psi)
-    if n2 <= NULL_NORM_SQ:
+    if _is_null(psi, n2):
         raise NullStateError("state has zero norm and cannot be normalized")
     return psi * (1.0 / np.sqrt(n2))
 

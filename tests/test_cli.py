@@ -217,15 +217,16 @@ def test_an_integer_literal_over_the_digit_limit_is_input_error(tmp_path, capsys
     assert "set_int_max_str_digits" not in captured.err
 
 
-def surrogate_payload(field: str) -> dict:
-    """The ``overlap`` builtin with a lone surrogate in one free-text field."""
+def free_text_payload(field: str, char: str = "\ud800") -> dict:
+    """The ``overlap`` builtin with ``char`` (a lone surrogate unless named)
+    in one free-text field."""
     payload = json.loads((BUILTINS / "overlap.json").read_text(encoding="utf-8"))
     if field == "modes":
-        payload["modes"][1] = "B\ud800"
+        payload["modes"][1] = f"B{char}"
     elif field == "label":
-        payload["plans"][0]["label"] = "(AA)-A \ud800"
+        payload["plans"][0]["label"] = f"(AA)-A {char}"
     else:
-        payload[field] = f"bad \ud800 {field}"
+        payload[field] = f"bad {char} {field}"
     return payload
 
 
@@ -242,18 +243,42 @@ def surrogate_payload(field: str) -> dict:
 def test_a_lone_surrogate_in_a_free_text_field_is_input_error(tmp_path, capsys, field, where):
     # valid JSON (the file holds the escape), but no UTF-8 output can print it
     path = tmp_path / "surrogate.json"
-    path.write_text(json.dumps(surrogate_payload(field)))
+    path.write_text(json.dumps(free_text_payload(field)))
     assert main(["run", "--file", str(path)]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {where}, which UTF-8 cannot write\n"
 
 
+@pytest.mark.parametrize("char", ["\n", "\x1b"], ids=["newline", "escape"])
+@pytest.mark.parametrize(
+    "field, where",
+    [
+        ("name", "scenario.name: control character {} at character 4"),
+        ("title", "scenario.title: control character {} at character 4"),
+        ("modes", "scenario.modes[1]: control character {} at character 1"),
+        ("label", "scenario.plans[0].label: control character {} at character 7"),
+    ],
+    ids=["name", "title", "modes", "label"],
+)
+def test_a_control_character_in_a_free_text_field_is_input_error(
+    tmp_path, capsys, field, where, char
+):
+    # the table printed it raw: a newline split a line, an escape restyled
+    # the terminal
+    path = tmp_path / "control.json"
+    path.write_text(json.dumps(free_text_payload(field, char)))
+    assert main(["run", "--file", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where.format(repr(char))}\n"
+
+
 def test_a_lone_surrogate_title_exits_two_without_a_traceback_on_real_stdout(tmp_path):
     # pytest's capture is not the interpreter's UTF-8 stdout: only a child
     # process shows the crash that writing the table used to end in
     path = tmp_path / "surrogate.json"
-    path.write_text(json.dumps(surrogate_payload("title")))
+    path.write_text(json.dumps(free_text_payload("title")))
     proc = subprocess.run(
         [sys.executable, "-m", "idqsim.cli", "run", "--file", str(path)],
         capture_output=True,

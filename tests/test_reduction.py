@@ -235,6 +235,17 @@ def test_coords_refuse_a_basis_over_another_frame(modes):
         coords(phi, other)
 
 
+@pytest.mark.parametrize("modes", [("X", "Y", "Z"), ("A", "B")], ids=["same-dim", "other-dim"])
+def test_annihilate_refuses_kets_over_another_frame(modes):
+    # as trace_stage does: kets over (X, Y, Z) used to be lowered as if they
+    # were over (A, B, C), giving a (6, 6) array and no error
+    basis = OccupationBasis(SPACE, 2, Statistics.BOSON)
+    mb = MeasurementBasis.localized(CanonicalBasis(modes), modes[0])
+    factor = np.ones((basis.size, 1), dtype=complex)
+    with pytest.raises(IncompatibleStatesError, match="^measurement ket and state bases differ$"):
+        annihilate(mb, factor, basis)
+
+
 @pytest.mark.parametrize("stats", [Statistics.BOSON, Statistics.FERMION])
 def test_trace_matches_the_projection_algebra_beyond_the_oracle(stats):
     # five particles over three sites: 6**5 labeled slots, past the oracle

@@ -35,7 +35,8 @@ from idqsim import (
     scenarios,
     standard_space,
 )
-from idqsim.reduction import DensityMatrix
+from idqsim.comparator import LabeledProductBasis
+from idqsim.reduction import DensityMatrix, OccupationBasis
 from idqsim.scenarios import parse_scenario
 from idqsim.verification import random_state
 
@@ -815,6 +816,22 @@ def test_fermionic_null_state_error_carries_the_scenario_name(tmp_path):
         run_file(path)
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1e-20])
+@pytest.mark.parametrize("name", ["overlap", "ghz", "separated", "distinguishable"])
+def test_a_scaled_down_builtin_file_reproduces_its_builtin(tmp_path, name, scale):
+    # the null floor is relative to the state's scale, for identical and
+    # labeled particles alike: at 1e-5 both used to read "zero norm"
+    payload = json.loads((BUILTINS / f"{name}.json").read_text(encoding="utf-8"))
+    for term in payload["state"]:
+        for ket in term["kets"]:
+            for component in ket:
+                component[2] *= scale
+                component[3] *= scale
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    assert run_file(path).to_json() == run_builtin(name).to_json()
+
+
 def test_missing_file_and_broken_json_are_scenario_errors(tmp_path):
     with pytest.raises(ScenarioError, match="not found"):
         load_scenario(tmp_path / "nope.json")
@@ -901,6 +918,123 @@ def test_machine_dict_is_rounded_and_ascii_safe():
     assert blob == report.to_json()  # deterministic
     assert blob.encode("ascii")  # ensure_ascii output
     assert "-0.0" not in blob
+
+
+# --- the table prints the report document --------------------------------------
+
+
+def reference_table(report) -> str:
+    """The table as ``to_table`` rendered it when it walked the report itself
+    with its own formatters, rounding each raw number on its way out: the
+    reference the table printed from the one report document must equal."""
+
+    def rounded(x):
+        v = float(f"{float(x):.12g}")
+        return 0.0 if v == 0 else v
+
+    def fmt(x):
+        return f"{rounded(x):.12g}"
+
+    def fmt_values(values, sep):
+        shown = [fmt(x) for x in values if abs(x) > 5e-13]
+        tail = len(values) - len(shown)
+        return (" ".join(shown) or "0") + (f"{sep}(+{tail} zeros)" if tail else "")
+
+    def fmt_actual(v):
+        if isinstance(v, bool):
+            return "yes" if v else "no"
+        if v is None:
+            return "n/a"
+        if isinstance(v, (tuple, list, np.ndarray)):
+            return fmt_values(v, " ")
+        return fmt(float(v))
+
+    lines = [f"scenario: {report.name} — {report.title}"]
+    n_pass = sum(c.passed for c in report.checks)
+    verdict = "PASS" if report.passed else "FAIL"
+    lines.append(f"status: {verdict} ({n_pass}/{len(report.checks)} checks)")
+    genuine = report.report.genuine_multipartite
+    lines.append(
+        "genuine multipartite: " + ("n/a" if genuine is None else ("yes" if genuine else "no"))
+    )
+    for b in report.report.bipartitions:
+        lines.append("")
+        kind = "" if b.bipartition else "  (not a bipartition)"
+        lines.append(f"plan {b.label}{kind}")
+        for side, rho in (("two", b.rho_two), ("one", b.rho_one)):
+            if rho is None:
+                continue
+            lines.append(
+                f"  {side}-particle side: probability {fmt(rho.prob)}, "
+                f"entropy {fmt(rho.entropy)} bits, purity {fmt(rho.purity)}"
+            )
+            lines.append(f"    eigenvalues: {fmt_values(rho.spectrum, '  ')}")
+    if report.checks:
+        lines.append("")
+        lines.append("checks")
+        for c in report.checks:
+            mark = "pass" if c.passed else "FAIL"
+            tol = "" if isinstance(c.expectation.value, bool) else f" ± {c.tolerance:g}"
+            lines.append(
+                f"  [{mark}] {c.expectation.describe()}: {fmt_actual(c.actual)}"
+                f" (expected {fmt_actual(c.expectation.value)}{tol})"
+                + (f"  {c.note}" if c.note else "")
+            )
+    return "\n".join(lines)
+
+
+def api_report():
+    """A spec built through the API whose rows read "no such plan" and "side
+    not traced" beside passing and failing checks: ``induced``'s state and
+    its one plan, which is not a bipartition."""
+    spec = get_builtin("induced")
+    label = spec.plans[0].label
+    expectations = (
+        Expectation("entropy_two", 1.0, label),
+        Expectation("eigenvalues", (0.5, 0.5, 0.0), label, "two", tolerance=1e-12),
+        Expectation("purity_two", 0.25, label, tolerance=0.125),
+        Expectation("entropy_one", 0.0, label),
+        Expectation("probability", 1.0, label, "one"),
+        Expectation("entropy_two", 0.0, "absent"),
+        Expectation("eigenvalues", (1.0,), "absent", "two"),
+        Expectation("genuine_multipartite", True),
+    )
+    return run_spec(scenarios.ScenarioSpec("api", "an API spec", spec.state, spec.plans,
+                                           expectations))
+
+
+def table_cases():
+    for name in builtin_names():
+        for tolerance in (None, 1e-30):
+            yield f"{name} tolerance={tolerance}", run_builtin(name, tolerance)
+    yield "api", api_report()
+
+
+def test_the_table_is_byte_identical_to_the_reference_rendering():
+    seen = set()
+    for case, report in table_cases():
+        table = report.to_table()
+        assert table == reference_table(report), case
+        seen.update(line.split("  ")[-1] for line in table.splitlines())
+    # the cases cover failing checks, both notes and a plan that is not a bipartition
+    assert {"no such plan", "side not traced", "(not a bipartition)"} <= seen
+    assert any(not report.passed for _, report in table_cases())
+
+
+def test_the_table_forms_no_dense_matrix_and_no_basis_labels(monkeypatch):
+    reports = [report for _, report in table_cases()]
+    tables = [report.to_table() for report in reports]
+
+    def refused(self):
+        raise AssertionError("the table read a dense matrix or basis labels")
+
+    for cls, name in ((DensityMatrix, "mat"), (OccupationBasis, "labels"),
+                      (LabeledProductBasis, "labels")):
+        monkeypatch.setattr(cls, name, property(refused))
+    for report, table in zip(reports, tables):
+        assert report.to_table() == table
+    with pytest.raises(AssertionError, match="dense matrix or basis labels"):
+        reports[0].to_dict()  # the machine format still reads both
 
 
 def test_expectation_validation():

@@ -82,6 +82,34 @@ def test_fermionic_repeated_ket_is_exactly_null():
         normalize(s)
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1e-20, 1e5])
+@pytest.mark.parametrize("stats", list(Statistics), ids=lambda s: s.name)
+def test_a_small_but_nonzero_state_is_not_null(stats, scale):
+    # the null floor is relative to the state's own scale: with an absolute
+    # floor of 1e-24 on the squared norm, amplitudes of 1e-5 were null
+    space = three_modes()
+    kets = (space.ket("A", Spin.DOWN), space.ket("B", Spin.DOWN), space.ket("C", Spin.UP))
+    unit = normalize(elementary(stats, kets))
+    scaled = normalize(elementary(stats, [scale * k for k in kets]))
+    assert states_close(scaled, unit, 1e-12)
+    assert abs(norm(scaled) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-5, 1e-20])
+def test_null_states_stay_null_at_any_scale(scale):
+    space = three_modes()
+    a, b = scale * space.ket("A", Spin.DOWN), scale * space.ket("B", Spin.UP)
+    zero = Ket(space, np.zeros(space.dim))
+    pair = elementary(Statistics.BOSON, (a, b))
+    for null in (
+        elementary(Statistics.BOSON, (a, zero)),  # a zero ket
+        elementary(Statistics.FERMION, (a, b, a)),  # a repeated fermion ket
+        pair - pair,  # an exactly cancelling boson pair
+    ):
+        with pytest.raises(NullStateError):
+            normalize(null)
+
+
 def test_fermionic_proportional_pair_is_exactly_null():
     # a phase-rotated copy still violates exclusion; the norm must be an
     # exact zero, not determinant round-off
