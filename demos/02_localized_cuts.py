@@ -13,7 +13,6 @@ from idqsim import (
     Statistics,
     elementary,
     partial_trace_iterate,
-    partial_trace_one,
     purity,
     standard_space,
     von_neumann_entropy,
@@ -46,7 +45,7 @@ for kept, removed_first, removed_second in (
     )
 
 # the same conclusion through a single call per cut
-rho_pair = partial_trace_one(phi, MeasurementBasis.localized(space, "C"))
+rho_pair = partial_trace_iterate(phi, (MeasurementBasis.localized(space, "C"),))
 print("\npair left after a detection at C, occupation weights:")
 for label, weight in zip(rho_pair.basis.labels, rho_pair.mat.diagonal().real):
     if weight > 1e-12:

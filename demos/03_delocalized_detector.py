@@ -15,7 +15,7 @@ from idqsim import (
     Statistics,
     delocalized_pair,
     elementary,
-    partial_trace_one,
+    partial_trace_iterate,
     purity,
     spectrum,
     standard_space,
@@ -30,7 +30,7 @@ phi = elementary(
 )
 
 detector = delocalized_pair(space, "B", "C")
-rho = partial_trace_one(phi, detector)
+rho = partial_trace_iterate(phi, (detector,))
 
 print("detection probability:", rho.prob)
 print("entropy of the remaining pair:", von_neumann_entropy(rho), "bits")

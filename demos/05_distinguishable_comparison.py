@@ -12,7 +12,6 @@ from idqsim import (
     SlotTrace,
     Spin,
     delocalized_pair,
-    distinguishable_trace,
     distinguishable_trace_iterate,
     product_state,
     purity,
@@ -29,7 +28,7 @@ loc = {m: MeasurementBasis.localized(space, m) for m in "ABC"}
 
 print("separated labeled product |A-down>_1 |B-down>_2 |C-up>_3")
 for slot, mode in ((0, "A"), (1, "B"), (2, "C")):
-    rho = distinguishable_trace(state, SlotTrace(slot, loc[mode]))
+    rho = distinguishable_trace_iterate(state, (SlotTrace(slot, loc[mode]),))
     print(f"  measure slot {slot + 1} at {mode}: probability {rho.prob:.3f},"
           f" purity {purity(rho):.12f}")
 
@@ -43,7 +42,7 @@ print(f"  measure slots 1 then 2: purity {purity(rho):.12f},"
 # it fires only half the time, and still nothing mixes
 detector = delocalized_pair(space, "A", "B")
 for slot in (0, 1):
-    rho = distinguishable_trace(state, SlotTrace(slot, detector))
+    rho = distinguishable_trace_iterate(state, (SlotTrace(slot, detector),))
     print(f"  delocalized (A+B) detector on slot {slot + 1}:"
           f" probability {rho.prob:.3f}, purity {purity(rho):.12f}")
 
@@ -54,6 +53,6 @@ overlapped = product_state(
 )
 print("\nfully overlapped labeled product |A-down>_1 |A-down>_2 |A-up>_3")
 for slot in range(3):
-    rho = distinguishable_trace(overlapped, SlotTrace(slot, loc["A"]))
+    rho = distinguishable_trace_iterate(overlapped, (SlotTrace(slot, loc["A"]),))
     print(f"  measure slot {slot + 1} at A: probability {rho.prob:.3f},"
           f" purity {purity(rho):.12f}")

@@ -17,8 +17,8 @@ from idqsim import (
     Statistics,
     inner,
     oracle_inner,
-    oracle_trace,
-    partial_trace_one,
+    oracle_trace_iterate,
+    partial_trace_iterate,
     standard_space,
 )
 from idqsim.verification import random_measurement_basis, random_state
@@ -38,8 +38,8 @@ for statistics in (Statistics.BOSON, Statistics.FERMION):
         worst_inner = max(worst_inner, abs(direct - labeled))
 
         basis = random_measurement_basis(rng, space)
-        ours = partial_trace_one(phi, basis)
-        theirs = oracle_trace(phi, basis)
+        ours = partial_trace_iterate(phi, (basis,))
+        theirs = oracle_trace_iterate(phi, (basis,))
         worst_trace = max(worst_trace, float(np.abs(ours.mat - theirs.mat).max()))
     print(f"{statistics.value}s, 25 random states:")
     print(f"  worst inner-product deviation: {worst_inner:.3e}")

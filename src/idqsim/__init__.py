@@ -10,11 +10,9 @@ A brute-force labeled oracle cross-checks everything.
 from .comparator import (
     LabeledState,
     SlotTrace,
-    distinguishable_trace,
     distinguishable_trace_iterate,
     occupation_isometry,
     oracle_inner,
-    oracle_trace,
     oracle_trace_iterate,
     product_state,
     symmetrize_state,
@@ -53,7 +51,6 @@ from .reduction import (
     OccupationBasis,
     coords,
     partial_trace_iterate,
-    partial_trace_one,
     probability_of,
 )
 from .scenarios import (
@@ -64,8 +61,6 @@ from .scenarios import (
     delocalized_pair,
     get_builtin,
     load_scenario,
-    run_builtin,
-    run_file,
     run_spec,
     standard_space,
 )
@@ -117,7 +112,6 @@ __all__ = [
     "coords",
     "delocalized_pair",
     "determinant",
-    "distinguishable_trace",
     "distinguishable_trace_iterate",
     "elementary",
     "get_builtin",
@@ -127,19 +121,15 @@ __all__ = [
     "normalize",
     "occupation_isometry",
     "oracle_inner",
-    "oracle_trace",
     "oracle_trace_iterate",
     "orthonormality_defect",
     "partial_trace_iterate",
-    "partial_trace_one",
     "permanent",
     "probability_of",
     "product_state",
     "project_single",
     "purity",
     "run_all",
-    "run_builtin",
-    "run_file",
     "run_spec",
     "sp_inner",
     "spectrum",

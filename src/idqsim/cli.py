@@ -18,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import NotPSDError, SimulationError
-from .scenarios import builtin_names, get_builtin, run_file, run_spec
+from .scenarios import builtin_names, get_builtin, load_scenario, run_spec
 from .verification import run_all
 
 EXIT_OK = 0
@@ -75,10 +75,8 @@ def _cmd_run(args) -> tuple[int, str]:
     if (args.name is None) == (args.file is None):
         print("error: give exactly one of a scenario name or --file", file=sys.stderr)
         return EXIT_INPUT, ""
-    if args.file is not None:
-        report = run_file(args.file, args.tolerance)
-    else:
-        report = run_spec(get_builtin(args.name), args.tolerance)
+    spec = load_scenario(args.file) if args.file is not None else get_builtin(args.name)
+    report = run_spec(spec, args.tolerance)
     text = report.to_json() if args.format == "machine" else report.to_table()
     return (EXIT_OK if report.passed else EXIT_FAILED), text + "\n"
 

@@ -69,6 +69,7 @@ from .states import (
     ElementaryState,
     ParticleState,
     Statistics,
+    _is_null,
     _require_compatible,
     _stack_terms,
     elementary,
@@ -172,9 +173,12 @@ def _isometry(dim: int, sector: int, statistics: Statistics) -> np.ndarray:
 
 
 def _labeled_normalized(phi: ParticleState) -> np.ndarray:
+    """The symmetrized vector at unit norm. Its squared norm is ``n!`` times
+    ``<phi|phi>``, so a state is refused by the rule ``normalize`` applies,
+    relative to the state's own scale."""
     vec = symmetrize_state(phi)
     nrm = np.linalg.norm(vec)
-    if nrm < 1e-12:
+    if _is_null(phi, nrm * nrm / math.factorial(phi.n)):
         raise ValueError("state symmetrizes to zero")
     return vec / nrm
 
@@ -190,10 +194,6 @@ def _contract_slot(factor: np.ndarray, basis: MeasurementBasis, slot: int) -> np
     cols = factor.reshape(dim**slot, dim, -1, factor.shape[1])
     lowered = np.einsum("kb,abcw->ackw", basis.amps.conj(), cols)
     return lowered.reshape(-1, len(basis.amps) * factor.shape[1])
-
-
-def oracle_trace(phi: ParticleState, basis: MeasurementBasis) -> DensityMatrix:
-    return oracle_trace_iterate(phi, (basis,))
 
 
 def oracle_trace_iterate(
@@ -341,10 +341,6 @@ class SlotTrace(Frozen):
     @property
     def space(self) -> CanonicalBasis:
         return self.basis.space
-
-
-def distinguishable_trace(state: LabeledState, step: SlotTrace) -> DensityMatrix:
-    return distinguishable_trace_iterate(state, (step,))
 
 
 def distinguishable_trace_iterate(

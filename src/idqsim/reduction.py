@@ -523,13 +523,6 @@ def probability_of(phi: ParticleState, basis: MeasurementBasis) -> float:
     return min(max(total / phi.n, 0.0), 1.0)
 
 
-def partial_trace_one(
-    phi: ParticleState, basis: MeasurementBasis
-) -> DensityMatrix:
-    """Trace one particle onto ``basis``, renormalized to unit trace."""
-    return partial_trace_iterate(phi, (basis,))
-
-
 def partial_trace_iterate(
     phi: ParticleState, bases: Sequence[MeasurementBasis]
 ) -> DensityMatrix:

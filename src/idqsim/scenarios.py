@@ -405,10 +405,6 @@ def _load_builtin(name: str) -> ScenarioSpec:
     return load_scenario(path)
 
 
-def run_builtin(name: str, tolerance: Optional[float] = None) -> ScenarioReport:
-    return run_spec(get_builtin(name), tolerance)
-
-
 # --- scenario files ----------------------------------------------------------
 
 
@@ -679,7 +675,3 @@ def _parse_expectations(raw: dict, plans: Sequence[TracePlan]) -> tuple[Expectat
         if plan is not None and (side := _side(out[-1])) not in dict(plan.sides()):
             raise ScenarioError(f"{where}: plan {label!r} does not trace side {side!r}")
     return tuple(out)
-
-
-def run_file(path: Union[str, Path], tolerance: Optional[float] = None) -> ScenarioReport:
-    return run_spec(load_scenario(path), tolerance)

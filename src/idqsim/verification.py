@@ -52,7 +52,6 @@ from .comparator import (
     distinguishable_trace_iterate,
     occupation_isometry,
     oracle_inner,
-    oracle_trace,
     oracle_trace_iterate,
     product_state,
 )
@@ -67,7 +66,6 @@ from .reduction import (
     annihilate,
     coords,
     partial_trace_iterate,
-    partial_trace_one,
     probability_of,
 )
 from .scenarios import builtin_names, delocalized_pair, get_builtin, run_spec
@@ -366,7 +364,7 @@ def _prop_oracle_inner_factorial(rng) -> str:
 def _ladder(phi: ParticleState, mb: MeasurementBasis) -> tuple:
     """The one-stage trace and the lowered coordinates ``a(psi) coords(phi)``
     of the ladder route."""
-    rho = partial_trace_one(phi, mb)
+    rho = partial_trace_iterate(phi, (mb,))
     upper = OccupationBasis(phi.basis, phi.n, phi.statistics)
     return rho.mat, rho.prob, annihilate(mb, coords(phi, upper)[:, None], upper)
 
@@ -386,7 +384,8 @@ def _prop_oracle_trace_agreement(rng) -> str:
     def one_stage(phi):
         size = None if rng.random() < 0.5 else int(rng.integers(1, phi.basis.dim))
         mb = random_measurement_basis(rng, phi.basis, size)
-        return lambda: _ladder(phi, mb), lambda: oracle_trace(phi, mb), lambda: _projected(phi, mb)
+        return (lambda: _ladder(phi, mb), lambda: oracle_trace_iterate(phi, (mb,)),
+                lambda: _projected(phi, mb))
 
     def iterated(phi, stages):
         return lambda: partial_trace_iterate(phi, stages), lambda: oracle_trace_iterate(phi, stages)
@@ -456,7 +455,8 @@ def _prop_trace_unitary_invariance(rng) -> str:
         u = random_unitary(rng, phi.basis.dim)
         # ket i is sum_j u[j, i] base_j, summed over j in order
         remixed = MeasurementBasis(phi.basis, (u[:, :, None] * base.amps[:, None]).sum(axis=0))
-        return lambda: partial_trace_one(phi, base), lambda: partial_trace_one(phi, remixed)
+        return (lambda: partial_trace_iterate(phi, (base,)),
+                lambda: partial_trace_iterate(phi, (remixed,)))
 
     draws = _state_draws(rng, routes, low=2, each=2)
     c = _compare(draws, 1e-10, "complete-basis trace moved under remix")
@@ -470,7 +470,7 @@ def _prop_density_matrix_contracts(rng) -> str:
         phi = random_state(rng, space, n, stats)
         mb = random_measurement_basis(rng, space, int(rng.integers(2, space.dim + 1)))
         try:
-            rho = partial_trace_one(phi, mb)
+            rho = partial_trace_iterate(phi, (mb,))
         except ZeroProbabilityError:
             continue
         checked += 1
@@ -508,7 +508,7 @@ def _prop_localized_product_purity(rng) -> str:
             kets = [space.ket(m, Spin.UP if rng.random() < 0.5 else Spin.DOWN) for m in sites]
             phi = normalize(elementary(stats, kets))
             seen = MeasurementBasis.localized(space, sites[int(rng.integers(n))])
-            yield where, (lambda: (1.0, 0.0), lambda: _pure(partial_trace_one(phi, seen)))
+            yield where, (lambda: (1.0, 0.0), lambda: _pure(partial_trace_iterate(phi, (seen,))))
 
     c = _compare(draws(), 1e-9, "localized remainder mixed")
     return f"{c.compared} spatially separated products stay pure, worst deviation {c}"
@@ -557,7 +557,8 @@ def _prop_entropy_unitary_invariance(rng) -> str:
 def _prop_entropy_purity_consistency(rng) -> str:
     checked = 0
     for stats, n, space, where in _shapes(low=2, each=2):
-        rho = partial_trace_one(random_state(rng, space, n, stats), random_measurement_basis(rng, space))
+        phi = random_state(rng, space, n, stats)
+        rho = partial_trace_iterate(phi, (random_measurement_basis(rng, space),))
         p, s = _pure(rho)
         _ensure(1.0 / rho.basis.size - 1e-9 <= p <= 1.0 + 1e-9, f"purity {p} out of range at {where}")
         if abs(p - 1.0) < 1e-12:

@@ -23,9 +23,8 @@ from idqsim import (
     norm,
     normalize,
     oracle_inner,
-    oracle_trace,
+    oracle_trace_iterate,
     partial_trace_iterate,
-    partial_trace_one,
     probability_of,
     product_state,
     distinguishable_trace_iterate,
@@ -94,7 +93,7 @@ def test_criterion_1_full_overlap_entropies_and_spectra():
     space = _space()
     phi = _overlap_state(space)
     loc_a = _loc(space, "A")
-    rho2 = partial_trace_one(phi, loc_a)
+    rho2 = partial_trace_iterate(phi, (loc_a,))
     rho1 = partial_trace_iterate(phi, (loc_a, loc_a))
     target_s = math.log2(3.0) - 2.0 / 3.0
     worst_s = max(
@@ -144,7 +143,7 @@ def test_criterion_2_separated_state_is_pure_under_every_cut():
 def test_criterion_3_delocalized_detection_entangles_the_pair():
     space = _space()
     phi = _separated_state(space)
-    rho = partial_trace_one(phi, delocalized_pair(space, "B", "C"))
+    rho = partial_trace_iterate(phi, (delocalized_pair(space, "B", "C"),))
     ev = spectrum(rho)
     want = np.zeros(ev.size)
     want[:2] = 0.5
@@ -243,8 +242,8 @@ def test_criterion_6_label_free_algebra_matches_the_labeled_oracle():
             want = oracle_inner(phi, psi) / math.factorial(3)
             worst_inner = max(worst_inner, abs(got - want))
             mb = random_measurement_basis(rng, space)
-            ours = partial_trace_one(phi, mb)
-            oracle = oracle_trace(phi, mb)
+            ours = partial_trace_iterate(phi, (mb,))
+            oracle = oracle_trace_iterate(phi, (mb,))
             worst_trace = max(
                 worst_trace,
                 float(np.abs(ours.mat - oracle.mat).max()),

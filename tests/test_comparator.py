@@ -19,7 +19,6 @@ from idqsim import (
     SlotTrace,
     Spin,
     Statistics,
-    distinguishable_trace,
     distinguishable_trace_iterate,
     delocalized_pair,
     elementary,
@@ -27,10 +26,8 @@ from idqsim import (
     normalize,
     occupation_isometry,
     oracle_inner,
-    oracle_trace,
     oracle_trace_iterate,
     partial_trace_iterate,
-    partial_trace_one,
     product_state,
     purity,
     spectrum,
@@ -230,8 +227,8 @@ def test_labeled_and_label_free_traces_agree_on_the_benchmarks():
     a_dn, a_up = SPACE.ket("A", Spin.DOWN), SPACE.ket("A", Spin.UP)
     overlap = elementary(Statistics.BOSON, (a_dn, a_dn, a_up), 1.0 / math.sqrt(2.0))
     loc_a = MeasurementBasis.localized(SPACE, "A")
-    ours = partial_trace_one(overlap, loc_a)
-    ref = oracle_trace(overlap, loc_a)
+    ours = partial_trace_iterate(overlap, (loc_a,))
+    ref = oracle_trace_iterate(overlap, (loc_a,))
     assert np.allclose(ours.mat, ref.mat, atol=1e-12)
     assert np.isclose(ours.prob, ref.prob)
 
@@ -240,11 +237,33 @@ def test_labeled_and_label_free_traces_agree_on_the_benchmarks():
         (SPACE.ket("A", Spin.DOWN), SPACE.ket("B", Spin.DOWN), SPACE.ket("C", Spin.UP)),
     )
     deloc = delocalized_pair(SPACE, "B", "C")
-    ours = partial_trace_one(sep, deloc)
-    ref = oracle_trace(sep, deloc)
+    ours = partial_trace_iterate(sep, (deloc,))
+    ref = oracle_trace_iterate(sep, (deloc,))
     assert np.allclose(ours.mat, ref.mat, atol=1e-12)
     assert np.isclose(ours.prob, 1.0 / 3.0)
     assert np.isclose(ref.prob, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("scale", [1e-5, 1e-20])
+def test_the_oracle_calls_a_state_null_by_the_rule_normalize_uses(stats, scale):
+    # the symmetrized vector of these kets has norm sqrt(6) scale^3: an
+    # absolute floor refused the state that normalize and the ladder accept
+    kets = (SPACE.ket("A", Spin.DOWN), SPACE.ket("B", Spin.DOWN), SPACE.ket("C", Spin.UP))
+    phi = elementary(stats, [scale * k for k in kets])
+    loc_a = (MeasurementBasis.localized(SPACE, "A"),)
+    ref = oracle_trace_iterate(phi, loc_a)
+    ours = partial_trace_iterate(normalize(phi), loc_a)
+    assert np.allclose(ref.mat, ours.mat, atol=1e-12)
+    assert np.isclose(ref.prob, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-5, 1e-20])
+def test_the_oracle_still_refuses_a_null_state_at_any_scale(scale):
+    a_dn = scale * SPACE.ket("A", Spin.DOWN)
+    phi = elementary(Statistics.FERMION, (a_dn, a_dn, scale * SPACE.ket("B", Spin.UP)))
+    with pytest.raises(ValueError, match="symmetrizes to zero"):
+        oracle_trace_iterate(phi, (MeasurementBasis.localized(SPACE, "A"),))
 
 
 def test_labeled_and_label_free_traces_agree_on_random_states():
@@ -254,8 +273,8 @@ def test_labeled_and_label_free_traces_agree_on_random_states():
         for _ in range(8):
             phi = random_state(rng, SPACE, int(rng.integers(2, 4)), stats)
             mb = random_measurement_basis(rng, SPACE, int(rng.integers(1, 7)))
-            ours = partial_trace_one(phi, mb)
-            ref = oracle_trace(phi, mb)
+            ours = partial_trace_iterate(phi, (mb,))
+            ref = oracle_trace_iterate(phi, (mb,))
             assert np.allclose(ours.mat, ref.mat, atol=1e-10)
             assert np.isclose(ours.prob, ref.prob, atol=1e-12)
             compared += 1
@@ -394,7 +413,7 @@ def separated_product():
 def test_slot_traces_of_a_product_are_pure_with_unit_probability():
     state = separated_product()
     for slot, mode in ((0, "A"), (1, "B"), (2, "C")):
-        rho = distinguishable_trace(state, SlotTrace(slot, MeasurementBasis.localized(SPACE, mode)))
+        rho = distinguishable_trace_iterate(state, (SlotTrace(slot, MeasurementBasis.localized(SPACE, mode)),))
         assert np.isclose(rho.prob, 1.0)
         assert np.isclose(purity(rho), 1.0)
         assert np.isclose(spectrum(rho)[0], 1.0)
@@ -403,7 +422,7 @@ def test_slot_traces_of_a_product_are_pure_with_unit_probability():
 def test_nonlocal_slot_measurement_halves_the_probability_but_stays_pure():
     state = separated_product()
     deloc = delocalized_pair(SPACE, "A", "B")
-    rho = distinguishable_trace(state, SlotTrace(0, deloc))
+    rho = distinguishable_trace_iterate(state, (SlotTrace(0, deloc),))
     assert np.isclose(rho.prob, 0.5)
     assert np.isclose(purity(rho), 1.0)
 
@@ -418,7 +437,7 @@ def test_fully_overlapped_product_still_never_mixes():
     )
     loc_a = MeasurementBasis.localized(SPACE, "A")
     for slot in (0, 1, 2):
-        rho = distinguishable_trace(state, SlotTrace(slot, loc_a))
+        rho = distinguishable_trace_iterate(state, (SlotTrace(slot, loc_a),))
         assert np.isclose(rho.prob, 1.0)
         assert np.isclose(purity(rho), 1.0)
     rho = distinguishable_trace_iterate(
@@ -441,7 +460,7 @@ def test_random_products_stay_pure_under_any_slot_sequence():
 
 def test_slot_labels_follow_the_remaining_particles():
     state = separated_product()
-    rho = distinguishable_trace(state, SlotTrace(1, MeasurementBasis.localized(SPACE, "B")))
+    rho = distinguishable_trace_iterate(state, (SlotTrace(1, MeasurementBasis.localized(SPACE, "B")),))
     i = rho.basis.index_of([("A", Spin.DOWN), ("C", Spin.UP)])
     assert rho.basis.labels[i] == "A↓⊗C↑"
     assert np.isclose(rho.mat[i, i].real, 1.0)

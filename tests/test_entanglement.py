@@ -23,7 +23,6 @@ from idqsim import (
     get_builtin,
     normalize,
     partial_trace_iterate,
-    partial_trace_one,
     product_state,
     purity,
     von_neumann_entropy,
@@ -59,7 +58,7 @@ def test_clearly_negative_matrices_are_rejected():
 
 
 def test_entropy_of_known_spectra():
-    rho = partial_trace_one(overlap_state(), MeasurementBasis.localized(SPACE, "A"))
+    rho = partial_trace_iterate(overlap_state(), (MeasurementBasis.localized(SPACE, "A"),))
     assert np.isclose(von_neumann_entropy(rho), OVERLAP_ENTROPY, atol=1e-12)
     assert np.isclose(purity(rho), 5.0 / 9.0, atol=1e-12)
 
@@ -459,7 +458,7 @@ def test_a_wrong_eigendecomposition_is_caught(monkeypatch):
         with pytest.raises(ArithmeticError, match="residual"):
             _checked_eigenvalues(m, 1.0)
         with pytest.raises(ArithmeticError, match="residual"):
-            partial_trace_one(overlap_state(), MeasurementBasis.localized(SPACE, "A"))
+            partial_trace_iterate(overlap_state(), (MeasurementBasis.localized(SPACE, "A"),))
 
 
 def test_eigenvalues_out_of_order_are_caught(monkeypatch):
@@ -468,7 +467,7 @@ def test_eigenvalues_out_of_order_are_caught(monkeypatch):
     with pytest.raises(ArithmeticError, match="order"):
         _checked_eigenvalues(np.diag([0.25, 0.75]), 1.0)
     with pytest.raises(ArithmeticError, match="order"):
-        partial_trace_one(overlap_state(), MeasurementBasis.localized(SPACE, "A"))
+        partial_trace_iterate(overlap_state(), (MeasurementBasis.localized(SPACE, "A"),))
 
 
 def test_rounding_off_hermitian_is_accepted():

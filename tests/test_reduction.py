@@ -31,7 +31,6 @@ from idqsim import (
     inner,
     normalize,
     partial_trace_iterate,
-    partial_trace_one,
     probability_of,
     project_single,
     purity,
@@ -284,7 +283,7 @@ def test_wide_factor_is_compressed_without_changing_the_trace(monkeypatch):
 def test_second_stage_that_never_fires_is_an_error():
     # the C detector fires once on the separated state, then finds nothing
     loc_c = MeasurementBasis.localized(SPACE, "C")
-    assert np.isclose(partial_trace_one(separated_state(), loc_c).prob, 1.0 / 3.0)
+    assert np.isclose(partial_trace_iterate(separated_state(), (loc_c,)).prob, 1.0 / 3.0)
     with pytest.raises(ZeroProbabilityError):
         partial_trace_iterate(separated_state(), (loc_c, loc_c))
 
@@ -293,7 +292,7 @@ def test_second_stage_that_never_fires_is_an_error():
 
 
 def test_overlap_state_trace_spectrum_is_two_thirds_one_third():
-    rho = partial_trace_one(overlap_state(), MeasurementBasis.localized(SPACE, "A"))
+    rho = partial_trace_iterate(overlap_state(), (MeasurementBasis.localized(SPACE, "A"),))
     assert np.isclose(rho.prob, 1.0)
     ev = spectrum(rho)
     assert np.allclose(ev[:2], [2.0 / 3.0, 1.0 / 3.0])
@@ -302,7 +301,7 @@ def test_overlap_state_trace_spectrum_is_two_thirds_one_third():
 
 def test_overlap_state_branch_content():
     # the 2/3 branch holds |Adn,Aup>, the 1/3 branch |Adn,Adn>
-    rho = partial_trace_one(overlap_state(), MeasurementBasis.localized(SPACE, "A"))
+    rho = partial_trace_iterate(overlap_state(), (MeasurementBasis.localized(SPACE, "A"),))
     occ = rho.basis
     mixed_pair = occ.unit_vector([("A", Spin.DOWN), ("A", Spin.UP)])
     same_pair = occ.unit_vector([("A", Spin.DOWN), ("A", Spin.DOWN)])
@@ -313,7 +312,7 @@ def test_overlap_state_branch_content():
 
 def test_delocalized_trace_leaves_an_even_two_branch_mixture():
     mb = delocalized_pair(SPACE, "B", "C")
-    rho = partial_trace_one(separated_state(), mb)
+    rho = partial_trace_iterate(separated_state(), (mb,))
     assert np.isclose(rho.prob, 1.0 / 3.0)
     ev = spectrum(rho)
     assert np.allclose(ev[:2], [0.5, 0.5])
@@ -325,13 +324,13 @@ def test_delocalized_trace_leaves_an_even_two_branch_mixture():
 
 def test_separated_state_localized_traces_are_pure():
     for mode in "ABC":
-        rho = partial_trace_one(separated_state(), MeasurementBasis.localized(SPACE, mode))
+        rho = partial_trace_iterate(separated_state(), (MeasurementBasis.localized(SPACE, mode),))
         assert np.isclose(rho.prob, 1.0 / 3.0)
         assert np.isclose(spectrum(rho)[0], 1.0)
 
 
 def test_ghz_localized_trace_is_maximally_mixed_on_two_entries():
-    rho = partial_trace_one(ghz_state(), MeasurementBasis.localized(SPACE, "C"))
+    rho = partial_trace_iterate(ghz_state(), (MeasurementBasis.localized(SPACE, "C"),))
     assert np.isclose(rho.prob, 1.0 / 3.0)
     ev = spectrum(rho)
     assert np.allclose(ev[:2], [0.5, 0.5])
@@ -366,14 +365,14 @@ def test_zero_stage_trace_is_the_pure_projector():
 
 def test_trace_that_never_fires_is_an_error():
     with pytest.raises(ZeroProbabilityError):
-        partial_trace_one(overlap_state(), MeasurementBasis.localized(SPACE, "B"))
+        partial_trace_iterate(overlap_state(), (MeasurementBasis.localized(SPACE, "B"),))
 
 
 def test_trace_needs_a_normalized_state():
     a = SPACE.ket("A", Spin.DOWN)
     with pytest.raises(ValueError):
-        partial_trace_one(
-            elementary(Statistics.BOSON, (a, a)), MeasurementBasis.localized(SPACE, "A")
+        partial_trace_iterate(
+            elementary(Statistics.BOSON, (a, a)), (MeasurementBasis.localized(SPACE, "A"),)
         )
 
 
@@ -416,8 +415,8 @@ def test_trace_is_invariant_under_a_unitary_remix_of_a_complete_basis():
     phi = random_state(rng, SPACE, 3, Statistics.BOSON)
     base = MeasurementBasis.full(SPACE)
     remixed = random_measurement_basis(rng, SPACE)
-    r1 = partial_trace_one(phi, base)
-    r2 = partial_trace_one(phi, remixed)
+    r1 = partial_trace_iterate(phi, (base,))
+    r2 = partial_trace_iterate(phi, (remixed,))
     assert np.allclose(r1.mat, r2.mat, atol=1e-12)
     assert np.isclose(r1.prob, r2.prob)
 
@@ -430,7 +429,7 @@ def test_reduced_matrices_are_hermitian_psd_unit_trace():
     for stats in (Statistics.BOSON, Statistics.FERMION):
         phi = random_state(rng, SPACE, 3, stats)
         mb = random_measurement_basis(rng, SPACE, 3)
-        rho = partial_trace_one(phi, mb)
+        rho = partial_trace_iterate(phi, (mb,))
         m = rho.mat
         assert np.allclose(m, m.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(m).min() > -1e-12
@@ -440,7 +439,7 @@ def test_reduced_matrices_are_hermitian_psd_unit_trace():
 
 def rank_two_trace():
     phi = random_state(np.random.default_rng(41), SPACE, 3, Statistics.FERMION, n_terms=1)
-    return partial_trace_one(phi, MeasurementBasis.localized(SPACE, "B"))
+    return partial_trace_iterate(phi, (MeasurementBasis.localized(SPACE, "B"),))
 
 
 def compressed_two_stage_trace():
@@ -814,7 +813,7 @@ def test_purity_is_the_squared_norm_of_the_gram_matrix():
     for stats in Statistics:
         phi = random_state(rng, SPACE, 3, stats, n_terms=3)
         for mb in (MeasurementBasis.localized(SPACE, "B"), random_measurement_basis(rng, SPACE)):
-            rho = partial_trace_one(phi, mb)
+            rho = partial_trace_iterate(phi, (mb,))
             assert rho.factor.shape[1] < rho.basis.size
             gram = rho.factor.conj().T @ rho.factor
             assert rho.purity == float(np.vdot(gram, gram).real)
@@ -936,7 +935,7 @@ def test_a_pure_remainder_reads_plus_zero_bits():
     # wide: V V^dagger over a two-row basis
     two = OccupationBasis(CanonicalBasis(("A",)), 1, Statistics.BOSON)
     wide = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    ladder = partial_trace_one(separated_state(), MeasurementBasis.localized(SPACE, "A"))
+    ladder = partial_trace_iterate(separated_state(), (MeasurementBasis.localized(SPACE, "A"),))
     for rho in (DensityMatrix(occ, narrow, 1.0), DensityMatrix(two, wide, 1.0), ladder):
         s = von_neumann_entropy(rho)
         assert s == 0.0 and math.copysign(1.0, s) == 1.0
@@ -957,7 +956,7 @@ def test_a_pure_remainder_of_a_rotated_product_never_reads_below_zero_bits(stati
                 (mode, Spin.UP, math.cos(theta / 2)),
                 (mode, Spin.DOWN, complex(math.cos(phase), math.sin(phase)) * math.sin(theta / 2)),
             ]))
-        rho = partial_trace_one(normalize(elementary(statistics, kets)), loc_a)
+        rho = partial_trace_iterate(normalize(elementary(statistics, kets)), (loc_a,))
         s = von_neumann_entropy(rho)
         assert 0.0 <= s < 1e-12 and math.copysign(1.0, s) == 1.0
 

@@ -28,9 +28,7 @@ from idqsim import (
     entanglement,
     get_builtin,
     load_scenario,
-    partial_trace_one,
-    run_builtin,
-    run_file,
+    partial_trace_iterate,
     run_spec,
     scenarios,
     standard_space,
@@ -65,7 +63,7 @@ def test_builtin_names_are_stable():
 
 def test_every_builtin_passes_its_own_expectations():
     for name in builtin_names():
-        report = run_builtin(name)
+        report = run_spec(get_builtin(name))
         failed = [c for c in report.checks if not c.passed]
         assert not failed, f"{name}: {[c.expectation.describe() for c in failed]}"
 
@@ -159,10 +157,10 @@ def test_shared_specs_cannot_be_changed():
 
 def test_a_tolerance_override_leaves_the_shared_spec_as_it_was():
     for name in builtin_names():
-        tight = run_builtin(name, tolerance=1e-30)
+        tight = run_spec(get_builtin(name), tolerance=1e-30)
         assert all(c.tolerance == 1e-30 for c in tight.checks), name
         fresh = run_spec(load_builtin_file(name))
-        assert run_builtin(name).to_json() == fresh.to_json(), name
+        assert run_spec(get_builtin(name)).to_json() == fresh.to_json(), name
 
 
 def test_repeated_runs_of_a_shared_spec_reuse_its_supports():
@@ -262,7 +260,7 @@ def test_a_check_on_a_side_its_plan_does_not_trace_is_refused_when_parsed(tmp_pa
     path = tmp_path / "untraced.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ScenarioError) as info:
-        run_file(path)
+        run_spec(load_scenario(path))
     assert str(info.value) == (
         "scenario.expectations[4]: plan '(BC)-delocalized' does not trace side 'one'"
     )
@@ -296,7 +294,7 @@ def test_eigenvalue_checks_pad_with_zeros_and_fail_on_nan():
 
 def test_runs_of_a_shared_spec_return_new_results():
     for name in builtin_names():
-        a, b = run_builtin(name), run_builtin(name)
+        a, b = run_spec(get_builtin(name)), run_spec(get_builtin(name))
         assert a is not b and a.report is not b.report, name
         pairs = list(zip(densities(a), densities(b)))
         assert pairs and all(x is not y for x, y in pairs), name
@@ -312,7 +310,7 @@ def test_rounds_of_the_shared_specs_keep_memory_bounded():
         sizes = []
         for _ in range(50):
             for name in builtin_names():
-                run_builtin(name)
+                run_spec(get_builtin(name))
             gc.collect()
             sizes.append(tracemalloc.get_traced_memory()[0])
     finally:
@@ -325,7 +323,7 @@ def test_every_builtin_finishes_within_a_second():
 
     for name in builtin_names():
         start = time.perf_counter()
-        run_builtin(name)
+        run_spec(get_builtin(name))
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"{name} took {elapsed:.2f}s"
 
@@ -493,9 +491,9 @@ def induced_file_payload():
 def test_file_scenario_reproduces_the_induced_builtin(tmp_path):
     path = tmp_path / "induced.json"
     path.write_text(json.dumps(induced_file_payload()))
-    from_file = run_file(path)
+    from_file = run_spec(load_scenario(path))
     assert from_file.passed
-    builtin = run_builtin("induced")
+    builtin = run_spec(get_builtin("induced"))
     d_file = from_file.to_dict()
     d_builtin = builtin.to_dict()
     # identical physics output, field by field
@@ -536,7 +534,7 @@ def labeled_file_payload():
 def test_distinguishable_file_round_trip(tmp_path):
     path = tmp_path / "labeled.json"
     path.write_text(json.dumps(labeled_file_payload()))
-    report = run_file(path)
+    report = run_spec(load_scenario(path))
     assert report.passed
 
 
@@ -554,8 +552,8 @@ def test_tolerance_override_only_tightens(tmp_path):
     ]
     path = tmp_path / "loose.json"
     path.write_text(json.dumps(payload))
-    assert run_file(path).passed
-    assert not run_file(path, tolerance=1e-6).passed
+    assert run_spec(load_scenario(path)).passed
+    assert not run_spec(load_scenario(path), tolerance=1e-6).passed
     # an override looser than the stated tolerance must not widen it
     spec = load_scenario(path)
     assert run_spec(spec, tolerance=1.0).checks[0].tolerance == 1e-3
@@ -567,7 +565,7 @@ def test_a_tolerance_override_must_be_positive_and_finite(tolerance):
     with pytest.raises(ScenarioError, match="tolerance override must be a positive finite"):
         run_spec(get_builtin("induced"), tolerance=tolerance)
     with pytest.raises(ScenarioError, match="tolerance override"):
-        run_builtin("overlap", tolerance=tolerance)
+        run_spec(get_builtin("overlap"), tolerance=tolerance)
 
 
 def test_bad_files_fail_with_field_paths(tmp_path):
@@ -653,7 +651,7 @@ def test_bad_files_fail_with_field_paths(tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ScenarioError, match="(?i)" + fragment.replace("[", r"\[")):
-            run_file(path)
+            run_spec(load_scenario(path))
 
 
 # each position the parser reads as a JSON object or as a nonempty list, with
@@ -764,7 +762,7 @@ def test_non_orthonormal_basis_names_the_offending_pair(tmp_path):
     path = tmp_path / "skew.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ScenarioError, match="not orthonormal"):
-        run_file(path)
+        run_spec(load_scenario(path))
 
 
 @pytest.mark.parametrize(
@@ -813,7 +811,7 @@ def test_fermionic_null_state_error_carries_the_scenario_name(tmp_path):
     path = tmp_path / "pauli.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ScenarioError, match="pauli-trap"):
-        run_file(path)
+        run_spec(load_scenario(path))
 
 
 @pytest.mark.parametrize("scale", [1e-5, 1e-20])
@@ -829,7 +827,7 @@ def test_a_scaled_down_builtin_file_reproduces_its_builtin(tmp_path, name, scale
                 component[3] *= scale
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(payload))
-    assert run_file(path).to_json() == run_builtin(name).to_json()
+    assert run_spec(load_scenario(path)).to_json() == run_spec(get_builtin(name)).to_json()
 
 
 def test_missing_file_and_broken_json_are_scenario_errors(tmp_path):
@@ -897,14 +895,14 @@ def test_sweep_shaped_trace_diagonalizes_only_the_gram_matrix(monkeypatch):
     space = CanonicalBasis(tuple("ABCDE"))
     phi = random_state(np.random.default_rng(31), space, 4, Statistics.BOSON, n_terms=1)
     calls = record_diagonalizations(monkeypatch)
-    rho = partial_trace_one(phi, MeasurementBasis.localized(space, "C"))
+    rho = partial_trace_iterate(phi, (MeasurementBasis.localized(space, "C"),))
     assert rho.basis.size == 220
     assert calls == [("eigvalsh", 2, 2)]  # no eigh
     assert np.count_nonzero(rho.spectrum) <= 2
 
 
 def test_machine_dict_is_rounded_and_ascii_safe():
-    report = run_builtin("overlap")
+    report = run_spec(get_builtin("overlap"))
     d = report.to_dict()
     assert d["status"] == "pass"
     assert d["genuine_multipartite"] is True
@@ -1006,7 +1004,7 @@ def api_report():
 def table_cases():
     for name in builtin_names():
         for tolerance in (None, 1e-30):
-            yield f"{name} tolerance={tolerance}", run_builtin(name, tolerance)
+            yield f"{name} tolerance={tolerance}", run_spec(get_builtin(name), tolerance)
     yield "api", api_report()
 
 
