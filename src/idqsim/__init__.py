@@ -52,6 +52,7 @@ from .reduction import (
     coords,
     partial_trace_iterate,
     probability_of,
+    states_close,
 )
 from .scenarios import (
     Expectation,
@@ -73,7 +74,6 @@ from .states import (
     norm,
     normalize,
     project_single,
-    states_close,
 )
 from .verification import PropertyResult, run_all
 

@@ -20,23 +20,12 @@ _NAIVE_LIMIT = 4
 _RYSER_BLOCK = 1 << 12
 
 
-def permutation_parity(perm: Sequence[int]) -> int:
-    """Sign (+1/-1) of a permutation of 0..n-1."""
-    seen = [False] * len(perm)
-    parity = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        # each cycle of length L contributes (-1)^(L-1)
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
+def permutation_parity(values: Sequence[int]) -> int:
+    """Sign (+1/-1) of the reordering that sorts ``values``, a sequence of
+    distinct numbers: -1 to the number of its inversions (pairs out of
+    ascending order). On a permutation of 0..n-1 this is its sign."""
+    inversions = sum(a > b for i, a in enumerate(values) for b in values[i + 1:])
+    return -1 if inversions % 2 else 1
 
 
 @lru_cache(maxsize=None)

@@ -115,7 +115,14 @@ from .hilbert import (
     orthonormality_defect,
     ORTHONORMALITY_TOL,
 )
-from .states import ParticleState, Statistics, inner, project_single, require_statistics
+from .states import (
+    ParticleState,
+    Statistics,
+    _require_compatible,
+    inner,
+    project_single,
+    require_statistics,
+)
 
 TRACE_TOL = 1e-10
 ZERO_PROB_TOL = 1e-12
@@ -402,6 +409,23 @@ def coords(phi: ParticleState, basis: OccupationBasis) -> np.ndarray:
     return np.ascontiguousarray(terms.T).sum(axis=1)
 
 
+def states_close(a: ParticleState, b: ParticleState, tol: float = 1e-10) -> bool:
+    """Equality as states: the distance of their occupation coordinates over
+    one ``OccupationBasis`` is below ``tol``. ``coords`` is an isometry, so
+    that is the norm of ``a - b``, read without the cancellation of
+    ``<a|a> + <b|b> - 2 Re <a|b>``. Zero-particle states compare their
+    summed coefficients. States of other statistics, particle numbers or
+    frames are never close."""
+    try:
+        _require_compatible(a, b)
+    except IncompatibleStatesError:
+        return False
+    if not a.n:  # no kets, so no frame to build a basis on
+        return abs(a._stack[0].sum() - b._stack[0].sum()) < tol
+    occ = _shared_basis(OccupationBasis, a.basis, a.n, a.statistics)
+    return float(np.linalg.norm(coords(a, occ) - coords(b, occ))) < tol
+
+
 class DensityMatrix(Frozen, eq=False):
     """Trace-one state ``V V^dagger`` over a sector basis, kept as its factor
     ``V`` (read-only, ``basis.size`` rows), plus the total measurement
@@ -513,14 +537,19 @@ def probability_of(phi: ParticleState, basis: MeasurementBasis) -> float:
     """Probability that a one-particle measurement over ``basis`` fires at all.
 
     Equals 1 for complete bases on normalized states; additive over any
-    partition of a basis into subsets.
+    partition of a basis into subsets. A total above ``1 + 1e-9`` is refused
+    (ValueError) rather than clamped, since only a fault in the projections
+    makes one; within that slack it is clamped to 1.
     """
     _require_unit_norm(inner(phi, phi).real)
     total = 0.0
     for psi in basis.kets:
         proj = project_single(psi, phi)
         total += max(inner(proj, proj).real, 0.0)
-    return min(max(total / phi.n, 0.0), 1.0)
+    p = total / phi.n
+    if not p <= 1.0 + 1e-9:  # NaN fails too
+        raise ValueError(f"probability {p} outside [0, 1]")
+    return min(p, 1.0)
 
 
 def partial_trace_iterate(

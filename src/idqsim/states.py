@@ -49,8 +49,10 @@ from .hilbert import CanonicalBasis, Frozen, Ket, _value_key, checked_amplitudes
 from .permanents import determinant, permanent, permutation_parity
 
 # States whose squared norm is at most this fraction of their own scale
-# (see ``_is_null``) are treated as the null vector.
-NULL_NORM_SQ = 1e-24
+# (see ``_is_null``) are treated as the null vector. The squared norm is a
+# sum over term pairs, whose rounding leaves an exactly null state up to
+# about 1e-15 of the scale; the floor keeps a thousandfold margin above it.
+NULL_NORM_SQ = 1e-12
 
 # Relative tolerance for detecting proportional single-particle kets; a
 # fermionic elementary state containing such a pair is exactly null, and the
@@ -206,11 +208,8 @@ def elementary(
     statistics: Statistics, kets: Sequence[Ket], coeff: complex = 1.0
 ) -> ParticleState:
     """Single-term state ``coeff |kets...>``; kets of two frames are refused
-    (IncompatibleStatesError)."""
-    kets = tuple(kets)
-    if len({k.basis for k in kets}) > 1:
-        raise IncompatibleStatesError("all kets of a term must share one basis")
-    return ParticleState(statistics, *_stack_terms([(coeff, kets)]))
+    (IncompatibleStatesError, from ``_stack_terms``)."""
+    return ParticleState(statistics, *_stack_terms([(coeff, tuple(kets))]))
 
 
 def _require_compatible(a: ParticleState, b: ParticleState) -> None:
@@ -305,7 +304,9 @@ def _is_null(state, norm2: float) -> bool:
     is the null vector: ``norm2`` is at most ``NULL_NORM_SQ`` times the
     state's scale ``sum_t |c_t|^2 prod_i ||chi_ti||^2``, its terms' squared
     norms as labeled products, so that scaling every amplitude keeps the
-    verdict. A zero ket or an exact cancellation is null at any scale."""
+    verdict. A zero ket or an exact cancellation is null at any scale, also
+    when the term-pair sum rounds it to a squared norm near 1e-15 of the
+    scale rather than to 0."""
     coeffs, amps = state._stack
     scale = np.abs(coeffs) ** 2 @ np.prod(np.linalg.norm(amps, axis=-1) ** 2, axis=-1)
     return norm2 <= NULL_NORM_SQ * scale
@@ -324,10 +325,12 @@ def project_single(meas: Ket, phi: ParticleState) -> ParticleState:
     Reads ``phi``'s stack row by row. The remainders merge as they are
     made: two are one term when their rows are equal up to order, compared
     by ``hilbert._value_key`` (bytes with signed zeros merged), and their
-    coefficients add, with the sign of the reordering for fermions; a
-    fermion remainder holding a row twice is exactly null and dropped. The
-    squared norm of the result is the unnormalized weight of the outcome;
-    see ``idqsim.reduction`` for the probability gauge.
+    coefficients add. A fermion remainder carries the sign of the reordering
+    that sorts its kept rows: ``permutation_parity`` of their indices in
+    sorted order, -1 to the number of inversions. One holding a row twice
+    is exactly null and dropped. The squared norm of the result is the
+    unnormalized weight of the outcome; see ``idqsim.reduction`` for the
+    probability gauge.
     """
     if phi.n == 0:
         raise EmptyStateError("cannot project a zero-particle state")
@@ -349,7 +352,7 @@ def project_single(meas: Ket, phi: ParticleState) -> ParticleState:
             key = tuple(raw[j] for j in order)
             if fermion and len(set(key)) < len(key):
                 continue  # two identical kets: exactly null
-            sign = permutation_parity([j - (j > i) for j in order]) if fermion else 1
+            sign = permutation_parity(order) if fermion else 1
             c = sign * (coeff * _removal_phase(phi.statistics, i) * amp)
             if key in merged:
                 merged[key][0] += c
@@ -367,13 +370,3 @@ def project_single(meas: Ket, phi: ParticleState) -> ParticleState:
 def _removal_phase(statistics: Statistics, i: int) -> int:
     """Exchange sign picked up by pulling entry ``i`` (0-based) to the front."""
     return 1 if (statistics.eta == 1 or i % 2 == 0) else -1
-
-
-def states_close(a: ParticleState, b: ParticleState, tol: float = 1e-10) -> bool:
-    """Equality as states: the norm of the difference is below tol."""
-    try:
-        _require_compatible(a, b)
-    except IncompatibleStatesError:
-        return False
-    d2 = inner(a, a).real + inner(b, b).real - 2.0 * inner(a, b).real
-    return float(np.sqrt(max(d2, 0.0))) < tol

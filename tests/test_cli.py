@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import idqsim.cli as cli
@@ -60,6 +61,33 @@ def test_labeled_state_of_zero_norm_is_input_error_without_the_fermion_hint(tmp_
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: scenario 'distinguishable': the state has zero norm\n"
+
+
+def test_a_file_state_that_cancels_exactly_is_input_error(tmp_path, capsys):
+    # |a, b, c> - |b, a, c> of bosons is exactly null: the rounding of its
+    # term-pair sum is no norm, and the noise normalized from it would fail
+    # the trace's unit-norm check (exit 3) instead of reading as bad input
+    rng = np.random.default_rng(37)
+    path = tmp_path / "cancelling.json"
+    for _ in range(40):
+        a, b, c = (
+            [[m, s, *rng.normal(size=2).tolist()] for m in "ABC" for s in ("up", "down")]
+            for _ in range(3)
+        )
+        path.write_text(json.dumps({
+            "name": "cancelling",
+            "kind": "identical",
+            "statistics": "boson",
+            "modes": ["A", "B", "C"],
+            "state": [{"kets": [a, b, c]}, {"coeff": [-1.0, 0.0], "kets": [b, a, c]}],
+            "plans": [{"label": "p", "two": [[[["A", "down", 1.0, 0.0]],
+                                              [["A", "up", 1.0, 0.0]]]]}],
+        }))
+        assert main(["run", "--file", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: scenario 'cancelling': the state has zero norm"
+            " (for fermions, check for repeated kets)\n"
+        )
 
 
 def test_missing_file_is_input_error(tmp_path, capsys):
@@ -435,6 +463,24 @@ def test_verify_same_seed_is_byte_identical(capsys):
     first = capsys.readouterr().out
     assert main(["verify", "--seed", "7"]) == EXIT_OK
     assert capsys.readouterr().out == first
+
+
+def test_verify_does_not_depend_on_the_string_hash_seed():
+    # one interpreter has one hash seed, so only child processes can differ
+    # in it; every draw, set and dict order must give the same report
+    outputs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "idqsim.cli", "verify", "--seed", "7"],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed),
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert "verified 19/19 properties (seed 7)" in outputs[0]
 
 
 @pytest.mark.parametrize("seed", ["-1", "seven"])

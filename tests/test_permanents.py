@@ -37,6 +37,37 @@ def test_permutation_parity_small_cases():
     assert permutation_parity((0, 1, 3, 2)) == -1
 
 
+def test_permutation_parity_of_distinct_values_outside_0_to_n():
+    # the sign of the reordering that sorts them: one inversion per pair out of order
+    assert permutation_parity((2, 5)) == 1
+    assert permutation_parity((5, 2)) == -1
+    assert permutation_parity((4, 1, 3)) == 1  # 4>1, 4>3
+    assert permutation_parity((7, 3, 9, -2)) == 1  # 7>3, 7>-2, 3>-2, 9>-2
+    assert permutation_parity([3, 1]) == permutation_parity((1, 0))
+
+
+def parity_by_cycles(perm):
+    # independent reference: a cycle of length L contributes (-1)^(L-1)
+    seen = [False] * len(perm)
+    parity = 1
+    for start in range(len(perm)):
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            parity = -parity
+    return parity
+
+
+def test_permutation_parity_agrees_with_the_cycle_walk_up_to_seven_elements():
+    perms = [p for n in range(8) for p in permutations(range(n))]
+    assert len(perms) == 5914
+    for perm in perms:
+        assert permutation_parity(perm) == parity_by_cycles(perm), perm
+
+
 def test_permanent_of_empty_and_scalar():
     assert permanent(np.zeros((0, 0))) == 1.0
     assert permanent(np.array([[3.5]])) == 3.5

@@ -248,7 +248,7 @@ def _state_refusals():
          ValueError, "coefficients (1, 1) do not fit amplitudes (1, 2, 6)"),
         ("elementary kets of two frames",
          lambda st: elementary(st, kets[:2] + (Ket(other_frame, amps[1, 0]),)),
-         IncompatibleStatesError, "all kets of a term must share one basis"),
+         IncompatibleStatesError, "kets live in different bases"),
     ]
     # term lists that no stack can hold: ket counts or frames that differ
     one_up = [["A", "up", 1.0, 0.0]]

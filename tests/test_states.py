@@ -24,6 +24,7 @@ from idqsim import (
 from idqsim.permanents import permanent_naive
 from idqsim.reduction import _ladder
 from idqsim.states import _stack_terms, overlap_elementary
+from idqsim.verification import random_state
 
 
 def three_modes():
@@ -108,6 +109,22 @@ def test_null_states_stay_null_at_any_scale(scale):
     ):
         with pytest.raises(NullStateError):
             normalize(null)
+
+
+def test_a_reordering_that_cancels_is_null_whatever_the_rounding():
+    # |a, b, c> - eta |b, a, c> is exactly null, but the term-pair sum of its
+    # squared norm rounds to up to about 1e-15 of its scale, not to 0: the
+    # floor must sit above that, or normalize scales the rounding into a
+    # unit-norm state of noise
+    space = three_modes()
+    rng = np.random.default_rng(37)
+    for stats in Statistics:
+        for _ in range(200):
+            a, b, c = (Ket(space, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim))
+                       for _ in range(3))
+            null = elementary(stats, (a, b, c)) - stats.eta * elementary(stats, (b, a, c))
+            with pytest.raises(NullStateError):
+                normalize(null)
 
 
 def test_fermionic_proportional_pair_is_exactly_null():
@@ -262,6 +279,21 @@ def test_states_close_tolerates_only_small_differences():
     s = elementary(Statistics.BOSON, (a, b))
     assert states_close(s, s * (1.0 + 1e-13))
     assert not states_close(s, s * (1.0 + 1e-6))
+
+
+def test_states_close_reads_a_rounding_sized_difference_as_close():
+    # on random unit states <a|a> + <b|b> - 2 Re <a|b> cancels to a floor
+    # near 1e-8, above the default tol, so the distance is read off
+    # coordinates; that form read 151 of these 800 pairs as apart
+    rng = np.random.default_rng(0)
+    space = three_modes()
+    for stats in Statistics:
+        for n in (2, 3):
+            for _ in range(100):
+                a = random_state(rng, space, n, stats, 3)
+                for eps in (1e-15, 1e-12):
+                    assert states_close(a, a * (1.0 + eps))
+                assert not states_close(a, a * (1.0 + 1e-6))
 
 
 def random_terms(rng, space, n, n_terms):

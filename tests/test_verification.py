@@ -67,6 +67,18 @@ def test_sign_bug_in_fermionic_removal_is_caught(monkeypatch):
     assert len(results) == 19
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_sign_bug_in_fermionic_removal_fails_the_complete_basis_probability(monkeypatch, seed):
+    # the unsigned removal inflates the projected norms: a total above 1 must
+    # be refused, since clamping it to 1 hides the fault at seeds 1-3
+    monkeypatch.setattr(
+        idqsim.states, "_removal_phase", lambda statistics, i: 1
+    )
+    failed = {r.name: r for r in run_all(seed)}["probability-complete-basis"]
+    assert not failed.passed
+    assert "outside [0, 1]" in failed.detail
+
+
 def test_entropy_bug_in_the_density_matrix_is_caught(monkeypatch):
     # plant an entropy in nats: the entropy properties read it off a
     # DensityMatrix, as every reduction does
