@@ -226,7 +226,7 @@ def oracle_trace_iterate(
         raise ArithmeticError(
             f"labeled trace leaks outside the symmetric sector ({compressed:.12g})"
         )
-    return DensityMatrix(occ, sym / math.sqrt(compressed), prob)
+    return DensityMatrix(occ, sym, prob, norm2=compressed)
 
 
 # --- distinguishable-particle comparator ---------------------------------

@@ -64,7 +64,9 @@ class TracePlan(Frozen):
 
     ``one_stages`` leaves a one-particle remainder, ``two_stages`` a
     two-particle one; either may be None to skip that side, but a side
-    given must trace at least one stage. Stages are
+    given must trace at least one stage. The scenario parser refuses a side
+    that leaves another particle count; a plan built here may trace any
+    depth, which the prefix tree of ``analyze`` is tested on. Stages are
     MeasurementBasis entries for identical particles and SlotTrace entries
     for labeled ones; a stage of the other kind is refused when it is
     traced. Plans that do not split the state into complementary

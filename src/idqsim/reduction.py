@@ -57,12 +57,16 @@ supports (one per site, one per pair of sites); and each restricted table
 costs at most ``s / dim`` of the full one.
 Once ``V`` has more columns than rows, ``_compress`` replaces it by a QR
 factor of the same ``V V^dagger``, so its width never exceeds the sector
-size. The normalized factor is the reduced state: ``DensityMatrix`` keeps
-``V``, and the nonzero eigenvalues of ``V V^dagger`` are those of the Gram
-matrix ``V^dagger V``, which is only as wide as ``V`` (2-4 columns on a
-localized stage, against a sector of hundreds). Every readout comes off
-that one Gram matrix (or ``V V^dagger`` for a wider ``V``), in one pass at
-construction: the trace off its diagonal, checked against 1 first; the
+size. The normalized factor is the reduced state: ``trace_finish`` hands
+``DensityMatrix`` the walk's ``V`` and ``||V||^2``, and the constructor
+divides the one by the root of the other into the one read-only copy it
+keeps, so a finish holds that copy and the conjugate the Gram product
+needs, never a separately normalized factor besides. The nonzero
+eigenvalues of ``V V^dagger`` are those of the Gram matrix ``V^dagger V``,
+which is only as wide as ``V`` (2-4 columns on a localized stage, against
+a sector of hundreds). Every readout comes off that one Gram matrix (or
+``V V^dagger`` for a wider ``V``), in one pass at construction: the trace
+off its diagonal, checked against 1 first; the
 eigenvalues from one ``eigvalsh``, checked by what is read of them (their
 sum against that trace, the sum of their squares against the purity,
 their order) rather than by rebuilding the matrix from eigenvectors that
@@ -411,25 +415,35 @@ def coords(phi: ParticleState, basis: OccupationBasis) -> np.ndarray:
 
 def states_close(a: ParticleState, b: ParticleState, tol: float = 1e-10) -> bool:
     """Equality as states: the distance of their occupation coordinates over
-    one ``OccupationBasis`` is below ``tol``. ``coords`` is an isometry, so
-    that is the norm of ``a - b``, read without the cancellation of
+    one ``OccupationBasis`` is at most ``tol`` times the larger of their
+    norms, so the test reads the same at any scale and two null states are
+    close. ``coords`` is an isometry, so that is the norm of ``a - b``
+    against ``max(||a||, ||b||)``, read without the cancellation of
     ``<a|a> + <b|b> - 2 Re <a|b>``. Zero-particle states compare their
-    summed coefficients. States of other statistics, particle numbers or
-    frames are never close."""
+    summed coefficients the same way. States of other statistics, particle
+    numbers or frames are never close."""
     try:
         _require_compatible(a, b)
     except IncompatibleStatesError:
         return False
-    if not a.n:  # no kets, so no frame to build a basis on
-        return abs(a._stack[0].sum() - b._stack[0].sum()) < tol
-    occ = _shared_basis(OccupationBasis, a.basis, a.n, a.statistics)
-    return float(np.linalg.norm(coords(a, occ) - coords(b, occ))) < tol
+    if a.n:
+        occ = _shared_basis(OccupationBasis, a.basis, a.n, a.statistics)
+        x, y = coords(a, occ), coords(b, occ)
+    else:  # no kets, so no frame to build a basis on
+        x, y = a._stack[0].sum(), b._stack[0].sum()
+    norm = np.linalg.norm
+    return float(norm(x - y)) <= tol * max(norm(x), norm(y))  # NaN is never close
 
 
 class DensityMatrix(Frozen, eq=False):
     """Trace-one state ``V V^dagger`` over a sector basis, kept as its factor
     ``V`` (read-only, ``basis.size`` rows), plus the total measurement
     probability ``prob`` consumed to normalize it.
+
+    The constructor divides the ``factor`` it is given by ``sqrt(norm2)``
+    (keyword-only, 1 by default) into one new complex array, the only copy
+    it keeps; a walk passes its unnormalized factor and squared norm, so
+    nothing normalizes it beforehand. ``norm2`` is not a field.
 
     The factor is the representation: ``V V^dagger`` is Hermitian and PSD by
     construction. Every readout comes off one Gram matrix, the smaller of
@@ -447,16 +461,18 @@ class DensityMatrix(Frozen, eq=False):
     """
 
     # basis: OccupationBasis or a labeled product basis (.size/.labels/.sector)
-    def __init__(self, basis: object, factor: np.ndarray, prob: float):
+    def __init__(self, basis: object, factor: np.ndarray, prob: float, *, norm2: float = 1.0):
         self._set("basis", basis)
-        self._set("factor", factor)
+        # the one copy kept: a walk's factor is divided here, not before
+        self._set("factor", np.divide(factor, math.sqrt(norm2), dtype=complex))
         self._set("prob", prob)
         self.__post_init__()
 
     def __post_init__(self):
-        """Check and normalize the fields; kept apart from ``__init__`` so a
-        profiler can wrap the validation alone."""
-        v = np.array(self.factor, dtype=complex)
+        """Check the fields and freeze the factor, which ``__init__`` made;
+        kept apart from ``__init__`` so a profiler can wrap the validation
+        alone."""
+        v = self.factor
         size = self.basis.size
         if v.ndim != 2 or v.shape[0] != size:
             raise ValueError(f"factor shape {v.shape} does not fit basis size {size}")
@@ -470,7 +486,6 @@ class DensityMatrix(Frozen, eq=False):
             raise ValueError(f"probability {p} outside [0, 1]")
         v.flags.writeable = False
         evals.flags.writeable = False
-        self._set("factor", v)
         self._set("prob", min(max(p, 0.0), 1.0))
         self._set("_eigenvalues", evals)
         self._set("purity", float(purity))
@@ -602,9 +617,10 @@ def trace_stage(walk: tuple, stage) -> tuple:
 
 
 def trace_finish(walk: tuple) -> DensityMatrix:
-    """The walk's remainder, normalized, as a density matrix."""
+    """The walk's remainder as a density matrix, which divides the walk's
+    factor by its norm into the one copy it keeps."""
     basis, factor, norm2, prob = walk
-    return DensityMatrix(basis, factor / math.sqrt(norm2), prob)
+    return DensityMatrix(basis, factor, prob, norm2=norm2)
 
 
 def trace_walk(walk: tuple, stages: Sequence) -> DensityMatrix:

@@ -601,7 +601,8 @@ def _parse_slot_trace(
 def _parse_plans(raw: dict, space: CanonicalBasis, n: int, labeled: bool) -> tuple[TracePlan, ...]:
     """``scenario.plans`` for a state of ``n`` particles, whose stages are
     ``SlotTrace`` entries for labeled particles and ``MeasurementBasis``
-    entries for identical ones."""
+    entries for identical ones. A side must leave the particles it is named
+    for: side "one" traces ``n - 1`` stages and side "two" ``n - 2``."""
     bases: dict = {}  # every basis parsed so far, so that equal stages share one
     plans = []
     for i, p in enumerate(_items(raw.get("plans"), "scenario.plans", "plans")):
@@ -619,6 +620,13 @@ def _parse_plans(raw: dict, space: CanonicalBasis, n: int, labeled: bool) -> tup
                 raise ScenarioError(
                     f"{where}.{side}: {len(stages_raw)} stages, but the state has "
                     f"only {n} particles"
+                )
+            keep, left = (1 if side == "one" else 2), n - len(stages_raw)
+            if left != keep:  # the side's remainder is named for what it keeps
+                traced = "1 stage leaves" if len(stages_raw) == 1 else f"{len(stages_raw)} stages leave"
+                raise ScenarioError(
+                    f"{where}.{side}: {traced} {left} particle{'s' * (left != 1)}; "
+                    f'side "{side}" keeps {keep}'
                 )
             stages: list = []
             for j, s in enumerate(stages_raw):

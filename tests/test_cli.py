@@ -145,6 +145,7 @@ def wrong_number_payload():
                 "kets": [
                     [["A", "down", 1.0, 0.0]],
                     [["B", "up", 1.0, 0.0]],
+                    [["B", "down", 1.0, 0.0]],
                 ]
             }
         ],
@@ -220,6 +221,40 @@ def test_a_field_the_parser_does_not_read_is_input_error(tmp_path, capsys, built
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {where}: unknown field\n"
+
+
+def one_particle(d: dict) -> None:
+    d["state"][0]["kets"] = d["state"][0]["kets"][:1]
+    d["plans"][0] = {"label": "p", "one": d["plans"][0]["one"][:1]}
+
+
+@pytest.mark.parametrize(
+    "builtin, edit, message",
+    [
+        ("overlap", lambda d: d["plans"][0].update(one=d["plans"][0]["one"][:1]),
+         'scenario.plans[0].one: 1 stage leaves 2 particles; side "one" keeps 1'),
+        ("overlap", lambda d: d["plans"][0].update(two=d["plans"][0]["one"]),
+         'scenario.plans[0].two: 2 stages leave 1 particle; side "two" keeps 2'),
+        ("distinguishable", lambda d: d["plans"][2].update(one=d["plans"][2]["one"][:1]),
+         'scenario.plans[2].one: 1 stage leaves 2 particles; side "one" keeps 1'),
+        ("overlap", one_particle,
+         'scenario.plans[0].one: 1 stage leaves 0 particles; side "one" keeps 1'),
+    ],
+    ids=["one side too short", "two side too long", "labeled one side", "one particle"],
+)
+def test_a_side_that_leaves_another_particle_count_is_input_error(
+    tmp_path, capsys, builtin, edit, message
+):
+    # overlap with a one-stage side "one" exited 0 and printed its
+    # two-particle remainder as the one-particle side
+    payload = json.loads((BUILTINS / f"{builtin}.json").read_text(encoding="utf-8"))
+    edit(payload)
+    path = tmp_path / "side.json"
+    path.write_text(json.dumps(payload))
+    assert main(["run", "--file", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_malformed_file_is_input_error(tmp_path, capsys):
@@ -523,7 +558,7 @@ def test_a_problem_too_large_for_memory_is_input_error(tmp_path, monkeypatch, ca
         "statistics": "boson",
         "modes": modes,
         "state": [{"coeff": [1.0, 0.0], "kets": [ket(m, "up") for m in modes[:4]]}],
-        "plans": [{"label": "p", "two": [[ket("M0", "up"), ket("M0", "down")]]}],
+        "plans": [{"label": "p", "two": [[ket("M0", "up"), ket("M0", "down")]] * 2}],
     }
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(spec))

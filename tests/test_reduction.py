@@ -47,6 +47,8 @@ from idqsim.reduction import (
     _require_unit_norm,
     _support_ladder,
     annihilate,
+    trace_finish,
+    trace_stage,
     trace_start,
 )
 from idqsim.verification import random_ket, random_measurement_basis, random_state, random_unitary
@@ -917,6 +919,41 @@ def test_a_density_matrix_keeps_no_padded_spectrum_until_it_is_read():
         tracemalloc.stop()
     assert kept < 8 * occ.size
     assert padded >= 8 * occ.size
+
+
+def test_a_trace_finish_keeps_one_copy_of_its_factor():
+    # eight bosons over six sites after one localized stage: a 31,824 x 2
+    # factor of 1.02 MB. Dividing it before the constructor copied it again
+    # peaked at 3.00 times it; the one division into the kept array and the
+    # conjugate of the Gram product peak at 2.00
+    space = CanonicalBasis(tuple("ABCDEF"))
+    phi = random_state(np.random.default_rng(0), space, 8, Statistics.BOSON, n_terms=3)
+    walk = trace_stage(trace_start(phi), MeasurementBasis.localized(space, "A"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rho = trace_finish(walk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.factor.shape == (31_824, 2) and rho.factor.nbytes >= 1_000_000
+    assert peak <= 2.5 * rho.factor.nbytes
+
+
+def test_a_density_matrix_divides_by_its_norm_as_its_caller_did():
+    # the division moved into the constructor is the same IEEE operation
+    rng = np.random.default_rng(64)
+    for stats, width in ((Statistics.BOSON, 2), (Statistics.FERMION, 3), (Statistics.BOSON, 40)):
+        occ = OccupationBasis(SPACE, 2, stats)
+        v = rng.normal(size=(occ.size, width)) + 1j * rng.normal(size=(occ.size, width))
+        norm2 = np.vdot(v, v).real
+        inside = DensityMatrix(occ, v, 0.5, norm2=norm2)
+        before = DensityMatrix(occ, v / math.sqrt(norm2), 0.5)
+        assert inside.factor.tobytes() == before.factor.tobytes()
+        assert inside.spectrum.tobytes() == before.spectrum.tobytes()
+        assert (inside.entropy, inside.purity) == (before.entropy, before.purity)
+        assert not inside.factor.flags.writeable and inside.factor is not v
+        assert repr(inside) == repr(before)  # norm2 is no field
 
 
 def test_the_finish_cases_cover_narrow_and_wide_factors():

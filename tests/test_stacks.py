@@ -38,7 +38,7 @@ from idqsim.comparator import (
 from idqsim.entanglement import _stage_key
 from idqsim.errors import ScenarioError
 from idqsim.reduction import annihilate
-from idqsim.scenarios import _BUILTIN_DIR, parse_scenario
+from idqsim.scenarios import _BUILTIN_DIR, _parse_state, parse_scenario
 from idqsim.states import _stack_terms
 from idqsim.verification import random_measurement_basis, random_state, random_unitary
 
@@ -193,11 +193,12 @@ def refusal(build):
 def scenario_payload(statistics, terms):
     """A scenario file's object whose state holds ``terms``, ``(coeff,
     kets)`` pairs with each ket written as a list of ``[mode, spin, re,
-    im]`` components, and one plan that a state of any particle number fits."""
+    im]`` components, and one plan whose side "one" traces all but one of the
+    first term's kets, as the parser asks of a side "one"."""
     raw = json.loads((_BUILTIN_DIR / "separated.json").read_text(encoding="utf-8"))
     raw["statistics"] = statistics.value
     raw["state"] = [{"coeff": [c.real, c.imag], "kets": kets} for c, kets in terms]
-    raw["plans"] = [{"label": "A", "one": raw["plans"][0]["one"][:1]}]
+    raw["plans"] = [{"label": "A", "one": raw["plans"][0]["one"][:1] * (len(terms[0][1]) - 1)}]
     raw["expectations"] = []
     return raw
 
@@ -342,7 +343,10 @@ def test_elementary_and_the_parser_stack_terms_as_the_term_constructor_did(stati
             assert one._space == (SPACE if n else None)
             assert_same_stack(one, *old_term_stack(terms[:1]))
             if n:  # the parser refuses a term without kets
-                parsed = parse_scenario(scenario_payload(statistics, written)).state
+                raw = scenario_payload(statistics, written)
+                # a one-particle file has no valid side, so its state is read alone
+                parsed = (parse_scenario(raw).state if n > 1
+                          else _parse_state(raw, SPACE, statistics, raw["name"]))
                 want = normalize(ParticleState(statistics, SPACE, *old_term_stack(terms)))
                 assert_same_stack(parsed, *want._stack)
 

@@ -281,6 +281,33 @@ def test_states_close_tolerates_only_small_differences():
     assert not states_close(s, s * (1.0 + 1e-6))
 
 
+def test_states_close_is_relative_to_the_states_scale():
+    # an absolute tol read this product of norm 1414 as apart from itself
+    # times 1 + 1e-12: their distance, 1.4e-9, is above 1e-10
+    space = three_modes()
+    a, b = 10.0 * space.ket("A", Spin.DOWN), 10.0 * space.ket("B", Spin.UP)
+    s = elementary(Statistics.BOSON, (a, a, b))
+    assert math.isclose(norm(s), 1000.0 * math.sqrt(2.0))
+    assert states_close(s, s * (1.0 + 1e-12))
+    assert not states_close(s, s * (1.0 + 1e-8))
+    # the same rule at the other end of the scale, and for no particles
+    tiny = 1e-20 * s
+    assert states_close(tiny, tiny * (1.0 + 1e-12))
+    assert not states_close(tiny, tiny * (1.0 + 1e-8))
+    vac = elementary(Statistics.BOSON, (), 1e5)
+    assert states_close(vac, vac * (1.0 + 1e-12))
+    assert not states_close(vac, vac * (1.0 + 1e-8))
+
+
+def test_null_states_are_close_to_each_other():
+    space = three_modes()
+    a = space.ket("A", Spin.DOWN)
+    null = elementary(Statistics.FERMION, (a, a))  # a repeated fermion
+    assert states_close(null, null)
+    assert states_close(elementary(Statistics.BOSON, (), 0.0), elementary(Statistics.BOSON, (), 0.0))
+    assert not states_close(null, elementary(Statistics.FERMION, (a, space.ket("B", Spin.UP))))
+
+
 def test_states_close_reads_a_rounding_sized_difference_as_close():
     # on random unit states <a|a> + <b|b> - 2 Re <a|b> cancels to a floor
     # near 1e-8, above the default tol, so the distance is read off
